@@ -35,8 +35,8 @@ import numpy as np
 
 from .errors import ConfigError, InputError, NumericError, ShapeError
 from .layers import (HeadGrads, HeadParams, LstmGrads, LstmParams, LstmState,
-                     head_backward, head_forward, init_head, init_lstm,
-                     lstm_step, lstm_step_backward)
+                     head_forward, head_layer_backward, init_head, init_lstm,
+                     lstm_gate_backward, lstm_step)
 from .numcore import as_f64
 from .posedata import VelocitySequence
 
@@ -441,6 +441,54 @@ def rollout_forward(model: Model, seed_vels: np.ndarray, origin: np.ndarray,
     return np.stack(preds), records
 
 
+# Steps whose gradient rows are stacked before one weight-gradient GEMM.  Each
+# flush reads and writes the whole dW once, so fewer flushes save bandwidth;
+# the stacked rows, 2 * WGRAD_CHUNK * B * (4h + d_in + h) floats per level,
+# are what a larger chunk costs in memory.
+WGRAD_CHUNK = 8
+# dW rows per GEMM within a flush; bounds the GEMM's temporary output.
+_ROW_BLOCK = 256
+
+
+class _WeightGradSum:
+    """Accumulates sum_k P_k.T @ Z_k into dW and the row sums of P_k into db.
+
+    P_k (B, n_out) is one step's preactivation gradient and Z_k (B, n_in)
+    that step's layer input, given as column blocks.  Rows are stacked
+    WGRAD_CHUNK steps at a time and folded in with one GEMM per chunk.
+    """
+
+    def __init__(self, dW: np.ndarray, db: np.ndarray, rows: int):
+        self.dW, self.db, self.rows = dW, db, rows
+        self.P = np.empty((WGRAD_CHUNK * rows, dW.shape[0]))
+        self.Z = np.empty((WGRAD_CHUNK * rows, dW.shape[1]))
+        self.tmp = np.empty((min(_ROW_BLOCK, dW.shape[0]), dW.shape[1]))
+        self.n = 0
+
+    def push(self, p: np.ndarray, *z_parts: np.ndarray):
+        rows = slice(self.n * self.rows, (self.n + 1) * self.rows)
+        self.P[rows] = p
+        col = 0
+        for part in z_parts:
+            self.Z[rows, col:col + part.shape[1]] = part
+            col += part.shape[1]
+        self.n += 1
+        if self.n == WGRAD_CHUNK:
+            self.flush()
+
+    def flush(self):
+        k = self.n * self.rows
+        if k:
+            P, Z = self.P[:k], self.Z[:k]
+            for r0 in range(0, self.dW.shape[0], _ROW_BLOCK):
+                block = self.dW[r0:r0 + _ROW_BLOCK]
+                out = self.tmp[:block.shape[0]]
+                np.matmul(P[:, r0:r0 + _ROW_BLOCK].T, Z, out=out)
+                block += out
+            self.db += P.sum(axis=0)
+        self.n = 0
+
+
 def rollout_backward(model: Model, records: list[StepRecord], n_obs: int,
                      d_preds: np.ndarray) -> ModelGrads:
     """Exact BPTT through a recorded rollout.
@@ -448,6 +496,13 @@ def rollout_backward(model: Model, records: list[StepRecord], n_obs: int,
     d_preds: (n_pred, B, d) gradients of the loss w.r.t. each predicted
     velocity.  Gradient flows through the autoregressive feedback (and, for
     the pose-input variant, through the integrated pose chain).
+
+    The reverse time loop runs only what the recurrence needs: the gate and
+    input derivatives of each step.  Weight gradients are formed as
+    time-batched GEMMs: each layer's preactivation-gradient rows and input
+    rows are stacked over WGRAD_CHUNK steps and folded into dW with one
+    `P.T @ Z` per chunk.  The head runs backward only at steps t >= S-1;
+    earlier head outputs are not predictions and get no gradient.
     """
     cfg = model.config
     S = n_obs
@@ -459,6 +514,10 @@ def rollout_backward(model: Model, records: list[StepRecord], n_obs: int,
     B = records[0].head_tape.z.shape[0]
 
     grads = ModelGrads.zeros(model)
+    gh = grads.head
+    head_sums = (_WeightGradSum(gh.dW1, gh.db1, B), _WeightGradSum(gh.dW2, gh.db2, B),
+                 _WeightGradSum(gh.dW3, gh.db3, B))
+    cell_sums = [_WeightGradSum(g.dW, g.db, B) for g in grads.cells]
     # pending gradient w.r.t. the latest produced state of each (level, phase)
     h = cfg.hidden
     gs = [[[np.zeros((B, h)), np.zeros((B, h))] for _ in range(_n_phases(cfg, m))]
@@ -472,26 +531,27 @@ def rollout_backward(model: Model, records: list[StepRecord], n_obs: int,
         if is_pose and t + 1 < T:
             # pose chain: x_t feeds x_{t+1} = x_t + v_in[t+1]
             d_x[t] += d_x[t + 1]
-        d_out = np.zeros((B, cfg.d_v))
-        j = t - (S - 1)
-        if j >= 0:
-            d_out += d_preds[j]
-        if S <= t + 1 < T:
-            # this step's output was fed back as step t+1's input velocity
-            d_out = d_out + d_x[t + 1]
-        hg, d_xt, d_hiddens = head_backward(model.head, rec.head_tape, d_out)
-        grads.head.add_(hg)
-        d_x[t] += np.atleast_2d(d_xt)
-        for m in range(1, cfg.levels + 1):
-            gs[m - 1][rec.head_phases[m - 1]][0] += np.atleast_2d(d_hiddens[m - 1])
+        if t >= S - 1:
+            d_out = d_preds[t - (S - 1)]
+            if t + 1 < T:
+                # this step's output was fed back as step t+1's input velocity
+                d_out = d_out + d_x[t + 1]
+            ht = rec.head_tape
+            da1, da2, dz = head_layer_backward(model.head, ht, d_out)
+            head_sums[0].push(da1, ht.z)
+            head_sums[1].push(da2, ht.r1)
+            head_sums[2].push(d_out, ht.r2)
+            d_x[t] += dz[:, :cfg.d_v]
+            for m in range(1, cfg.levels + 1):
+                lo = cfg.d_v + (m - 1) * h
+                gs[m - 1][rec.head_phases[m - 1]][0] += dz[:, lo:lo + h]
         for m, q, tape, strided in reversed(rec.updates):
+            cell = model.cells[m - 1]
             dh, dc = gs[m - 1][q]
-            g, d_inp, (dh_prev, dc_prev) = lstm_step_backward(
-                model.cells[m - 1], tape, dh, dc)
-            grads.cells[m - 1].add_(g)
-            gs[m - 1][q][0] = np.atleast_2d(dh_prev).copy()
-            gs[m - 1][q][1] = np.atleast_2d(dc_prev).copy()
-            d_inp = np.atleast_2d(d_inp)
+            dpre, dz, dc_prev = lstm_gate_backward(cell, tape, dh, dc)
+            cell_sums[m - 1].push(dpre, tape.x, tape.h_prev)
+            gs[m - 1][q] = [dz[:, cell.d_in:], dc_prev]
+            d_inp = dz[:, :cell.d_in]
             if m == 1:
                 d_x[t] += d_inp
             elif strided is None:
@@ -499,4 +559,6 @@ def rollout_backward(model: Model, records: list[StepRecord], n_obs: int,
             else:
                 for ti in strided:
                     d_x[ti] += d_inp
+    for acc in (*head_sums, *cell_sums):
+        acc.flush()
     return grads

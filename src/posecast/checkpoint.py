@@ -33,23 +33,24 @@ __all__ = ["save_checkpoint", "load_checkpoint", "MAGIC", "VERSION"]
 
 
 def save_checkpoint(path, meta: dict, tensors: list[tuple[str, np.ndarray]]):
-    """Write meta + named float64 tensors; atomic (write temp, rename)."""
+    """Write meta + named float64 tensors; atomic (write temp, rename).
+
+    Tensor data is streamed from the arrays to the file, so saving adds no
+    copy of the parameters to memory (beyond casting a non-float64 or
+    non-contiguous tensor).
+    """
     path = Path(path)
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
-    chunks = [MAGIC, struct.pack("<I", VERSION),
-              struct.pack("<Q", len(meta_bytes)), meta_bytes,
-              struct.pack("<I", len(tensors))]
-    for name, arr in tensors:
-        arr = np.ascontiguousarray(arr, dtype="<f8")
-        nb = name.encode("utf-8")
-        chunks.append(struct.pack("<H", len(nb)))
-        chunks.append(nb)
-        chunks.append(struct.pack("<B", arr.ndim))
-        for d in arr.shape:
-            chunks.append(struct.pack("<Q", d))
-        chunks.append(arr.tobytes())
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(b"".join(chunks))
+    with open(tmp, "wb") as fh:
+        fh.write(MAGIC + struct.pack("<IQ", VERSION, len(meta_bytes)) + meta_bytes
+                 + struct.pack("<I", len(tensors)))
+        for name, arr in tensors:
+            arr = np.ascontiguousarray(arr, dtype="<f8")
+            nb = name.encode("utf-8")
+            fh.write(struct.pack(f"<H{len(nb)}sB{arr.ndim}Q", len(nb), nb, arr.ndim,
+                                 *arr.shape))
+            fh.write(memoryview(arr))
     tmp.replace(path)
 
     lines = [f"format: posecast checkpoint v{VERSION}",

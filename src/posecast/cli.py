@@ -163,7 +163,13 @@ def cmd_train(args) -> int:
 
 def _horizons(args, interval_ms, target_len) -> list[int]:
     if args.horizons:
-        return [int(s) for s in args.horizons.split(",")]
+        out = []
+        for s in args.horizons.split(","):
+            try:
+                out.append(int(s))
+            except ValueError:
+                raise InputError(f"--horizons: {s!r} is not an integer (ms)") from None
+        return out
     return [h for h in DEFAULT_HORIZONS_MS if h <= target_len * interval_ms]
 
 

@@ -6,8 +6,8 @@ import numpy as np
 
 from .arch import Model, rollout_forward
 from .errors import InputError
-from .metrics import (HorizonReport, aggregate_reports, angle_mae,
-                      horizon_frame_index, pck, zero_velocity_forecast)
+from .metrics import (HorizonReport, aggregate_reports, angle_mae, pck,
+                      zero_velocity_forecast)
 from .posedata import PoseSequence, Window, make_windows, to_velocity
 
 __all__ = [
@@ -99,6 +99,3 @@ def evaluate_pck(model: Model, windows: list[Window], threshold: float = 0.05):
     cnt = np.where(cnt > 0, cnt, 1.0)
     return (acc_m / cnt).tolist(), (acc_z / cnt).tolist()
 
-
-def frame_index_for_horizons(horizons_ms, interval_ms) -> list[int]:
-    return [horizon_frame_index(h, interval_ms) for h in horizons_ms]

@@ -7,6 +7,15 @@ the checkpoint format and must not change.
 Every forward op returns a tape caching the intermediates needed to run
 the matching backward op.  Inputs may be single vectors (d,) or batches
 (B, d); batched calls produce parameter gradients summed over the batch.
+
+Each backward is split in two.  `lstm_gate_backward` and
+`head_layer_backward` carry the gradient through one step: the derivatives
+w.r.t. the preactivations and the inputs, which the recurrence needs at
+once.  A weight gradient is then the preactivation gradient transposed times
+the layer input (`dpre.T @ z`), a sum over rows that does not feed the
+recurrence.  The single-step `lstm_step_backward` and `head_backward` form it
+per call; `arch.rollout_backward` stacks the rows of many steps and forms it
+as a few time-batched GEMMs.
 """
 
 from __future__ import annotations
@@ -26,11 +35,13 @@ __all__ = [
     "init_lstm",
     "lstm_step",
     "lstm_step_backward",
+    "lstm_gate_backward",
     "HeadParams",
     "HeadGrads",
     "init_head",
     "head_forward",
     "head_backward",
+    "head_layer_backward",
     "lstm_param_count",
     "head_param_count",
     "GradCheckReport",
@@ -88,10 +99,6 @@ class LstmGrads:
 
     def tensors(self):
         return [self.dW, self.db]
-
-    def add_(self, other: "LstmGrads"):
-        self.dW += other.dW
-        self.db += other.db
 
 
 def lstm_param_count(d_in: int, h: int) -> int:
@@ -154,23 +161,15 @@ def lstm_step(p: LstmParams, x, s: LstmState):
     return LstmState(h=h_new, c=c_new), tape
 
 
-def replay_lstm_step(p: LstmParams, tape: LstmTape) -> LstmState:
-    """Re-run the forward step from the tape's cached inputs."""
-    x = tape.x[0] if tape.squeeze else tape.x
-    h_prev = tape.h_prev[0] if tape.squeeze else tape.h_prev
-    c_prev = tape.c_prev[0] if tape.squeeze else tape.c_prev
-    s, _ = lstm_step(p, x, LstmState(h=h_prev, c=c_prev))
-    return s
+def lstm_gate_backward(p: LstmParams, tape: LstmTape, dh: np.ndarray, dc_in: np.ndarray):
+    """Gradient through one batched LSTM step, without the weight gradient.
 
-
-def lstm_step_backward(p: LstmParams, tape: LstmTape, grad_h, grad_c):
-    """Backward of lstm_step.
-
-    grad_h / grad_c are gradients w.r.t. the step's output state.  Returns
-    (LstmGrads, grad_x, (grad_h_prev, grad_c_prev)).
+    dh / dc_in: (B, h) gradients w.r.t. the step's output state.  Returns
+    (dpre, dz, dc_prev): dpre (B, 4h) w.r.t. the gate preactivations in
+    (i, f, o, g) order, dz (B, d_in + h) w.r.t. z = [x, h_prev], and
+    dc_prev (B, h).  The step's weight gradient is dpre.T @ z and its bias
+    gradient dpre summed over rows.
     """
-    dh, sq = _promote(grad_h)
-    dc_in, _ = _promote(grad_c)
     if dh.shape != tape.tanh_c.shape or dc_in.shape != tape.tanh_c.shape:
         raise ShapeError(
             f"lstm_step_backward: grad shapes {dh.shape}/{dc_in.shape} "
@@ -188,10 +187,20 @@ def lstm_step_backward(p: LstmParams, tape: LstmTape, grad_h, grad_c):
         do * o * (1.0 - o),
         dg * (1.0 - g * g),
     ], axis=1)
-    z = np.concatenate([tape.x, tape.h_prev], axis=1)
-    dW = dpre.T @ z
+    return dpre, dpre @ p.W, dc_prev
+
+
+def lstm_step_backward(p: LstmParams, tape: LstmTape, grad_h, grad_c):
+    """Backward of lstm_step.
+
+    grad_h / grad_c are gradients w.r.t. the step's output state.  Returns
+    (LstmGrads, grad_x, (grad_h_prev, grad_c_prev)).
+    """
+    dh, sq = _promote(grad_h)
+    dc_in, _ = _promote(grad_c)
+    dpre, dz, dc_prev = lstm_gate_backward(p, tape, dh, dc_in)
+    dW = dpre.T @ np.concatenate([tape.x, tape.h_prev], axis=1)
     db = dpre.sum(axis=0)
-    dz = dpre @ p.W
     dx = dz[:, :p.d_in]
     dh_prev = dz[:, p.d_in:]
     if sq and tape.squeeze:
@@ -235,10 +244,6 @@ class HeadGrads:
 
     def tensors(self):
         return [self.dW1, self.db1, self.dW2, self.db2, self.dW3, self.db3]
-
-    def add_(self, other: "HeadGrads"):
-        for a, b in zip(self.tensors(), other.tensors()):
-            a += b
 
 
 def head_param_count(d_v: int, n_states: int, h: int, h1: int, h2: int) -> int:
@@ -320,35 +325,42 @@ def head_forward(hp: HeadParams, v_t, hiddens, slope: float = 0.01,
     return (out[0] if sq else out), tape
 
 
+def head_layer_backward(hp: HeadParams, tape: HeadTape, dout: np.ndarray):
+    """Gradient through one batched head call, without the weight gradients.
+
+    dout: (B, d_v) gradient w.r.t. the output.  Returns (da1, da2, dz):
+    gradients w.r.t. the layer-1 and layer-2 preactivations and the
+    concatenated input z.  The weight gradients are dout.T @ r2 (W3),
+    da2.T @ r1 (W2) and da1.T @ z (W1), each bias gradient the row sum of the
+    matching output gradient.
+    """
+    if dout.shape[1] != hp.d_v or dout.shape[0] != tape.z.shape[0]:
+        raise ShapeError(f"head_backward: grad shape {dout.shape} does not match tape")
+    dr2 = dout @ hp.W3
+    if tape.mask2 is not None:
+        dr2 = dr2 * tape.mask2
+    da2 = dr2 * tape.d2
+    dr1 = da2 @ hp.W2
+    if tape.mask1 is not None:
+        dr1 = dr1 * tape.mask1
+    da1 = dr1 * tape.d1
+    return da1, da2, da1 @ hp.W1
+
+
 def head_backward(hp: HeadParams, tape: HeadTape, grad_out):
     """Backward of head_forward.
 
     Returns (HeadGrads, grad_v_t, [grad_hidden_m for each level]).
     """
     dout, sq = _promote(grad_out)
-    if dout.shape[1] != hp.d_v or dout.shape[0] != tape.z.shape[0]:
-        raise ShapeError(f"head_backward: grad shape {dout.shape} does not match tape")
-    dW3 = dout.T @ tape.r2
-    db3 = dout.sum(axis=0)
-    dr2 = dout @ hp.W3
-    if tape.mask2 is not None:
-        dr2 = dr2 * tape.mask2
-    da2 = dr2 * tape.d2
-    dW2 = da2.T @ tape.r1
-    db2 = da2.sum(axis=0)
-    dr1 = da2 @ hp.W2
-    if tape.mask1 is not None:
-        dr1 = dr1 * tape.mask1
-    da1 = dr1 * tape.d1
-    dW1 = da1.T @ tape.z
-    db1 = da1.sum(axis=0)
-    dz = da1 @ hp.W1
+    da1, da2, dz = head_layer_backward(hp, tape, dout)
+    grads = HeadGrads(da1.T @ tape.z, da1.sum(axis=0), da2.T @ tape.r1,
+                      da2.sum(axis=0), dout.T @ tape.r2, dout.sum(axis=0))
     dv = dz[:, :hp.d_v]
     dhs = []
     for m in range(hp.n_states):
         lo = hp.d_v + m * hp.h
         dhs.append(dz[:, lo:lo + hp.h])
-    grads = HeadGrads(dW1, db1, dW2, db2, dW3, db3)
     if sq and tape.squeeze:
         return grads, dv[0], [d[0] for d in dhs]
     return grads, dv, dhs

@@ -1,9 +1,7 @@
-"""Minimal dense float64 kernel: affine maps, activations, norm clipping, RNG.
+"""Minimal float64 helpers: casting, global-norm clipping, seeded RNG streams.
 
-All arrays are plain numpy float64. Vectors are 1-D; matrices 2-D row-major.
-The layer code passes batched inputs (B, d) where a vector is expected and
-gets the batched result back -- every function here broadcasts over a
-leading batch axis.
+All arrays are plain numpy float64.  The layer code does its own affine maps
+and activations inline (see layers.py).
 
 Randomness: `seeded_rng(seed, *stream)` builds a PCG64 generator from
 ``SeedSequence(seed, spawn_key=stream)``.  Distinct stream tuples give
@@ -15,13 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
-
 __all__ = [
     "as_f64",
-    "check_finite",
-    "affine",
-    "activation",
     "global_norm",
     "clip_global_norm",
     "seeded_rng",
@@ -30,40 +23,6 @@ __all__ = [
 
 def as_f64(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
-
-
-def check_finite(name: str, a: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(a)):
-        raise NumericError(f"{name}: non-finite values present")
-    return a
-
-
-def affine(W, x, b) -> np.ndarray:
-    """Return W @ x + b.  x may be (d,) or batched (B, d)."""
-    W, x, b = as_f64(W), as_f64(x), as_f64(b)
-    if W.ndim != 2 or b.ndim != 1 or x.ndim not in (1, 2):
-        raise ShapeError(f"affine: bad ranks W{W.shape} x{x.shape} b{b.shape}")
-    if x.shape[-1] != W.shape[1] or b.shape[0] != W.shape[0]:
-        raise ShapeError(f"affine: W{W.shape} incompatible with x{x.shape}, b{b.shape}")
-    return x @ W.T + b
-
-
-def activation(kind: str, x, slope: float = 0.01):
-    """Elementwise activation; returns (value, derivative) at x."""
-    x = check_finite("activation input", as_f64(x))
-    if kind == "sigmoid":
-        v = 1.0 / (1.0 + np.exp(-x))
-        return v, v * (1.0 - v)
-    if kind == "tanh":
-        v = np.tanh(x)
-        return v, 1.0 - v * v
-    if kind == "leaky_relu":
-        if slope <= 0:
-            raise ValueError(f"leaky_relu slope must be > 0, got {slope}")
-        v = np.where(x >= 0, x, slope * x)
-        d = np.where(x >= 0, 1.0, slope)
-        return v, d
-    raise ValueError(f"unknown activation kind: {kind!r}")
 
 
 def global_norm(tensors) -> float:

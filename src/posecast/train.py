@@ -322,8 +322,8 @@ def train_loop(model: Model, dataset: TrainingData, cfg: TrainConfig,
     Deterministic given cfg.seed: two runs with the same seed produce
     identical traces and checkpoints, and resuming from a saved checkpoint
     (start_iteration / rng_state / adam) continues bit-exactly.  On a
-    non-finite loss the last finite state is checkpointed and NumericError
-    is raised.
+    non-finite loss or gradient norm the last finite state is checkpointed
+    and NumericError is raised.
     """
     cfg.validate()
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
@@ -349,11 +349,12 @@ def train_loop(model: Model, dataset: TrainingData, cfg: TrainConfig,
         seeds, targets = dataset.sample_batch(rng, cfg.batch_size)
         loss, grads = rollout_loss_batch(model, seeds, targets, cfg,
                                          mode="train", rng=rng)
-        if not np.isfinite(loss):
+        clipped, norm = clip_global_norm(grads.tensors(), cfg.clip_norm)
+        if not (np.isfinite(loss) and np.isfinite(norm)):
+            # the parameters are still those of the last finite update
             _save("abort", it)
-            raise NumericError(f"training diverged at iteration {it}: loss={loss}")
-        gtensors = grads.tensors()
-        clipped, _ = clip_global_norm(gtensors, cfg.clip_norm)
+            raise NumericError(f"training diverged at iteration {it}: "
+                               f"loss={loss}, gradient norm={norm}")
         lr = lr_at(cfg, it)
         params = [arr for _, arr in model.tensors()]
         if cfg.optimizer == "sgd":
@@ -363,6 +364,8 @@ def train_loop(model: Model, dataset: TrainingData, cfg: TrainConfig,
                                      beta1=cfg.adam_beta1, beta2=cfg.adam_beta2,
                                      eps=cfg.adam_eps)
         model.set_tensors(params)
+        # release the gradients now, not after the next iteration's rollout
+        del grads, clipped
         trace.append((it, loss, lr))
         if log_fn is not None:
             log_fn(it, loss, lr)

@@ -1,6 +1,10 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
+from posecast.arch import ModelConfig, build_model
 from posecast.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from posecast.errors import ParseError
 
@@ -19,6 +23,30 @@ def test_roundtrip_bit_exact(tmp_path):
     for name, arr in tensors:
         assert loaded[name].shape == arr.shape
         assert np.array_equal(loaded[name], arr)
+
+
+def test_saved_bytes_follow_documented_layout(tmp_path):
+    # a small model: W tensors are non-square, biases 1-D
+    model = build_model(ModelConfig(variant="tp_rnn", d_v=2, granularity=2,
+                                    levels=2, hidden=3, head1=4, head2=2,
+                                    seed=5))
+    tensors = model.tensors()
+    assert any(a.ndim == 1 for _, a in tensors)
+    assert any(a.ndim == 2 and a.shape[0] != a.shape[1] for _, a in tensors)
+    meta = {"kind": "model", "iteration": 3}
+    p = tmp_path / "ck.bin"
+    save_checkpoint(p, meta, tensors)
+
+    meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
+    expected = (b"PCASTCK\n" + struct.pack("<I", 1)
+                + struct.pack("<Q", len(meta_bytes)) + meta_bytes
+                + struct.pack("<I", len(tensors)))
+    for name, arr in tensors:
+        nb = name.encode("utf-8")
+        expected += struct.pack("<H", len(nb)) + nb + struct.pack("<B", arr.ndim)
+        expected += b"".join(struct.pack("<Q", d) for d in arr.shape)
+        expected += b"".join(struct.pack("<d", float(v)) for v in arr.ravel())
+    assert p.read_bytes() == expected
 
 
 def test_save_is_deterministic(tmp_path):

@@ -150,6 +150,17 @@ def test_eval_rejects_off_grid_horizon(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_eval_rejects_non_integer_horizon(tmp_path, capsys):
+    data = synth(tmp_path)
+    ck = zero_checkpoint(tmp_path)
+    assert run("eval", "--checkpoint", ck, "--manifest", data / "manifest.txt",
+               "--seed-len", 10, "--target-len", 5, "--horizons", "80,abc",
+               "--out", tmp_path / "r.csv") == 3
+    err = capsys.readouterr().err
+    assert "input error" in err and "'abc'" in err
+    assert "Traceback" not in err
+
+
 def test_eval_pck_protocol(tmp_path):
     data = synth(tmp_path, dim=4)  # even dim: planar joint pairs
     ck = zero_checkpoint(tmp_path, d_v=4)
@@ -259,3 +270,14 @@ def test_ablate_unknown_variant(tmp_path):
     assert run("ablate", "--model-config", mc, "--train-config", tc,
                "--manifest", data / "manifest.txt", "--variants", "gru",
                "--out", tmp_path / "a") == 2
+
+
+def test_ablate_rejects_non_integer_horizon(tmp_path, capsys):
+    data = synth(tmp_path)
+    mc, tc = _train_cfgs(tmp_path, iterations=5)
+    assert run("ablate", "--model-config", mc, "--train-config", tc,
+               "--manifest", data / "manifest.txt", "--horizons", "abc",
+               "--out", tmp_path / "a") == 3
+    err = capsys.readouterr().err
+    assert "input error" in err and "'abc'" in err
+    assert "Traceback" not in err

@@ -7,7 +7,7 @@ from posecast.errors import ConfigError, ShapeError
 from posecast.layers import (HeadParams, LstmParams, LstmState, grad_check,
                              head_backward, head_forward, head_param_count,
                              init_head, init_lstm, lstm_param_count, lstm_step,
-                             lstm_step_backward, replay_lstm_step)
+                             lstm_step_backward)
 
 
 def _zeroed(p: LstmParams) -> LstmParams:
@@ -127,16 +127,6 @@ def test_lstm_step_batched_matches_loop():
         # calls, so agreement is to rounding, not bit-exact
         assert np.allclose(s.h[i], si.h, atol=1e-15)
         assert np.allclose(s.c[i], si.c, atol=1e-15)
-
-
-def test_lstm_tape_replay_bit_exact():
-    p = init_lstm(3, 4, seed=9)
-    x = np.random.default_rng(1).normal(size=3)
-    s0 = LstmState(h=np.full(4, 0.1), c=np.full(4, -0.2))
-    s1, tape = lstm_step(p, x, s0)
-    s1r = replay_lstm_step(p, tape)
-    assert np.array_equal(s1.h, s1r.h)
-    assert np.array_equal(s1.c, s1r.c)
 
 
 # ---------------------------------------------------------------------------

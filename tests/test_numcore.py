@@ -3,71 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posecast.errors import NumericError, ShapeError
-from posecast.numcore import (activation, affine, as_f64, check_finite,
-                              clip_global_norm, global_norm, seeded_rng)
-
-
-def test_affine_matches_manual():
-    W = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    x = np.array([1.0, -1.0])
-    b = np.array([0.5, 0.0, -0.5])
-    assert np.array_equal(affine(W, x, b), np.array([-0.5, -1.0, -1.5]))
-
-
-def test_affine_broadcasts_over_batch():
-    rng = np.random.default_rng(0)
-    W = rng.normal(size=(4, 3))
-    b = rng.normal(size=4)
-    X = rng.normal(size=(5, 3))
-    batched = affine(W, X, b)
-    assert batched.shape == (5, 4)
-    for i in range(5):
-        assert np.allclose(batched[i], affine(W, X[i], b))
-
-
-def test_affine_shape_errors():
-    with pytest.raises(ShapeError):
-        affine(np.ones((2, 3)), np.ones(2), np.ones(2))
-    with pytest.raises(ShapeError):
-        affine(np.ones((2, 3)), np.ones(3), np.ones(3))
-    with pytest.raises(ShapeError):
-        affine(np.ones(6), np.ones(3), np.ones(2))
-
-
-def test_check_finite_raises_with_name():
-    with pytest.raises(NumericError, match="lstm pre-activations"):
-        check_finite("lstm pre-activations", np.array([1.0, np.inf]))
-    arr = np.array([1.0, 2.0])
-    assert check_finite("ok", arr) is arr
-
-
-@pytest.mark.parametrize("kind", ["sigmoid", "tanh", "leaky_relu"])
-def test_activation_derivative_matches_fd(kind):
-    x = np.linspace(-3.0, 3.0, 41) + 0.0317  # avoid the relu kink
-    _, d = activation(kind, x)
-    eps = 1e-6
-    fd = (activation(kind, x + eps)[0] - activation(kind, x - eps)[0]) / (2 * eps)
-    assert np.allclose(d, fd, atol=1e-8)
-
-
-def test_activation_known_values():
-    v, d = activation("sigmoid", np.array([0.0]))
-    assert v[0] == 0.5 and d[0] == 0.25
-    v, d = activation("tanh", np.array([0.0]))
-    assert v[0] == 0.0 and d[0] == 1.0
-    v, d = activation("leaky_relu", np.array([-2.0, 2.0]), slope=0.1)
-    assert np.allclose(v, [-0.2, 2.0])
-    assert np.allclose(d, [0.1, 1.0])
-
-
-def test_activation_rejects_bad_input():
-    with pytest.raises(ValueError):
-        activation("softplus", np.zeros(3))
-    with pytest.raises(ValueError):
-        activation("leaky_relu", np.zeros(3), slope=0.0)
-    with pytest.raises(NumericError):
-        activation("tanh", np.array([np.nan]))
+from posecast.numcore import as_f64, clip_global_norm, global_norm, seeded_rng
 
 
 def test_global_norm():

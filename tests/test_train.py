@@ -292,6 +292,36 @@ def test_divergence_aborts_with_checkpoint(tmp_path):
     assert (tmp_path / "checkpoint_abort.bin").exists()
 
 
+def test_nonfinite_gradient_aborts_with_last_finite_params(tmp_path, monkeypatch):
+    # a finite loss with an infinite gradient entry: clipping would scale by
+    # 0 and write inf * 0 = NaN into the parameters
+    import posecast.train as train_mod
+
+    model, data, cfg = _toy_setup(iterations=10)
+    real = train_mod.rollout_loss_batch
+    calls = []
+    before = {}
+
+    def poisoned(model_, *args, **kwargs):
+        loss, grads = real(model_, *args, **kwargs)
+        calls.append(loss)
+        if len(calls) == 3:
+            before["theta"] = model_.flatten().copy()
+            grads.cells[0].dW[0, 0] = np.inf
+        return loss, grads
+
+    monkeypatch.setattr(train_mod, "rollout_loss_batch", poisoned)
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericError, match="diverged at iteration 2"):
+            train_loop(model, data, cfg, out_dir=tmp_path)
+    assert np.isfinite(calls[-1])
+    saved, meta, _ = load_model_checkpoint(tmp_path / "checkpoint_abort.bin")
+    assert meta["iteration"] == 2
+    theta = saved.flatten()
+    assert np.all(np.isfinite(theta))
+    assert np.array_equal(theta, before["theta"])
+
+
 def test_write_trace_format(tmp_path):
     write_trace(tmp_path / "t.csv", [(0, 1.5, 0.01), (1, 1.25, 0.01)])
     lines = (tmp_path / "t.csv").read_text().splitlines()
