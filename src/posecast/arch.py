@@ -35,8 +35,8 @@ import numpy as np
 
 from .errors import ConfigError, InputError, NumericError, ShapeError
 from .layers import (HeadGrads, HeadParams, LstmGrads, LstmParams, LstmState,
-                     head_forward, head_layer_backward, init_head, init_lstm,
-                     lstm_gate_backward, lstm_step)
+                     head_forward, head_layer_backward, head_param_count, init_head,
+                     init_lstm, lstm_gate_backward, lstm_param_count, lstm_step)
 from .numcore import as_f64
 from .posedata import VelocitySequence
 
@@ -50,6 +50,7 @@ __all__ = [
     "active_phase",
     "logical_sequence_count",
     "build_model",
+    "param_count",
     "model_step",
     "observe",
     "forecast",
@@ -69,6 +70,9 @@ VARIANTS = (
 
 _SINGLE = ("single_layer_pose", "single_layer_vel")
 _DOUBLE = ("double_scale_vel", "double_scale_hier_vel", "double_scale_phase_vel")
+# The state bank holds every phase sequence, so K^(M-1) is capped well above
+# any useful hierarchy (K=2, M=13) to keep a bank's size bounded.
+MAX_PHASES = 4096
 # upper levels consuming the lower level's hidden output vs. the strided velocity
 _HIDDEN_FED = ("tp_rnn", "stacked2_vel", "double_scale_hier_vel")
 _STRIDE_FED = ("double_scale_vel", "double_scale_phase_vel")
@@ -120,12 +124,21 @@ class ModelConfig:
                 raise ConfigError(f"levels: {self.variant} requires levels == 2")
             if self.granularity != 2:
                 raise ConfigError(f"granularity: {self.variant} requires granularity == 2")
+        if self.variant == "tp_rnn":
+            phases = 1
+            for _ in range(self.levels - 1):
+                phases *= self.granularity
+                if phases > MAX_PHASES:
+                    raise ConfigError(f"granularity/levels: tp_rnn's top level would hold "
+                                      f"more than {MAX_PHASES} phase sequences")
         if min(self.hidden, self.head1, self.head2) < 1:
             raise ConfigError("hidden/head1/head2: must be >= 1")
         if self.leaky_slope <= 0:
             raise ConfigError(f"leaky_slope: must be > 0, got {self.leaky_slope}")
         if self.dropout_rate is not None and not (0.0 <= self.dropout_rate < 1.0):
             raise ConfigError(f"dropout_rate: must be in [0, 1), got {self.dropout_rate}")
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         return self
 
     @property
@@ -269,6 +282,13 @@ def build_model(cfg: ModelConfig) -> Model:
     return Model(cells=cells, head=head, config=cfg)
 
 
+def param_count(cfg: ModelConfig) -> int:
+    """Parameters of the model `build_model(cfg)` builds, without building it."""
+    upper = lstm_param_count(_level_input_dim(cfg, 2), cfg.hidden) if cfg.levels > 1 else 0
+    return (lstm_param_count(cfg.d_v, cfg.hidden) + (cfg.levels - 1) * upper
+            + head_param_count(cfg.d_v, cfg.levels, cfg.hidden, cfg.head1, cfg.head2))
+
+
 # ---------------------------------------------------------------------------
 # Recurrent state bank and stepping
 
@@ -295,6 +315,15 @@ class StepRecord:
     updates: list  # (level m, phase q, lstm tape, strided input time indices or None)
     head_tape: object
     head_phases: list[int]  # phase whose hidden state the head consumed, per level
+
+
+def _window_sum(xs: list[np.ndarray]) -> np.ndarray:
+    """Strided input of a stride-fed level: the last K inputs summed in order,
+    i.e. the pose difference over K steps."""
+    inp = xs[0]
+    for x in xs[1:]:
+        inp = inp + x
+    return inp
 
 
 def model_step(model: Model, bank: PhaseStateBank, x_t, mode: str = "eval",
@@ -332,9 +361,7 @@ def model_step(model: Model, bank: PhaseStateBank, x_t, mode: str = "eval",
             elif cfg.variant in _HIDDEN_FED:
                 inp, strided = lower_h, None
             else:
-                inp = bank.recent[0][1]
-                for _, xr in bank.recent[1:]:
-                    inp = inp + xr
+                inp = _window_sum([xr for _, xr in bank.recent])
                 strided = [ti for ti, _ in bank.recent]
             new_state, tape = lstm_step(model.cells[m - 1], inp, bank.states[m - 1][q])
             bank.states[m - 1][q] = new_state
@@ -357,24 +384,19 @@ def observe(model: Model, seed_velocities: VelocitySequence, mode: str = "eval",
             rng: np.random.Generator | None = None, record: bool = True):
     """Run the model over all seed velocities from a zero-initialized bank.
 
-    Returns (bank at forecast start, step tapes, prediction for the first
-    future step).
+    Returns (bank at forecast start, step tapes or None, prediction for the
+    first future step).  A single-sequence wrapper over the rollout engine's
+    seed stage; the bank's states are unbatched.
     """
     if seed_velocities.n_steps < 1:
         raise InputError("observe: empty seed")
-    bank = new_bank(model)
-    pose = seed_velocities.origin_pose.copy()
-    records = []
-    vhat = None
-    for t in range(seed_velocities.n_steps):
-        v = seed_velocities.steps[t]
-        pose = pose + v
-        x = pose if model.config.variant == "single_layer_pose" else v
-        vhat, rec = model_step(model, bank, x, mode=mode, rng=rng, record=record)
-        records.append(rec)
-    bank.last_pose = pose
+    bank, records, vhat = _observe(model, seed_velocities.steps[None],
+                                   seed_velocities.origin_pose[None], mode, rng, record)
+    bank.states = [[LstmState(s.h[0], s.c[0]) for s in level] for level in bank.states]
+    bank.recent = [(t, x[0]) for t, x in bank.recent]
+    bank.last_pose = bank.last_pose[0]
     bank.frame_interval_ms = seed_velocities.frame_interval_ms
-    return bank, records, vhat
+    return bank, records, vhat[0]
 
 
 def forecast(model: Model, bank: PhaseStateBank, v_first, n_steps: int,
@@ -384,61 +406,150 @@ def forecast(model: Model, bank: PhaseStateBank, v_first, n_steps: int,
         raise InputError(f"forecast: n_steps must be >= 1, got {n_steps}")
     if bank.last_pose is None:
         raise ConfigError("forecast: bank has no last pose; run observe first")
-    preds = [as_f64(v_first)]
     origin = bank.last_pose.copy()
-    pose = bank.last_pose
-    for j in range(1, n_steps):
-        v = preds[-1]
-        if not np.all(np.isfinite(v)):
-            raise NumericError(f"forecast: non-finite prediction at step {j - 1}")
-        pose = pose + v
-        x = pose if model.config.variant == "single_layer_pose" else v
-        vhat, _ = model_step(model, bank, x, mode=mode, rng=rng, record=False)
-        preds.append(vhat)
-    if not np.all(np.isfinite(preds[-1])):
-        raise NumericError(f"forecast: non-finite prediction at step {n_steps - 1}")
-    bank.last_pose = pose + preds[-1]
-    return VelocitySequence(steps=np.array(preds), origin_pose=origin,
+    preds = np.array(_feed_back(model, bank, as_f64(v_first), n_steps, mode, rng))
+    bad = np.flatnonzero(~np.isfinite(preds.reshape(n_steps, -1)).all(axis=1))
+    if bad.size:
+        raise NumericError(f"forecast: non-finite prediction at step {bad[0]}")
+    return VelocitySequence(steps=preds, origin_pose=origin,
                             frame_interval_ms=bank.frame_interval_ms)
 
 
 # ---------------------------------------------------------------------------
-# Recorded rollout + exact reverse-mode gradients through the feedback loop
+# Rollout engine: recorded (training) or tape-free (inference)
 
 
 def rollout_forward(model: Model, seed_vels: np.ndarray, origin: np.ndarray,
                     n_steps: int, mode: str = "train",
-                    rng: np.random.Generator | None = None):
-    """Batched observe + autoregressive forecast with full tapes.
+                    rng: np.random.Generator | None = None, record: bool = True):
+    """Batched observe + autoregressive forecast.
 
     seed_vels: (B, S, d) ground-truth seed velocities; origin: (B, d) first
     seed pose.  Returns (preds (n_steps, B, d), step records).  Step t for
     t < S consumes seed_vels[:, t]; later steps consume the model's own
     previous prediction.
+
+    With record=True every step is run in time order and its tapes are kept
+    for `rollout_backward`.  record=False (eval mode only) keeps no tapes and
+    returns None for the records: the seed runs level by level with each
+    level's phase sequences stacked into one batch (see `_level_major_seed`),
+    and the head runs only where its output is a prediction.
     """
     seed_vels = as_f64(seed_vels)
     origin = as_f64(origin)
-    B, S, d = seed_vels.shape
+    _, S, _ = seed_vels.shape
     if S < 1 or n_steps < 1:
         raise InputError("rollout_forward: need S >= 1 and n_steps >= 1")
+    if not record and mode != "eval":
+        raise ConfigError("rollout_forward: record=False runs in eval mode only")
+    bank, records, vhat = _observe(model, seed_vels, origin, mode, rng, record)
+    return np.stack(_feed_back(model, bank, vhat, n_steps, mode, rng, records)), records
+
+
+def _observe(model: Model, seed_vels: np.ndarray, origin: np.ndarray, mode: str,
+             rng, record: bool):
+    """Seed stage of the engine: (bank at t=S, step records or None, prediction
+    at t=S-1).  Step-major when tapes are kept or in train mode (dropout draws
+    follow time order), otherwise level-major."""
     is_pose = model.config.variant == "single_layer_pose"
-    bank = new_bank(model, batch=B)
     pose = origin.copy()
-    records = []
-    preds = []
-    T = S + n_steps - 1
-    for t in range(T):
-        v_in = seed_vels[:, t] if t < S else preds[t - S]
-        if is_pose:
-            pose = pose + v_in
-            x = pose
+    xs = []
+    for t in range(seed_vels.shape[1]):
+        pose = pose + seed_vels[:, t]
+        xs.append(pose if is_pose else seed_vels[:, t])
+    records = [] if record else None
+    if record or mode != "eval":
+        bank = new_bank(model, batch=seed_vels.shape[0])
+        for x in xs:
+            vhat, rec = model_step(model, bank, x, mode=mode, rng=rng, record=record)
+            if record:
+                records.append(rec)
+    else:
+        bank, vhat = _level_major_seed(model, xs)
+    bank.last_pose = pose
+    return bank, records, vhat
+
+
+def _feed_back(model: Model, bank: PhaseStateBank, v, n_steps: int, mode: str, rng,
+               records: list | None = None) -> list:
+    """Forecast stage: from the first prediction v, feed each prediction back
+    as the next input for n_steps - 1 steps.  Returns the n_steps predictions;
+    step records are appended to `records` when it is a list."""
+    is_pose = model.config.variant == "single_layer_pose"
+    pose = bank.last_pose
+    preds = [v]
+    for _ in range(1, n_steps):
+        pose = pose + v
+        v, rec = model_step(model, bank, pose if is_pose else v, mode=mode, rng=rng,
+                            record=records is not None)
+        if records is not None:
+            records.append(rec)
+        preds.append(v)
+    bank.last_pose = pose + v
+    return preds
+
+
+def _cat_rows(arrays: list[np.ndarray]) -> np.ndarray:
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _level_major_seed(model: Model, xs: list[np.ndarray]):
+    """Run the observed seed level by level, in eval mode, without tapes.
+
+    xs[t] (B, d) is the input at seed step t.  During the seed every input
+    is known, so level m depends only on level m-1's outputs and its phase
+    sequences are independent of each other.  Level m therefore runs in
+    rounds: round r stacks the r-th update of every phase that has one into
+    a single lstm_step of (phases * B) rows.  Which phase fires when is read
+    from `_updates_at`/`_phase_at`, as in `model_step`.  Returns the bank at
+    t = S, matching S calls of `model_step`, and the prediction at t = S-1.
+    """
+    cfg = model.config
+    S, B = len(xs), xs[0].shape[0]
+    bank = new_bank(model, batch=B)
+    below = xs  # per step: the freshest hidden output of the level below
+    for m in range(1, cfg.levels + 1):
+        states = bank.states[m - 1]
+        fires = [[] for _ in states]  # per phase, the steps at which it updates
+        for t in range(S):
+            if _updates_at(cfg, m, t):
+                fires[_phase_at(cfg, m, t)].append(t)
+        if m == 1:
+            inputs = xs
+        elif cfg.variant in _HIDDEN_FED:
+            inputs = below
         else:
-            x = v_in
-        vhat, rec = model_step(model, bank, x, mode=mode, rng=rng, record=True)
-        records.append(rec)
-        if t >= S - 1:
-            preds.append(vhat)
-    return np.stack(preds), records
+            K = cfg.granularity
+            inputs = {t: _window_sum(xs[max(0, t - K + 1):t + 1]) for ts in fires for t in ts}
+        out = {}
+        for r in range(max(map(len, fires))):
+            batch = [(q, ts[r]) for q, ts in enumerate(fires) if len(ts) > r]
+            x = _cat_rows([inputs[t] for _, t in batch])
+            state = LstmState(_cat_rows([states[q].h for q, _ in batch]),
+                              _cat_rows([states[q].c for q, _ in batch]))
+            new, _ = lstm_step(model.cells[m - 1], x, state)
+            for i, (q, t) in enumerate(batch):
+                rows = slice(i * B, (i + 1) * B)
+                states[q] = LstmState(new.h[rows], new.c[rows])
+                out[t] = states[q].h
+        if m < cfg.levels:
+            latest = [np.zeros((B, cfg.hidden))] * len(states)
+            below = []
+            for t in range(S):
+                q = _phase_at(cfg, m, t)
+                latest[q] = out.get(t, latest[q])
+                below.append(latest[q])
+    t = S - 1
+    hiddens = [bank.states[m - 1][_phase_at(cfg, m, t)].h for m in range(1, cfg.levels + 1)]
+    vhat, _ = head_forward(model.head, xs[t], hiddens, slope=cfg.leaky_slope)
+    bank.t = S
+    if cfg.variant in _STRIDE_FED:
+        bank.recent = [(ti, xs[ti]) for ti in range(max(0, S - cfg.granularity), S)]
+    return bank, vhat
+
+
+# ---------------------------------------------------------------------------
+# Exact reverse-mode gradients through a recorded rollout
 
 
 # Steps whose gradient rows are stacked before one weight-gradient GEMM.  Each

@@ -100,7 +100,10 @@ def load_checkpoint(path):
     tensors: dict[str, np.ndarray] = {}
     for _ in range(n):
         name_len = r.unpack("<H")
-        name = r.take(name_len).decode("utf-8")
+        try:
+            name = r.take(name_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise ParseError(f"{path}: bad tensor name") from None
         ndim = r.unpack("<B")
         shape = tuple(r.unpack("<Q") for _ in range(ndim))
         count = 1

@@ -18,15 +18,12 @@ import dataclasses
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import evaluate
 from .arch import VARIANTS, ModelConfig, build_model
 from .errors import ConfigError, InputError, NumericError, ParseError
 from .metrics import DEFAULT_HORIZONS_MS
-from .posedata import (PoseSequence, VelocitySequence, load_manifest,
-                       load_sequence, load_split, save_sequence, synth_multiscale,
-                       to_velocity)
+from .posedata import (PoseSequence, load_manifest, load_sequence, load_split,
+                       save_sequence, synth_multiscale)
 from .train import (TrainConfig, TrainingData, load_model_checkpoint,
                     train_loop, write_trace)
 
@@ -196,7 +193,9 @@ def cmd_eval(args) -> int:
                     rows.append(f"{name},{act},{hz},{errs[hz]!r},{n}")
         _atomic_write_text(args.out, "\n".join(rows) + "\n")
     else:
-        scores_m, scores_z = evaluate.evaluate_pck(model, windows, args.threshold)
+        scores_m, scores_z, skipped = evaluate.evaluate_pck(model, windows, args.threshold)
+        print(f"pck: skipped {skipped} degenerate ground-truth frames "
+              "(zero-size bounding box)")
         rows = ["frame,model_pck,zero_velocity_pck"]
         for k, (a, b) in enumerate(zip(scores_m, scores_z), start=1):
             rows.append(f"{k},{a!r},{b!r}")
@@ -206,27 +205,18 @@ def cmd_eval(args) -> int:
 
 
 def cmd_forecast(args) -> int:
-    from .arch import forecast, observe
     model, _, _ = load_model_checkpoint(args.checkpoint)
     seed = load_sequence(args.seed_csv, frame_interval_ms=args.interval_ms)
     if seed.dim != model.config.d_v:
         raise ConfigError(f"seed dim {seed.dim} != model d_v {model.config.d_v}")
-    if seed.n_frames >= 2:
-        if args.init_vel == "zero":
-            seed_v = VelocitySequence(
-                steps=np.zeros((1, seed.dim)), origin_pose=seed.frames[-1],
-                frame_interval_ms=seed.frame_interval_ms)
-        else:
-            seed_v = to_velocity(seed)
+    if seed.n_frames < 2 and args.init_vel != "zero":
+        raise InputError("forecast: a 1-frame seed requires --init-vel zero")
+    if args.init_vel == "zero":
+        # the last pose twice: one zero velocity step, starting from that pose
+        seed_frames = seed.frames[[-1, -1]]
     else:
-        if args.init_vel != "zero":
-            raise InputError("forecast: a 1-frame seed requires --init-vel zero")
-        seed_v = VelocitySequence(steps=np.zeros((1, seed.dim)),
-                                  origin_pose=seed.frames[0],
-                                  frame_interval_ms=seed.frame_interval_ms)
-    bank, _, v_first = observe(model, seed_v, record=False)
-    pred_v = forecast(model, bank, v_first, args.n_steps)
-    frames = seed.frames[-1] + np.cumsum(pred_v.steps, axis=0)
+        seed_frames = seed.frames
+    frames = evaluate.forecast_seed(model, seed_frames, args.n_steps)
     pose_out = PoseSequence(frames=frames, frame_interval_ms=seed.frame_interval_ms)
     save_sequence(args.out, pose_out)
     print(f"wrote {args.n_steps} predicted frames: {args.out}")

@@ -5,13 +5,14 @@ from __future__ import annotations
 import numpy as np
 
 from .arch import Model, rollout_forward
-from .errors import InputError
+from .errors import InputError, NumericError
 from .metrics import (HorizonReport, aggregate_reports, angle_mae, pck,
                       zero_velocity_forecast)
-from .posedata import PoseSequence, Window, make_windows, to_velocity
+from .posedata import PoseSequence, Window, make_windows
 
 __all__ = [
     "collect_windows",
+    "forecast_seed",
     "forecast_window",
     "batched_forecast_poses",
     "evaluate_mae",
@@ -33,25 +34,37 @@ def collect_windows(sequences: list[PoseSequence], seed_len: int,
     return windows
 
 
+def _forecast_poses(model: Model, seeds: np.ndarray, n_steps: int) -> np.ndarray:
+    """Pose frames (W, n_steps, d) continuing W seeds of pose frames (W, S+1, d),
+    from one tape-free rollout over all of them."""
+    preds, _ = rollout_forward(model, np.diff(seeds, axis=1), seeds[:, 0], n_steps,
+                               mode="eval", record=False)
+    return seeds[:, -1][:, None, :] + np.cumsum(preds.transpose(1, 0, 2), axis=1)
+
+
+def forecast_seed(model: Model, seed_frames: np.ndarray, n_steps: int) -> np.ndarray:
+    """Predicted pose frames (n_steps, d) after one seed of pose frames (S+1, d).
+
+    Raises NumericError at the first non-finite prediction.
+    """
+    frames = _forecast_poses(model, seed_frames[None], n_steps)[0]
+    bad = np.flatnonzero(~np.isfinite(frames).all(axis=1))
+    if bad.size:
+        raise NumericError(f"forecast: non-finite prediction at step {bad[0]}")
+    return frames
+
+
 def forecast_window(model: Model, window: Window) -> PoseSequence:
     """Predicted future poses for one window (frames align with window.target)."""
-    from .arch import forecast, observe
-    seed_v = to_velocity(window.seed)
-    bank, _, v_first = observe(model, seed_v, record=False)
-    pred_v = forecast(model, bank, v_first, window.target.n_frames)
-    frames = window.seed.frames[-1] + np.cumsum(pred_v.steps, axis=0)
+    frames = forecast_seed(model, window.seed.frames, window.target.n_frames)
     return PoseSequence(frames=frames, frame_interval_ms=window.seed.frame_interval_ms,
                         space=window.seed.space, action=window.target.action)
 
 
 def batched_forecast_poses(model: Model, windows: list[Window]) -> np.ndarray:
     """Predicted pose frames (W, n, d) for many same-shape windows at once."""
-    seeds = np.stack([w.seed.frames for w in windows])
-    targets_len = windows[0].target.n_frames
-    seed_vels = np.diff(seeds, axis=1)
-    preds, _ = rollout_forward(model, seed_vels, seeds[:, 0], targets_len,
-                               mode="eval")
-    return seeds[:, -1][:, None, :] + np.cumsum(preds.transpose(1, 0, 2), axis=1)
+    return _forecast_poses(model, np.stack([w.seed.frames for w in windows]),
+                           windows[0].target.n_frames)
 
 
 def evaluate_mae(model: Model | None, windows: list[Window],
@@ -77,11 +90,17 @@ def evaluate_mae(model: Model | None, windows: list[Window],
 
 def evaluate_pck(model: Model, windows: list[Window], threshold: float = 0.05):
     """Mean per-frame PCK over windows for the model and the zero-velocity
-    baseline; returns (model scores, zero scores), one value per future frame."""
+    baseline.
+
+    Returns (model scores, zero scores, skipped), one score per future frame;
+    skipped counts the window frames left out of the means because their
+    ground-truth bounding box has zero size.
+    """
     n = windows[0].target.n_frames
     acc_m = np.zeros(n)
     acc_z = np.zeros(n)
     cnt = np.zeros(n)
+    skipped = 0
     pred_frames = batched_forecast_poses(model, windows)
     for i, w in enumerate(windows):
         truth = w.target
@@ -89,13 +108,14 @@ def evaluate_pck(model: Model, windows: list[Window], threshold: float = 0.05):
                             frame_interval_ms=truth.frame_interval_ms,
                             space="planar_2d")
         zv = zero_velocity_forecast(w.seed, n)
-        sm, _ = pck(pred, truth, threshold)
+        sm, skipped_frames = pck(pred, truth, threshold)
         sz, _ = pck(zv, truth, threshold)
+        skipped += len(skipped_frames)
         for k in range(n):
             if not np.isnan(sm[k]) and not np.isnan(sz[k]):
                 acc_m[k] += sm[k]
                 acc_z[k] += sz[k]
                 cnt[k] += 1
     cnt = np.where(cnt > 0, cnt, 1.0)
-    return (acc_m / cnt).tolist(), (acc_z / cnt).tolist()
+    return (acc_m / cnt).tolist(), (acc_z / cnt).tolist(), skipped
 

@@ -250,6 +250,11 @@ def load_manifest(path) -> DatasetManifest:
                                          dim=dim, interval_ms=interval))
     if not entries:
         raise ParseError(f"{path}: manifest lists no sequences")
+    for e in entries if mask is not None else ():
+        bad = [i for i in mask if not 0 <= i < e.dim]
+        if bad:
+            raise ParseError(f"{path}: mask index {bad[0]} out of range for "
+                             f"{e.path} (dim {e.dim})")
     return DatasetManifest(entries=entries, mask=mask, base_dir=path.parent)
 
 

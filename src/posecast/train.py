@@ -14,14 +14,16 @@ the RNG state so a resumed run continues exactly.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import checkpoint as ckpt
-from .arch import Model, ModelConfig, ModelGrads, build_model, rollout_backward, rollout_forward
-from .errors import ConfigError, InputError, NumericError, ShapeError
+from .arch import (Model, ModelConfig, build_model, param_count, rollout_backward,
+                   rollout_forward)
+from .errors import ConfigError, InputError, NumericError, ParseError, ShapeError
 from .numcore import as_f64, clip_global_norm
 from .posedata import PoseSequence, Window
 
@@ -284,21 +286,55 @@ def save_model_checkpoint(path, model: Model, iteration: int = 0):
     ckpt.save_checkpoint(path, meta, list(model.tensors()))
 
 
+def _checkpoint_config(path, meta) -> ModelConfig:
+    """The checkpoint's model config, with its keys and value types checked."""
+    raw = meta.get("model_config") if isinstance(meta, dict) else None
+    if not isinstance(raw, dict):
+        raise ParseError(f"{path}: checkpoint meta has no model_config object")
+    types = {f.name: f.type for f in dataclasses.fields(ModelConfig)}
+    for key in ("variant", "d_v"):
+        if key not in raw:
+            raise ParseError(f"{path}: model_config: missing key {key!r}")
+    for key, value in raw.items():
+        if key not in types:
+            raise ParseError(f"{path}: model_config: unknown key {key!r}")
+        ftype = types[key]
+        if value is None and "None" in ftype:
+            continue
+        want = str if ftype == "str" else (int, float) if "float" in ftype else int
+        if not isinstance(value, want) or isinstance(value, bool):
+            raise ParseError(f"{path}: model_config: bad value for {key!r}: {value!r}")
+    return ModelConfig.from_dict(raw)
+
+
 def load_model_checkpoint(path):
     """Rebuild a Model (and optional training state) from a checkpoint.
 
-    Returns (model, meta, adam_state_or_None).
+    Returns (model, meta, adam_state_or_None).  The meta block and the
+    tensors are checked against the model the config describes before it is
+    built; any mismatch raises ParseError.
     """
     meta, tensors = ckpt.load_checkpoint(path)
-    cfg = ModelConfig.from_dict(meta["model_config"])
+    cfg = _checkpoint_config(path, meta)
+    # compare sizes before building, so a corrupt config cannot allocate more
+    # than the file holds
+    if sum(a.size for n, a in tensors.items() if not n.startswith("opt.")) != param_count(cfg):
+        raise ParseError(f"{path}: checkpoint tensors do not match its model_config")
     model = build_model(cfg)
-    names = [n for n, _ in model.tensors()]
-    try:
-        model.set_tensors([tensors[n] for n in names])
-    except KeyError as e:
-        raise ShapeError(f"{path}: checkpoint missing tensor {e}") from None
+    named = model.tensors()
+    names = [n for n, _ in named]
+    has_adam = f"opt.m.{names[0]}" in tensors
+    for prefix in ("", "opt.m.", "opt.v.") if has_adam else ("",):
+        for name, arr in named:
+            have = tensors.get(prefix + name)
+            if have is None:
+                raise ParseError(f"{path}: checkpoint missing tensor {prefix + name!r}")
+            if have.shape != arr.shape:
+                raise ParseError(f"{path}: tensor {prefix + name!r} has shape {have.shape}, "
+                                 f"model_config needs {arr.shape}")
+    model.set_tensors([tensors[n] for n in names])
     adam = None
-    if f"opt.m.{names[0]}" in tensors:
+    if has_adam:
         adam = AdamState(m=[tensors[f"opt.m.{n}"] for n in names],
                          v=[tensors[f"opt.v.{n}"] for n in names])
     return model, meta, adam

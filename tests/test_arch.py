@@ -112,6 +112,20 @@ def test_config_variant_constraints():
         tiny_cfg(dropout_rate=1.0).validate()
 
 
+def test_config_bounds_phase_bank_and_seed():
+    # the state bank holds K^(M-1) top-level phases; an absurd K or M is
+    # rejected before anything is allocated
+    assert tiny_cfg(granularity=2, levels=13).validate()
+    with pytest.raises(ConfigError, match="phase sequences"):
+        tiny_cfg(granularity=2, levels=14).validate()
+    with pytest.raises(ConfigError, match="phase sequences"):
+        tiny_cfg(granularity=10 ** 12, levels=2).validate()
+    with pytest.raises(ConfigError, match="phase sequences"):
+        tiny_cfg(levels=10 ** 12).validate()
+    with pytest.raises(ConfigError, match="seed"):
+        tiny_cfg(seed=-1).validate()
+
+
 def test_config_roundtrip_and_dropout_default():
     cfg = tiny_cfg(levels=3)
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from posecast.arch import ModelConfig, build_model
+from posecast.checkpoint import save_checkpoint
 from posecast.cli import main
 from posecast.train import save_model_checkpoint
 
@@ -179,6 +180,84 @@ def test_eval_checkpoint_dim_mismatch(tmp_path):
     assert run("eval", "--checkpoint", ck, "--manifest", data / "manifest.txt",
                "--seed-len", 10, "--target-len", 5,
                "--out", tmp_path / "r.csv") == 2
+
+
+def test_eval_pck_reports_skipped_degenerate_frames(tmp_path, capsys):
+    # one 10+5 window whose third target frame has both joints at one point
+    frames = np.random.default_rng(1).normal(size=(15, 4))
+    frames[12] = [0.5, -1.0, 0.5, -1.0]
+    d = tmp_path / "deg"
+    d.mkdir()
+    (d / "s.csv").write_text("\n".join(",".join(repr(float(x)) for x in row)
+                                       for row in frames) + "\n")
+    (d / "manifest.txt").write_text("s.csv,test,a,4,40.0\n")
+    out = tmp_path / "pck.csv"
+    assert run("eval", "--checkpoint", zero_checkpoint(tmp_path, d_v=4),
+               "--manifest", d / "manifest.txt", "--protocol", "pck",
+               "--seed-len", 10, "--target-len", 5, "--out", out) == 0
+    assert "skipped 1 degenerate" in capsys.readouterr().out
+    rows = out.read_text().splitlines()
+    assert rows[0] == "frame,model_pck,zero_velocity_pck" and len(rows) == 6
+    assert rows[3] == "3,0.0,0.0"  # no window left to score that frame
+
+
+@pytest.mark.parametrize("mask", ["0,7", "3", "-1,0"])
+def test_eval_rejects_mask_index_out_of_range(tmp_path, capsys, mask):
+    data = synth(tmp_path)
+    manifest = data / "manifest.txt"
+    manifest.write_text(manifest.read_text() + f"mask={mask}\n")
+    assert run("eval", "--checkpoint", zero_checkpoint(tmp_path), "--manifest", manifest,
+               "--seed-len", 10, "--target-len", 5, "--out", tmp_path / "r.csv") == 3
+    err = capsys.readouterr().err
+    assert "input error" in err and "mask index" in err
+
+
+def _bad_checkpoint(tmp_path, case):
+    model = build_model(ModelConfig(variant="tp_rnn", d_v=3, granularity=2,
+                                    levels=2, hidden=4, head1=5, head2=4))
+    meta = {"kind": "model", "model_config": model.config.to_dict(), "iteration": 0}
+    tensors = list(model.tensors())
+    if case == "no_model_config":
+        del meta["model_config"]
+    elif case == "unknown_key":
+        meta["model_config"]["colour"] = "blue"
+    elif case == "shape_mismatch":
+        meta["model_config"]["hidden"] = 6
+    elif case == "missing_tensor":
+        tensors = tensors[:-1]
+    elif case == "huge_granularity":
+        meta["model_config"]["granularity"] = 10 ** 12
+    p = tmp_path / f"{case}.bin"
+    save_checkpoint(p, meta, tensors)
+    return p
+
+
+BAD_CHECKPOINTS = ["no_model_config", "unknown_key", "shape_mismatch", "missing_tensor"]
+
+
+@pytest.mark.parametrize("case", BAD_CHECKPOINTS)
+def test_forecast_bad_checkpoint_exits_3(tmp_path, capsys, case):
+    sd = seed_csv(tmp_path, [[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
+    assert run("forecast", "--checkpoint", _bad_checkpoint(tmp_path, case),
+               "--seed-csv", sd, "--n-steps", 3, "--out", tmp_path / "p.csv") == 3
+    assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", BAD_CHECKPOINTS)
+def test_eval_bad_checkpoint_exits_3(tmp_path, capsys, case):
+    data = synth(tmp_path)
+    assert run("eval", "--checkpoint", _bad_checkpoint(tmp_path, case),
+               "--manifest", data / "manifest.txt", "--seed-len", 10,
+               "--target-len", 5, "--out", tmp_path / "r.csv") == 3
+    assert "input error" in capsys.readouterr().err
+
+
+def test_forecast_checkpoint_with_huge_phase_bank_exits_2(tmp_path):
+    # same tensors (parameter count does not depend on K), but a bank of
+    # 10^12 phase states: rejected by the config check, not allocated
+    sd = seed_csv(tmp_path, [[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
+    assert run("forecast", "--checkpoint", _bad_checkpoint(tmp_path, "huge_granularity"),
+               "--seed-csv", sd, "--n-steps", 3, "--out", tmp_path / "p.csv") == 2
 
 
 def test_eval_missing_checkpoint(tmp_path):

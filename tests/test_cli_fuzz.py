@@ -1,0 +1,169 @@
+"""Exit-code contract under corrupted inputs.
+
+Corrupt checkpoint meta, checkpoint bytes and manifest rows, run
+`posecast forecast` and `posecast eval` in-process, and require a documented
+exit code (0 success, 2 config, 3 input, 4 numeric, 5 I/O) with nothing
+raised: a bad input file never ends in a traceback.
+"""
+
+import json
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from posecast.arch import ModelConfig, build_model
+from posecast.checkpoint import MAGIC, save_checkpoint
+from posecast.cli import main
+from posecast.posedata import save_sequence, synth_multiscale
+
+EXIT_CODES = {0, 2, 3, 4, 5}
+FUZZ = settings(max_examples=150, derandomize=True, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+ODD_VALUES = [None, True, -1, 0, 1, 2, 3, 7, 10 ** 12, 2.5, -0.5, float("nan"),
+              float("inf"), "", "tp_rnn", "x", [], {}]
+ODD_TOKENS = ["", " ", "-1", "0", "1", "2", "3", "4", "1e400", "nan", "inf", "-40",
+              "abc", "train", "test", "seq_000.csv", "missing.csv", "../manifest.txt",
+              "99999999999999999999", "mask=0,1", "mask=-1", "mask=0,7", "mask=2,2"]
+
+
+@pytest.fixture(scope="module")
+def base(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    rows = []
+    for i, s in enumerate(synth_multiscale(4, 40, 3, seed=5)):
+        save_sequence(d / f"seq_{i:03d}.csv", s)
+        rows.append(f"seq_{i:03d}.csv,{'train' if i < 2 else 'test'},act{i % 2},3,40.0")
+    (d / "manifest.txt").write_text("\n".join(rows) + "\n")
+    model = build_model(ModelConfig(variant="tp_rnn", d_v=3, granularity=2, levels=3,
+                                    hidden=4, head1=5, head2=4, seed=1))
+    meta = {"kind": "model", "model_config": model.config.to_dict(), "iteration": 0}
+    save_checkpoint(d / "model.bin", meta, list(model.tensors()))
+    save_sequence(d / "seed.csv", synth_multiscale(1, 9, 3, seed=6)[0])
+    return _Files(dir=d, meta=meta, rows=rows, bytes=(d / "model.bin").read_bytes())
+
+
+class _Files(dict):
+    """The fuzz inputs; a short repr keeps falsifying examples readable."""
+
+    def __init__(self, **kw):
+        super().__init__(kw)
+
+    def __repr__(self):
+        return f"<fuzz inputs in {self['dir']}>"
+
+
+def _meta_end(raw) -> int:
+    return len(MAGIC) + 12 + struct.unpack_from("<Q", raw, len(MAGIC) + 4)[0]
+
+
+def _with_meta(raw: bytes, meta) -> bytes:
+    """The checkpoint `raw` with its JSON meta block replaced by `meta`."""
+    block = json.dumps(meta).encode("utf-8")
+    return (MAGIC + struct.pack("<IQ", 1, len(block)) + block + raw[_meta_end(raw):])
+
+
+def _forecast(base, checkpoint):
+    d = base["dir"]
+    return main(["forecast", "--checkpoint", str(checkpoint), "--seed-csv",
+                 str(d / "seed.csv"), "--n-steps", "4", "--out", str(d / "pred.csv")])
+
+
+def _eval(base, checkpoint, manifest, protocol="mae"):
+    d = base["dir"]
+    return main(["eval", "--checkpoint", str(checkpoint), "--manifest", str(manifest),
+                 "--protocol", protocol, "--seed-len", "10", "--target-len", "5",
+                 "--out", str(d / "report.csv")])
+
+
+meta_edits = st.one_of(
+    st.tuples(st.just("set"), st.sampled_from(sorted(ModelConfig.__dataclass_fields__)),
+              st.sampled_from(ODD_VALUES)),
+    st.tuples(st.just("drop"), st.sampled_from(sorted(ModelConfig.__dataclass_fields__)),
+              st.none()),
+    st.tuples(st.just("add"), st.sampled_from(["colour", "K", ""]),
+              st.sampled_from(ODD_VALUES)),
+    st.tuples(st.just("config"), st.none(), st.sampled_from(ODD_VALUES)),
+    st.tuples(st.just("meta"), st.none(), st.sampled_from(ODD_VALUES)),
+)
+
+
+@FUZZ
+@given(edits=st.lists(meta_edits, min_size=1, max_size=3),
+       command=st.sampled_from(["forecast", "eval"]))
+def test_corrupt_checkpoint_meta(base, edits, command):
+    meta = json.loads(json.dumps(base["meta"]))
+    for op, key, value in edits:
+        cfg = meta.get("model_config") if isinstance(meta, dict) else None
+        if op == "meta":
+            meta = value
+        elif op == "config" and isinstance(meta, dict):
+            meta["model_config"] = value
+        elif isinstance(cfg, dict):
+            if op == "drop":
+                cfg.pop(key, None)
+            else:
+                cfg[key] = value
+    path = base["dir"] / "meta_fuzz.bin"
+    path.write_bytes(_with_meta(base["bytes"], meta))
+    if command == "forecast":
+        rc = _forecast(base, path)
+    else:
+        rc = _eval(base, path, base["dir"] / "manifest.txt")
+    assert rc in EXIT_CODES
+
+
+@FUZZ
+@given(data=st.data(), command=st.sampled_from(["forecast", "eval"]))
+def test_corrupt_checkpoint_bytes(base, data, command):
+    raw = bytearray(base["bytes"])
+    meta_end = _meta_end(raw)
+    # flip bytes in the tensor headers and data, or cut the file short
+    if data.draw(st.booleans(), label="truncate"):
+        raw = raw[:data.draw(st.integers(meta_end, len(raw) - 1), label="length")]
+    else:
+        for _ in range(data.draw(st.integers(1, 8), label="n_flips")):
+            at = data.draw(st.integers(meta_end, len(raw) - 1), label="offset")
+            raw[at] = data.draw(st.integers(0, 255), label="byte")
+    path = base["dir"] / "bytes_fuzz.bin"
+    path.write_bytes(bytes(raw))
+    with np.errstate(all="ignore"):
+        if command == "forecast":
+            rc = _forecast(base, path)
+        else:
+            rc = _eval(base, path, base["dir"] / "manifest.txt")
+    assert rc in EXIT_CODES
+
+
+row_edits = st.one_of(
+    st.tuples(st.just("field"), st.integers(0, 3), st.integers(0, 4),
+              st.sampled_from(ODD_TOKENS)),
+    st.tuples(st.just("drop_field"), st.integers(0, 3), st.integers(0, 4), st.none()),
+    st.tuples(st.just("drop_row"), st.integers(0, 3), st.none(), st.none()),
+    st.tuples(st.just("line"), st.integers(0, 4), st.none(), st.sampled_from(ODD_TOKENS)),
+)
+
+
+@FUZZ
+@given(edits=st.lists(row_edits, min_size=1, max_size=4),
+       protocol=st.sampled_from(["mae", "pck"]))
+def test_corrupt_manifest_rows(base, edits, protocol):
+    rows = [r.split(",") for r in base["rows"]]
+    for op, i, j, token in edits:
+        if op == "line":
+            rows.insert(min(i, len(rows)), [token])
+        elif i < len(rows):
+            if op == "drop_row":
+                del rows[i]
+            elif j < len(rows[i]):
+                if op == "field":
+                    rows[i][j] = token
+                else:
+                    del rows[i][j]
+    path = base["dir"] / "manifest_fuzz.txt"
+    path.write_text("\n".join(",".join(r) for r in rows) + "\n")
+    rc = _eval(base, base["dir"] / "model.bin", path, protocol)
+    assert rc in EXIT_CODES

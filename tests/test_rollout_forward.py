@@ -1,0 +1,130 @@
+"""The tape-free rollout (level-major seed) against the recording rollout.
+
+`rollout_forward(record=False)` runs the observed seed level by level, with
+each level's phase sequences stacked into one batch, and the head only at
+the last seed step.  It must reproduce the recording (step-major) engine:
+predictions to 1e-12, max-abs normalised, and the state bank at t = S
+exactly.  At B=1 a stacked round is a 2-4 row GEMM where the step-major
+engine runs 1-row products, so there the states agree to rounding only.
+"""
+
+import numpy as np
+import pytest
+
+from posecast import arch
+from posecast.arch import ModelConfig, build_model, rollout_forward
+from posecast.errors import ConfigError
+
+VARIANT_LEVELS = [("single_layer_pose", 1), ("single_layer_vel", 1),
+                  ("stacked2_vel", 2), ("double_scale_vel", 2),
+                  ("double_scale_hier_vel", 2), ("double_scale_phase_vel", 2),
+                  ("tp_rnn", 3)]
+
+
+def _model(variant, levels, K=2):
+    return build_model(ModelConfig(variant=variant, d_v=3, granularity=K,
+                                   levels=levels, hidden=5, head1=6, head2=4, seed=3))
+
+
+def _inputs(B, S, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(B, S, 3)), rng.normal(size=(B, 3))
+
+
+def _check(model, B, S, n_pred=6):
+    seed_vels, origin = _inputs(B, S, seed=S)
+    ref, _ = rollout_forward(model, seed_vels, origin, n_pred, mode="eval")
+    got, records = rollout_forward(model, seed_vels, origin, n_pred, mode="eval",
+                                   record=False)
+    assert records is None
+    assert got.shape == ref.shape == (n_pred, B, 3)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    bank_ref, _, v_ref = arch._observe(model, seed_vels, origin, "eval", None, True)
+    bank, _, v = arch._observe(model, seed_vels, origin, "eval", None, False)
+    assert bank.t == bank_ref.t == S
+    assert np.array_equal(bank.last_pose, bank_ref.last_pose)
+    assert [t for t, _ in bank.recent] == [t for t, _ in bank_ref.recent]
+    for (_, x), (_, y) in zip(bank.recent, bank_ref.recent):
+        assert np.array_equal(x, y)
+    assert [len(level) for level in bank.states] == [len(level) for level in bank_ref.states]
+    for level, level_ref in zip(bank.states, bank_ref.states):
+        for s, s_ref in zip(level, level_ref):
+            for a, b in ((s.h, s_ref.h), (s.c, s_ref.c)):
+                assert a.shape == b.shape == (B, 5)
+                if B > 1:
+                    assert np.array_equal(a, b)
+                else:
+                    assert np.allclose(a, b, rtol=0, atol=1e-14)
+    assert np.array_equal(v, got[0]) and np.abs(v - v_ref).max() <= 1e-12 * np.abs(v_ref).max()
+
+
+@pytest.mark.parametrize("B", [1, 3])
+@pytest.mark.parametrize("variant,levels", VARIANT_LEVELS)
+def test_tape_free_matches_recording_all_variants(variant, levels, B):
+    # S = 10 is not a multiple of K^(M-1) = 4 for tp_rnn with M = 3
+    _check(_model(variant, levels), B, S=10)
+
+
+@pytest.mark.parametrize("B", [1, 3])
+@pytest.mark.parametrize("K,S", [(2, 10), (2, 3), (2, 1), (3, 10), (3, 5), (3, 1)])
+def test_tape_free_matches_recording_tp_rnn_m3(K, S, B):
+    # S < K^(M-1) leaves some upper phases untouched; S = 1 is the one-step
+    # zero-velocity seed of `posecast forecast --init-vel zero`
+    _check(_model("tp_rnn", 3, K=K), B, S=S)
+
+
+@pytest.mark.parametrize("variant,levels", VARIANT_LEVELS)
+def test_tape_free_short_seeds(variant, levels):
+    for S in (1, 2, 3):
+        _check(_model(variant, levels), 2, S=S)
+
+
+def test_level_major_schedule_stacks_phases(monkeypatch):
+    # tp_rnn, K=2, M=3, S=10: level 1 runs 10 steps of B rows, level 2 five
+    # rounds of 2B rows, level 3 three rounds (4B, 4B, 2B rows); the head
+    # runs once, at t = S-1
+    model = _model("tp_rnn", 3)
+    level = {id(c): m for m, c in enumerate(model.cells, start=1)}
+    rows, heads = [], []
+    real_step, real_head = arch.lstm_step, arch.head_forward
+
+    def count_step(p, x, s):
+        rows.append((level[id(p)], x.shape[0]))
+        return real_step(p, x, s)
+
+    def count_head(*a, **kw):
+        heads.append(1)
+        return real_head(*a, **kw)
+
+    monkeypatch.setattr(arch, "lstm_step", count_step)
+    monkeypatch.setattr(arch, "head_forward", count_head)
+    seed_vels, origin = _inputs(3, 10)
+    arch._observe(model, seed_vels, origin, "eval", None, False)
+    assert rows == [(1, 3)] * 10 + [(2, 6)] * 5 + [(3, 12), (3, 12), (3, 6)]
+    assert len(heads) == 1
+
+
+def test_tape_free_requires_eval_mode():
+    seed_vels, origin = _inputs(2, 4)
+    with pytest.raises(ConfigError):
+        rollout_forward(_model("tp_rnn", 2), seed_vels, origin, 3, mode="train",
+                        record=False)
+
+
+@pytest.mark.parametrize("variant,levels", [("tp_rnn", 3), ("double_scale_vel", 2)])
+def test_observe_wrapper_tape_free_matches_recording(variant, levels):
+    # the single-sequence wrappers return unbatched banks on both paths
+    from posecast.arch import forecast, observe
+    from posecast.posedata import PoseSequence, to_velocity
+    model = _model(variant, levels)
+    frames = np.random.default_rng(4).normal(size=(11, 3))
+    seed_v = to_velocity(PoseSequence(frames=frames, frame_interval_ms=40.0))
+    out = []
+    for record in (True, False):
+        bank, records, v_first = observe(model, seed_v, record=record)
+        assert (records is None) == (not record)
+        assert v_first.shape == (3,) and bank.last_pose.shape == (3,)
+        assert all(s.h.shape == (5,) for level in bank.states for s in level)
+        out.append(forecast(model, bank, v_first, 6).steps)
+    assert np.abs(out[1] - out[0]).max() <= 1e-12 * np.abs(out[0]).max()
