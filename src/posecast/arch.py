@@ -35,8 +35,9 @@ import numpy as np
 
 from .errors import ConfigError, InputError, NumericError, ShapeError
 from .layers import (HeadGrads, HeadParams, LstmGrads, LstmParams, LstmState,
-                     head_forward, head_layer_backward, head_param_count, init_head,
-                     init_lstm, lstm_gate_backward, lstm_param_count, lstm_step)
+                     head_forward, head_layer_backward, head_param_count, head_skip,
+                     init_head, init_lstm, lstm_gate_backward, lstm_param_count,
+                     lstm_step)
 from .numcore import as_f64
 from .posedata import VelocitySequence
 
@@ -194,9 +195,23 @@ def _level_input_dim(cfg: ModelConfig, m: int) -> int:
 
 @dataclass
 class Model:
+    """Parameters of every level's cell and of the head.
+
+    All of them live in one flat float64 buffer, `theta`, in `tensors()`
+    order; each cell's W/b and the head's W1..b3 are reshaped views of it.
+    Updating `theta` in place therefore updates the cells and the head.
+    """
     cells: list[LstmParams]
     head: HeadParams
     config: ModelConfig
+    theta: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        owners = [(obj, name) for obj in (*self.cells, self.head)
+                  for name, _ in obj.tensors()]
+        self.theta = np.concatenate([as_f64(arr).ravel() for _, arr in self.tensors()])
+        for (obj, name), view in zip(owners, self.views(self.theta)):
+            setattr(obj, name, view)
 
     def tensors(self) -> list[tuple[str, np.ndarray]]:
         out = []
@@ -207,54 +222,42 @@ class Model:
             out.append((f"head.{name}", arr))
         return out
 
+    def views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Reshaped views of a flat buffer laid out like `theta`, one per tensor."""
+        out, off = [], 0
+        for _, arr in self.tensors():
+            out.append(flat[off:off + arr.size].reshape(arr.shape))
+            off += arr.size
+        return out
+
     @property
     def n_params(self) -> int:
-        return sum(arr.size for _, arr in self.tensors())
+        return self.theta.size
 
     def set_tensors(self, arrays: list[np.ndarray]):
-        named = self.tensors()
-        if len(arrays) != len(named):
-            raise ShapeError(f"set_tensors: expected {len(named)} arrays, got {len(arrays)}")
-        k = 0
-        for m, cell in enumerate(self.cells):
-            cell.W = as_f64(arrays[k]).reshape(cell.W.shape); k += 1
-            cell.b = as_f64(arrays[k]).reshape(cell.b.shape); k += 1
-        hp = self.head
-        hp.W1 = as_f64(arrays[k]).reshape(hp.W1.shape); k += 1
-        hp.b1 = as_f64(arrays[k]).reshape(hp.b1.shape); k += 1
-        hp.W2 = as_f64(arrays[k]).reshape(hp.W2.shape); k += 1
-        hp.b2 = as_f64(arrays[k]).reshape(hp.b2.shape); k += 1
-        hp.W3 = as_f64(arrays[k]).reshape(hp.W3.shape); k += 1
-        hp.b3 = as_f64(arrays[k]).reshape(hp.b3.shape); k += 1
-
-    def flatten(self) -> np.ndarray:
-        return np.concatenate([arr.ravel() for _, arr in self.tensors()])
-
-    def set_flat(self, theta: np.ndarray):
-        theta = as_f64(theta)
-        if theta.size != self.n_params:
-            raise ShapeError(f"set_flat: expected {self.n_params} params, got {theta.size}")
-        arrays = []
-        off = 0
-        for _, arr in self.tensors():
-            arrays.append(theta[off:off + arr.size].reshape(arr.shape).copy())
-            off += arr.size
-        self.set_tensors(arrays)
+        """Copy one array per tensor, in `tensors()` order, into `theta`."""
+        views = self.views(self.theta)
+        if len(arrays) != len(views):
+            raise ShapeError(f"set_tensors: expected {len(views)} arrays, got {len(arrays)}")
+        for view, arr in zip(views, arrays):
+            view[...] = as_f64(arr).reshape(view.shape)
 
 
 @dataclass
 class ModelGrads:
+    """Parameter gradients in one flat buffer, `flat`, laid out like
+    `Model.theta`; each cell's dW/db and the head's dW1..db3 are views of it."""
     cells: list[LstmGrads]
     head: HeadGrads
+    flat: np.ndarray
 
     @classmethod
     def zeros(cls, model: Model) -> "ModelGrads":
-        cells = [LstmGrads(np.zeros_like(c.W), np.zeros_like(c.b)) for c in model.cells]
-        hp = model.head
-        head = HeadGrads(np.zeros_like(hp.W1), np.zeros_like(hp.b1),
-                         np.zeros_like(hp.W2), np.zeros_like(hp.b2),
-                         np.zeros_like(hp.W3), np.zeros_like(hp.b3))
-        return cls(cells=cells, head=head)
+        flat = np.zeros_like(model.theta)
+        views = model.views(flat)
+        n = 2 * len(model.cells)
+        cells = [LstmGrads(*views[k:k + 2]) for k in range(0, n, 2)]
+        return cls(cells=cells, head=HeadGrads(*views[n:]), flat=flat)
 
     def tensors(self) -> list[np.ndarray]:
         out = []
@@ -262,13 +265,6 @@ class ModelGrads:
             out.extend(g.tensors())
         out.extend(self.head.tensors())
         return out
-
-    def scale_(self, s: float):
-        for t in self.tensors():
-            t *= s
-
-    def flatten(self) -> np.ndarray:
-        return np.concatenate([t.ravel() for t in self.tensors()])
 
 
 def build_model(cfg: ModelConfig) -> Model:
@@ -313,7 +309,7 @@ def new_bank(model: Model, batch: int | None = None) -> PhaseStateBank:
 class StepRecord:
     x: np.ndarray
     updates: list  # (level m, phase q, lstm tape, strided input time indices or None)
-    head_tape: object
+    head_tape: object  # None where the head was skipped (seed steps t < S-1)
     head_phases: list[int]  # phase whose hidden state the head consumed, per level
 
 
@@ -327,11 +323,15 @@ def _window_sum(xs: list[np.ndarray]) -> np.ndarray:
 
 
 def model_step(model: Model, bank: PhaseStateBank, x_t, mode: str = "eval",
-               rng: np.random.Generator | None = None, record: bool = True):
+               rng: np.random.Generator | None = None, record: bool = True,
+               head: bool = True):
     """Advance the hierarchy one step; returns (predicted next velocity, tape).
 
     x_t is the velocity at the current step (the current pose for the
     single_layer_pose variant).  Exactly one phase per active level mutates.
+    With head=False the step's output is not needed: the head is not run
+    (the prediction and the step record's head tape are None), but its
+    dropout masks are still drawn, so `rng` advances as if it had run.
     """
     cfg = model.config
     if mode not in ("train", "eval"):
@@ -371,9 +371,14 @@ def model_step(model: Model, bank: PhaseStateBank, x_t, mode: str = "eval",
         lower_h = bank.states[m - 1][q].h
         hiddens.append(lower_h)
 
-    vhat, head_tape = head_forward(model.head, x, hiddens, slope=cfg.leaky_slope,
-                                   dropout_rate=cfg.effective_dropout, rng=rng,
-                                   train=(mode == "train"))
+    if head:
+        vhat, head_tape = head_forward(model.head, x, hiddens, slope=cfg.leaky_slope,
+                                       dropout_rate=cfg.effective_dropout, rng=rng,
+                                       train=(mode == "train"))
+    else:
+        vhat = head_tape = None
+        head_skip(model.head, 1 if x.ndim == 1 else x.shape[0],
+                  dropout_rate=cfg.effective_dropout, rng=rng, train=(mode == "train"))
     bank.t = t + 1
     rec = StepRecord(x=x, updates=updates, head_tape=head_tape,
                      head_phases=head_phases) if record else None
@@ -450,7 +455,8 @@ def _observe(model: Model, seed_vels: np.ndarray, origin: np.ndarray, mode: str,
              rng, record: bool):
     """Seed stage of the engine: (bank at t=S, step records or None, prediction
     at t=S-1).  Step-major when tapes are kept or in train mode (dropout draws
-    follow time order), otherwise level-major."""
+    follow time order), otherwise level-major.  Either way the head runs only
+    at t=S-1; the step-major seed still draws the skipped steps' dropout masks."""
     is_pose = model.config.variant == "single_layer_pose"
     pose = origin.copy()
     xs = []
@@ -460,8 +466,10 @@ def _observe(model: Model, seed_vels: np.ndarray, origin: np.ndarray, mode: str,
     records = [] if record else None
     if record or mode != "eval":
         bank = new_bank(model, batch=seed_vels.shape[0])
-        for x in xs:
-            vhat, rec = model_step(model, bank, x, mode=mode, rng=rng, record=record)
+        for t, x in enumerate(xs):
+            # only the last seed step's output is a prediction
+            vhat, rec = model_step(model, bank, x, mode=mode, rng=rng, record=record,
+                                   head=(t == len(xs) - 1))
             if record:
                 records.append(rec)
     else:
@@ -601,12 +609,14 @@ class _WeightGradSum:
 
 
 def rollout_backward(model: Model, records: list[StepRecord], n_obs: int,
-                     d_preds: np.ndarray) -> ModelGrads:
+                     d_preds: np.ndarray, grads: ModelGrads | None = None) -> ModelGrads:
     """Exact BPTT through a recorded rollout.
 
     d_preds: (n_pred, B, d) gradients of the loss w.r.t. each predicted
     velocity.  Gradient flows through the autoregressive feedback (and, for
-    the pose-input variant, through the integrated pose chain).
+    the pose-input variant, through the integrated pose chain).  The
+    gradients are written into `grads` (zeroed first) when it is given, so a
+    training loop can reuse one buffer; otherwise a new one is returned.
 
     The reverse time loop runs only what the recurrence needs: the gate and
     input derivatives of each step.  Weight gradients are formed as
@@ -622,9 +632,12 @@ def rollout_backward(model: Model, records: list[StepRecord], n_obs: int,
     if len(records) != T:
         raise ShapeError(f"rollout_backward: {len(records)} records, expected {T}")
     is_pose = cfg.variant == "single_layer_pose"
-    B = records[0].head_tape.z.shape[0]
+    B = d_preds.shape[1]
 
-    grads = ModelGrads.zeros(model)
+    if grads is None:
+        grads = ModelGrads.zeros(model)
+    else:
+        grads.flat[...] = 0.0
     gh = grads.head
     head_sums = (_WeightGradSum(gh.dW1, gh.db1, B), _WeightGradSum(gh.dW2, gh.db2, B),
                  _WeightGradSum(gh.dW3, gh.db3, B))

@@ -25,7 +25,7 @@ from .metrics import DEFAULT_HORIZONS_MS
 from .posedata import (PoseSequence, load_manifest, load_sequence, load_split,
                        save_sequence, synth_multiscale)
 from .train import (TrainConfig, TrainingData, load_model_checkpoint,
-                    train_loop, write_trace)
+                    resume_state, train_loop, write_trace)
 
 EXIT_CONFIG = 2
 EXIT_INPUT = 3
@@ -125,19 +125,15 @@ def cmd_train(args) -> int:
     rng_state = None
     if args.resume:
         model, meta, adam = load_model_checkpoint(args.resume)
-        if meta.get("kind") != "train":
-            raise ConfigError(f"{args.resume}: not a training checkpoint")
-        tcfg = TrainConfig.from_dict(meta["train_config"])
-        start_iteration = int(meta["iteration"])
-        rng_state = meta["rng_state"]
+        tcfg, start_iteration, rng_state = resume_state(args.resume, meta)
         manifest = load_manifest(args.manifest)
     else:
         manifest = load_manifest(args.manifest)
         tcfg = train_config_from_file(args.train_config)
-        mcfg = model_config_from_file(args.model_config, default_d_v=manifest.dim)
-        if mcfg.d_v != manifest.dim:
-            raise ConfigError(f"model d_v {mcfg.d_v} != dataset dim {manifest.dim}")
-        model = build_model(mcfg)
+        model = build_model(model_config_from_file(args.model_config,
+                                                   default_d_v=manifest.dim))
+    if model.config.d_v != manifest.dim:
+        raise ConfigError(f"model d_v {model.config.d_v} != dataset dim {manifest.dim}")
     train_seqs = load_split(manifest, "train")
     data = TrainingData(sequences=train_seqs, seed_len=tcfg.seed_len,
                         target_len=tcfg.target_len)
@@ -170,6 +166,20 @@ def _horizons(args, interval_ms, target_len) -> list[int]:
     return [h for h in DEFAULT_HORIZONS_MS if h <= target_len * interval_ms]
 
 
+def _write_report(path, model_rep, zero_rep, per_action: bool):
+    """The MAE report CSV: per predictor, its error over all windows at each
+    horizon, then (with per_action) its error per action."""
+    rows = ["predictor,action,horizon_ms,error,n_windows"]
+    for name, rep in (("model", model_rep), ("zero_velocity", zero_rep)):
+        for hz in rep.horizons_ms:
+            rows.append(f"{name},ALL,{hz},{rep.errors[hz]!r},{rep.n_windows}")
+        for act in sorted(rep.per_action) if per_action else ():
+            errs, n = rep.per_action[act]
+            for hz in rep.horizons_ms:
+                rows.append(f"{name},{act},{hz},{errs[hz]!r},{n}")
+    _atomic_write_text(path, "\n".join(rows) + "\n")
+
+
 def cmd_eval(args) -> int:
     model, meta, _ = load_model_checkpoint(args.checkpoint)
     manifest = load_manifest(args.manifest)
@@ -183,15 +193,7 @@ def cmd_eval(args) -> int:
         interval = test_seqs[0].frame_interval_ms
         horizons = _horizons(args, interval, args.target_len)
         model_rep, zero_rep = evaluate.evaluate_mae(model, windows, horizons)
-        rows = ["predictor,action,horizon_ms,error,n_windows"]
-        for name, rep in (("model", model_rep), ("zero_velocity", zero_rep)):
-            for hz in rep.horizons_ms:
-                rows.append(f"{name},ALL,{hz},{rep.errors[hz]!r},{rep.n_windows}")
-            for act in sorted(rep.per_action):
-                errs, n = rep.per_action[act]
-                for hz in rep.horizons_ms:
-                    rows.append(f"{name},{act},{hz},{errs[hz]!r},{n}")
-        _atomic_write_text(args.out, "\n".join(rows) + "\n")
+        _write_report(args.out, model_rep, zero_rep, per_action=True)
     else:
         scores_m, scores_z, skipped = evaluate.evaluate_pck(model, windows, args.threshold)
         print(f"pck: skipped {skipped} degenerate ground-truth frames "
@@ -256,11 +258,7 @@ def cmd_ablate(args) -> int:
         model, trace, _ = train_loop(model, data, tcfg, out_dir=out / variant)
         write_trace(out / variant / "loss_trace.csv", trace)
         rep, zero_rep = evaluate.evaluate_mae(model, windows, horizons)
-        rows = ["predictor,action,horizon_ms,error,n_windows"]
-        for name, r in (("model", rep), ("zero_velocity", zero_rep)):
-            for hz in horizons:
-                rows.append(f"{name},ALL,{hz},{r.errors[hz]!r},{r.n_windows}")
-        _atomic_write_text(out / variant / "report.csv", "\n".join(rows) + "\n")
+        _write_report(out / variant / "report.csv", rep, zero_rep, per_action=False)
         summary.append(variant + "," + ",".join(repr(rep.errors[h]) for h in horizons))
         print(f"{variant}: " + " ".join(f"{rep.errors[h]:.4f}" for h in horizons))
     _atomic_write_text(out / "summary.csv", "\n".join(summary) + "\n")

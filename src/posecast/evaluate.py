@@ -19,6 +19,9 @@ __all__ = [
     "evaluate_pck",
 ]
 
+# Windows per batched rollout in `batched_forecast_poses`.
+EVAL_CHUNK = 256
+
 
 def collect_windows(sequences: list[PoseSequence], seed_len: int,
                     target_len: int, stride: int | None = None) -> list[Window]:
@@ -62,9 +65,23 @@ def forecast_window(model: Model, window: Window) -> PoseSequence:
 
 
 def batched_forecast_poses(model: Model, windows: list[Window]) -> np.ndarray:
-    """Predicted pose frames (W, n, d) for many same-shape windows at once."""
-    return _forecast_poses(model, np.stack([w.seed.frames for w in windows]),
-                           windows[0].target.n_frames)
+    """Predicted pose frames (W, n, d) for many same-shape windows.
+
+    Windows run EVAL_CHUNK at a time, so the working memory does not grow with
+    the number of windows.  With more than one chunk, the frames go into one
+    output allocated after the first chunk's rollout, outside its peak.
+    """
+    out = None
+    for i in range(0, len(windows), EVAL_CHUNK):
+        chunk = windows[i:i + EVAL_CHUNK]
+        frames = _forecast_poses(model, np.stack([w.seed.frames for w in chunk]),
+                                 windows[0].target.n_frames)
+        if len(chunk) == len(windows):
+            return frames
+        if out is None:
+            out = np.empty((len(windows), *frames.shape[1:]))
+        out[i:i + len(chunk)] = frames
+    return out
 
 
 def evaluate_mae(model: Model | None, windows: list[Window],

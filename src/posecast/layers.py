@@ -40,6 +40,7 @@ __all__ = [
     "HeadGrads",
     "init_head",
     "head_forward",
+    "head_skip",
     "head_backward",
     "head_layer_backward",
     "lstm_param_count",
@@ -323,6 +324,18 @@ def head_forward(hp: HeadParams, v_t, hiddens, slope: float = 0.01,
     tape = HeadTape(z=z, d1=d1, d2=d2, r1=r1, r2=r2, mask1=mask1, mask2=mask2,
                     squeeze=sq)
     return (out[0] if sq else out), tape
+
+
+def head_skip(hp: HeadParams, rows: int, dropout_rate: float = 0.0,
+              rng: np.random.Generator | None = None, train: bool = False):
+    """Stand-in for a `head_forward` call on `rows` rows whose output nothing
+    reads: computes nothing, but draws the same two dropout masks from `rng`,
+    so the random stream continues as if the head had run."""
+    if train and dropout_rate > 0.0:
+        if rng is None:
+            raise ConfigError("head_forward: dropout requires an rng in train mode")
+        rng.random((rows, hp.W1.shape[0]))
+        rng.random((rows, hp.W2.shape[0]))
 
 
 def head_layer_backward(hp: HeadParams, tape: HeadTape, dout: np.ndarray):

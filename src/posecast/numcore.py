@@ -35,10 +35,10 @@ def global_norm(tensors) -> float:
 
 
 def clip_global_norm(grads, max_norm: float):
-    """Scale all grads so their joint l2 norm is at most max_norm.
+    """Scale float64 grads in place so their joint l2 norm is at most max_norm.
 
-    Returns (scaled grads, pre-clip norm).  Grads at or below the bound are
-    returned unchanged (same objects).
+    Returns (the same grads, pre-clip norm).  Grads at or below the bound are
+    left unchanged.
     """
     if max_norm <= 0:
         raise ValueError(f"max_norm must be > 0, got {max_norm}")
@@ -47,7 +47,9 @@ def clip_global_norm(grads, max_norm: float):
     if norm <= max_norm or norm == 0.0:
         return grads, norm
     scale = max_norm / norm
-    return [as_f64(g) * scale for g in grads], norm
+    for g in grads:
+        g *= scale
+    return grads, norm
 
 
 def seeded_rng(seed: int, *stream: int) -> np.random.Generator:

@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint as ckpt
-from .arch import (Model, ModelConfig, build_model, param_count, rollout_backward,
-                   rollout_forward)
+from .arch import (Model, ModelConfig, ModelGrads, build_model, param_count,
+                   rollout_backward, rollout_forward)
 from .errors import ConfigError, InputError, NumericError, ParseError, ShapeError
 from .numcore import as_f64, clip_global_norm
 from .posedata import PoseSequence, Window
@@ -39,6 +39,7 @@ __all__ = [
     "rollout_loss",
     "rollout_loss_batch",
     "train_loop",
+    "resume_state",
     "write_trace",
     "save_model_checkpoint",
     "load_model_checkpoint",
@@ -80,6 +81,8 @@ class TrainConfig:
             raise ConfigError("seed_len must be >= 2 and target_len >= 1")
         if self.iterations < 1:
             raise ConfigError(f"iterations: must be >= 1, got {self.iterations}")
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         return self
 
     def to_dict(self) -> dict:
@@ -100,47 +103,54 @@ def lr_at(cfg: TrainConfig, iteration: int) -> float:
     return cfg.lr0 * cfg.decay_factor ** (iteration // cfg.decay_every)
 
 
-def sgd_step(params: list[np.ndarray], grads: list[np.ndarray], lr: float) -> list[np.ndarray]:
-    if len(params) != len(grads):
-        raise ShapeError("sgd_step: params/grads length mismatch")
-    out = []
-    for p, g in zip(params, grads):
-        p, g = as_f64(p), as_f64(g)
-        if p.shape != g.shape:
-            raise ShapeError(f"sgd_step: shape mismatch {p.shape} vs {g.shape}")
-        out.append(p - lr * g)
-    return out
+# Elements per block of the in-place optimizer updates: their temporaries are
+# block-sized, never parameter-sized.  Elementwise ops give the same bits in
+# any blocking.
+_BLOCK = 1 << 16
+
+
+def _blocks(name: str, *flats: np.ndarray):
+    """Slices covering flat float64 arrays of one shape, _BLOCK elements each."""
+    for a in flats:
+        if not isinstance(a, np.ndarray) or a.dtype != np.float64 or a.ndim != 1:
+            raise ShapeError(f"{name}: expected flat float64 arrays")
+        if a.shape != flats[0].shape:
+            raise ShapeError(f"{name}: shape mismatch {flats[0].shape} vs {a.shape}")
+    return [slice(i, i + _BLOCK) for i in range(0, flats[0].size, _BLOCK)]
+
+
+def sgd_step(theta: np.ndarray, g: np.ndarray, lr: float) -> np.ndarray:
+    """In-place SGD update theta -= lr * g of a flat parameter vector; returns theta."""
+    for s in _blocks("sgd_step", theta, g):
+        theta[s] -= lr * g[s]
+    return theta
 
 
 @dataclass
 class AdamState:
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    """First and second moments, flat and laid out like the parameters."""
+    m: np.ndarray
+    v: np.ndarray
 
     @classmethod
-    def zeros_like(cls, params: list[np.ndarray]) -> "AdamState":
-        return cls(m=[np.zeros_like(p) for p in params],
-                   v=[np.zeros_like(p) for p in params])
+    def zeros_like(cls, theta: np.ndarray) -> "AdamState":
+        return cls(m=np.zeros_like(theta), v=np.zeros_like(theta))
 
 
-def adam_step(params, grads, state: AdamState, lr: float, t: int,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-    """Bias-corrected Adam update; t is the 1-based step count."""
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ShapeError("adam_step: params/grads/state length mismatch")
-    new_params, new_m, new_v = [], [], []
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        p, g = as_f64(p), as_f64(g)
-        if p.shape != g.shape:
-            raise ShapeError(f"adam_step: shape mismatch {p.shape} vs {g.shape}")
-        m2 = beta1 * m + (1 - beta1) * g
-        v2 = beta2 * v + (1 - beta2) * g * g
-        m_hat = m2 / (1 - beta1 ** t)
-        v_hat = v2 / (1 - beta2 ** t)
-        new_params.append(p - lr * m_hat / (np.sqrt(v_hat) + eps))
-        new_m.append(m2)
-        new_v.append(v2)
-    return new_params, AdamState(m=new_m, v=new_v)
+def adam_step(theta: np.ndarray, g: np.ndarray, state: AdamState, lr: float, t: int,
+              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> np.ndarray:
+    """In-place bias-corrected Adam update of a flat parameter vector and of
+    `state`; t is the 1-based step count.  Returns theta."""
+    for s in _blocks("adam_step", theta, g, state.m, state.v):
+        gs = g[s]
+        m = beta1 * state.m[s] + (1 - beta1) * gs
+        v = beta2 * state.v[s] + (1 - beta2) * gs * gs
+        m_hat = m / (1 - beta1 ** t)
+        v_hat = v / (1 - beta2 ** t)
+        theta[s] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        state.m[s] = m
+        state.v[s] = v
+    return theta
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +199,13 @@ def velocity_loss_and_grad(preds: np.ndarray, last_seed_pose: np.ndarray,
 def rollout_loss_batch(model: Model, seed_poses: np.ndarray,
                        target_poses: np.ndarray, cfg: TrainConfig,
                        mode: str = "train",
-                       rng: np.random.Generator | None = None):
+                       rng: np.random.Generator | None = None,
+                       grads: ModelGrads | None = None):
     """Loss and gradients for a batch of windows.
 
     seed_poses: (B, S, d); target_poses: (B, n, d).  The gradient is the
     mean over the batch of per-window gradients (fixed reduction order).
+    It is written into `grads` when given (see `rollout_backward`).
     """
     seed_poses = as_f64(seed_poses)
     target_poses = as_f64(target_poses)
@@ -207,7 +219,7 @@ def rollout_loss_batch(model: Model, seed_poses: np.ndarray,
     preds, records = rollout_forward(model, seed_vels, origin, n, mode=mode, rng=rng)
     loss_fn = pose_loss_and_grad if cfg.loss_space == "pose" else velocity_loss_and_grad
     loss, d_preds = loss_fn(preds, seed_poses[:, -1], target_poses)
-    grads = rollout_backward(model, records, seed_vels.shape[1], d_preds)
+    grads = rollout_backward(model, records, seed_vels.shape[1], d_preds, grads)
     return loss, grads
 
 
@@ -260,11 +272,9 @@ class TrainingData:
 def _checkpoint_tensors(model: Model, adam: AdamState | None):
     tensors = list(model.tensors())
     if adam is not None:
-        names = [n for n, _ in model.tensors()]
-        for name, arr in zip(names, adam.m):
-            tensors.append((f"opt.m.{name}", arr))
-        for name, arr in zip(names, adam.v):
-            tensors.append((f"opt.v.{name}", arr))
+        names = [n for n, _ in tensors]
+        for prefix, flat in (("opt.m.", adam.m), ("opt.v.", adam.v)):
+            tensors.extend((prefix + n, arr) for n, arr in zip(names, model.views(flat)))
     return tensors
 
 
@@ -286,25 +296,54 @@ def save_model_checkpoint(path, model: Model, iteration: int = 0):
     ckpt.save_checkpoint(path, meta, list(model.tensors()))
 
 
-def _checkpoint_config(path, meta) -> ModelConfig:
-    """The checkpoint's model config, with its keys and value types checked."""
-    raw = meta.get("model_config") if isinstance(meta, dict) else None
+def _meta_config(path, meta, key: str, cls):
+    """The config object `meta[key]` as a `cls`: every field present, no
+    unknown keys and each value of the field's type, else ParseError; its
+    values are then validated (ConfigError)."""
+    raw = meta.get(key) if isinstance(meta, dict) else None
     if not isinstance(raw, dict):
-        raise ParseError(f"{path}: checkpoint meta has no model_config object")
-    types = {f.name: f.type for f in dataclasses.fields(ModelConfig)}
-    for key in ("variant", "d_v"):
-        if key not in raw:
-            raise ParseError(f"{path}: model_config: missing key {key!r}")
-    for key, value in raw.items():
-        if key not in types:
-            raise ParseError(f"{path}: model_config: unknown key {key!r}")
-        ftype = types[key]
+        raise ParseError(f"{path}: checkpoint meta has no {key} object")
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    for name in types:
+        if name not in raw:
+            raise ParseError(f"{path}: {key}: missing key {name!r}")
+    for name, value in raw.items():
+        if name not in types:
+            raise ParseError(f"{path}: {key}: unknown key {name!r}")
+        ftype = types[name]
         if value is None and "None" in ftype:
             continue
         want = str if ftype == "str" else (int, float) if "float" in ftype else int
         if not isinstance(value, want) or isinstance(value, bool):
-            raise ParseError(f"{path}: model_config: bad value for {key!r}: {value!r}")
-    return ModelConfig.from_dict(raw)
+            raise ParseError(f"{path}: {key}: bad value for {name!r}: {value!r}")
+    return cls.from_dict(raw)
+
+
+def resume_state(path, meta):
+    """(TrainConfig, iteration, rng state) of a training checkpoint's meta.
+
+    Raises ConfigError for a checkpoint that is not a training checkpoint and
+    ParseError for a missing or malformed train_config, iteration or
+    rng_state.
+    """
+    if not isinstance(meta, dict) or meta.get("kind") != "train":
+        raise ConfigError(f"{path}: not a training checkpoint")
+    cfg = _meta_config(path, meta, "train_config", TrainConfig)
+    iteration = meta.get("iteration")
+    if not isinstance(iteration, int) or isinstance(iteration, bool) \
+            or not 0 <= iteration <= cfg.iterations:
+        raise ParseError(f"{path}: iteration must be an integer in "
+                         f"[0, {cfg.iterations}], got {iteration!r}")
+    state = meta.get("rng_state")
+    bit_gen = np.random.PCG64()
+    try:
+        bit_gen.state = state
+        ok = bit_gen.state == state
+    except (TypeError, ValueError, KeyError, OverflowError):
+        ok = False
+    if not ok:
+        raise ParseError(f"{path}: rng_state is not a PCG64 state")
+    return cfg, iteration, state
 
 
 def load_model_checkpoint(path):
@@ -315,7 +354,7 @@ def load_model_checkpoint(path):
     built; any mismatch raises ParseError.
     """
     meta, tensors = ckpt.load_checkpoint(path)
-    cfg = _checkpoint_config(path, meta)
+    cfg = _meta_config(path, meta, "model_config", ModelConfig)
     # compare sizes before building, so a corrupt config cannot allocate more
     # than the file holds
     if sum(a.size for n, a in tensors.items() if not n.startswith("opt.")) != param_count(cfg):
@@ -335,8 +374,8 @@ def load_model_checkpoint(path):
     model.set_tensors([tensors[n] for n in names])
     adam = None
     if has_adam:
-        adam = AdamState(m=[tensors[f"opt.m.{n}"] for n in names],
-                         v=[tensors[f"opt.v.{n}"] for n in names])
+        adam = AdamState(*(np.concatenate([tensors[prefix + n].ravel() for n in names])
+                           for prefix in ("opt.m.", "opt.v.")))
     return model, meta, adam
 
 
@@ -366,7 +405,7 @@ def train_loop(model: Model, dataset: TrainingData, cfg: TrainConfig,
     if rng_state is not None:
         rng.bit_generator.state = rng_state
     if cfg.optimizer == "adam" and adam is None:
-        adam = AdamState.zeros_like([arr for _, arr in model.tensors()])
+        adam = AdamState.zeros_like(model.theta)
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -381,27 +420,25 @@ def train_loop(model: Model, dataset: TrainingData, cfg: TrainConfig,
         paths.append(p)
         return p
 
+    # one gradient buffer for the whole run; clipping and the update work in
+    # place on it and on model.theta
+    grads = ModelGrads.zeros(model)
     for it in range(start_iteration, cfg.iterations):
         seeds, targets = dataset.sample_batch(rng, cfg.batch_size)
         loss, grads = rollout_loss_batch(model, seeds, targets, cfg,
-                                         mode="train", rng=rng)
-        clipped, norm = clip_global_norm(grads.tensors(), cfg.clip_norm)
+                                         mode="train", rng=rng, grads=grads)
+        _, norm = clip_global_norm(grads.tensors(), cfg.clip_norm)
         if not (np.isfinite(loss) and np.isfinite(norm)):
             # the parameters are still those of the last finite update
             _save("abort", it)
             raise NumericError(f"training diverged at iteration {it}: "
                                f"loss={loss}, gradient norm={norm}")
         lr = lr_at(cfg, it)
-        params = [arr for _, arr in model.tensors()]
         if cfg.optimizer == "sgd":
-            params = sgd_step(params, clipped, lr)
+            sgd_step(model.theta, grads.flat, lr)
         else:
-            params, adam = adam_step(params, clipped, adam, lr, it + 1,
-                                     beta1=cfg.adam_beta1, beta2=cfg.adam_beta2,
-                                     eps=cfg.adam_eps)
-        model.set_tensors(params)
-        # release the gradients now, not after the next iteration's rollout
-        del grads, clipped
+            adam_step(model.theta, grads.flat, adam, lr, it + 1, beta1=cfg.adam_beta1,
+                      beta2=cfg.adam_beta2, eps=cfg.adam_eps)
         trace.append((it, loss, lr))
         if log_fn is not None:
             log_fn(it, loss, lr)

@@ -62,8 +62,8 @@ def test_criterion_1_gradient_correctness():
         tcfg = TrainConfig(loss_space="pose")
         loss, grads = rollout_loss_batch(model, seeds, targets, tcfg,
                                          mode="eval")
-        ga = grads.flatten()
-        theta0 = model.flatten()
+        ga = grads.flat
+        theta0 = model.theta.copy()
 
         def f(theta):
             return hierarchy_rollout_loss(theta, cfg, frames[:6],
@@ -137,7 +137,7 @@ def test_criterion_4_zero_velocity_oracle():
     sequences is exactly 0."""
     model = build_model(ModelConfig(variant="tp_rnn", d_v=4, granularity=2,
                                     levels=2, hidden=6, head1=6, head2=5))
-    model.set_flat(np.zeros(model.n_params))
+    model.theta[:] = 0.0
     seqs = synth_multiscale(3, 90, 4, seed=21)
     windows = collect_windows(seqs, 50, 25)
     ok = True

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from posecast.arch import (VARIANTS, Model, ModelConfig, active_phase,
+from posecast.arch import (VARIANTS, Model, ModelConfig, ModelGrads, active_phase,
                            build_model, forecast, logical_sequence_count,
                            model_step, new_bank, observe, rollout_forward)
 from posecast.errors import ConfigError, InputError, NumericError, ShapeError
+from posecast.layers import init_lstm
 from posecast.metrics import zero_velocity_forecast
 from posecast.posedata import (PoseSequence, VelocitySequence, integrate,
                                synth_multiscale, to_velocity)
@@ -19,7 +20,7 @@ def tiny_cfg(variant="tp_rnn", **kw):
 
 def zero_model(cfg) -> Model:
     m = build_model(cfg)
-    m.set_flat(np.zeros(m.n_params))
+    m.theta[:] = 0.0
     return m
 
 
@@ -196,14 +197,35 @@ def test_level_input_dims_per_variant():
     assert phase_fed.cells[1].d_in == 3
 
 
-def test_flatten_set_flat_roundtrip():
+def test_theta_is_one_buffer_behind_the_named_tensors():
     model = build_model(tiny_cfg(levels=3))
-    theta = model.flatten()
+    # the initial values are those the layer initializers draw
+    assert np.array_equal(model.cells[1].W, init_lstm(4, 4, 0, stream=(0, 2)).W)
+    off = 0
+    for _, arr in model.tensors():
+        assert np.shares_memory(arr, model.theta)
+        assert np.array_equal(arr.ravel(), model.theta[off:off + arr.size])
+        off += arr.size
+    assert off == model.n_params == model.theta.size
+    # updating theta in place updates the cells and the head
+    w = model.head.W3.copy()
+    model.theta += 1.0
+    assert np.array_equal(model.head.W3, w + 1.0)
     other = build_model(tiny_cfg(levels=3, seed=99))
-    other.set_flat(theta)
-    assert np.array_equal(other.flatten(), theta)
+    other.set_tensors([arr for _, arr in model.tensors()])
+    assert np.array_equal(other.theta, model.theta)
+    assert not np.shares_memory(other.theta, model.theta)
     with pytest.raises(ShapeError):
-        other.set_flat(theta[:-1])
+        other.set_tensors([arr for _, arr in model.tensors()][:-1])
+
+
+def test_gradient_buffer_views_follow_the_parameter_layout():
+    model = build_model(tiny_cfg(levels=3))
+    grads = ModelGrads.zeros(model)
+    assert grads.flat.shape == model.theta.shape
+    views = grads.tensors()
+    assert [g.shape for g in views] == [arr.shape for _, arr in model.tensors()]
+    assert all(np.shares_memory(g, grads.flat) for g in views)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +348,7 @@ def test_tp_rnn_m1_equals_single_layer_vel():
     # the same function as the plain velocity-input single layer
     single = build_model(tiny_cfg(variant="single_layer_vel", levels=1, seed=3))
     tp = build_model(tiny_cfg(variant="tp_rnn", levels=1, seed=8))
-    tp.set_flat(single.flatten())
+    tp.theta[:] = single.theta
     rng = np.random.default_rng(2)
     xs = rng.normal(size=(9, 3))
     bank_s, bank_t = new_bank(single), new_bank(tp)

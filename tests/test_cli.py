@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from posecast.arch import ModelConfig, build_model
-from posecast.checkpoint import save_checkpoint
+from posecast.checkpoint import load_checkpoint, save_checkpoint
 from posecast.cli import main
 from posecast.train import save_model_checkpoint
 
@@ -26,7 +26,7 @@ def write_cfg(path, **kv):
 def zero_checkpoint(tmp_path, d_v=3, name="zero.bin"):
     model = build_model(ModelConfig(variant="tp_rnn", d_v=d_v, granularity=2,
                                     levels=2, hidden=4, head1=5, head2=4))
-    model.set_flat(np.zeros(model.n_params))
+    model.theta[:] = 0.0
     p = tmp_path / name
     save_model_checkpoint(p, model)
     return p
@@ -115,6 +115,60 @@ def test_train_resume_matches_uninterrupted(tmp_path):
                "--manifest", data / "manifest.txt", "--out", resumed) == 0
     assert (resumed / "checkpoint_final.bin").read_bytes() == \
         (full / "checkpoint_final.bin").read_bytes()
+
+
+def _resume_checkpoint(tmp_path, data, case):
+    mc, tc = _train_cfgs(tmp_path, iterations=4, checkpoint_every=2)
+    assert run("train", "--model-config", mc, "--train-config", tc,
+               "--manifest", data / "manifest.txt", "--out", tmp_path / "part") == 0
+    meta, tensors = load_checkpoint(tmp_path / "part" / "checkpoint_00000002.bin")
+    if case.startswith("no_"):
+        del meta[case[3:]]
+    elif case == "train_config_unknown_key":
+        meta["train_config"]["momentum"] = 0.9
+    elif case == "train_config_missing_key":
+        del meta["train_config"]["iterations"]
+    elif case == "train_config_bad_type":
+        meta["train_config"]["batch_size"] = "4"
+    elif case == "iteration_not_int":
+        meta["iteration"] = 2.5
+    elif case == "iteration_past_end":
+        meta["iteration"] = 5
+    elif case == "rng_state_not_pcg64":
+        meta["rng_state"]["bit_generator"] = "MT19937"
+    elif case == "rng_state_bad_value":
+        meta["rng_state"]["state"]["inc"] = -1
+    p = tmp_path / f"{case}.bin"
+    save_checkpoint(p, meta, list(tensors.items()))
+    return p
+
+
+@pytest.mark.parametrize("case", [
+    "no_train_config", "no_iteration", "no_rng_state", "train_config_unknown_key",
+    "train_config_missing_key", "train_config_bad_type", "iteration_not_int",
+    "iteration_past_end", "rng_state_not_pcg64", "rng_state_bad_value"])
+def test_train_resume_bad_meta_exits_3(tmp_path, capsys, case):
+    data = synth(tmp_path)
+    ck = _resume_checkpoint(tmp_path, data, case)
+    assert run("train", "--resume", ck, "--manifest", data / "manifest.txt",
+               "--out", tmp_path / "resumed") == 3
+    err = capsys.readouterr().err
+    assert "input error" in err and "Traceback" not in err
+
+
+def test_train_resume_dim_mismatch_exits_2(tmp_path):
+    ck = _resume_checkpoint(tmp_path, synth(tmp_path), "none")
+    other = synth(tmp_path, "data4", dim=4)
+    assert run("train", "--resume", ck, "--manifest", other / "manifest.txt",
+               "--out", tmp_path / "resumed") == 2
+
+
+def test_train_negative_seed_exits_2(tmp_path):
+    data = synth(tmp_path)
+    mc, tc = _train_cfgs(tmp_path, iterations=2)
+    tc.write_text(tc.read_text().replace("seed=0", "seed=-1"))
+    assert run("train", "--model-config", mc, "--train-config", tc,
+               "--manifest", data / "manifest.txt", "--out", tmp_path / "r") == 2
 
 
 def test_train_missing_manifest(tmp_path):
@@ -322,6 +376,61 @@ def test_forecast_is_deterministic(tmp_path):
     assert (tmp_path / "p1.csv").read_bytes() == (tmp_path / "p2.csv").read_bytes()
 
 
+# Written by `posecast eval` before the report writer was shared with ablate.
+# The data are dyadic rationals and the model is all zeros, so every error
+# is an exactly rounded square root: the bytes do not depend on the BLAS.
+ZERO_MODEL_REPORT = """\
+predictor,action,horizon_ms,error,n_windows
+model,ALL,40,0.9263584893763424,9
+model,ALL,120,2.72652858880244,9
+model,ALL,200,4.547772381450772,9
+zero_velocity,ALL,40,0.9263584893763424,9
+zero_velocity,ALL,120,2.72652858880244,9
+zero_velocity,ALL,200,4.547772381450772,9
+"""
+
+
+def test_eval_report_bytes_are_pinned(tmp_path):
+    rows = []
+    for i, (split, action) in enumerate([("train", "walk"), ("test", "walk"),
+                                         ("test", "walk"), ("test", "jump")]):
+        k = np.arange(25.0)[:, None]
+        frames = np.hstack([0.25 * k * (i + 1), i - 0.5 * k, 1.0 + 0.125 * (k % 3)])
+        seed_csv(tmp_path, frames, name=f"s{i}.csv")
+        rows.append(f"s{i}.csv,{split},{action},3,40.0")
+    (tmp_path / "manifest.txt").write_text("\n".join(rows) + "\n")
+    assert run("eval", "--checkpoint", zero_checkpoint(tmp_path), "--manifest",
+               tmp_path / "manifest.txt", "--seed-len", 10, "--target-len", 5,
+               "--horizons", "40,120,200", "--out", tmp_path / "r.csv") == 0
+    assert (tmp_path / "r.csv").read_text() == ZERO_MODEL_REPORT
+
+
+def test_report_rows_per_action_follow_the_all_rows(tmp_path):
+    from posecast.cli import _write_report
+    from posecast.metrics import HorizonReport
+
+    def report(scale):
+        return HorizonReport(horizons_ms=(80, 160), errors={80: scale, 160: 2 * scale},
+                             n_windows=3,
+                             per_action={"walk": ({80: 0.5, 160: 1.5}, 2),
+                                         "jump": ({80: 0.25, 160: 0.75}, 1)})
+
+    _write_report(tmp_path / "a.csv", report(1.0), report(0.1), per_action=True)
+    assert (tmp_path / "a.csv").read_text().splitlines() == [
+        "predictor,action,horizon_ms,error,n_windows",
+        "model,ALL,80,1.0,3", "model,ALL,160,2.0,3",
+        "model,jump,80,0.25,1", "model,jump,160,0.75,1",
+        "model,walk,80,0.5,2", "model,walk,160,1.5,2",
+        "zero_velocity,ALL,80,0.1,3", "zero_velocity,ALL,160,0.2,3",
+        "zero_velocity,jump,80,0.25,1", "zero_velocity,jump,160,0.75,1",
+        "zero_velocity,walk,80,0.5,2", "zero_velocity,walk,160,1.5,2"]
+    _write_report(tmp_path / "b.csv", report(1.0), report(0.1), per_action=False)
+    assert (tmp_path / "b.csv").read_text() == (
+        "predictor,action,horizon_ms,error,n_windows\n"
+        "model,ALL,80,1.0,3\nmodel,ALL,160,2.0,3\n"
+        "zero_velocity,ALL,80,0.1,3\nzero_velocity,ALL,160,0.2,3\n")
+
+
 # ---------------------------------------------------------------------------
 # ablate
 
@@ -341,6 +450,26 @@ def test_ablate_subset(tmp_path):
     assert len(summary) == 3
     assert summary[1].startswith("single_layer_vel,")
     assert summary[2].startswith("tp_rnn,")
+
+
+def test_ablate_report_rows_match_the_trained_checkpoint(tmp_path):
+    from posecast.evaluate import collect_windows, evaluate_mae
+    from posecast.posedata import load_manifest, load_split
+    from posecast.train import load_model_checkpoint
+
+    data = synth(tmp_path)
+    mc, tc = _train_cfgs(tmp_path, iterations=5)
+    out = tmp_path / "ablation"
+    assert run("ablate", "--model-config", mc, "--train-config", tc, "--manifest",
+               data / "manifest.txt", "--variants", "tp_rnn", "--horizons", "40,160",
+               "--out", out) == 0
+    model, _, _ = load_model_checkpoint(out / "tp_rnn" / "checkpoint_final.bin")
+    windows = collect_windows(load_split(load_manifest(data / "manifest.txt"), "test"), 8, 4)
+    rep, zero = evaluate_mae(model, windows, [40, 160])
+    want = ["predictor,action,horizon_ms,error,n_windows"]
+    for name, r in (("model", rep), ("zero_velocity", zero)):
+        want += [f"{name},ALL,{hz},{r.errors[hz]!r},{r.n_windows}" for hz in (40, 160)]
+    assert (out / "tp_rnn" / "report.csv").read_text() == "\n".join(want) + "\n"
 
 
 def test_ablate_unknown_variant(tmp_path):

@@ -1,9 +1,10 @@
 """Exit-code contract under corrupted inputs.
 
 Corrupt checkpoint meta, checkpoint bytes and manifest rows, run
-`posecast forecast` and `posecast eval` in-process, and require a documented
-exit code (0 success, 2 config, 3 input, 4 numeric, 5 I/O) with nothing
-raised: a bad input file never ends in a traceback.
+`posecast forecast`, `posecast eval` and `posecast train --resume`
+in-process, and require a documented exit code (0 success, 2 config,
+3 input, 4 numeric, 5 I/O) with nothing raised: a bad input file never ends
+in a traceback.
 """
 
 import json
@@ -17,7 +18,8 @@ from hypothesis import strategies as st
 from posecast.arch import ModelConfig, build_model
 from posecast.checkpoint import MAGIC, save_checkpoint
 from posecast.cli import main
-from posecast.posedata import save_sequence, synth_multiscale
+from posecast.posedata import load_manifest, load_split, save_sequence, synth_multiscale
+from posecast.train import TrainConfig, TrainingData, train_loop
 
 EXIT_CODES = {0, 2, 3, 4, 5}
 FUZZ = settings(max_examples=150, derandomize=True, deadline=None,
@@ -166,4 +168,62 @@ def test_corrupt_manifest_rows(base, edits, protocol):
     path = base["dir"] / "manifest_fuzz.txt"
     path.write_text("\n".join(",".join(r) for r in rows) + "\n")
     rc = _eval(base, base["dir"] / "model.bin", path, protocol)
+    assert rc in EXIT_CODES
+
+
+@pytest.fixture(scope="module")
+def train_base(base):
+    """A training checkpoint (Adam, after 1 of 2 iterations) on base's train split."""
+    d = base["dir"]
+    model = build_model(ModelConfig(variant="tp_rnn", d_v=3, granularity=2, levels=2,
+                                    hidden=4, head1=5, head2=4, seed=2))
+    data = TrainingData(sequences=load_split(load_manifest(d / "manifest.txt"), "train"),
+                        seed_len=10, target_len=5)
+    cfg = TrainConfig(batch_size=2, iterations=2, seed_len=10, target_len=5,
+                      optimizer="adam", checkpoint_every=1)
+    train_loop(model, data, cfg, out_dir=d / "train_run")
+    raw = (d / "train_run" / "checkpoint_00000001.bin").read_bytes()
+    return _Files(dir=d, bytes=raw, meta=json.loads(raw[len(MAGIC) + 12:_meta_end(raw)]))
+
+
+TOP_KEYS = ["kind", "train_config", "iteration", "rng_state"]
+# A train_config may ask for 10^12 iterations or a batch of 10^12 windows; that
+# is a (huge) valid run, not a malformed file, so such values are not drawn.
+TRAIN_VALUES = [v for v in ODD_VALUES if v != 10 ** 12]
+
+resume_edits = st.one_of(
+    st.tuples(st.just("drop"), st.sampled_from(TOP_KEYS), st.none()),
+    st.tuples(st.just("set"), st.sampled_from(TOP_KEYS), st.sampled_from(ODD_VALUES)),
+    st.tuples(st.just("train_config"), st.sampled_from(sorted(TrainConfig.__dataclass_fields__)),
+              st.sampled_from(TRAIN_VALUES)),
+    st.tuples(st.just("train_config"), st.sampled_from(["momentum", ""]),
+              st.sampled_from(ODD_VALUES)),
+    st.tuples(st.just("train_config_drop"),
+              st.sampled_from(sorted(TrainConfig.__dataclass_fields__)), st.none()),
+    st.tuples(st.just("rng_state"), st.sampled_from(["bit_generator", "state",
+                                                     "has_uint32", "uinteger"]),
+              st.sampled_from(ODD_VALUES)),
+)
+
+
+@FUZZ
+@given(edits=st.lists(resume_edits, min_size=1, max_size=3))
+def test_corrupt_train_resume_meta(train_base, edits):
+    meta = json.loads(json.dumps(train_base["meta"]))
+    for op, key, value in edits:
+        if op == "drop":
+            meta.pop(key, None)
+        elif op == "set":
+            meta[key] = value
+        elif isinstance(meta.get(op.removesuffix("_drop")), dict):
+            if op == "train_config_drop":
+                meta["train_config"].pop(key, None)
+            else:
+                meta[op][key] = value
+    d = train_base["dir"]
+    path = d / "resume_fuzz.bin"
+    path.write_bytes(_with_meta(train_base["bytes"], meta))
+    with np.errstate(all="ignore"):
+        rc = main(["train", "--resume", str(path), "--manifest", str(d / "manifest.txt"),
+                   "--out", str(d / "resumed"), "--log-every", "1000"])
     assert rc in EXIT_CODES

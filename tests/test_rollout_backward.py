@@ -3,9 +3,9 @@
 `reference_backward` is the straightforward engine: at every step it runs
 the single-step `head_backward` and `lstm_step_backward` (each forming its
 own rank-B weight gradient) and adds the result into the accumulators.
-`rollout_backward` forms the same weight gradients as time-batched GEMMs
-and skips head backward steps whose output gradient is zero, so the two
-differ only in summation order.
+`rollout_backward` forms the same weight gradients as time-batched GEMMs,
+so the two differ only in summation order.  Both run the head backward only
+at steps t >= S-1: the recorded rollout runs the head forward only there.
 """
 
 import numpy as np
@@ -21,7 +21,7 @@ def reference_backward(model, records, n_obs, d_preds):
     cfg = model.config
     S = n_obs
     T = S + d_preds.shape[0] - 1
-    B = records[0].head_tape.z.shape[0]
+    B = d_preds.shape[1]
     h = cfg.hidden
     is_pose = cfg.variant == "single_layer_pose"
     cells = [[np.zeros_like(c.W), np.zeros_like(c.b)] for c in model.cells]
@@ -36,17 +36,17 @@ def reference_backward(model, records, n_obs, d_preds):
         rec = records[t]
         if is_pose and t + 1 < T:
             d_x[t] += d_x[t + 1]
-        d_out = np.zeros((B, cfg.d_v))
         if t >= S - 1:
-            d_out += d_preds[t - (S - 1)]
-        if S <= t + 1 < T:
-            d_out += d_x[t + 1]
-        hg, dv, dhs = head_backward(model.head, rec.head_tape, d_out)
-        for acc, g in zip(head, hg.tensors()):
-            acc += g
-        d_x[t] += dv
-        for m, dh in enumerate(dhs, start=1):
-            state_grad(m, rec.head_phases[m - 1])[0] += dh
+            # earlier head outputs are not predictions; their head is not run
+            d_out = d_preds[t - (S - 1)].copy()
+            if t + 1 < T:
+                d_out += d_x[t + 1]
+            hg, dv, dhs = head_backward(model.head, rec.head_tape, d_out)
+            for acc, g in zip(head, hg.tensors()):
+                acc += g
+            d_x[t] += dv
+            for m, dh in enumerate(dhs, start=1):
+                state_grad(m, rec.head_phases[m - 1])[0] += dh
         for m, q, tape, strided in reversed(rec.updates):
             dh, dc = state_grad(m, q)
             g, d_inp, (dh_prev, dc_prev) = lstm_step_backward(
@@ -117,9 +117,11 @@ def test_matches_reference_batch_of_one(variant, levels):
 
 
 def test_tp_rnn_three_levels_dropout_train_mode():
+    S = 13
     records = _compare(_cfg("tp_rnn", levels=3, dropout_rate=0.2), B=4,
-                       S=13, n_pred=9, mode="train", seed=5)
-    assert records[0].head_tape.mask1 is not None
+                       S=S, n_pred=9, mode="train", seed=5)
+    assert all(rec.head_tape is None for rec in records[:S - 1])
+    assert all(rec.head_tape.mask1 is not None for rec in records[S - 1:])
 
 
 def test_tp_rnn_three_levels_k3():

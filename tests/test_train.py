@@ -17,7 +17,7 @@ def tiny_model(variant="tp_rnn", levels=2, d_v=3, seed=0, **kw):
 
 
 def zero_params(model):
-    model.set_flat(np.zeros(model.n_params))
+    model.theta[:] = 0.0
     return model
 
 
@@ -43,46 +43,47 @@ def test_lr_at_examples():
 
 
 def test_sgd_step_example():
-    out = sgd_step([np.array([1.0])], [np.array([0.5])], 0.1)
-    assert out[0][0] == pytest.approx(0.95)
+    theta = np.array([1.0])
+    out = sgd_step(theta, np.array([0.5]), 0.1)
+    assert out is theta
+    assert theta[0] == pytest.approx(0.95)
 
 
 def test_sgd_zero_grads_identity():
-    p = [np.array([1.0, -2.0])]
-    out = sgd_step(p, [np.zeros(2)], 0.1)
-    assert np.array_equal(out[0], p[0])
+    p = np.array([1.0, -2.0])
+    out = sgd_step(p.copy(), np.zeros(2), 0.1)
+    assert np.array_equal(out, p)
 
 
 def test_sgd_shape_mismatch():
     with pytest.raises(ShapeError):
-        sgd_step([np.zeros(2)], [np.zeros(3)], 0.1)
+        sgd_step(np.zeros(2), np.zeros(3), 0.1)
     with pytest.raises(ShapeError):
-        sgd_step([np.zeros(2)], [], 0.1)
+        sgd_step(np.zeros((2, 1)), np.zeros((2, 1)), 0.1)
 
 
 def test_adam_first_step_is_signed_lr():
-    params = [np.array([1.0, -1.0, 2.0])]
-    grads = [np.array([0.3, -0.7, 1e-3])]
-    state = AdamState.zeros_like(params)
-    out, _ = adam_step(params, grads, state, lr=0.01, t=1)
-    update = out[0] - params[0]
-    assert np.allclose(update, -0.01 * np.sign(grads[0]), atol=1e-6)
+    params = np.array([1.0, -1.0, 2.0])
+    grads = np.array([0.3, -0.7, 1e-3])
+    theta = params.copy()
+    adam_step(theta, grads, AdamState.zeros_like(theta), lr=0.01, t=1)
+    update = theta - params
+    assert np.allclose(update, -0.01 * np.sign(grads), atol=1e-6)
 
 
 def test_adam_zero_grads_identity():
-    params = [np.array([1.0, 2.0])]
-    state = AdamState.zeros_like(params)
-    out, state = adam_step(params, [np.zeros(2)], state, lr=0.01, t=1)
-    assert np.array_equal(out[0], params[0])
+    params = np.array([1.0, 2.0])
+    out = adam_step(params.copy(), np.zeros(2), AdamState.zeros_like(params),
+                    lr=0.01, t=1)
+    assert np.array_equal(out, params)
 
 
 def test_adam_moments_accumulate():
-    params = [np.array([0.0])]
-    state = AdamState.zeros_like(params)
-    g = [np.array([1.0])]
-    _, state = adam_step(params, g, state, lr=0.01, t=1)
-    assert state.m[0][0] == pytest.approx(0.1)
-    assert state.v[0][0] == pytest.approx(0.001)
+    theta = np.array([0.0])
+    state = AdamState.zeros_like(theta)
+    adam_step(theta, np.array([1.0]), state, lr=0.01, t=1)
+    assert state.m[0] == pytest.approx(0.1)
+    assert state.v[0] == pytest.approx(0.001)
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +136,8 @@ def test_batch_gradient_is_mean_of_per_window_gradients():
     for i in range(3):
         _, g = rollout_loss_batch(model, seeds[i:i + 1], targets[i:i + 1],
                                   cfg, mode="eval")
-        per.append(g.flatten())
-    assert np.allclose(batch_grads.flatten(), np.mean(per, axis=0), atol=1e-12)
+        per.append(g.flat)
+    assert np.allclose(batch_grads.flat, np.mean(per, axis=0), atol=1e-12)
 
 
 @pytest.mark.parametrize("variant,levels,loss_space", [
@@ -161,17 +162,17 @@ def test_rollout_gradients_match_fd_all_variants(variant, levels, loss_space):
     targets = seqs[0].frames[None, 8:12]
     cfg = TrainConfig(loss_space=loss_space)
     _, grads = rollout_loss_batch(model, seeds, targets, cfg, mode="eval")
-    ga = grads.flatten()
-    theta0 = model.flatten()
+    ga = grads.flat
+    theta0 = model.theta.copy()
     eps = 1e-5
     worst = 0.0
     for k in range(theta0.size):
         theta = theta0.copy()
         theta[k] = theta0[k] + eps
-        model.set_flat(theta)
+        model.theta[:] = theta
         fp, _ = rollout_loss_batch(model, seeds, targets, cfg, mode="eval")
         theta[k] = theta0[k] - eps
-        model.set_flat(theta)
+        model.theta[:] = theta
         fm, _ = rollout_loss_batch(model, seeds, targets, cfg, mode="eval")
         gfd = (fp - fm) / (2 * eps)
         if abs(ga[k] - gfd) <= 1e-8:
@@ -181,17 +182,17 @@ def test_rollout_gradients_match_fd_all_variants(variant, levels, loss_space):
             # a leaky_relu kink within eps of a preactivation makes the
             # wide central difference invalid; re-probe at a smaller step
             theta[k] = theta0[k] + 1e-6
-            model.set_flat(theta)
+            model.theta[:] = theta
             fp, _ = rollout_loss_batch(model, seeds, targets, cfg, mode="eval")
             theta[k] = theta0[k] - 1e-6
-            model.set_flat(theta)
+            model.theta[:] = theta
             fm, _ = rollout_loss_batch(model, seeds, targets, cfg, mode="eval")
             gfd = (fp - fm) / 2e-6
             rel = abs(ga[k] - gfd) / max(abs(ga[k]), abs(gfd), 1e-8)
             if abs(ga[k] - gfd) <= 1e-7:
                 continue
         worst = max(worst, rel)
-    model.set_flat(theta0)
+    model.theta[:] = theta0
     assert worst < 1e-5, worst
 
 
@@ -285,7 +286,7 @@ def test_resume_reproduces_uninterrupted_run(tmp_path, optimizer):
 
 def test_divergence_aborts_with_checkpoint(tmp_path):
     model, data, cfg = _toy_setup(iterations=10)
-    model.set_flat(np.full(model.n_params, 1e200))
+    model.theta[:] = 1e200
     with np.errstate(all="ignore"):
         with pytest.raises(NumericError, match="diverged at iteration"):
             train_loop(model, data, cfg, out_dir=tmp_path)
@@ -306,7 +307,7 @@ def test_nonfinite_gradient_aborts_with_last_finite_params(tmp_path, monkeypatch
         loss, grads = real(model_, *args, **kwargs)
         calls.append(loss)
         if len(calls) == 3:
-            before["theta"] = model_.flatten().copy()
+            before["theta"] = model_.theta.copy()
             grads.cells[0].dW[0, 0] = np.inf
         return loss, grads
 
@@ -317,7 +318,7 @@ def test_nonfinite_gradient_aborts_with_last_finite_params(tmp_path, monkeypatch
     assert np.isfinite(calls[-1])
     saved, meta, _ = load_model_checkpoint(tmp_path / "checkpoint_abort.bin")
     assert meta["iteration"] == 2
-    theta = saved.flatten()
+    theta = saved.theta
     assert np.all(np.isfinite(theta))
     assert np.array_equal(theta, before["theta"])
 
@@ -335,7 +336,7 @@ def test_model_checkpoint_roundtrip(tmp_path):
     loaded, meta, adam = load_model_checkpoint(tmp_path / "m.bin")
     assert adam is None
     assert meta["iteration"] == 3
-    assert np.array_equal(loaded.flatten(), model.flatten())
+    assert np.array_equal(loaded.theta, model.theta)
     assert loaded.config == model.config
 
 
