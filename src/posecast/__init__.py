@@ -8,7 +8,7 @@ from .errors import (ConfigError, InputError, NumericError, ParseError,
 from .metrics import angle_mae, pck, zero_velocity_forecast
 from .posedata import (PoseSequence, VelocitySequence, Window, downsample,
                        integrate, make_windows, synth_multiscale, to_velocity)
-from .train import TrainConfig, lr_at, rollout_loss, train_loop
+from .train import TrainConfig, lr_at, train_loop
 
 __all__ = [
     "Model", "ModelConfig", "PhaseStateBank", "active_phase", "build_model",
@@ -16,8 +16,7 @@ __all__ = [
     "ConfigError", "InputError", "NumericError", "ParseError", "PosecastError",
     "ShapeError", "angle_mae", "pck", "zero_velocity_forecast", "PoseSequence",
     "VelocitySequence", "Window", "downsample", "integrate", "make_windows",
-    "synth_multiscale", "to_velocity", "TrainConfig", "lr_at", "rollout_loss",
-    "train_loop",
+    "synth_multiscale", "to_velocity", "TrainConfig", "lr_at", "train_loop",
 ]
 
 __version__ = "0.1.0"

@@ -1,48 +1,59 @@
 """Hierarchical multi-scale recurrent forecaster and its ablation variants.
 
-The flagship variant (`tp_rnn`) keeps M weight-shared LSTM cells, one per
-hierarchy level.  Level 1 consumes the velocity stream every step.  Level m
-holds K^(m-1) phase-shifted recurrent sequences; at step t the phase
-t mod K^(m-1) updates, consuming the hidden output the level below produced
-at the same step, so each individual phase sequence advances once every
-K^(m-1) steps.  The prediction head sees the current velocity plus the
-freshest hidden state of every level.
+Every variant is a stack of levels, each an LSTM cell whose weights all of
+the level's phase sequences share, topped by a prediction head that sees the
+step's input plus the freshest hidden state of every level.  A level is
+described by one row of the model's level table (`level_table`):
 
-Ablation variants behind the same config:
+    phases  how many phase sequences it holds; phase t mod phases is the one
+            read and updated at step t
+    period  it fires at the steps t with t mod period == period - 1
+    source  what it consumes when it fires: the step's input ("velocity", or
+            "pose" for single_layer_pose), the hidden output the level below
+            produced at the same step ("below"), or the sum of the last K
+            inputs, i.e. the pose difference over K steps ("stride")
+    d_in    its cell's input width
 
-    single_layer_pose      one cell, raw poses in
-    single_layer_vel       one cell, velocities in
-    stacked2_vel           two cells, both updating every step
-    double_scale_vel       independent upper cell fed the stride-K velocity
-                           (pose difference over the last K steps), updating
-                           every K steps
-    double_scale_hier_vel  upper cell fed the lower hidden state, updating
-                           every K steps (single phase)
-    double_scale_phase_vel K phase-shifted upper sequences fed the stride-K
-                           velocity, one updating per step
-    tp_rnn                 the full phase hierarchy described above
+Level 1 always holds one phase, fires every step and consumes the step's
+input.  The variants differ only in their level count and in the rule of
+their upper levels (K = granularity; `VARIANTS` holds one entry each):
 
-All forward passes accept single vectors or (B, d) batches; the recorded
-rollout plus `rollout_backward` give exact reverse-mode gradients through
-the autoregressive feedback loop.
+    variant                levels  upper level m: phases, firing, source
+    single_layer_pose      1       -  (poses in)
+    single_layer_vel       1       -
+    stacked2_vel           2       1,          every step,    below
+    double_scale_vel       2       1,          every K-th,    stride   (K=2)
+    double_scale_hier_vel  2       1,          every K-th,    below    (K=2)
+    double_scale_phase_vel 2       K,          every step,    stride   (K=2)
+    tp_rnn                 M       K^(m-1),    every step,    below
+
+The level table drives the state bank's layout, the step engine, the
+level-major seed, the backward pass and the parameter layout of the flat
+buffer `Model.theta`.  All forward passes accept single vectors or (B, d)
+batches; the recorded rollout plus `rollout_backward` give exact reverse-mode
+gradients through the autoregressive feedback loop.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, InputError, NumericError, ShapeError
 from .layers import (HeadGrads, HeadParams, LstmGrads, LstmParams, LstmState,
-                     head_forward, head_layer_backward, head_param_count, head_skip,
-                     init_head, init_lstm, lstm_gate_backward, lstm_param_count,
-                     lstm_step)
+                     draw_head, draw_lstm, head_forward, head_layer_backward,
+                     head_skip, lstm_gate_backward, lstm_step)
 from .numcore import as_f64
 from .posedata import VelocitySequence
 
 __all__ = [
     "VARIANTS",
+    "Variant",
+    "Level",
+    "level_table",
+    "param_layout",
     "ModelConfig",
     "Model",
     "ModelGrads",
@@ -59,24 +70,34 @@ __all__ = [
     "rollout_backward",
 ]
 
-VARIANTS = (
-    "single_layer_pose",
-    "single_layer_vel",
-    "stacked2_vel",
-    "double_scale_vel",
-    "double_scale_hier_vel",
-    "double_scale_phase_vel",
-    "tp_rnn",
-)
 
-_SINGLE = ("single_layer_pose", "single_layer_vel")
-_DOUBLE = ("double_scale_vel", "double_scale_hier_vel", "double_scale_phase_vel")
+@dataclass(frozen=True)
+class Variant:
+    """A variant's entry in the level table: its level count (None: the
+    configured `levels`), whether it needs K == 2, and the rule of every level
+    above the first."""
+    levels: int | None
+    needs_k2: bool = False
+    phased: bool = False      # level m holds K^(m-1) phase sequences, else one
+    every_k: bool = False     # fires every K-th step, else every step
+    source: str = "below"     # "below" or "stride"
+    pose_input: bool = False  # level 1 consumes poses, not velocities
+
+
+VARIANTS = {
+    "single_layer_pose": Variant(levels=1, pose_input=True),
+    "single_layer_vel": Variant(levels=1),
+    "stacked2_vel": Variant(levels=2),
+    "double_scale_vel": Variant(levels=2, needs_k2=True, every_k=True, source="stride"),
+    "double_scale_hier_vel": Variant(levels=2, needs_k2=True, every_k=True),
+    "double_scale_phase_vel": Variant(levels=2, needs_k2=True, phased=True,
+                                      source="stride"),
+    "tp_rnn": Variant(levels=None, phased=True),
+}
+
 # The state bank holds every phase sequence, so K^(M-1) is capped well above
 # any useful hierarchy (K=2, M=13) to keep a bank's size bounded.
 MAX_PHASES = 4096
-# upper levels consuming the lower level's hidden output vs. the strided velocity
-_HIDDEN_FED = ("tp_rnn", "stacked2_vel", "double_scale_hier_vel")
-_STRIDE_FED = ("double_scale_vel", "double_scale_phase_vel")
 
 
 def active_phase(m: int, t: int, K: int) -> int:
@@ -108,7 +129,8 @@ class ModelConfig:
     forget_bias: float = 1.0
 
     def validate(self) -> "ModelConfig":
-        if self.variant not in VARIANTS:
+        spec = VARIANTS.get(self.variant) if isinstance(self.variant, str) else None
+        if spec is None:
             raise ConfigError(f"variant: unknown value {self.variant!r}")
         if self.d_v < 1:
             raise ConfigError(f"d_v: must be >= 1, got {self.d_v}")
@@ -116,22 +138,17 @@ class ModelConfig:
             raise ConfigError(f"granularity: must be >= 2, got {self.granularity}")
         if self.levels < 1:
             raise ConfigError(f"levels: must be >= 1, got {self.levels}")
-        if self.variant in _SINGLE and self.levels != 1:
-            raise ConfigError(f"levels: {self.variant} requires levels == 1")
-        if self.variant == "stacked2_vel" and self.levels != 2:
-            raise ConfigError("levels: stacked2_vel requires levels == 2")
-        if self.variant in _DOUBLE:
-            if self.levels != 2:
-                raise ConfigError(f"levels: {self.variant} requires levels == 2")
-            if self.granularity != 2:
-                raise ConfigError(f"granularity: {self.variant} requires granularity == 2")
-        if self.variant == "tp_rnn":
+        if spec.levels is not None and self.levels != spec.levels:
+            raise ConfigError(f"levels: {self.variant} requires levels == {spec.levels}")
+        if spec.needs_k2 and self.granularity != 2:
+            raise ConfigError(f"granularity: {self.variant} requires granularity == 2")
+        if spec.phased:
             phases = 1
             for _ in range(self.levels - 1):
                 phases *= self.granularity
                 if phases > MAX_PHASES:
-                    raise ConfigError(f"granularity/levels: tp_rnn's top level would hold "
-                                      f"more than {MAX_PHASES} phase sequences")
+                    raise ConfigError(f"granularity/levels: {self.variant}'s top level "
+                                      f"would hold more than {MAX_PHASES} phase sequences")
         if min(self.hidden, self.head1, self.head2) < 1:
             raise ConfigError("hidden/head1/head2: must be >= 1")
         if self.leaky_slope <= 0:
@@ -162,72 +179,94 @@ class ModelConfig:
         return cls(**d).validate()
 
 
-def _n_phases(cfg: ModelConfig, m: int) -> int:
-    if m == 1:
-        return 1
-    if cfg.variant == "tp_rnn":
-        return cfg.granularity ** (m - 1)
-    if cfg.variant == "double_scale_phase_vel":
-        return cfg.granularity
-    return 1
+@dataclass(frozen=True)
+class Level:
+    """One row of the level table; see the module docstring."""
+    phases: int
+    period: int
+    source: str  # "velocity" | "pose" | "below" | "stride"
+    d_in: int
+
+    def phase(self, t: int) -> int:
+        """The phase sequence read, and updated if the level fires, at step t."""
+        return t % self.phases
+
+    def fires(self, t: int) -> bool:
+        # a period-K level first fires once it has seen K inputs
+        return t % self.period == self.period - 1
 
 
-def _phase_at(cfg: ModelConfig, m: int, t: int) -> int:
-    return t % _n_phases(cfg, m)
+def level_table(cfg: ModelConfig) -> list[Level]:
+    """The levels of the model `cfg` describes, level 1 first."""
+    spec = VARIANTS[cfg.validate().variant]
+    K = cfg.granularity
+    levels = [Level(phases=1, period=1, source="pose" if spec.pose_input else "velocity",
+                    d_in=cfg.d_v)]
+    for m in range(2, cfg.levels + 1):
+        levels.append(Level(phases=K ** (m - 1) if spec.phased else 1,
+                            period=K if spec.every_k else 1, source=spec.source,
+                            d_in=cfg.hidden if spec.source == "below" else cfg.d_v))
+    return levels
 
 
-def _updates_at(cfg: ModelConfig, m: int, t: int) -> bool:
-    if m == 1:
-        return True
-    if cfg.variant in ("tp_rnn", "double_scale_phase_vel", "stacked2_vel"):
-        return True
-    # single-phase scaled level: fires every K steps, first once K inputs seen
-    return t % cfg.granularity == cfg.granularity - 1
+def param_layout(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every parameter tensor, in `Model.theta` order: each
+    level's cell W (4h, d_in + h) and b (4h,), gate rows ordered (i, f, o, g),
+    then the head's W1, b1, W2, b2, W3, b3.  Checkpoints store the tensors
+    under these names."""
+    h = cfg.hidden
+    levels = level_table(cfg)
+    out = []
+    for m, level in enumerate(levels):
+        out += [(f"cell{m}.W", (4 * h, level.d_in + h)), (f"cell{m}.b", (4 * h,))]
+    return out + [("head.W1", (cfg.head1, cfg.d_v + len(levels) * h)),
+                  ("head.b1", (cfg.head1,)), ("head.W2", (cfg.head2, cfg.head1)),
+                  ("head.b2", (cfg.head2,)), ("head.W3", (cfg.d_v, cfg.head2)),
+                  ("head.b3", (cfg.d_v,))]
 
 
-def _level_input_dim(cfg: ModelConfig, m: int) -> int:
-    if m == 1:
-        return cfg.d_v
-    if cfg.variant in _HIDDEN_FED:
-        return cfg.hidden
-    return cfg.d_v  # stride-fed
+def param_count(cfg: ModelConfig) -> int:
+    """Parameters of the model `cfg` describes, without building it."""
+    return sum(math.prod(shape) for _, shape in param_layout(cfg))
 
 
 @dataclass
 class Model:
-    """Parameters of every level's cell and of the head.
+    """A model's level table and parameters.
 
-    All of them live in one flat float64 buffer, `theta`, in `tensors()`
-    order; each cell's W/b and the head's W1..b3 are reshaped views of it.
-    Updating `theta` in place therefore updates the cells and the head.
+    The parameters live in one flat float64 buffer, `theta`, laid out by
+    `param_layout`; each cell's W/b and the head's W1..b3 are reshaped views
+    of it.  Updating `theta` in place therefore updates the cells and the
+    head.  `Model(cfg)` holds zeros; `build_model` draws the initial values.
     """
-    cells: list[LstmParams]
-    head: HeadParams
     config: ModelConfig
+    levels: list[Level] = field(init=False, repr=False)
+    layout: list[tuple[str, tuple[int, ...]]] = field(init=False, repr=False)
     theta: np.ndarray = field(init=False, repr=False)
+    cells: list[LstmParams] = field(init=False, repr=False)
+    head: HeadParams = field(init=False, repr=False)
 
     def __post_init__(self):
-        owners = [(obj, name) for obj in (*self.cells, self.head)
-                  for name, _ in obj.tensors()]
-        self.theta = np.concatenate([as_f64(arr).ravel() for _, arr in self.tensors()])
-        for (obj, name), view in zip(owners, self.views(self.theta)):
-            setattr(obj, name, view)
+        cfg = self.config
+        self.levels = level_table(cfg)
+        self.layout = param_layout(cfg)
+        self.theta = np.zeros(sum(math.prod(shape) for _, shape in self.layout))
+        views = self.views(self.theta)
+        self.cells = [LstmParams(W=views[2 * m], b=views[2 * m + 1], d_in=level.d_in,
+                                 h=cfg.hidden) for m, level in enumerate(self.levels)]
+        self.head = HeadParams(*views[2 * len(self.levels):], d_v=cfg.d_v,
+                               n_states=len(self.levels), h=cfg.hidden)
 
     def tensors(self) -> list[tuple[str, np.ndarray]]:
-        out = []
-        for m, cell in enumerate(self.cells):
-            for name, arr in cell.tensors():
-                out.append((f"cell{m}.{name}", arr))
-        for name, arr in self.head.tensors():
-            out.append((f"head.{name}", arr))
-        return out
+        return [(name, view) for (name, _), view in zip(self.layout, self.views(self.theta))]
 
     def views(self, flat: np.ndarray) -> list[np.ndarray]:
         """Reshaped views of a flat buffer laid out like `theta`, one per tensor."""
         out, off = [], 0
-        for _, arr in self.tensors():
-            out.append(flat[off:off + arr.size].reshape(arr.shape))
-            off += arr.size
+        for _, shape in self.layout:
+            size = math.prod(shape)
+            out.append(flat[off:off + size].reshape(shape))
+            off += size
         return out
 
     @property
@@ -268,21 +307,13 @@ class ModelGrads:
 
 
 def build_model(cfg: ModelConfig) -> Model:
-    cfg.validate()
-    cells = []
-    for m in range(1, cfg.levels + 1):
-        cells.append(init_lstm(_level_input_dim(cfg, m), cfg.hidden, cfg.seed,
-                               stream=(0, m), forget_bias=cfg.forget_bias))
-    head = init_head(cfg.d_v, cfg.levels, cfg.hidden, cfg.head1, cfg.head2,
-                     cfg.seed, stream=(1,))
-    return Model(cells=cells, head=head, config=cfg)
-
-
-def param_count(cfg: ModelConfig) -> int:
-    """Parameters of the model `build_model(cfg)` builds, without building it."""
-    upper = lstm_param_count(_level_input_dim(cfg, 2), cfg.hidden) if cfg.levels > 1 else 0
-    return (lstm_param_count(cfg.d_v, cfg.hidden) + (cfg.levels - 1) * upper
-            + head_param_count(cfg.d_v, cfg.levels, cfg.hidden, cfg.head1, cfg.head2))
+    """A fresh model: each tensor is drawn straight into its view of `theta`,
+    level m's cell from RNG stream (0, m) and the head from stream (1,)."""
+    model = Model(cfg)
+    for m, cell in enumerate(model.cells, start=1):
+        draw_lstm(cell, cfg.seed, stream=(0, m), forget_bias=cfg.forget_bias)
+    draw_head(model.head, cfg.seed, stream=(1,))
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +330,9 @@ class PhaseStateBank:
 
 
 def new_bank(model: Model, batch: int | None = None) -> PhaseStateBank:
-    cfg = model.config
-    states = [[LstmState.zeros(cfg.hidden, batch) for _ in range(_n_phases(cfg, m))]
-              for m in range(1, cfg.levels + 1)]
-    return PhaseStateBank(states=states)
+    h = model.config.hidden
+    return PhaseStateBank(states=[[LstmState.zeros(h, batch) for _ in range(level.phases)]
+                                  for level in model.levels])
 
 
 @dataclass
@@ -322,6 +352,12 @@ def _window_sum(xs: list[np.ndarray]) -> np.ndarray:
     return inp
 
 
+def _stride_fed(model: Model) -> bool:
+    """Whether a level consumes the stride-K window sum, so that the bank
+    must keep the last K inputs."""
+    return any(level.source == "stride" for level in model.levels)
+
+
 def model_step(model: Model, bank: PhaseStateBank, x_t, mode: str = "eval",
                rng: np.random.Generator | None = None, record: bool = True,
                head: bool = True):
@@ -336,15 +372,15 @@ def model_step(model: Model, bank: PhaseStateBank, x_t, mode: str = "eval",
     cfg = model.config
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode: must be train|eval, got {mode!r}")
-    if len(bank.states) != cfg.levels or any(
-            len(bank.states[m - 1]) != _n_phases(cfg, m) for m in range(1, cfg.levels + 1)):
+    if len(bank.states) != len(model.levels) or any(
+            len(states) != level.phases for states, level in zip(bank.states, model.levels)):
         raise ConfigError("model_step: bank layout does not match model config")
     x = as_f64(x_t)
     if x.shape[-1] != cfg.d_v:
         raise ShapeError(f"model_step: input dim {x.shape[-1]} != d_v {cfg.d_v}")
     t = bank.t
 
-    if cfg.variant in _STRIDE_FED:
+    if _stride_fed(model):
         bank.recent.append((t, x))
         if len(bank.recent) > cfg.granularity:
             bank.recent.pop(0)
@@ -352,24 +388,23 @@ def model_step(model: Model, bank: PhaseStateBank, x_t, mode: str = "eval",
     updates = []
     head_phases = []
     hiddens = []
-    lower_h = None
-    for m in range(1, cfg.levels + 1):
-        q = _phase_at(cfg, m, t)
-        if _updates_at(cfg, m, t):
-            if m == 1:
-                inp, strided = x, None
-            elif cfg.variant in _HIDDEN_FED:
-                inp, strided = lower_h, None
-            else:
+    for m, (level, cell, states) in enumerate(zip(model.levels, model.cells, bank.states),
+                                              start=1):
+        q = level.phase(t)
+        if level.fires(t):
+            strided = None
+            if level.source == "below":
+                inp = hiddens[-1]
+            elif level.source == "stride":
                 inp = _window_sum([xr for _, xr in bank.recent])
                 strided = [ti for ti, _ in bank.recent]
-            new_state, tape = lstm_step(model.cells[m - 1], inp, bank.states[m - 1][q])
-            bank.states[m - 1][q] = new_state
+            else:
+                inp = x
+            states[q], tape = lstm_step(cell, inp, states[q])
             if record:
                 updates.append((m, q, tape, strided))
         head_phases.append(q)
-        lower_h = bank.states[m - 1][q].h
-        hiddens.append(lower_h)
+        hiddens.append(states[q].h)
 
     if head:
         vhat, head_tape = head_forward(model.head, x, hiddens, slope=cfg.leaky_slope,
@@ -457,7 +492,7 @@ def _observe(model: Model, seed_vels: np.ndarray, origin: np.ndarray, mode: str,
     at t=S-1).  Step-major when tapes are kept or in train mode (dropout draws
     follow time order), otherwise level-major.  Either way the head runs only
     at t=S-1; the step-major seed still draws the skipped steps' dropout masks."""
-    is_pose = model.config.variant == "single_layer_pose"
+    is_pose = model.levels[0].source == "pose"
     pose = origin.copy()
     xs = []
     for t in range(seed_vels.shape[1]):
@@ -483,7 +518,7 @@ def _feed_back(model: Model, bank: PhaseStateBank, v, n_steps: int, mode: str, r
     """Forecast stage: from the first prediction v, feed each prediction back
     as the next input for n_steps - 1 steps.  Returns the n_steps predictions;
     step records are appended to `records` when it is a list."""
-    is_pose = model.config.variant == "single_layer_pose"
+    is_pose = model.levels[0].source == "pose"
     pose = bank.last_pose
     preds = [v]
     for _ in range(1, n_steps):
@@ -508,50 +543,51 @@ def _level_major_seed(model: Model, xs: list[np.ndarray]):
     is known, so level m depends only on level m-1's outputs and its phase
     sequences are independent of each other.  Level m therefore runs in
     rounds: round r stacks the r-th update of every phase that has one into
-    a single lstm_step of (phases * B) rows.  Which phase fires when is read
-    from `_updates_at`/`_phase_at`, as in `model_step`.  Returns the bank at
-    t = S, matching S calls of `model_step`, and the prediction at t = S-1.
+    a single lstm_step of (phases * B) rows.  Which phase fires when, and on
+    what input, is read from the level table, as in `model_step`.  Returns
+    the bank at t = S, matching S calls of `model_step`, and the prediction
+    at t = S-1.
     """
     cfg = model.config
     S, B = len(xs), xs[0].shape[0]
     bank = new_bank(model, batch=B)
     below = xs  # per step: the freshest hidden output of the level below
-    for m in range(1, cfg.levels + 1):
-        states = bank.states[m - 1]
+    for m, (level, cell, states) in enumerate(zip(model.levels, model.cells, bank.states),
+                                              start=1):
         fires = [[] for _ in states]  # per phase, the steps at which it updates
         for t in range(S):
-            if _updates_at(cfg, m, t):
-                fires[_phase_at(cfg, m, t)].append(t)
-        if m == 1:
-            inputs = xs
-        elif cfg.variant in _HIDDEN_FED:
+            if level.fires(t):
+                fires[level.phase(t)].append(t)
+        if level.source == "below":
             inputs = below
-        else:
+        elif level.source == "stride":
             K = cfg.granularity
             inputs = {t: _window_sum(xs[max(0, t - K + 1):t + 1]) for ts in fires for t in ts}
+        else:
+            inputs = xs
         out = {}
         for r in range(max(map(len, fires))):
             batch = [(q, ts[r]) for q, ts in enumerate(fires) if len(ts) > r]
             x = _cat_rows([inputs[t] for _, t in batch])
             state = LstmState(_cat_rows([states[q].h for q, _ in batch]),
                               _cat_rows([states[q].c for q, _ in batch]))
-            new, _ = lstm_step(model.cells[m - 1], x, state)
+            new, _ = lstm_step(cell, x, state)
             for i, (q, t) in enumerate(batch):
                 rows = slice(i * B, (i + 1) * B)
                 states[q] = LstmState(new.h[rows], new.c[rows])
                 out[t] = states[q].h
-        if m < cfg.levels:
+        if m < len(model.levels):
             latest = [np.zeros((B, cfg.hidden))] * len(states)
             below = []
             for t in range(S):
-                q = _phase_at(cfg, m, t)
+                q = level.phase(t)
                 latest[q] = out.get(t, latest[q])
                 below.append(latest[q])
     t = S - 1
-    hiddens = [bank.states[m - 1][_phase_at(cfg, m, t)].h for m in range(1, cfg.levels + 1)]
+    hiddens = [states[level.phase(t)].h for level, states in zip(model.levels, bank.states)]
     vhat, _ = head_forward(model.head, xs[t], hiddens, slope=cfg.leaky_slope)
     bank.t = S
-    if cfg.variant in _STRIDE_FED:
+    if _stride_fed(model):
         bank.recent = [(ti, xs[ti]) for ti in range(max(0, S - cfg.granularity), S)]
     return bank, vhat
 
@@ -631,7 +667,7 @@ def rollout_backward(model: Model, records: list[StepRecord], n_obs: int,
     T = S + n_pred - 1
     if len(records) != T:
         raise ShapeError(f"rollout_backward: {len(records)} records, expected {T}")
-    is_pose = cfg.variant == "single_layer_pose"
+    is_pose = model.levels[0].source == "pose"
     B = d_preds.shape[1]
 
     if grads is None:
@@ -644,8 +680,8 @@ def rollout_backward(model: Model, records: list[StepRecord], n_obs: int,
     cell_sums = [_WeightGradSum(g.dW, g.db, B) for g in grads.cells]
     # pending gradient w.r.t. the latest produced state of each (level, phase)
     h = cfg.hidden
-    gs = [[[np.zeros((B, h)), np.zeros((B, h))] for _ in range(_n_phases(cfg, m))]
-          for m in range(1, cfg.levels + 1)]
+    gs = [[[np.zeros((B, h)), np.zeros((B, h))] for _ in range(level.phases)]
+          for level in model.levels]
     # gradient w.r.t. the input stream value at each step (velocity, or pose
     # for the pose-input variant)
     d_x = [np.zeros((B, cfg.d_v)) for _ in range(T)]
@@ -676,13 +712,14 @@ def rollout_backward(model: Model, records: list[StepRecord], n_obs: int,
             cell_sums[m - 1].push(dpre, tape.x, tape.h_prev)
             gs[m - 1][q] = [dz[:, cell.d_in:], dc_prev]
             d_inp = dz[:, :cell.d_in]
-            if m == 1:
-                d_x[t] += d_inp
-            elif strided is None:
+            source = model.levels[m - 1].source
+            if source == "below":
                 gs[m - 2][rec.head_phases[m - 2]][0] += d_inp
-            else:
+            elif source == "stride":
                 for ti in strided:
                     d_x[ti] += d_inp
+            else:
+                d_x[t] += d_inp
     for acc in (*head_sums, *cell_sums):
         acc.flush()
     return grads

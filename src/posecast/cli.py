@@ -68,7 +68,7 @@ def _coerce(cls, raw: dict, *, path="config"):
             raise ConfigError(f"{path}: unknown key {key!r}")
         ftype = fields[key].type
         try:
-            if value == "none":
+            if value == "none" and "None" in str(ftype):
                 kwargs[key] = None
             elif "int" in str(ftype):
                 kwargs[key] = int(value)
@@ -84,6 +84,8 @@ def _coerce(cls, raw: dict, *, path="config"):
 def model_config_from_file(path, default_d_v: int | None = None) -> ModelConfig:
     raw = read_kv_config(path)
     kwargs = _coerce(ModelConfig, raw, path=path)
+    if "variant" not in kwargs:
+        raise ConfigError(f"{path}: variant missing")
     if "d_v" not in kwargs:
         if default_d_v is None:
             raise ConfigError(f"{path}: d_v missing and not derivable")
@@ -225,17 +227,12 @@ def cmd_forecast(args) -> int:
     return 0
 
 
-_ABLATION_LEVELS = {
-    "single_layer_pose": 1, "single_layer_vel": 1, "stacked2_vel": 2,
-    "double_scale_vel": 2, "double_scale_hier_vel": 2,
-    "double_scale_phase_vel": 2, "tp_rnn": None,  # None: keep configured levels
-}
-
-
 def cmd_ablate(args) -> int:
     manifest = load_manifest(args.manifest)
     tcfg = train_config_from_file(args.train_config)
     base = model_config_from_file(args.model_config, default_d_v=manifest.dim)
+    if base.d_v != manifest.dim:
+        raise ConfigError(f"model d_v {base.d_v} != dataset dim {manifest.dim}")
     train_seqs = load_split(manifest, "train")
     test_seqs = load_split(manifest, "test")
     data = TrainingData(sequences=train_seqs, seed_len=tcfg.seed_len,
@@ -250,11 +247,12 @@ def cmd_ablate(args) -> int:
     for variant in variants:
         if variant not in VARIANTS:
             raise ConfigError(f"unknown variant {variant!r}")
-        levels = _ABLATION_LEVELS[variant] or max(2, base.levels)
-        cfg = dataclasses.replace(base, variant=variant, levels=levels,
-                                  granularity=2 if levels == 2 else base.granularity)
-        cfg.validate()
-        model = build_model(cfg)
+        # a variant with a configured level count runs at least two levels;
+        # every two-level model runs at K=2, the double-scale variants' K
+        levels = VARIANTS[variant].levels or max(2, base.levels)
+        model = build_model(dataclasses.replace(
+            base, variant=variant, levels=levels,
+            granularity=2 if levels == 2 else base.granularity))
         model, trace, _ = train_loop(model, data, tcfg, out_dir=out / variant)
         write_trace(out / variant / "loss_trace.csv", trace)
         rep, zero_rep = evaluate.evaluate_mae(model, windows, horizons)

@@ -33,18 +33,18 @@ __all__ = [
     "LstmState",
     "LstmGrads",
     "init_lstm",
+    "draw_lstm",
     "lstm_step",
     "lstm_step_backward",
     "lstm_gate_backward",
     "HeadParams",
     "HeadGrads",
     "init_head",
+    "draw_head",
     "head_forward",
     "head_skip",
     "head_backward",
     "head_layer_backward",
-    "lstm_param_count",
-    "head_param_count",
     "GradCheckReport",
     "grad_check",
 ]
@@ -102,22 +102,38 @@ class LstmGrads:
         return [self.dW, self.db]
 
 
-def lstm_param_count(d_in: int, h: int) -> int:
-    return 4 * h * (d_in + h + 1)
+# Elements per `rng.uniform` call in `_draw_uniform`: its temporaries are
+# block-sized, never tensor-sized.
+_DRAW_BLOCK = 1 << 16
+
+
+def _draw_uniform(rng: np.random.Generator, bound: float, out: np.ndarray):
+    """Fill the C-contiguous `out` with the values, in the same order, that
+    `rng.uniform(-bound, bound, size=out.shape)` returns, _DRAW_BLOCK at a
+    time: each element consumes one draw, so blocking changes no value."""
+    flat = out.reshape(-1)
+    for i in range(0, flat.size, _DRAW_BLOCK):
+        block = flat[i:i + _DRAW_BLOCK]
+        block[...] = rng.uniform(-bound, bound, size=block.size)
 
 
 def init_lstm(d_in: int, h: int, seed: int, *, stream: tuple = (),
               forget_bias: float = 1.0) -> LstmParams:
-    """Weights uniform in [-1/sqrt(h), 1/sqrt(h)]; forget-gate bias slice
-    set to `forget_bias` (default 1.0), other biases zero."""
+    """A new cell initialized by `draw_lstm`."""
     if d_in < 1 or h < 1:
         raise ConfigError(f"init_lstm: d_in and h must be >= 1, got {d_in}, {h}")
-    rng = seeded_rng(seed, *stream)
-    bound = 1.0 / math.sqrt(h)
-    W = rng.uniform(-bound, bound, size=(4 * h, d_in + h))
-    b = np.zeros(4 * h)
-    b[h:2 * h] = forget_bias
-    return LstmParams(W=W, b=b, d_in=d_in, h=h)
+    p = LstmParams(W=np.empty((4 * h, d_in + h)), b=np.empty(4 * h), d_in=d_in, h=h)
+    draw_lstm(p, seed, stream=stream, forget_bias=forget_bias)
+    return p
+
+
+def draw_lstm(p: LstmParams, seed: int, *, stream: tuple = (), forget_bias: float = 1.0):
+    """Initialize p's arrays in place: weights uniform in [-1/sqrt(h),
+    1/sqrt(h)] from RNG stream (seed, *stream); forget-gate bias slice set to
+    `forget_bias` (default 1.0), other biases zero."""
+    _draw_uniform(seeded_rng(seed, *stream), 1.0 / math.sqrt(p.h), p.W)
+    p.b[...] = 0.0
+    p.b[p.h:2 * p.h] = forget_bias
 
 
 @dataclass
@@ -247,25 +263,25 @@ class HeadGrads:
         return [self.dW1, self.db1, self.dW2, self.db2, self.dW3, self.db3]
 
 
-def head_param_count(d_v: int, n_states: int, h: int, h1: int, h2: int) -> int:
-    d_in = d_v + n_states * h
-    return (d_in + 1) * h1 + (h1 + 1) * h2 + (h2 + 1) * d_v
-
-
 def init_head(d_v: int, n_states: int, h: int, h1: int, h2: int, seed: int,
               *, stream: tuple = ()) -> HeadParams:
-    """Uniform [-1/sqrt(fan_in), 1/sqrt(fan_in)] weights per layer, zero biases."""
+    """A new head initialized by `draw_head`."""
     if min(d_v, n_states, h, h1, h2) < 1:
         raise ConfigError("init_head: all dimensions must be >= 1")
-    d_in = d_v + n_states * h
-    dims = [(h1, d_in), (h2, h1), (d_v, h2)]
-    Ws = []
-    for li, (rows, cols) in enumerate(dims):
-        rng = seeded_rng(seed, *stream, li)
-        bound = 1.0 / math.sqrt(cols)
-        Ws.append(rng.uniform(-bound, bound, size=(rows, cols)))
-    return HeadParams(W1=Ws[0], b1=np.zeros(h1), W2=Ws[1], b2=np.zeros(h2),
-                      W3=Ws[2], b3=np.zeros(d_v), d_v=d_v, n_states=n_states, h=h)
+    hp = HeadParams(W1=np.empty((h1, d_v + n_states * h)), b1=np.empty(h1),
+                    W2=np.empty((h2, h1)), b2=np.empty(h2), W3=np.empty((d_v, h2)),
+                    b3=np.empty(d_v), d_v=d_v, n_states=n_states, h=h)
+    draw_head(hp, seed, stream=stream)
+    return hp
+
+
+def draw_head(hp: HeadParams, seed: int, *, stream: tuple = ()):
+    """Initialize hp's arrays in place: layer li's weights uniform in
+    [-1/sqrt(fan_in), 1/sqrt(fan_in)] from RNG stream (seed, *stream, li),
+    zero biases."""
+    for li, (W, b) in enumerate(((hp.W1, hp.b1), (hp.W2, hp.b2), (hp.W3, hp.b3))):
+        _draw_uniform(seeded_rng(seed, *stream, li), 1.0 / math.sqrt(W.shape[1]), W)
+        b[...] = 0.0
 
 
 @dataclass

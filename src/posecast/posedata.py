@@ -128,7 +128,10 @@ def downsample(p: PoseSequence, factor: int) -> PoseSequence:
 
 def make_windows(p: PoseSequence, seed_len: int, target_len: int,
                  stride: int) -> list[Window]:
-    """All maximal contiguous (seed, target) windows at the given stride."""
+    """All maximal contiguous (seed, target) windows at the given stride.
+
+    Seed and target keep the sequence's action label, for per-action reports;
+    the model never reads it."""
     if seed_len < 2:
         raise InputError(f"make_windows: seed_len must be >= 2, got {seed_len}")
     if target_len < 1 or stride < 1:
@@ -137,9 +140,11 @@ def make_windows(p: PoseSequence, seed_len: int, target_len: int,
     out = []
     for start in range(0, p.n_frames - total + 1, stride):
         seed = PoseSequence(frames=p.frames[start:start + seed_len].copy(),
-                            frame_interval_ms=p.frame_interval_ms, space=p.space)
+                            frame_interval_ms=p.frame_interval_ms, space=p.space,
+                            action=p.action)
         target = PoseSequence(frames=p.frames[start + seed_len:start + total].copy(),
-                              frame_interval_ms=p.frame_interval_ms, space=p.space)
+                              frame_interval_ms=p.frame_interval_ms, space=p.space,
+                              action=p.action)
         out.append(Window(seed=seed, target=target))
     return out
 

@@ -21,11 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint as ckpt
-from .arch import (Model, ModelConfig, ModelGrads, build_model, param_count,
+from .arch import (Model, ModelConfig, ModelGrads, param_count, param_layout,
                    rollout_backward, rollout_forward)
 from .errors import ConfigError, InputError, NumericError, ParseError, ShapeError
 from .numcore import as_f64, clip_global_norm
-from .posedata import PoseSequence, Window
+from .posedata import PoseSequence
 
 __all__ = [
     "TrainConfig",
@@ -36,7 +36,6 @@ __all__ = [
     "adam_step",
     "pose_loss_and_grad",
     "velocity_loss_and_grad",
-    "rollout_loss",
     "rollout_loss_batch",
     "train_loop",
     "resume_state",
@@ -44,6 +43,12 @@ __all__ = [
     "save_model_checkpoint",
     "load_model_checkpoint",
 ]
+
+
+# A batch's windows, tapes and gradient rows are all held at once.  The cap
+# turns an absurd batch (a typo such as 10**12) into a config error instead of
+# a MemoryError; it is far above any batch that trains well (the paper's is 16).
+MAX_BATCH_SIZE = 4096
 
 
 @dataclass
@@ -65,8 +70,9 @@ class TrainConfig:
     checkpoint_every: int = 0  # 0: final checkpoint only
 
     def validate(self) -> "TrainConfig":
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size: must be >= 1, got {self.batch_size}")
+        if not 1 <= self.batch_size <= MAX_BATCH_SIZE:
+            raise ConfigError(f"batch_size: must be in [1, {MAX_BATCH_SIZE}], "
+                              f"got {self.batch_size}")
         if self.lr0 <= 0:
             raise ConfigError(f"lr0: must be > 0, got {self.lr0}")
         if self.clip_norm <= 0:
@@ -223,16 +229,6 @@ def rollout_loss_batch(model: Model, seed_poses: np.ndarray,
     return loss, grads
 
 
-def rollout_loss(model: Model, window: Window, cfg: TrainConfig,
-                 mode: str = "train", rng: np.random.Generator | None = None):
-    """Single-window rollout loss; see rollout_loss_batch."""
-    if window.target.n_frames < 1:
-        raise InputError("rollout_loss: window target is empty")
-    return rollout_loss_batch(model, window.seed.frames[None, :, :],
-                              window.target.frames[None, :, :], cfg,
-                              mode=mode, rng=rng)
-
-
 # ---------------------------------------------------------------------------
 # Training loop
 
@@ -350,27 +346,28 @@ def load_model_checkpoint(path):
     """Rebuild a Model (and optional training state) from a checkpoint.
 
     Returns (model, meta, adam_state_or_None).  The meta block and the
-    tensors are checked against the model the config describes before it is
-    built; any mismatch raises ParseError.
+    tensors are checked against the parameter layout the config describes
+    before anything is allocated; any mismatch raises ParseError.  The model
+    is allocated once and filled from the file: no initial values are drawn.
     """
     meta, tensors = ckpt.load_checkpoint(path)
     cfg = _meta_config(path, meta, "model_config", ModelConfig)
-    # compare sizes before building, so a corrupt config cannot allocate more
-    # than the file holds
+    layout = param_layout(cfg)
+    # compare sizes first, so a corrupt config cannot allocate more than the
+    # file holds
     if sum(a.size for n, a in tensors.items() if not n.startswith("opt.")) != param_count(cfg):
         raise ParseError(f"{path}: checkpoint tensors do not match its model_config")
-    model = build_model(cfg)
-    named = model.tensors()
-    names = [n for n, _ in named]
+    names = [n for n, _ in layout]
     has_adam = f"opt.m.{names[0]}" in tensors
     for prefix in ("", "opt.m.", "opt.v.") if has_adam else ("",):
-        for name, arr in named:
+        for name, shape in layout:
             have = tensors.get(prefix + name)
             if have is None:
                 raise ParseError(f"{path}: checkpoint missing tensor {prefix + name!r}")
-            if have.shape != arr.shape:
+            if have.shape != shape:
                 raise ParseError(f"{path}: tensor {prefix + name!r} has shape {have.shape}, "
-                                 f"model_config needs {arr.shape}")
+                                 f"model_config needs {shape}")
+    model = Model(cfg)
     model.set_tensors([tensors[n] for n in names])
     adam = None
     if has_adam:

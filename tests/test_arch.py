@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from posecast.arch import (VARIANTS, Model, ModelConfig, ModelGrads, active_phase,
-                           build_model, forecast, logical_sequence_count,
-                           model_step, new_bank, observe, rollout_forward)
+from posecast.arch import (MAX_PHASES, VARIANTS, Model, ModelConfig, ModelGrads,
+                           active_phase, build_model, forecast, level_table,
+                           logical_sequence_count, model_step, new_bank, observe,
+                           param_count, param_layout, rollout_forward)
 from posecast.errors import ConfigError, InputError, NumericError, ShapeError
 from posecast.layers import init_lstm
 from posecast.metrics import zero_velocity_forecast
@@ -90,6 +91,78 @@ def test_exactly_one_phase_per_level_updates():
         _, rec = model_step(model, bank, x)
         levels = [m for m, _, _, _ in rec.updates]
         assert levels == [1, 2, 3, 4]
+
+
+# The schedule in closed form, as per-variant rules: the reference for the
+# level table (level m is 1-based).
+def _ref_phases(cfg, m):
+    if m == 1:
+        return 1
+    if cfg.variant == "tp_rnn":
+        return cfg.granularity ** (m - 1)
+    if cfg.variant == "double_scale_phase_vel":
+        return cfg.granularity
+    return 1
+
+
+def _ref_fires(cfg, m, t):
+    if m == 1 or cfg.variant in ("tp_rnn", "double_scale_phase_vel", "stacked2_vel"):
+        return True
+    return t % cfg.granularity == cfg.granularity - 1
+
+
+def _ref_source(cfg, m):
+    if m == 1:
+        return "pose" if cfg.variant == "single_layer_pose" else "velocity"
+    if cfg.variant in ("tp_rnn", "stacked2_vel", "double_scale_hier_vel"):
+        return "below"
+    return "stride"
+
+
+def _ref_valid(cfg):
+    if cfg.variant in ("single_layer_pose", "single_layer_vel"):
+        return cfg.levels == 1
+    if cfg.variant == "stacked2_vel":
+        return cfg.levels == 2
+    if cfg.variant.startswith("double_scale"):
+        return cfg.levels == 2 and cfg.granularity == 2
+    return cfg.granularity ** (cfg.levels - 1) <= MAX_PHASES
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_level_table_matches_the_closed_form_schedule(variant):
+    valid = 0
+    for M in range(1, 5):
+        for K in (2, 3):
+            cfg = tiny_cfg(variant=variant, levels=M, granularity=K)
+            try:
+                cfg.validate()
+            except ConfigError:
+                assert not _ref_valid(cfg)
+                continue
+            assert _ref_valid(cfg)
+            valid += 1
+            table = level_table(cfg)
+            assert len(table) == M
+            for m, level in enumerate(table, start=1):
+                source = _ref_source(cfg, m)
+                assert level.phases == _ref_phases(cfg, m)
+                assert level.source == source
+                assert level.d_in == (cfg.hidden if source == "below" else cfg.d_v)
+                for t in range(64):
+                    assert level.phase(t) == t % _ref_phases(cfg, m)
+                    assert level.fires(t) == _ref_fires(cfg, m, t)
+    assert valid
+
+
+def test_param_layout_is_the_built_models_layout():
+    for variant, levels in [("single_layer_pose", 1), ("double_scale_vel", 2),
+                            ("double_scale_hier_vel", 2), ("tp_rnn", 3)]:
+        cfg = tiny_cfg(variant=variant, levels=levels)
+        model = build_model(cfg)
+        assert [(n, a.shape) for n, a in model.tensors()] == param_layout(cfg)
+        assert param_count(cfg) == model.n_params
+        assert [c.d_in for c in model.cells] == [lv.d_in for lv in model.levels]
 
 
 # ---------------------------------------------------------------------------

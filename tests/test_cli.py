@@ -171,6 +171,37 @@ def test_train_negative_seed_exits_2(tmp_path):
                "--manifest", data / "manifest.txt", "--out", tmp_path / "r") == 2
 
 
+def test_train_huge_batch_size_exits_2(tmp_path, capsys):
+    data = synth(tmp_path)
+    mc, tc = _train_cfgs(tmp_path, iterations=2)
+    tc.write_text(tc.read_text().replace("batch_size=4", "batch_size=1000000000000"))
+    assert run("train", "--model-config", mc, "--train-config", tc,
+               "--manifest", data / "manifest.txt", "--out", tmp_path / "r") == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "batch_size" in err
+
+
+@pytest.mark.parametrize("key", ["hidden", "batch_size"])
+def test_none_for_a_field_that_takes_no_none_exits_2(tmp_path, capsys, key):
+    data = synth(tmp_path)
+    mc, tc = _train_cfgs(tmp_path, iterations=2)
+    cfg = mc if key == "hidden" else tc
+    cfg.write_text(cfg.read_text() + f"{key}=none\n")
+    assert run("train", "--model-config", mc, "--train-config", tc,
+               "--manifest", data / "manifest.txt", "--out", tmp_path / "r") == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+
+
+def test_model_config_without_variant_exits_2(tmp_path, capsys):
+    data = synth(tmp_path)
+    mc, tc = _train_cfgs(tmp_path, iterations=2)
+    mc.write_text(mc.read_text().replace("variant=tp_rnn\n", ""))
+    assert run("train", "--model-config", mc, "--train-config", tc,
+               "--manifest", data / "manifest.txt", "--out", tmp_path / "r") == 2
+    assert "variant missing" in capsys.readouterr().err
+
+
 def test_train_missing_manifest(tmp_path):
     mc, tc = _train_cfgs(tmp_path, iterations=10)
     assert run("train", "--model-config", mc, "--train-config", tc,
@@ -376,17 +407,30 @@ def test_forecast_is_deterministic(tmp_path):
     assert (tmp_path / "p1.csv").read_bytes() == (tmp_path / "p2.csv").read_bytes()
 
 
-# Written by `posecast eval` before the report writer was shared with ablate.
-# The data are dyadic rationals and the model is all zeros, so every error
-# is an exactly rounded square root: the bytes do not depend on the BLAS.
+# Written by `posecast eval`: the rows over all windows, then one block per
+# action label of the test split (walk: 2 sequences, 6 windows; jump: 3).
+# The data are dyadic rationals and the model is all zeros, so the bytes do
+# not depend on the BLAS.
 ZERO_MODEL_REPORT = """\
 predictor,action,horizon_ms,error,n_windows
 model,ALL,40,0.9263584893763424,9
 model,ALL,120,2.72652858880244,9
 model,ALL,200,4.547772381450772,9
+model,jump,40,1.1318813079129866,3
+model,jump,120,3.3541019662496847,3
+model,jump,200,5.5929639815241226,3
+model,walk,40,0.8235970801080202,6
+model,walk,120,2.4127419000788177,6
+model,walk,200,4.025176581414096,6
 zero_velocity,ALL,40,0.9263584893763424,9
 zero_velocity,ALL,120,2.72652858880244,9
 zero_velocity,ALL,200,4.547772381450772,9
+zero_velocity,jump,40,1.1318813079129866,3
+zero_velocity,jump,120,3.3541019662496847,3
+zero_velocity,jump,200,5.5929639815241226,3
+zero_velocity,walk,40,0.8235970801080202,6
+zero_velocity,walk,120,2.4127419000788177,6
+zero_velocity,walk,200,4.025176581414096,6
 """
 
 
@@ -403,6 +447,37 @@ def test_eval_report_bytes_are_pinned(tmp_path):
                tmp_path / "manifest.txt", "--seed-len", 10, "--target-len", 5,
                "--horizons", "40,120,200", "--out", tmp_path / "r.csv") == 0
     assert (tmp_path / "r.csv").read_text() == ZERO_MODEL_REPORT
+
+
+def test_relabelling_changes_report_rows_not_predictions(tmp_path):
+    # labels are report metadata: the same test sequences under other labels
+    # give the same predictions bit for bit and the same ALL rows
+    from posecast.evaluate import batched_forecast_poses, collect_windows
+    from posecast.posedata import load_manifest, load_split
+
+    data = synth(tmp_path, n_seq=5)
+    model = build_model(ModelConfig(variant="tp_rnn", d_v=3, granularity=2, levels=3,
+                                    hidden=4, head1=5, head2=4, seed=2))
+    ck = tmp_path / "model.bin"
+    save_model_checkpoint(ck, model)
+    reports, preds = [], []
+    for labels in (["walk", "walk", "jump"], ["a", "b", "b"]):
+        manifest = data / f"manifest_{labels[-1]}.txt"
+        manifest.write_text("".join(
+            f"seq_{i:03d}.csv,{'train' if i < 2 else 'test'},"
+            f"{'x' if i < 2 else labels[i - 2]},3,40.0\n" for i in range(5)))
+        out = tmp_path / f"report_{labels[-1]}.csv"
+        assert run("eval", "--checkpoint", ck, "--manifest", manifest, "--seed-len", 10,
+                   "--target-len", 5, "--out", out) == 0
+        reports.append(out.read_text().splitlines())
+        windows = collect_windows(load_split(load_manifest(manifest), "test"), 10, 5)
+        assert {w.target.action for w in windows} == set(labels)
+        preds.append(batched_forecast_poses(model, windows).tobytes())
+    assert preds[0] == preds[1]
+    all_rows = [[r for r in rep if ",ALL," in r] for rep in reports]
+    assert all_rows[0] == all_rows[1] and all_rows[0]
+    actions = [{r.split(",")[1] for r in rep[1:]} - {"ALL"} for rep in reports]
+    assert actions == [{"walk", "jump"}, {"a", "b"}]
 
 
 def test_report_rows_per_action_follow_the_all_rows(tmp_path):
@@ -470,6 +545,58 @@ def test_ablate_report_rows_match_the_trained_checkpoint(tmp_path):
     for name, r in (("model", rep), ("zero_velocity", zero)):
         want += [f"{name},ALL,{hz},{r.errors[hz]!r},{r.n_windows}" for hz in (40, 160)]
     assert (out / "tp_rnn" / "report.csv").read_text() == "\n".join(want) + "\n"
+
+
+# The (levels, granularity) each variant ran at before the level table
+# drove `ablate`: a fixed level count, or the configured one (None) but at
+# least 2, and K=2 for every two-level model.
+ABLATION_LEVELS = {
+    "single_layer_pose": 1, "single_layer_vel": 1, "stacked2_vel": 2,
+    "double_scale_vel": 2, "double_scale_hier_vel": 2,
+    "double_scale_phase_vel": 2, "tp_rnn": None,
+}
+
+
+def test_ablate_builds_each_variant_at_its_ladder_levels(tmp_path, monkeypatch):
+    import posecast.cli as cli_mod
+
+    built = []
+    real_build = cli_mod.build_model
+
+    def build(cfg):
+        built.append((cfg.variant, cfg.levels, cfg.granularity))
+        return real_build(cfg)
+
+    def no_training(model, data, cfg, out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        return model, [], []
+
+    monkeypatch.setattr(cli_mod, "build_model", build)
+    monkeypatch.setattr(cli_mod, "train_loop", no_training)
+    data = synth(tmp_path)
+    _, tc = _train_cfgs(tmp_path, iterations=1)
+    for M in (1, 2, 3):
+        for K in (2, 3):
+            mc = write_cfg(tmp_path / "model.cfg", variant="tp_rnn", granularity=K,
+                           levels=M, hidden=4, head1=5, head2=4)
+            built.clear()
+            assert run("ablate", "--model-config", mc, "--train-config", tc,
+                       "--manifest", data / "manifest.txt", "--out", tmp_path / "a") == 0
+            want = []
+            for variant, fixed in ABLATION_LEVELS.items():
+                levels = fixed or max(2, M)
+                want.append((variant, levels, 2 if levels == 2 else K))
+            assert built == want
+
+
+def test_ablate_dim_mismatch_exits_2(tmp_path, capsys):
+    data = synth(tmp_path, dim=3)
+    mc = write_cfg(tmp_path / "model5.cfg", variant="tp_rnn", levels=2, hidden=4,
+                   head1=5, head2=4, d_v=5)
+    _, tc = _train_cfgs(tmp_path, iterations=2)
+    assert run("ablate", "--model-config", mc, "--train-config", tc,
+               "--manifest", data / "manifest.txt", "--out", tmp_path / "a") == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_ablate_unknown_variant(tmp_path):

@@ -1,8 +1,8 @@
 """Exit-code contract under corrupted inputs.
 
-Corrupt checkpoint meta, checkpoint bytes and manifest rows, run
-`posecast forecast`, `posecast eval` and `posecast train --resume`
-in-process, and require a documented exit code (0 success, 2 config,
+Corrupt checkpoint meta, checkpoint bytes, config files and manifest rows,
+run `posecast forecast`, `posecast eval`, `posecast train --resume` and
+`posecast ablate` in-process, and require a documented exit code (0 success, 2 config,
 3 input, 4 numeric, 5 I/O) with nothing raised: a bad input file never ends
 in a traceback.
 """
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from posecast.arch import ModelConfig, build_model
+from posecast.arch import VARIANTS, ModelConfig, build_model
 from posecast.checkpoint import MAGIC, save_checkpoint
 from posecast.cli import main
 from posecast.posedata import load_manifest, load_split, save_sequence, synth_multiscale
@@ -149,11 +149,8 @@ row_edits = st.one_of(
 )
 
 
-@FUZZ
-@given(edits=st.lists(row_edits, min_size=1, max_size=4),
-       protocol=st.sampled_from(["mae", "pck"]))
-def test_corrupt_manifest_rows(base, edits, protocol):
-    rows = [r.split(",") for r in base["rows"]]
+def _edit_rows(rows, edits):
+    """Apply manifest row edits in place to rows split into fields."""
     for op, i, j, token in edits:
         if op == "line":
             rows.insert(min(i, len(rows)), [token])
@@ -165,6 +162,14 @@ def test_corrupt_manifest_rows(base, edits, protocol):
                     rows[i][j] = token
                 else:
                     del rows[i][j]
+
+
+@FUZZ
+@given(edits=st.lists(row_edits, min_size=1, max_size=4),
+       protocol=st.sampled_from(["mae", "pck"]))
+def test_corrupt_manifest_rows(base, edits, protocol):
+    rows = [r.split(",") for r in base["rows"]]
+    _edit_rows(rows, edits)
     path = base["dir"] / "manifest_fuzz.txt"
     path.write_text("\n".join(",".join(r) for r in rows) + "\n")
     rc = _eval(base, base["dir"] / "model.bin", path, protocol)
@@ -187,19 +192,21 @@ def train_base(base):
 
 
 TOP_KEYS = ["kind", "train_config", "iteration", "rng_state"]
-# A train_config may ask for 10^12 iterations or a batch of 10^12 windows; that
-# is a (huge) valid run, not a malformed file, so such values are not drawn.
-TRAIN_VALUES = [v for v in ODD_VALUES if v != 10 ** 12]
+# A train_config may ask for 10^12 iterations: that is a valid, endless run,
+# not a malformed file, so that one value is not drawn for that one key.
+TRAIN_KEYS = sorted(TrainConfig.__dataclass_fields__)
 
 resume_edits = st.one_of(
     st.tuples(st.just("drop"), st.sampled_from(TOP_KEYS), st.none()),
     st.tuples(st.just("set"), st.sampled_from(TOP_KEYS), st.sampled_from(ODD_VALUES)),
-    st.tuples(st.just("train_config"), st.sampled_from(sorted(TrainConfig.__dataclass_fields__)),
-              st.sampled_from(TRAIN_VALUES)),
+    st.tuples(st.just("train_config"), st.sampled_from([k for k in TRAIN_KEYS
+                                                        if k != "iterations"]),
+              st.sampled_from(ODD_VALUES)),
+    st.tuples(st.just("train_config"), st.just("iterations"),
+              st.sampled_from([v for v in ODD_VALUES if v != 10 ** 12])),
     st.tuples(st.just("train_config"), st.sampled_from(["momentum", ""]),
               st.sampled_from(ODD_VALUES)),
-    st.tuples(st.just("train_config_drop"),
-              st.sampled_from(sorted(TrainConfig.__dataclass_fields__)), st.none()),
+    st.tuples(st.just("train_config_drop"), st.sampled_from(TRAIN_KEYS), st.none()),
     st.tuples(st.just("rng_state"), st.sampled_from(["bit_generator", "state",
                                                      "has_uint32", "uinteger"]),
               st.sampled_from(ODD_VALUES)),
@@ -226,4 +233,68 @@ def test_corrupt_train_resume_meta(train_base, edits):
     with np.errstate(all="ignore"):
         rc = main(["train", "--resume", str(path), "--manifest", str(d / "manifest.txt"),
                    "--out", str(d / "resumed"), "--log-every", "1000"])
+    assert rc in EXIT_CODES
+
+
+# `ablate` trains every variant it is given, so each example must stay cheap:
+# the keys that set how much work a run does (iterations and the layer widths)
+# draw only small values and are never dropped, since their defaults are a
+# 100k-iteration run of 1024-wide cells.  At most two iterations at width <= 3
+# train each variant in a few milliseconds.  Every other key also draws values
+# far out of range, or is dropped.
+SMALL_KEYS = {"iterations", "hidden", "head1", "head2"}
+CONFIG_TOKENS = ["", "-1", "0", "1", "2", "3", "0.5", "1e400", "nan", "inf", "none",
+                 "abc", "tp_rnn", "single_layer_pose", "double_scale_vel", "adam",
+                 "velocity", "1000000000000"]
+SMALL_TOKENS = ["", "-1", "0", "1", "2", "nan", "none", "abc"]
+ABLATE_MODEL = {"variant": "tp_rnn", "granularity": "2", "levels": "2", "hidden": "3",
+                "head1": "3", "head2": "2", "seed": "0"}
+ABLATE_TRAIN = {"iterations": "2", "batch_size": "2", "seed_len": "6", "target_len": "3",
+                "seed": "0"}
+
+
+def _config_edits(kind, keys):
+    free = [k for k in keys if k not in SMALL_KEYS]
+    return st.one_of(
+        st.tuples(st.just(kind), st.sampled_from(free), st.sampled_from(CONFIG_TOKENS)),
+        st.tuples(st.just(kind), st.sampled_from(sorted(SMALL_KEYS & set(keys))),
+                  st.sampled_from(SMALL_TOKENS)),
+        st.tuples(st.just(kind), st.sampled_from(free), st.none()),  # drop the key
+        st.tuples(st.just(kind), st.sampled_from(["colour", "=", "x y"]),
+                  st.sampled_from(CONFIG_TOKENS)),
+    )
+
+
+ablate_edits = st.one_of(
+    _config_edits("model", sorted(ModelConfig.__dataclass_fields__)),
+    _config_edits("train", TRAIN_KEYS),
+    st.tuples(st.just("row"), st.none(), row_edits),
+)
+
+
+@FUZZ
+@given(edits=st.lists(ablate_edits, min_size=1, max_size=3),
+       variants=st.lists(st.sampled_from([*VARIANTS, "gru"]), min_size=1, max_size=3,
+                         unique=True))
+def test_corrupt_ablate_inputs(base, edits, variants):
+    model, train = dict(ABLATE_MODEL), dict(ABLATE_TRAIN)
+    rows = [r.split(",") for r in base["rows"]]
+    for op, key, value in edits:
+        if op == "row":
+            _edit_rows(rows, [value])
+            continue
+        cfg = model if op == "model" else train
+        if value is None:
+            cfg.pop(key, None)
+        else:
+            cfg[key] = value
+    d = base["dir"]
+    for name, cfg in (("ablate_model.cfg", model), ("ablate_train.cfg", train)):
+        (d / name).write_text("".join(f"{k}={v}\n" for k, v in cfg.items()))
+    (d / "ablate_manifest.txt").write_text("\n".join(",".join(r) for r in rows) + "\n")
+    with np.errstate(all="ignore"):
+        rc = main(["ablate", "--model-config", str(d / "ablate_model.cfg"),
+                   "--train-config", str(d / "ablate_train.cfg"),
+                   "--manifest", str(d / "ablate_manifest.txt"),
+                   "--variants", ",".join(variants), "--out", str(d / "ablation")])
     assert rc in EXIT_CODES

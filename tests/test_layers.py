@@ -5,9 +5,8 @@ import pytest
 
 from posecast.errors import ConfigError, ShapeError
 from posecast.layers import (HeadParams, LstmParams, LstmState, grad_check,
-                             head_backward, head_forward, head_param_count,
-                             init_head, init_lstm, lstm_param_count, lstm_step,
-                             lstm_step_backward)
+                             head_backward, head_forward, init_head, init_lstm,
+                             lstm_step, lstm_step_backward)
 
 
 def _zeroed(p: LstmParams) -> LstmParams:
@@ -41,7 +40,6 @@ def test_init_lstm_bound():
 def test_lstm_param_count_closed_form():
     # 4h(d_in + h + 1) with d_in=3, h=4 -> 128, checked against stored floats
     p = init_lstm(3, 4, seed=1)
-    assert lstm_param_count(3, 4) == 128
     assert p.n_params == 128
     assert sum(a.size for _, a in p.tensors()) == 128
 
@@ -207,7 +205,6 @@ def test_lstm_backward_chained_input_gradient():
 def test_head_param_count_closed_form():
     hp = init_head(3, 2, 4, 5, 4, seed=0)
     expected = (3 + 2 * 4 + 1) * 5 + (5 + 1) * 4 + (4 + 1) * 3
-    assert head_param_count(3, 2, 4, 5, 4) == expected
     assert hp.n_params == expected
 
 

@@ -3,11 +3,11 @@ import pytest
 
 from posecast.arch import ModelConfig, build_model
 from posecast.errors import ConfigError, InputError, NumericError, ShapeError
-from posecast.posedata import PoseSequence, Window, synth_multiscale
-from posecast.train import (AdamState, TrainConfig, TrainingData, adam_step,
-                            load_model_checkpoint, lr_at, rollout_loss,
-                            rollout_loss_batch, save_model_checkpoint,
-                            sgd_step, train_loop, write_trace)
+from posecast.posedata import PoseSequence, synth_multiscale
+from posecast.train import (MAX_BATCH_SIZE, AdamState, TrainConfig, TrainingData,
+                            adam_step, load_model_checkpoint, lr_at,
+                            rollout_loss_batch, save_model_checkpoint, sgd_step,
+                            train_loop, write_trace)
 
 
 def tiny_model(variant="tp_rnn", levels=2, d_v=3, seed=0, **kw):
@@ -22,10 +22,9 @@ def zero_params(model):
 
 
 def window(frames, seed_len):
+    """One window as a batch of one: (seed (1, S, d), target (1, n, d))."""
     frames = np.asarray(frames, dtype=float)
-    seed = PoseSequence(frames=frames[:seed_len], frame_interval_ms=40.0)
-    target = PoseSequence(frames=frames[seed_len:], frame_interval_ms=40.0)
-    return Window(seed=seed, target=target)
+    return frames[None, :seed_len], frames[None, seed_len:]
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +92,7 @@ def test_adam_moments_accumulate():
 def test_zero_model_constant_window_loss_zero():
     model = zero_params(tiny_model())
     w = window(np.tile([1.0, 2.0, 3.0], (15, 1)), seed_len=10)
-    loss, grads = rollout_loss(model, w, TrainConfig())
+    loss, grads = rollout_loss_batch(model, *w, TrainConfig())
     assert loss == 0.0
 
 
@@ -104,7 +103,7 @@ def test_zero_model_unit_drift_loss_is_mean_1_to_n():
     n = 5
     frames = np.zeros((10 + n, 3))
     frames[:, 0] = np.concatenate([np.zeros(10), np.arange(1, n + 1)])
-    loss, _ = rollout_loss(model, window(frames, 10), TrainConfig())
+    loss, _ = rollout_loss_batch(model, *window(frames, 10), TrainConfig())
     assert loss == pytest.approx(np.mean(np.arange(1, n + 1)))
 
 
@@ -114,14 +113,14 @@ def test_zero_model_velocity_loss_on_drift():
     frames = np.zeros((15, 3))
     frames[:, 0] = np.concatenate([np.zeros(10), np.arange(1, 6)])
     cfg = TrainConfig(loss_space="velocity")
-    loss, _ = rollout_loss(model, window(frames, 10), cfg)
+    loss, _ = rollout_loss_batch(model, *window(frames, 10), cfg)
     assert loss == pytest.approx(1.0)
 
 
 def test_loss_nonnegative_and_zero_iff_exact():
     model = tiny_model(seed=3)
     seqs = synth_multiscale(1, 20, 3, seed=5)
-    loss, _ = rollout_loss(model, window(seqs[0].frames, 12), TrainConfig())
+    loss, _ = rollout_loss_batch(model, *window(seqs[0].frames, 12), TrainConfig())
     assert loss > 0.0
 
 
@@ -221,6 +220,9 @@ def test_training_data_errors():
 def test_train_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(batch_size=0).validate()
+    assert TrainConfig(batch_size=MAX_BATCH_SIZE).validate()
+    with pytest.raises(ConfigError, match="batch_size"):
+        TrainConfig(batch_size=MAX_BATCH_SIZE + 1).validate()
     with pytest.raises(ConfigError):
         TrainConfig(optimizer="rmsprop").validate()
     with pytest.raises(ConfigError):
@@ -338,6 +340,29 @@ def test_model_checkpoint_roundtrip(tmp_path):
     assert meta["iteration"] == 3
     assert np.array_equal(loaded.theta, model.theta)
     assert loaded.config == model.config
+
+
+def test_loading_a_checkpoint_draws_no_initial_values(tmp_path, monkeypatch):
+    # the file's tensors are copied into a zeroed theta; nothing is drawn
+    import posecast.arch as arch_mod
+    import posecast.layers as layers_mod
+
+    model = tiny_model(levels=3, seed=4)
+    cfg = TrainConfig(batch_size=2, iterations=1, seed_len=6, target_len=3,
+                      optimizer="adam")
+    data = TrainingData(sequences=synth_multiscale(2, 20, 3, seed=1), seed_len=6,
+                        target_len=3)
+    train_loop(model, data, cfg, out_dir=tmp_path)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an initializer ran while loading a checkpoint")
+
+    for mod, name in ((arch_mod, "build_model"), (arch_mod, "draw_lstm"),
+                      (arch_mod, "draw_head"), (layers_mod, "seeded_rng")):
+        monkeypatch.setattr(mod, name, forbidden)
+    loaded, _, adam = load_model_checkpoint(tmp_path / "checkpoint_final.bin")
+    assert loaded.theta.tobytes() == model.theta.tobytes()
+    assert adam is not None
 
 
 # ---------------------------------------------------------------------------
