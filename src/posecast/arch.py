@@ -29,9 +29,14 @@ their upper levels (K = granularity; `VARIANTS` holds one entry each):
 
 The level table drives the state bank's layout, the step engine, the
 level-major seed, the backward pass and the parameter layout of the flat
-buffer `Model.theta`.  All forward passes accept single vectors or (B, d)
-batches; the recorded rollout plus `rollout_backward` give exact reverse-mode
-gradients through the autoregressive feedback loop.
+buffer `Model.theta`.  `Level.phase`, `Level.fires` and `_stride_window` give
+every schedule fact; nothing records one.  A step record holds one tape per
+level (None where it did not fire), the state bank only the last K inputs.
+A level with more than one phase fires every step, so the tape-free seed cuts
+its firing steps into runs of `phases` steps, phase i firing at a run's i-th
+step, and runs each run as one stacked LSTM call.  All forward passes accept
+single vectors or (B, d) batches; the recorded rollout plus
+`rollout_backward` give exact gradients through the autoregressive loop.
 """
 
 from __future__ import annotations
@@ -98,6 +103,9 @@ VARIANTS = {
 # The state bank holds every phase sequence, so K^(M-1) is capped well above
 # any useful hierarchy (K=2, M=13) to keep a bank's size bounded.
 MAX_PHASES = 4096
+# Parameters per model: well above the paper-scale model (13.4 M) and a
+# 13-level hierarchy of 1024-wide cells (about 113 M); 1 GB of float64.
+MAX_PARAMS = 2 ** 27
 
 
 def active_phase(m: int, t: int, K: int) -> int:
@@ -151,8 +159,17 @@ class ModelConfig:
                                       f"would hold more than {MAX_PHASES} phase sequences")
         if min(self.hidden, self.head1, self.head2) < 1:
             raise ConfigError("hidden/head1/head2: must be >= 1")
-        if self.leaky_slope <= 0:
-            raise ConfigError(f"leaky_slope: must be > 0, got {self.leaky_slope}")
+        # `param_count` in closed form: it reads the level table, which validates
+        h, d_up = self.hidden, self.hidden if spec.source == "below" else self.d_v
+        if (4 * h * (self.d_v + h + 1 + (self.levels - 1) * (d_up + h + 1))
+                + self.head1 * (self.d_v + self.levels * h + 1)
+                + self.head2 * (self.head1 + 1) + self.d_v * (self.head2 + 1)) > MAX_PARAMS:
+            raise ConfigError(f"hidden/head1/head2: the model would hold more than "
+                              f"{MAX_PARAMS} parameters")
+        if not 0 < self.leaky_slope < math.inf:
+            raise ConfigError(f"leaky_slope: must be finite and > 0, got {self.leaky_slope}")
+        if not math.isfinite(self.forget_bias):
+            raise ConfigError(f"forget_bias: must be finite, got {self.forget_bias}")
         if self.dropout_rate is not None and not (0.0 <= self.dropout_rate < 1.0):
             raise ConfigError(f"dropout_rate: must be in [0, 1), got {self.dropout_rate}")
         if self.seed < 0:
@@ -324,7 +341,7 @@ def build_model(cfg: ModelConfig) -> Model:
 class PhaseStateBank:
     states: list[list[LstmState]]  # [level][phase]
     t: int = 0
-    recent: list = field(default_factory=list)  # [(t, x)] last K inputs, for stride-fed levels
+    recent: list = field(default_factory=list)  # last K inputs, read by stride-fed levels
     last_pose: np.ndarray | None = None
     frame_interval_ms: float = float("nan")
 
@@ -337,25 +354,19 @@ def new_bank(model: Model, batch: int | None = None) -> PhaseStateBank:
 
 @dataclass
 class StepRecord:
-    x: np.ndarray
-    updates: list  # (level m, phase q, lstm tape, strided input time indices or None)
+    tapes: list  # per level: its lstm tape, or None where it did not fire
     head_tape: object  # None where the head was skipped (seed steps t < S-1)
-    head_phases: list[int]  # phase whose hidden state the head consumed, per level
+
+
+def _stride_window(t: int, K: int) -> range:
+    """The steps whose inputs a stride-fed level firing at step t sums: the
+    last K up to t, i.e. the pose difference over K steps."""
+    return range(max(0, t - K + 1), t + 1)
 
 
 def _window_sum(xs: list[np.ndarray]) -> np.ndarray:
-    """Strided input of a stride-fed level: the last K inputs summed in order,
-    i.e. the pose difference over K steps."""
-    inp = xs[0]
-    for x in xs[1:]:
-        inp = inp + x
-    return inp
-
-
-def _stride_fed(model: Model) -> bool:
-    """Whether a level consumes the stride-K window sum, so that the bank
-    must keep the last K inputs."""
-    return any(level.source == "stride" for level in model.levels)
+    """A stride-fed level's input: the inputs of its stride window summed in order."""
+    return sum(xs[1:], xs[0])
 
 
 def model_step(model: Model, bank: PhaseStateBank, x_t, mode: str = "eval",
@@ -380,30 +391,22 @@ def model_step(model: Model, bank: PhaseStateBank, x_t, mode: str = "eval",
         raise ShapeError(f"model_step: input dim {x.shape[-1]} != d_v {cfg.d_v}")
     t = bank.t
 
-    if _stride_fed(model):
-        bank.recent.append((t, x))
-        if len(bank.recent) > cfg.granularity:
-            bank.recent.pop(0)
+    bank.recent = bank.recent[1 - cfg.granularity:] + [x]  # steps _stride_window(t, K)
 
-    updates = []
-    head_phases = []
+    tapes = []
     hiddens = []
-    for m, (level, cell, states) in enumerate(zip(model.levels, model.cells, bank.states),
-                                              start=1):
+    for level, cell, states in zip(model.levels, model.cells, bank.states):
         q = level.phase(t)
+        tape = None
         if level.fires(t):
-            strided = None
             if level.source == "below":
                 inp = hiddens[-1]
             elif level.source == "stride":
-                inp = _window_sum([xr for _, xr in bank.recent])
-                strided = [ti for ti, _ in bank.recent]
+                inp = _window_sum(bank.recent)
             else:
                 inp = x
             states[q], tape = lstm_step(cell, inp, states[q])
-            if record:
-                updates.append((m, q, tape, strided))
-        head_phases.append(q)
+        tapes.append(tape)
         hiddens.append(states[q].h)
 
     if head:
@@ -415,9 +418,7 @@ def model_step(model: Model, bank: PhaseStateBank, x_t, mode: str = "eval",
         head_skip(model.head, 1 if x.ndim == 1 else x.shape[0],
                   dropout_rate=cfg.effective_dropout, rng=rng, train=(mode == "train"))
     bank.t = t + 1
-    rec = StepRecord(x=x, updates=updates, head_tape=head_tape,
-                     head_phases=head_phases) if record else None
-    return vhat, rec
+    return vhat, (StepRecord(tapes=tapes, head_tape=head_tape) if record else None)
 
 
 def observe(model: Model, seed_velocities: VelocitySequence, mode: str = "eval",
@@ -433,7 +434,7 @@ def observe(model: Model, seed_velocities: VelocitySequence, mode: str = "eval",
     bank, records, vhat = _observe(model, seed_velocities.steps[None],
                                    seed_velocities.origin_pose[None], mode, rng, record)
     bank.states = [[LstmState(s.h[0], s.c[0]) for s in level] for level in bank.states]
-    bank.recent = [(t, x[0]) for t, x in bank.recent]
+    bank.recent = [x[0] for x in bank.recent]
     bank.last_pose = bank.last_pose[0]
     bank.frame_interval_ms = seed_velocities.frame_interval_ms
     return bank, records, vhat[0]
@@ -470,7 +471,10 @@ def rollout_forward(model: Model, seed_vels: np.ndarray, origin: np.ndarray,
     previous prediction.
 
     With record=True every step is run in time order and its tapes are kept
-    for `rollout_backward`.  record=False (eval mode only) keeps no tapes and
+    for `rollout_backward`: records[t].tapes[m] is level m+1's LSTM tape at
+    step t (None where it did not fire), records[t].head_tape the head's (None
+    at seed steps t < S-1); phases and stride windows follow from the level
+    table and t.  record=False (eval mode only) keeps no tapes and
     returns None for the records: the seed runs level by level with each
     level's phase sequences stacked into one batch (see `_level_major_seed`),
     and the head runs only where its output is a prediction.
@@ -539,56 +543,41 @@ def _cat_rows(arrays: list[np.ndarray]) -> np.ndarray:
 def _level_major_seed(model: Model, xs: list[np.ndarray]):
     """Run the observed seed level by level, in eval mode, without tapes.
 
-    xs[t] (B, d) is the input at seed step t.  During the seed every input
-    is known, so level m depends only on level m-1's outputs and its phase
-    sequences are independent of each other.  Level m therefore runs in
-    rounds: round r stacks the r-th update of every phase that has one into
-    a single lstm_step of (phases * B) rows.  Which phase fires when, and on
-    what input, is read from the level table, as in `model_step`.  Returns
-    the bank at t = S, matching S calls of `model_step`, and the prediction
-    at t = S-1.
+    xs[t] (B, d) is the input at seed step t.  Every input is known, so a
+    level depends only on the level below and its phases on nothing else.
+    In every `VARIANTS` entry a level with more than one phase, or whose
+    output feeds the level above, fires every step.  So round r stacks
+    phases 0..n-1 on the r-th run of `phases` firing steps into one
+    lstm_step of n * B rows, and the run outputs in time order are the
+    `below` stream.  Returns the bank at t = S, as after S `model_step`
+    calls, and the prediction at t = S-1.
     """
     cfg = model.config
     S, B = len(xs), xs[0].shape[0]
     bank = new_bank(model, batch=B)
-    below = xs  # per step: the freshest hidden output of the level below
-    for m, (level, cell, states) in enumerate(zip(model.levels, model.cells, bank.states),
-                                              start=1):
-        fires = [[] for _ in states]  # per phase, the steps at which it updates
-        for t in range(S):
-            if level.fires(t):
-                fires[level.phase(t)].append(t)
-        if level.source == "below":
-            inputs = below
-        elif level.source == "stride":
-            K = cfg.granularity
-            inputs = {t: _window_sum(xs[max(0, t - K + 1):t + 1]) for ts in fires for t in ts}
-        else:
-            inputs = xs
-        out = {}
-        for r in range(max(map(len, fires))):
-            batch = [(q, ts[r]) for q, ts in enumerate(fires) if len(ts) > r]
-            x = _cat_rows([inputs[t] for _, t in batch])
-            state = LstmState(_cat_rows([states[q].h for q, _ in batch]),
-                              _cat_rows([states[q].c for q, _ in batch]))
-            new, _ = lstm_step(cell, x, state)
-            for i, (q, t) in enumerate(batch):
-                rows = slice(i * B, (i + 1) * B)
-                states[q] = LstmState(new.h[rows], new.c[rows])
-                out[t] = states[q].h
-        if m < len(model.levels):
-            latest = [np.zeros((B, cfg.hidden))] * len(states)
-            below = []
-            for t in range(S):
-                q = level.phase(t)
-                latest[q] = out.get(t, latest[q])
-                below.append(latest[q])
+    below = xs  # per step: the hidden output the level below produced at it
+    for level, cell, states in zip(model.levels, model.cells, bank.states):
+        fired = [t for t in range(S) if level.fires(t)]
+        outs = []
+        for r in range(0, len(fired), level.phases):
+            run = fired[r:r + level.phases]
+            if level.source == "stride":
+                x = _cat_rows([_window_sum([xs[i] for i in _stride_window(t, cfg.granularity)])
+                               for t in run])
+            else:
+                x = _cat_rows([below[t] for t in run])
+            n = len(run)
+            new, _ = lstm_step(cell, x, LstmState(_cat_rows([s.h for s in states[:n]]),
+                                                  _cat_rows([s.c for s in states[:n]])))
+            states[:n] = [LstmState(new.h[i * B:(i + 1) * B], new.c[i * B:(i + 1) * B])
+                          for i in range(n)]
+            outs += [s.h for s in states[:n]]
+        below = outs
     t = S - 1
     hiddens = [states[level.phase(t)].h for level, states in zip(model.levels, bank.states)]
     vhat, _ = head_forward(model.head, xs[t], hiddens, slope=cfg.leaky_slope)
     bank.t = S
-    if _stride_fed(model):
-        bank.recent = [(ti, xs[ti]) for ti in range(max(0, S - cfg.granularity), S)]
+    bank.recent = xs[max(0, S - cfg.granularity):]
     return bank, vhat
 
 
@@ -702,21 +691,23 @@ def rollout_backward(model: Model, records: list[StepRecord], n_obs: int,
             head_sums[1].push(da2, ht.r1)
             head_sums[2].push(d_out, ht.r2)
             d_x[t] += dz[:, :cfg.d_v]
-            for m in range(1, cfg.levels + 1):
-                lo = cfg.d_v + (m - 1) * h
-                gs[m - 1][rec.head_phases[m - 1]][0] += dz[:, lo:lo + h]
-        for m, q, tape, strided in reversed(rec.updates):
-            cell = model.cells[m - 1]
-            dh, dc = gs[m - 1][q]
+            for m, level in enumerate(model.levels):
+                lo = cfg.d_v + m * h
+                gs[m][level.phase(t)][0] += dz[:, lo:lo + h]
+        for m in reversed(range(len(model.levels))):
+            tape, level, cell = rec.tapes[m], model.levels[m], model.cells[m]
+            if tape is None:
+                continue
+            q = level.phase(t)
+            dh, dc = gs[m][q]
             dpre, dz, dc_prev = lstm_gate_backward(cell, tape, dh, dc)
-            cell_sums[m - 1].push(dpre, tape.x, tape.h_prev)
-            gs[m - 1][q] = [dz[:, cell.d_in:], dc_prev]
+            cell_sums[m].push(dpre, tape.x, tape.h_prev)
+            gs[m][q] = [dz[:, cell.d_in:], dc_prev]
             d_inp = dz[:, :cell.d_in]
-            source = model.levels[m - 1].source
-            if source == "below":
-                gs[m - 2][rec.head_phases[m - 2]][0] += d_inp
-            elif source == "stride":
-                for ti in strided:
+            if level.source == "below":
+                gs[m - 1][model.levels[m - 1].phase(t)][0] += d_inp
+            elif level.source == "stride":
+                for ti in _stride_window(t, cfg.granularity):
                     d_x[ti] += d_inp
             else:
                 d_x[t] += d_inp

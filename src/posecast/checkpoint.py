@@ -110,5 +110,5 @@ def load_checkpoint(path):
         for d in shape:
             count *= d
         data = np.frombuffer(r.take(count * 8), dtype="<f8").reshape(shape)
-        tensors[name] = data.astype(np.float64).copy()
+        tensors[name] = data.astype(np.float64)  # a fresh, writable array
     return meta, tensors

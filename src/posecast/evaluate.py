@@ -91,9 +91,7 @@ def evaluate_mae(model: Model | None, windows: list[Window],
     model_reports = []
     pred_frames = batched_forecast_poses(model, windows) if model is not None else None
     for i, w in enumerate(windows):
-        truth = PoseSequence(frames=w.target.frames,
-                             frame_interval_ms=w.target.frame_interval_ms,
-                             space=w.target.space, action=w.target.action)
+        truth = w.target
         zv = zero_velocity_forecast(w.seed, w.target.n_frames)
         zero_reports.append(angle_mae(zv, truth, horizons_ms))
         if pred_frames is not None:

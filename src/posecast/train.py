@@ -15,6 +15,7 @@ the RNG state so a resumed run continues exactly.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -73,10 +74,15 @@ class TrainConfig:
         if not 1 <= self.batch_size <= MAX_BATCH_SIZE:
             raise ConfigError(f"batch_size: must be in [1, {MAX_BATCH_SIZE}], "
                               f"got {self.batch_size}")
-        if self.lr0 <= 0:
-            raise ConfigError(f"lr0: must be > 0, got {self.lr0}")
-        if self.clip_norm <= 0:
+        if not 0 < self.lr0 < math.inf:
+            raise ConfigError(f"lr0: must be finite and > 0, got {self.lr0}")
+        if not self.clip_norm > 0:
             raise ConfigError(f"clip_norm: must be > 0, got {self.clip_norm}")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ConfigError(f"{name}: must be in [0, 1), got {getattr(self, name)}")
+        if not self.adam_eps > 0:
+            raise ConfigError(f"adam_eps: must be > 0, got {self.adam_eps}")
         if self.decay_every < 1 or not (0 < self.decay_factor <= 1):
             raise ConfigError("decay_every must be >= 1 and decay_factor in (0, 1]")
         if self.optimizer not in ("sgd", "adam"):

@@ -72,14 +72,26 @@ def test_mixed_radix_phase_spawning_equivalence():
                 assert spawn(m, t, K) == active_phase(m, t, K)
 
 
+def _step_updates(model, bank, x):
+    """One step: the (level, phase) of every state it replaced, and its record.
+    The levels whose record holds a tape are exactly the updated ones."""
+    before = [list(states) for states in bank.states]
+    _, rec = model_step(model, bank, x)
+    updated = [(m, q) for m, (old, new) in enumerate(zip(before, bank.states), start=1)
+               for q, (a, b) in enumerate(zip(old, new)) if a is not b]
+    assert len(rec.tapes) == len(model.levels)
+    assert [m for m, _ in updated] == [m for m, tape in enumerate(rec.tapes, start=1)
+                                       if tape is not None]
+    return updated, rec
+
+
 def test_schedule_trace_k2_m3():
     # updated (level, phase) pairs per step follow (1,0),(2,t%2),(3,t%4)
     model = build_model(tiny_cfg(levels=3))
     bank = new_bank(model)
     rng = np.random.default_rng(0)
     for t in range(8):
-        _, rec = model_step(model, bank, rng.normal(size=3))
-        got = [(m, q) for m, q, _, _ in rec.updates]
+        got, _ = _step_updates(model, bank, rng.normal(size=3))
         assert got == [(1, 0), (2, t % 2), (3, t % 4)]
 
 
@@ -88,9 +100,8 @@ def test_exactly_one_phase_per_level_updates():
     bank = new_bank(model)
     x = np.zeros(3)
     for t in range(30):
-        _, rec = model_step(model, bank, x)
-        levels = [m for m, _, _, _ in rec.updates]
-        assert levels == [1, 2, 3, 4]
+        got, _ = _step_updates(model, bank, x)
+        assert got == [(m, active_phase(m, t, 3)) for m in (1, 2, 3, 4)]
 
 
 # The schedule in closed form, as per-variant rules: the reference for the
@@ -152,6 +163,11 @@ def test_level_table_matches_the_closed_form_schedule(variant):
                 for t in range(64):
                     assert level.phase(t) == t % _ref_phases(cfg, m)
                     assert level.fires(t) == _ref_fires(cfg, m, t)
+                    # the level-major seed's runs rely on these two facts: a
+                    # multi-phase level, and a level feeding the one above,
+                    # fire every step
+                    if level.phases > 1 or (m < M and table[m].source == "below"):
+                        assert level.fires(t)
     assert valid
 
 
@@ -184,6 +200,22 @@ def test_config_variant_constraints():
         tiny_cfg(granularity=1).validate()
     with pytest.raises(ConfigError, match="dropout_rate"):
         tiny_cfg(dropout_rate=1.0).validate()
+
+
+def test_config_caps_the_closed_form_parameter_count(monkeypatch):
+    # validate counts the parameters without the level table; the cap sits
+    # exactly at `param_count` for every variant
+    from posecast import arch
+    cfgs = [tiny_cfg(variant=variant, levels=levels, d_v=7, hidden=6, head1=5, head2=3)
+            for variant, levels in [("single_layer_pose", 1), ("stacked2_vel", 2),
+                                    ("double_scale_vel", 2), ("double_scale_phase_vel", 2),
+                                    ("tp_rnn", 3)]]
+    for cfg, n in [(cfg, param_count(cfg)) for cfg in cfgs]:
+        monkeypatch.setattr(arch, "MAX_PARAMS", n)
+        assert cfg.validate()
+        monkeypatch.setattr(arch, "MAX_PARAMS", n - 1)
+        with pytest.raises(ConfigError, match="parameters"):
+            cfg.validate()
 
 
 def test_config_bounds_phase_bank_and_seed():
@@ -348,9 +380,11 @@ def test_observe_schedule_counts():
     assert bank.t == 50
     assert vhat.shape == (3,)
     counts = {}
-    for rec in records:
-        for m, q, _, _ in rec.updates:
-            counts[(m, q)] = counts.get((m, q), 0) + 1
+    for t, rec in enumerate(records):
+        for m, tape in enumerate(rec.tapes, start=1):
+            if tape is not None:
+                q = active_phase(m, t, 2)
+                counts[(m, q)] = counts.get((m, q), 0) + 1
     assert counts[(1, 0)] == 50
     assert counts[(2, 0)] == 25 and counts[(2, 1)] == 25
 
@@ -439,24 +473,24 @@ def test_double_scale_strided_input_is_pose_difference_over_k():
     vels = rng.normal(size=(8, 3))
     bank = new_bank(model)
     for t in range(8):
-        _, rec = model_step(model, bank, vels[t])
-        upper = [(m, q, tape, strided) for m, q, tape, strided in rec.updates
-                 if m == 2]
+        got, rec = _step_updates(model, bank, vels[t])
+        # the bank keeps the last K inputs: the window a firing step sums
+        assert len(bank.recent) == min(t + 1, 2)
+        for x, v in zip(bank.recent, vels[max(0, t - 1):t + 1]):
+            assert np.array_equal(x, v)
         if t % 2 == 1:  # fires every K=2 steps
-            (m, q, tape, strided), = upper
-            assert strided == [t - 1, t]
-            assert np.allclose(tape.x[0], vels[t - 1] + vels[t], atol=1e-15)
+            assert got == [(1, 0), (2, 0)]
+            assert np.allclose(rec.tapes[1].x[0], vels[t - 1] + vels[t], atol=1e-15)
         else:
-            assert upper == []
+            assert got == [(1, 0)] and rec.tapes[1] is None
 
 
 def test_double_scale_phase_updates_every_step():
     model = build_model(tiny_cfg(variant="double_scale_phase_vel"))
     bank = new_bank(model)
     for t in range(6):
-        _, rec = model_step(model, bank, np.ones(3))
-        upper = [(m, q) for m, q, _, _ in rec.updates if m == 2]
-        assert upper == [(2, t % 2)]
+        got, _ = _step_updates(model, bank, np.ones(3))
+        assert got == [(1, 0), (2, t % 2)]
 
 
 def test_rollout_forward_matches_observe_forecast():

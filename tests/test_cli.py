@@ -181,6 +181,29 @@ def test_train_huge_batch_size_exits_2(tmp_path, capsys):
     assert "config error" in err and "batch_size" in err
 
 
+# NaN, which slips through a `x <= 0` check, infinities and huge widths: each
+# is a config error, not a divergence (exit 4) or an allocation traceback later.
+@pytest.mark.parametrize("cfg,key,value", [
+    ("model", "leaky_slope", "nan"), ("model", "leaky_slope", "inf"),
+    ("model", "forget_bias", "nan"), ("model", "forget_bias", "inf"),
+    ("model", "forget_bias", "-inf"), ("model", "hidden", "1000000000000"),
+    ("model", "head1", "1000000000000"), ("model", "head2", "1000000000000"),
+    ("train", "clip_norm", "nan"), ("train", "lr0", "nan"), ("train", "lr0", "inf"),
+    ("train", "adam_beta1", "1.0"), ("train", "adam_beta1", "nan"),
+    ("train", "adam_beta2", "-1.0"), ("train", "adam_eps", "0.0"),
+    ("train", "adam_eps", "nan"),
+])
+def test_train_bad_config_value_exits_2(tmp_path, capsys, cfg, key, value):
+    data = synth(tmp_path)
+    mc, tc = _train_cfgs(tmp_path, iterations=2, optimizer="adam")
+    path = mc if cfg == "model" else tc
+    path.write_text(path.read_text() + f"{key}={value}\n")
+    assert run("train", "--model-config", mc, "--train-config", tc,
+               "--manifest", data / "manifest.txt", "--out", tmp_path / "r") == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+
+
 @pytest.mark.parametrize("key", ["hidden", "batch_size"])
 def test_none_for_a_field_that_takes_no_none_exits_2(tmp_path, capsys, key):
     data = synth(tmp_path)

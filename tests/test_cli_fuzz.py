@@ -240,8 +240,10 @@ def test_corrupt_train_resume_meta(train_base, edits):
 # the keys that set how much work a run does (iterations and the layer widths)
 # draw only small values and are never dropped, since their defaults are a
 # 100k-iteration run of 1024-wide cells.  At most two iterations at width <= 3
-# train each variant in a few milliseconds.  Every other key also draws values
-# far out of range, or is dropped.
+# train each variant in a few milliseconds.  A width may also be huge: the
+# parameter cap rejects it before anything is allocated (an iteration count of
+# 10^12 is a valid, endless run).  Every other key also draws values far out of
+# range, or is dropped.
 SMALL_KEYS = {"iterations", "hidden", "head1", "head2"}
 CONFIG_TOKENS = ["", "-1", "0", "1", "2", "3", "0.5", "1e400", "nan", "inf", "none",
                  "abc", "tp_rnn", "single_layer_pose", "double_scale_vel", "adam",
@@ -257,8 +259,9 @@ def _config_edits(kind, keys):
     free = [k for k in keys if k not in SMALL_KEYS]
     return st.one_of(
         st.tuples(st.just(kind), st.sampled_from(free), st.sampled_from(CONFIG_TOKENS)),
-        st.tuples(st.just(kind), st.sampled_from(sorted(SMALL_KEYS & set(keys))),
-                  st.sampled_from(SMALL_TOKENS)),
+        st.sampled_from(sorted(SMALL_KEYS & set(keys))).flatmap(lambda key: st.tuples(
+            st.just(kind), st.just(key),
+            st.sampled_from(SMALL_TOKENS + ["1000000000000"] * (key != "iterations")))),
         st.tuples(st.just(kind), st.sampled_from(free), st.none()),  # drop the key
         st.tuples(st.just(kind), st.sampled_from(["colour", "=", "x y"]),
                   st.sampled_from(CONFIG_TOKENS)),

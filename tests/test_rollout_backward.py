@@ -2,9 +2,12 @@
 
 `reference_backward` is the straightforward engine: at every step it runs
 the single-step `head_backward` and `lstm_step_backward` (each forming its
-own rank-B weight gradient) and adds the result into the accumulators.
-`rollout_backward` forms the same weight gradients as time-batched GEMMs,
-so the two differ only in summation order.  Both run the head backward only
+own rank-B weight gradient) and adds the result into the accumulators.  It
+takes the schedule (which phase a level reads at step t, whether it fires,
+what it consumes) from the variants' closed-form rules, not from the level
+table, and only the tapes from the step records.  `rollout_backward` forms
+the same weight gradients as time-batched GEMMs, so the two differ only in
+summation order.  Both run the head backward only
 at steps t >= S-1: the recorded rollout runs the head forward only there.
 """
 
@@ -23,7 +26,19 @@ def reference_backward(model, records, n_obs, d_preds):
     T = S + d_preds.shape[0] - 1
     B = d_preds.shape[1]
     h = cfg.hidden
+    K = cfg.granularity
     is_pose = cfg.variant == "single_layer_pose"
+
+    def phase(m, t):
+        if cfg.variant == "tp_rnn":
+            return t % K ** (m - 1)
+        return t % K if cfg.variant == "double_scale_phase_vel" and m == 2 else 0
+
+    def fires(m, t):
+        every_k = cfg.variant in ("double_scale_vel", "double_scale_hier_vel")
+        return m == 1 or not every_k or t % K == K - 1
+
+    stride_fed = cfg.variant in ("double_scale_vel", "double_scale_phase_vel")
     cells = [[np.zeros_like(c.W), np.zeros_like(c.b)] for c in model.cells]
     head = [np.zeros_like(t) for _, t in model.head.tensors()]
     pending = {}  # (level, phase) -> [dh, dc] w.r.t. its latest state
@@ -46,8 +61,13 @@ def reference_backward(model, records, n_obs, d_preds):
                 acc += g
             d_x[t] += dv
             for m, dh in enumerate(dhs, start=1):
-                state_grad(m, rec.head_phases[m - 1])[0] += dh
-        for m, q, tape, strided in reversed(rec.updates):
+                state_grad(m, phase(m, t))[0] += dh
+        for m in range(cfg.levels, 0, -1):
+            tape = rec.tapes[m - 1]
+            assert (tape is not None) == fires(m, t)
+            if tape is None:
+                continue
+            q = phase(m, t)
             dh, dc = state_grad(m, q)
             g, d_inp, (dh_prev, dc_prev) = lstm_step_backward(
                 model.cells[m - 1], tape, dh, dc)
@@ -56,10 +76,11 @@ def reference_backward(model, records, n_obs, d_preds):
             pending[m, q] = [dh_prev.copy(), dc_prev.copy()]
             if m == 1:
                 d_x[t] += d_inp
-            elif strided is None:
-                state_grad(m - 1, rec.head_phases[m - 2])[0] += d_inp
+            elif not stride_fed:
+                state_grad(m - 1, phase(m - 1, t))[0] += d_inp
             else:
-                for ti in strided:
+                # the stride window: the last K inputs up to t
+                for ti in range(max(0, t - K + 1), t + 1):
                     d_x[ti] += d_inp
     return [t for cell in cells for t in cell] + head
 
@@ -134,7 +155,7 @@ def test_sparse_upper_level_updates_fewer_times_than_T(variant, monkeypatch):
     # so its chunks fill at a different pace from level 1's
     monkeypatch.setattr(arch, "WGRAD_CHUNK", 4)
     records = _compare(_cfg(variant), B=2, S=12, n_pred=8, seed=11)
-    upper = sum(1 for rec in records for m, *_ in rec.updates if m == 2)
+    upper = sum(1 for rec in records if rec.tapes[1] is not None)
     assert upper < len(records)
 
 

@@ -44,9 +44,13 @@ def _check(model, B, S, n_pred=6):
     bank, _, v = arch._observe(model, seed_vels, origin, "eval", None, False)
     assert bank.t == bank_ref.t == S
     assert np.array_equal(bank.last_pose, bank_ref.last_pose)
-    assert [t for t, _ in bank.recent] == [t for t, _ in bank_ref.recent]
-    for (_, x), (_, y) in zip(bank.recent, bank_ref.recent):
-        assert np.array_equal(x, y)
+    # the bank keeps the inputs of the last K steps, the stride window at S-1
+    window = range(max(0, S - model.config.granularity), S)
+    assert len(bank.recent) == len(bank_ref.recent) == len(window)
+    xs = np.cumsum(seed_vels, axis=1) + origin[:, None] if model.levels[0].source == "pose" \
+        else seed_vels
+    for ti, x, y in zip(window, bank.recent, bank_ref.recent):
+        assert np.array_equal(x, y) and np.allclose(x, xs[:, ti], rtol=0, atol=1e-12)
     assert [len(level) for level in bank.states] == [len(level) for level in bank_ref.states]
     for level, level_ref in zip(bank.states, bank_ref.states):
         for s, s_ref in zip(level, level_ref):

@@ -231,6 +231,9 @@ def test_train_config_validation():
         TrainConfig(lr0=0.0).validate()
     with pytest.raises(ConfigError):
         TrainConfig(decay_factor=0.0).validate()
+    # Adam's betas may be 0 and clip_norm infinite (no clipping); the values
+    # validate rejects are exercised through the CLI in tests/test_cli.py
+    assert TrainConfig(adam_beta1=0.0, adam_beta2=0.0, clip_norm=float("inf")).validate()
     cfg = TrainConfig()
     assert TrainConfig.from_dict(cfg.to_dict()) == cfg
 
