@@ -47,9 +47,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InputError, NumericError, ShapeError
-from .layers import (HeadGrads, HeadParams, LstmGrads, LstmParams, LstmState,
-                     draw_head, draw_lstm, head_forward, head_layer_backward,
-                     head_skip, lstm_gate_backward, lstm_step)
+from .layers import (HeadParams, LstmParams, LstmState, draw_head, draw_lstm,
+                     head_forward, head_layer_backward, head_skip, lstm_gate_backward,
+                     lstm_step)
 from .numcore import as_f64
 from .posedata import VelocitySequence
 
@@ -61,7 +61,6 @@ __all__ = [
     "param_layout",
     "ModelConfig",
     "Model",
-    "ModelGrads",
     "PhaseStateBank",
     "new_bank",
     "active_phase",
@@ -159,11 +158,8 @@ class ModelConfig:
                                       f"would hold more than {MAX_PHASES} phase sequences")
         if min(self.hidden, self.head1, self.head2) < 1:
             raise ConfigError("hidden/head1/head2: must be >= 1")
-        # `param_count` in closed form: it reads the level table, which validates
-        h, d_up = self.hidden, self.hidden if spec.source == "below" else self.d_v
-        if (4 * h * (self.d_v + h + 1 + (self.levels - 1) * (d_up + h + 1))
-                + self.head1 * (self.d_v + self.levels * h + 1)
-                + self.head2 * (self.head1 + 1) + self.d_v * (self.head2 + 1)) > MAX_PARAMS:
+        # after the level and width checks, so the count walks a bounded level table
+        if param_count(self) > MAX_PARAMS:
             raise ConfigError(f"hidden/head1/head2: the model would hold more than "
                               f"{MAX_PARAMS} parameters")
         if not 0 < self.leaky_slope < math.inf:
@@ -214,8 +210,8 @@ class Level:
 
 
 def level_table(cfg: ModelConfig) -> list[Level]:
-    """The levels of the model `cfg` describes, level 1 first."""
-    spec = VARIANTS[cfg.validate().variant]
+    """The levels, level 1 first, of the model the validated config `cfg` describes."""
+    spec = VARIANTS[cfg.variant]
     K = cfg.granularity
     levels = [Level(phases=1, period=1, source="pose" if spec.pose_input else "velocity",
                     d_in=cfg.d_v)]
@@ -264,7 +260,7 @@ class Model:
     head: HeadParams = field(init=False, repr=False)
 
     def __post_init__(self):
-        cfg = self.config
+        cfg = self.config.validate()
         self.levels = level_table(cfg)
         self.layout = param_layout(cfg)
         self.theta = np.zeros(sum(math.prod(shape) for _, shape in self.layout))
@@ -297,30 +293,6 @@ class Model:
             raise ShapeError(f"set_tensors: expected {len(views)} arrays, got {len(arrays)}")
         for view, arr in zip(views, arrays):
             view[...] = as_f64(arr).reshape(view.shape)
-
-
-@dataclass
-class ModelGrads:
-    """Parameter gradients in one flat buffer, `flat`, laid out like
-    `Model.theta`; each cell's dW/db and the head's dW1..db3 are views of it."""
-    cells: list[LstmGrads]
-    head: HeadGrads
-    flat: np.ndarray
-
-    @classmethod
-    def zeros(cls, model: Model) -> "ModelGrads":
-        flat = np.zeros_like(model.theta)
-        views = model.views(flat)
-        n = 2 * len(model.cells)
-        cells = [LstmGrads(*views[k:k + 2]) for k in range(0, n, 2)]
-        return cls(cells=cells, head=HeadGrads(*views[n:]), flat=flat)
-
-    def tensors(self) -> list[np.ndarray]:
-        out = []
-        for g in self.cells:
-            out.extend(g.tensors())
-        out.extend(self.head.tensors())
-        return out
 
 
 def build_model(cfg: ModelConfig) -> Model:
@@ -634,14 +606,16 @@ class _WeightGradSum:
 
 
 def rollout_backward(model: Model, records: list[StepRecord], n_obs: int,
-                     d_preds: np.ndarray, grads: ModelGrads | None = None) -> ModelGrads:
+                     d_preds: np.ndarray, grads: np.ndarray | None = None) -> np.ndarray:
     """Exact BPTT through a recorded rollout.
 
     d_preds: (n_pred, B, d) gradients of the loss w.r.t. each predicted
     velocity.  Gradient flows through the autoregressive feedback (and, for
-    the pose-input variant, through the integrated pose chain).  The
-    gradients are written into `grads` (zeroed first) when it is given, so a
-    training loop can reuse one buffer; otherwise a new one is returned.
+    the pose-input variant, through the integrated pose chain).  Returns the
+    parameter gradient as a flat float64 array laid out like `model.theta`;
+    `model.views` gives its per-tensor views.  It is written into `grads`
+    (zeroed first) when given, so a training loop can reuse one buffer;
+    otherwise a new one is allocated.
 
     The reverse time loop runs only what the recurrence needs: the gate and
     input derivatives of each step.  Weight gradients are formed as
@@ -660,13 +634,13 @@ def rollout_backward(model: Model, records: list[StepRecord], n_obs: int,
     B = d_preds.shape[1]
 
     if grads is None:
-        grads = ModelGrads.zeros(model)
+        grads = np.zeros_like(model.theta)
     else:
-        grads.flat[...] = 0.0
-    gh = grads.head
-    head_sums = (_WeightGradSum(gh.dW1, gh.db1, B), _WeightGradSum(gh.dW2, gh.db2, B),
-                 _WeightGradSum(gh.dW3, gh.db3, B))
-    cell_sums = [_WeightGradSum(g.dW, g.db, B) for g in grads.cells]
+        grads[...] = 0.0
+    # the layout's (W, b) pairs: each level's cell, then the head's three layers
+    views = model.views(grads)
+    sums = [_WeightGradSum(dW, db, B) for dW, db in zip(views[::2], views[1::2])]
+    cell_sums, head_sums = sums[:len(model.levels)], sums[len(model.levels):]
     # pending gradient w.r.t. the latest produced state of each (level, phase)
     h = cfg.hidden
     gs = [[[np.zeros((B, h)), np.zeros((B, h))] for _ in range(level.phases)]
@@ -711,6 +685,6 @@ def rollout_backward(model: Model, records: list[StepRecord], n_obs: int,
                     d_x[ti] += d_inp
             else:
                 d_x[t] += d_inp
-    for acc in (*head_sums, *cell_sums):
+    for acc in sums:
         acc.flush()
     return grads

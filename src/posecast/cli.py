@@ -250,9 +250,11 @@ def cmd_ablate(args) -> int:
         # a variant with a configured level count runs at least two levels;
         # every two-level model runs at K=2, the double-scale variants' K
         levels = VARIANTS[variant].levels or max(2, base.levels)
-        model = build_model(dataclasses.replace(
-            base, variant=variant, levels=levels,
-            granularity=2 if levels == 2 else base.granularity))
+        K = 2 if levels == 2 else base.granularity
+        if K != base.granularity:
+            print(f"{variant}: trained at granularity 2, not the configured {base.granularity}")
+        model = build_model(dataclasses.replace(base, variant=variant, levels=levels,
+                                                granularity=K))
         model, trace, _ = train_loop(model, data, tcfg, out_dir=out / variant)
         write_trace(out / variant / "loss_trace.csv", trace)
         rep, zero_rep = evaluate.evaluate_mae(model, windows, horizons)

@@ -31,14 +31,12 @@ from .numcore import as_f64, seeded_rng
 __all__ = [
     "LstmParams",
     "LstmState",
-    "LstmGrads",
     "init_lstm",
     "draw_lstm",
     "lstm_step",
     "lstm_step_backward",
     "lstm_gate_backward",
     "HeadParams",
-    "HeadGrads",
     "init_head",
     "draw_head",
     "head_forward",
@@ -91,15 +89,6 @@ class LstmState:
     def zeros(cls, h: int, batch: int | None = None) -> "LstmState":
         shape = (h,) if batch is None else (batch, h)
         return cls(np.zeros(shape), np.zeros(shape))
-
-
-@dataclass
-class LstmGrads:
-    dW: np.ndarray
-    db: np.ndarray
-
-    def tensors(self):
-        return [self.dW, self.db]
 
 
 # Elements per `rng.uniform` call in `_draw_uniform`: its temporaries are
@@ -211,7 +200,8 @@ def lstm_step_backward(p: LstmParams, tape: LstmTape, grad_h, grad_c):
     """Backward of lstm_step.
 
     grad_h / grad_c are gradients w.r.t. the step's output state.  Returns
-    (LstmGrads, grad_x, (grad_h_prev, grad_c_prev)).
+    ((dW, db), grad_x, (grad_h_prev, grad_c_prev)), dW and db shaped like
+    the cell's W and b.
     """
     dh, sq = _promote(grad_h)
     dc_in, _ = _promote(grad_c)
@@ -221,8 +211,8 @@ def lstm_step_backward(p: LstmParams, tape: LstmTape, grad_h, grad_c):
     dx = dz[:, :p.d_in]
     dh_prev = dz[:, p.d_in:]
     if sq and tape.squeeze:
-        return LstmGrads(dW, db), dx[0], (dh_prev[0], dc_prev[0])
-    return LstmGrads(dW, db), dx, (dh_prev, dc_prev)
+        return (dW, db), dx[0], (dh_prev[0], dc_prev[0])
+    return (dW, db), dx, (dh_prev, dc_prev)
 
 
 # ---------------------------------------------------------------------------
@@ -248,19 +238,6 @@ class HeadParams:
     @property
     def n_params(self) -> int:
         return sum(t.size for _, t in self.tensors())
-
-
-@dataclass
-class HeadGrads:
-    dW1: np.ndarray
-    db1: np.ndarray
-    dW2: np.ndarray
-    db2: np.ndarray
-    dW3: np.ndarray
-    db3: np.ndarray
-
-    def tensors(self):
-        return [self.dW1, self.db1, self.dW2, self.db2, self.dW3, self.db3]
 
 
 def init_head(d_v: int, n_states: int, h: int, h1: int, h2: int, seed: int,
@@ -379,12 +356,13 @@ def head_layer_backward(hp: HeadParams, tape: HeadTape, dout: np.ndarray):
 def head_backward(hp: HeadParams, tape: HeadTape, grad_out):
     """Backward of head_forward.
 
-    Returns (HeadGrads, grad_v_t, [grad_hidden_m for each level]).
+    Returns ((dW1, db1, dW2, db2, dW3, db3), grad_v_t, [grad_hidden_m for
+    each level]), each gradient shaped like the head tensor it names.
     """
     dout, sq = _promote(grad_out)
     da1, da2, dz = head_layer_backward(hp, tape, dout)
-    grads = HeadGrads(da1.T @ tape.z, da1.sum(axis=0), da2.T @ tape.r1,
-                      da2.sum(axis=0), dout.T @ tape.r2, dout.sum(axis=0))
+    grads = (da1.T @ tape.z, da1.sum(axis=0), da2.T @ tape.r1,
+             da2.sum(axis=0), dout.T @ tape.r2, dout.sum(axis=0))
     dv = dz[:, :hp.d_v]
     dhs = []
     for m in range(hp.n_states):

@@ -251,6 +251,9 @@ def load_manifest(path) -> DatasetManifest:
                 interval = float(interval_s)
             except ValueError as e:
                 raise ParseError(f"{path}:{lineno}: {e}") from None
+            if not 0 < interval < math.inf:
+                raise ParseError(f"{path}:{lineno}: interval_ms must be finite and > 0, "
+                                 f"got {interval_s!r}")
             entries.append(ManifestEntry(path=p, split=split, action=action,
                                          dim=dim, interval_ms=interval))
     if not entries:

@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint as ckpt
-from .arch import (Model, ModelConfig, ModelGrads, param_count, param_layout,
-                   rollout_backward, rollout_forward)
+from .arch import (Model, ModelConfig, param_count, param_layout, rollout_backward,
+                   rollout_forward)
 from .errors import ConfigError, InputError, NumericError, ParseError, ShapeError
 from .numcore import as_f64, clip_global_norm
 from .posedata import PoseSequence
@@ -91,6 +91,8 @@ class TrainConfig:
             raise ConfigError(f"loss_space: must be pose|velocity, got {self.loss_space!r}")
         if self.seed_len < 2 or self.target_len < 1:
             raise ConfigError("seed_len must be >= 2 and target_len >= 1")
+        if self.checkpoint_every < 0:
+            raise ConfigError(f"checkpoint_every: must be >= 0, got {self.checkpoint_every}")
         if self.iterations < 1:
             raise ConfigError(f"iterations: must be >= 1, got {self.iterations}")
         if self.seed < 0:
@@ -212,12 +214,13 @@ def rollout_loss_batch(model: Model, seed_poses: np.ndarray,
                        target_poses: np.ndarray, cfg: TrainConfig,
                        mode: str = "train",
                        rng: np.random.Generator | None = None,
-                       grads: ModelGrads | None = None):
-    """Loss and gradients for a batch of windows.
+                       grads: np.ndarray | None = None):
+    """(loss, gradient) for a batch of windows.
 
     seed_poses: (B, S, d); target_poses: (B, n, d).  The gradient is the
-    mean over the batch of per-window gradients (fixed reduction order).
-    It is written into `grads` when given (see `rollout_backward`).
+    mean over the batch of per-window gradients (fixed reduction order), a
+    flat array laid out like `model.theta`.  It is written into `grads`
+    when given (see `rollout_backward`).
     """
     seed_poses = as_f64(seed_poses)
     target_poses = as_f64(target_poses)
@@ -425,12 +428,13 @@ def train_loop(model: Model, dataset: TrainingData, cfg: TrainConfig,
 
     # one gradient buffer for the whole run; clipping and the update work in
     # place on it and on model.theta
-    grads = ModelGrads.zeros(model)
+    grads = np.zeros_like(model.theta)
     for it in range(start_iteration, cfg.iterations):
         seeds, targets = dataset.sample_batch(rng, cfg.batch_size)
         loss, grads = rollout_loss_batch(model, seeds, targets, cfg,
                                          mode="train", rng=rng, grads=grads)
-        _, norm = clip_global_norm(grads.tensors(), cfg.clip_norm)
+        # per tensor in layout order: the norm's summation order is part of a run's bits
+        _, norm = clip_global_norm(model.views(grads), cfg.clip_norm)
         if not (np.isfinite(loss) and np.isfinite(norm)):
             # the parameters are still those of the last finite update
             _save("abort", it)
@@ -438,9 +442,9 @@ def train_loop(model: Model, dataset: TrainingData, cfg: TrainConfig,
                                f"loss={loss}, gradient norm={norm}")
         lr = lr_at(cfg, it)
         if cfg.optimizer == "sgd":
-            sgd_step(model.theta, grads.flat, lr)
+            sgd_step(model.theta, grads, lr)
         else:
-            adam_step(model.theta, grads.flat, adam, lr, it + 1, beta1=cfg.adam_beta1,
+            adam_step(model.theta, grads, adam, lr, it + 1, beta1=cfg.adam_beta1,
                       beta2=cfg.adam_beta2, eps=cfg.adam_eps)
         trace.append((it, loss, lr))
         if log_fn is not None:

@@ -60,9 +60,8 @@ def test_criterion_1_gradient_correctness():
         frames = synth_multiscale(1, 20, 3, seed=100 + s)[0].frames
         seeds, targets = frames[None, :6], frames[None, 6:10]
         tcfg = TrainConfig(loss_space="pose")
-        loss, grads = rollout_loss_batch(model, seeds, targets, tcfg,
-                                         mode="eval")
-        ga = grads.flat
+        loss, ga = rollout_loss_batch(model, seeds, targets, tcfg,
+                                      mode="eval")
         theta0 = model.theta.copy()
 
         def f(theta):

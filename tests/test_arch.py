@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from posecast.arch import (MAX_PHASES, VARIANTS, Model, ModelConfig, ModelGrads,
-                           active_phase, build_model, forecast, level_table,
-                           logical_sequence_count, model_step, new_bank, observe,
-                           param_count, param_layout, rollout_forward)
+from posecast.arch import (MAX_PHASES, VARIANTS, Model, ModelConfig, active_phase,
+                           build_model, forecast, level_table, logical_sequence_count,
+                           model_step, new_bank, observe, param_count, param_layout,
+                           rollout_backward, rollout_forward)
 from posecast.errors import ConfigError, InputError, NumericError, ShapeError
 from posecast.layers import init_lstm
 from posecast.metrics import zero_velocity_forecast
@@ -203,8 +203,8 @@ def test_config_variant_constraints():
 
 
 def test_config_caps_the_closed_form_parameter_count(monkeypatch):
-    # validate counts the parameters without the level table; the cap sits
-    # exactly at `param_count` for every variant
+    # validate caps `param_count` itself, after the level and width checks;
+    # the cap sits exactly at it for every variant
     from posecast import arch
     cfgs = [tiny_cfg(variant=variant, levels=levels, d_v=7, hidden=6, head1=5, head2=3)
             for variant, levels in [("single_layer_pose", 1), ("stacked2_vel", 2),
@@ -326,11 +326,19 @@ def test_theta_is_one_buffer_behind_the_named_tensors():
 
 def test_gradient_buffer_views_follow_the_parameter_layout():
     model = build_model(tiny_cfg(levels=3))
-    grads = ModelGrads.zeros(model)
-    assert grads.flat.shape == model.theta.shape
-    views = grads.tensors()
+    frames = np.stack([s.frames for s in synth_multiscale(2, 12, 3, seed=1)])
+    _, records = rollout_forward(model, np.diff(frames[:, :9], axis=1), frames[:, 0], 3,
+                                 mode="eval")
+    d_preds = np.ones((3, 2, 3))
+    grads = rollout_backward(model, records, 8, d_preds)
+    assert grads.dtype == np.float64 and grads.shape == model.theta.shape
+    views = model.views(grads)
     assert [g.shape for g in views] == [arr.shape for _, arr in model.tensors()]
-    assert all(np.shares_memory(g, grads.flat) for g in views)
+    assert all(np.shares_memory(g, grads) for g in views)
+    # a given buffer is zeroed, filled and returned
+    buf = np.full_like(model.theta, np.nan)
+    assert rollout_backward(model, records, 8, d_preds, buf) is buf
+    assert np.array_equal(buf, grads)
 
 
 # ---------------------------------------------------------------------------

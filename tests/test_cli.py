@@ -191,7 +191,7 @@ def test_train_huge_batch_size_exits_2(tmp_path, capsys):
     ("train", "clip_norm", "nan"), ("train", "lr0", "nan"), ("train", "lr0", "inf"),
     ("train", "adam_beta1", "1.0"), ("train", "adam_beta1", "nan"),
     ("train", "adam_beta2", "-1.0"), ("train", "adam_eps", "0.0"),
-    ("train", "adam_eps", "nan"),
+    ("train", "adam_eps", "nan"), ("train", "checkpoint_every", "-1"),
 ])
 def test_train_bad_config_value_exits_2(tmp_path, capsys, cfg, key, value):
     data = synth(tmp_path)
@@ -318,6 +318,17 @@ def test_eval_rejects_mask_index_out_of_range(tmp_path, capsys, mask):
                "--seed-len", 10, "--target-len", 5, "--out", tmp_path / "r.csv") == 3
     err = capsys.readouterr().err
     assert "input error" in err and "mask index" in err
+
+
+def test_eval_infinite_manifest_interval_exits_3(tmp_path, capsys):
+    # a bad data file (exit 3), not a horizon off the frame grid (exit 2)
+    data = synth(tmp_path)
+    manifest = data / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace(",40.0\n", ",inf\n"))
+    assert run("eval", "--checkpoint", zero_checkpoint(tmp_path), "--manifest", manifest,
+               "--seed-len", 10, "--target-len", 5, "--out", tmp_path / "r.csv") == 3
+    err = capsys.readouterr().err
+    assert "input error" in err and "interval_ms" in err and "manifest.txt:1" in err
 
 
 def _bad_checkpoint(tmp_path, case):
@@ -580,7 +591,7 @@ ABLATION_LEVELS = {
 }
 
 
-def test_ablate_builds_each_variant_at_its_ladder_levels(tmp_path, monkeypatch):
+def test_ablate_builds_each_variant_at_its_ladder_levels(tmp_path, monkeypatch, capsys):
     import posecast.cli as cli_mod
 
     built = []
@@ -610,6 +621,11 @@ def test_ablate_builds_each_variant_at_its_ladder_levels(tmp_path, monkeypatch):
                 levels = fixed or max(2, M)
                 want.append((variant, levels, 2 if levels == 2 else K))
             assert built == want
+            # one line for each model trained at a K the config did not ask for
+            out = capsys.readouterr().out.splitlines()
+            assert [line for line in out if "granularity" in line] == [
+                f"{v}: trained at granularity 2, not the configured {K}"
+                for v, _, k in want if k != K]
 
 
 def test_ablate_dim_mismatch_exits_2(tmp_path, capsys):

@@ -35,7 +35,7 @@ def reference_loop(model, data, cfg):
         model.set_tensors(params)
         seeds, targets = data.sample_batch(rng, cfg.batch_size)
         _, grads = rollout_loss_batch(model, seeds, targets, cfg, mode="train", rng=rng)
-        g = [t.copy() for t in grads.tensors()]
+        g = [t.copy() for t in model.views(grads)]
         total = 0.0
         for t in g:
             total += float(np.sum(t * t))

@@ -144,8 +144,8 @@ def _lstm_from_flat(theta, d_in, h):
 def test_lstm_backward_zero_grads():
     p = init_lstm(2, 3, seed=0)
     _, tape = lstm_step(p, np.ones(2), LstmState.zeros(3))
-    g, dx, (dh, dc) = lstm_step_backward(p, tape, np.zeros(3), np.zeros(3))
-    assert not np.any(g.dW) and not np.any(g.db)
+    (dW, db), dx, (dh, dc) = lstm_step_backward(p, tape, np.zeros(3), np.zeros(3))
+    assert not np.any(dW) and not np.any(db)
     assert not np.any(dx) and not np.any(dh) and not np.any(dc)
 
 
@@ -165,8 +165,8 @@ def test_lstm_backward_matches_fd(seed):
         return float(wh @ s.h + wc @ s.c)
 
     _, tape = lstm_step(p, x, s0)
-    g, _, _ = lstm_step_backward(p, tape, wh, wc)
-    ga = np.concatenate([g.dW.ravel(), g.db.ravel()])
+    (dW, db), _, _ = lstm_step_backward(p, tape, wh, wc)
+    ga = np.concatenate([dW.ravel(), db.ravel()])
     rep = grad_check(f, _lstm_flat(p), ga, eps=1e-5, tol=1e-6)
     assert rep.ok, rep.failures[:3]
 
@@ -259,7 +259,7 @@ def test_head_backward_zero_grad():
     hp = init_head(2, 2, 3, 4, 3, seed=4)
     _, tape = head_forward(hp, np.ones(2), [np.ones(3), np.ones(3)])
     g, dv, dhs = head_backward(hp, tape, np.zeros(2))
-    assert all(not np.any(t) for t in g.tensors())
+    assert all(not np.any(t) for t in g)
     assert not np.any(dv) and all(not np.any(d) for d in dhs)
 
 
@@ -280,7 +280,7 @@ def test_head_backward_matches_fd(seed):
 
     out, tape = head_forward(hp, v, hiddens, slope=0.01)
     g, _, _ = head_backward(hp, tape, w)
-    ga = np.concatenate([t.ravel() for t in g.tensors()])
+    ga = np.concatenate([t.ravel() for t in g])
     rep = grad_check(f, _head_flat(hp), ga, eps=1e-5, tol=1e-6)
     assert rep.ok, rep.failures[:3]
 
@@ -319,7 +319,7 @@ def test_head_dropout_masks_cached_and_exact():
     # backward with the cached masks agrees with finite differences on W3,
     # holding the masks fixed
     w = np.array([1.0, -1.0])
-    g, _, _ = head_backward(hp, tape, w)
+    (_, _, _, _, dW3, _), _, _ = head_backward(hp, tape, w)
     eps = 1e-6
 
     def f_fixed_mask(W3):
@@ -333,7 +333,7 @@ def test_head_dropout_masks_cached_and_exact():
         W3p = hp.W3.copy(); W3p[idx] += eps
         W3m = hp.W3.copy(); W3m[idx] -= eps
         fd = (f_fixed_mask(W3p) - f_fixed_mask(W3m)) / (2 * eps)
-        assert abs(g.dW3[idx] - fd) < 1e-8
+        assert abs(dW3[idx] - fd) < 1e-8
 
 
 def test_head_dropout_requires_rng():

@@ -222,6 +222,10 @@ def test_manifest_errors(tmp_path):
     f.write_text("# only comments\n")
     with pytest.raises(ParseError, match="no sequences"):
         load_manifest(f)
+    for interval in ("nan", "inf", "-inf", "0", "-40.0"):
+        f.write_text(f"# header\na.csv,train,walking,3,{interval}\n")
+        with pytest.raises(ParseError, match=r"m\.txt:2: interval_ms must be finite"):
+            load_manifest(f)
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ def reference_backward(model, records, n_obs, d_preds):
             if t + 1 < T:
                 d_out += d_x[t + 1]
             hg, dv, dhs = head_backward(model.head, rec.head_tape, d_out)
-            for acc, g in zip(head, hg.tensors()):
+            for acc, g in zip(head, hg):
                 acc += g
             d_x[t] += dv
             for m, dh in enumerate(dhs, start=1):
@@ -69,10 +69,10 @@ def reference_backward(model, records, n_obs, d_preds):
                 continue
             q = phase(m, t)
             dh, dc = state_grad(m, q)
-            g, d_inp, (dh_prev, dc_prev) = lstm_step_backward(
+            (dW, db), d_inp, (dh_prev, dc_prev) = lstm_step_backward(
                 model.cells[m - 1], tape, dh, dc)
-            cells[m - 1][0] += g.dW
-            cells[m - 1][1] += g.db
+            cells[m - 1][0] += dW
+            cells[m - 1][1] += db
             pending[m, q] = [dh_prev.copy(), dc_prev.copy()]
             if m == 1:
                 d_x[t] += d_inp
@@ -94,7 +94,7 @@ def _compare(cfg, B, S, n_pred, mode="eval", seed=0):
     _, records = rollout_forward(model, seed_vels, frames[:, 0], n_pred,
                                  mode=mode, rng=rng)
     d_preds = np.random.default_rng(seed + 1).normal(size=(n_pred, B, cfg.d_v))
-    got = rollout_backward(model, records, S, d_preds).tensors()
+    got = model.views(rollout_backward(model, records, S, d_preds))
     want = reference_backward(model, records, S, d_preds)
     assert len(got) == len(want)
     worst = 0.0

@@ -135,8 +135,8 @@ def test_batch_gradient_is_mean_of_per_window_gradients():
     for i in range(3):
         _, g = rollout_loss_batch(model, seeds[i:i + 1], targets[i:i + 1],
                                   cfg, mode="eval")
-        per.append(g.flat)
-    assert np.allclose(batch_grads.flat, np.mean(per, axis=0), atol=1e-12)
+        per.append(g)
+    assert np.allclose(batch_grads, np.mean(per, axis=0), atol=1e-12)
 
 
 @pytest.mark.parametrize("variant,levels,loss_space", [
@@ -160,8 +160,7 @@ def test_rollout_gradients_match_fd_all_variants(variant, levels, loss_space):
     seeds = seqs[0].frames[None, :8]
     targets = seqs[0].frames[None, 8:12]
     cfg = TrainConfig(loss_space=loss_space)
-    _, grads = rollout_loss_batch(model, seeds, targets, cfg, mode="eval")
-    ga = grads.flat
+    _, ga = rollout_loss_batch(model, seeds, targets, cfg, mode="eval")
     theta0 = model.theta.copy()
     eps = 1e-5
     worst = 0.0
@@ -313,7 +312,7 @@ def test_nonfinite_gradient_aborts_with_last_finite_params(tmp_path, monkeypatch
         calls.append(loss)
         if len(calls) == 3:
             before["theta"] = model_.theta.copy()
-            grads.cells[0].dW[0, 0] = np.inf
+            model_.views(grads)[0][0, 0] = np.inf  # cell0.W
         return loss, grads
 
     monkeypatch.setattr(train_mod, "rollout_loss_batch", poisoned)
