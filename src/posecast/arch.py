@@ -34,15 +34,16 @@ every schedule fact; nothing records one.  A step record holds one tape per
 level (None where it did not fire), the state bank only the last K inputs.
 A level with more than one phase fires every step, so the tape-free seed cuts
 its firing steps into runs of `phases` steps, phase i firing at a run's i-th
-step, and runs each run as one stacked LSTM call.  All forward passes accept
-single vectors or (B, d) batches; the recorded rollout plus
-`rollout_backward` give exact gradients through the autoregressive loop.
+step, and runs each run as one stacked LSTM call.  Every state, input and
+prediction is a (B, d) batch, a single sequence one of B = 1; the recorded
+rollout plus `rollout_backward` give exact gradients through the
+autoregressive loop.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -179,13 +180,7 @@ class ModelConfig:
         return 0.2 if self.levels >= 3 else 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "variant": self.variant, "d_v": self.d_v,
-            "granularity": self.granularity, "levels": self.levels,
-            "hidden": self.hidden, "head1": self.head1, "head2": self.head2,
-            "leaky_slope": self.leaky_slope, "dropout_rate": self.dropout_rate,
-            "seed": self.seed, "forget_bias": self.forget_bias,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -318,7 +313,8 @@ class PhaseStateBank:
     frame_interval_ms: float = float("nan")
 
 
-def new_bank(model: Model, batch: int | None = None) -> PhaseStateBank:
+def new_bank(model: Model, batch: int) -> PhaseStateBank:
+    """A zero bank for `batch` sequences: every state is (batch, hidden)."""
     h = model.config.hidden
     return PhaseStateBank(states=[[LstmState.zeros(h, batch) for _ in range(level.phases)]
                                   for level in model.levels])
@@ -346,8 +342,9 @@ def model_step(model: Model, bank: PhaseStateBank, x_t, mode: str = "eval",
                head: bool = True):
     """Advance the hierarchy one step; returns (predicted next velocity, tape).
 
-    x_t is the velocity at the current step (the current pose for the
-    single_layer_pose variant).  Exactly one phase per active level mutates.
+    x_t (B, d_v) is the velocity at the current step (the current pose for the
+    single_layer_pose variant) and the prediction is (B, d_v).  Exactly one
+    phase per active level mutates.
     With head=False the step's output is not needed: the head is not run
     (the prediction and the step record's head tape are None), but its
     dropout masks are still drawn, so `rng` advances as if it had run.
@@ -359,8 +356,8 @@ def model_step(model: Model, bank: PhaseStateBank, x_t, mode: str = "eval",
             len(states) != level.phases for states, level in zip(bank.states, model.levels)):
         raise ConfigError("model_step: bank layout does not match model config")
     x = as_f64(x_t)
-    if x.shape[-1] != cfg.d_v:
-        raise ShapeError(f"model_step: input dim {x.shape[-1]} != d_v {cfg.d_v}")
+    if x.ndim != 2 or x.shape[1] != cfg.d_v:
+        raise ShapeError(f"model_step: expected a (B, {cfg.d_v}) input, got shape {x.shape}")
     t = bank.t
 
     bank.recent = bank.recent[1 - cfg.granularity:] + [x]  # steps _stride_window(t, K)
@@ -387,8 +384,8 @@ def model_step(model: Model, bank: PhaseStateBank, x_t, mode: str = "eval",
                                        train=(mode == "train"))
     else:
         vhat = head_tape = None
-        head_skip(model.head, 1 if x.ndim == 1 else x.shape[0],
-                  dropout_rate=cfg.effective_dropout, rng=rng, train=(mode == "train"))
+        head_skip(model.head, x.shape[0], dropout_rate=cfg.effective_dropout, rng=rng,
+                  train=(mode == "train"))
     bank.t = t + 1
     return vhat, (StepRecord(tapes=tapes, head_tape=head_tape) if record else None)
 
@@ -397,31 +394,30 @@ def observe(model: Model, seed_velocities: VelocitySequence, mode: str = "eval",
             rng: np.random.Generator | None = None, record: bool = True):
     """Run the model over all seed velocities from a zero-initialized bank.
 
-    Returns (bank at forecast start, step tapes or None, prediction for the
-    first future step).  A single-sequence wrapper over the rollout engine's
-    seed stage; the bank's states are unbatched.
+    Returns (bank at forecast start, step records or None, prediction (d,)
+    for the first future step).  A single-sequence wrapper over the rollout
+    engine's seed stage: the bank is the engine's, a batch of one, so its
+    states are (1, hidden).  record=False runs in eval mode only.
     """
     if seed_velocities.n_steps < 1:
         raise InputError("observe: empty seed")
     bank, records, vhat = _observe(model, seed_velocities.steps[None],
                                    seed_velocities.origin_pose[None], mode, rng, record)
-    bank.states = [[LstmState(s.h[0], s.c[0]) for s in level] for level in bank.states]
-    bank.recent = [x[0] for x in bank.recent]
-    bank.last_pose = bank.last_pose[0]
     bank.frame_interval_ms = seed_velocities.frame_interval_ms
     return bank, records, vhat[0]
 
 
 def forecast(model: Model, bank: PhaseStateBank, v_first, n_steps: int,
              mode: str = "eval", rng: np.random.Generator | None = None) -> VelocitySequence:
-    """Autoregressive rollout: every prediction is fed back as the next input."""
+    """Autoregressive rollout from a bank of one sequence and its first
+    prediction v_first (d,): every prediction is fed back as the next input."""
     if n_steps < 1:
         raise InputError(f"forecast: n_steps must be >= 1, got {n_steps}")
     if bank.last_pose is None:
         raise ConfigError("forecast: bank has no last pose; run observe first")
-    origin = bank.last_pose.copy()
-    preds = np.array(_feed_back(model, bank, as_f64(v_first), n_steps, mode, rng))
-    bad = np.flatnonzero(~np.isfinite(preds.reshape(n_steps, -1)).all(axis=1))
+    origin = bank.last_pose[0].copy()
+    preds = np.concatenate(_feed_back(model, bank, as_f64(v_first)[None], n_steps, mode, rng))
+    bad = np.flatnonzero(~np.isfinite(preds).all(axis=1))
     if bad.size:
         raise NumericError(f"forecast: non-finite prediction at step {bad[0]}")
     return VelocitySequence(steps=preds, origin_pose=origin,
@@ -456,8 +452,6 @@ def rollout_forward(model: Model, seed_vels: np.ndarray, origin: np.ndarray,
     _, S, _ = seed_vels.shape
     if S < 1 or n_steps < 1:
         raise InputError("rollout_forward: need S >= 1 and n_steps >= 1")
-    if not record and mode != "eval":
-        raise ConfigError("rollout_forward: record=False runs in eval mode only")
     bank, records, vhat = _observe(model, seed_vels, origin, mode, rng, record)
     return np.stack(_feed_back(model, bank, vhat, n_steps, mode, rng, records)), records
 
@@ -465,25 +459,26 @@ def rollout_forward(model: Model, seed_vels: np.ndarray, origin: np.ndarray,
 def _observe(model: Model, seed_vels: np.ndarray, origin: np.ndarray, mode: str,
              rng, record: bool):
     """Seed stage of the engine: (bank at t=S, step records or None, prediction
-    at t=S-1).  Step-major when tapes are kept or in train mode (dropout draws
-    follow time order), otherwise level-major.  Either way the head runs only
-    at t=S-1; the step-major seed still draws the skipped steps' dropout masks."""
+    at t=S-1).  Step-major with tapes (record=True), otherwise level-major,
+    which runs in eval mode only.  Either way the head runs only at t=S-1; the
+    step-major seed still draws the skipped steps' dropout masks."""
+    if not record and mode != "eval":
+        raise ConfigError("record=False runs in eval mode only")
     is_pose = model.levels[0].source == "pose"
     pose = origin.copy()
     xs = []
     for t in range(seed_vels.shape[1]):
         pose = pose + seed_vels[:, t]
         xs.append(pose if is_pose else seed_vels[:, t])
-    records = [] if record else None
-    if record or mode != "eval":
-        bank = new_bank(model, batch=seed_vels.shape[0])
+    if record:
+        bank, records = new_bank(model, seed_vels.shape[0]), []
         for t, x in enumerate(xs):
             # only the last seed step's output is a prediction
-            vhat, rec = model_step(model, bank, x, mode=mode, rng=rng, record=record,
+            vhat, rec = model_step(model, bank, x, mode=mode, rng=rng,
                                    head=(t == len(xs) - 1))
-            if record:
-                records.append(rec)
+            records.append(rec)
     else:
+        records = None
         bank, vhat = _level_major_seed(model, xs)
     bank.last_pose = pose
     return bank, records, vhat
@@ -526,7 +521,7 @@ def _level_major_seed(model: Model, xs: list[np.ndarray]):
     """
     cfg = model.config
     S, B = len(xs), xs[0].shape[0]
-    bank = new_bank(model, batch=B)
+    bank = new_bank(model, B)
     below = xs  # per step: the hidden output the level below produced at it
     for level, cell, states in zip(model.levels, model.cells, bank.states):
         fired = [t for t in range(S) if level.fires(t)]

@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError
+from .numcore import atomic_write_text
 
 MAGIC = b"PCASTCK\n"
 VERSION = 1
@@ -57,10 +58,7 @@ def save_checkpoint(path, meta: dict, tensors: list[tuple[str, np.ndarray]]):
              f"meta keys: {', '.join(sorted(meta))}"]
     for name, arr in tensors:
         lines.append(f"tensor {name}: shape {tuple(np.asarray(arr).shape)} float64")
-    side = path.with_name(path.name + ".manifest.txt")
-    side_tmp = side.with_name(side.name + ".tmp")
-    side_tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    side_tmp.replace(side)
+    atomic_write_text(path.with_name(path.name + ".manifest.txt"), "\n".join(lines) + "\n")
 
 
 class _Reader:

@@ -22,6 +22,7 @@ from . import evaluate
 from .arch import VARIANTS, ModelConfig, build_model
 from .errors import ConfigError, InputError, NumericError, ParseError
 from .metrics import DEFAULT_HORIZONS_MS
+from .numcore import atomic_write_text
 from .posedata import (PoseSequence, load_manifest, load_sequence, load_split,
                        save_sequence, synth_multiscale)
 from .train import (TrainConfig, TrainingData, load_model_checkpoint,
@@ -31,13 +32,6 @@ EXIT_CONFIG = 2
 EXIT_INPUT = 3
 EXIT_NUMERIC = 4
 EXIT_IO = 5
-
-
-def _atomic_write_text(path, text: str):
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    tmp.replace(path)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +110,7 @@ def cmd_synth(args) -> int:
         save_sequence(out / name, seq)
         split = "train" if i < n_train else "test"
         lines.append(f"{name},{split},synthetic,{args.dim},{args.interval_ms!r}")
-    _atomic_write_text(out / "manifest.txt", "\n".join(lines) + "\n")
+    atomic_write_text(out / "manifest.txt", "\n".join(lines) + "\n")
     print(f"wrote {len(seqs)} sequences + manifest to {out}")
     return 0
 
@@ -179,7 +173,7 @@ def _write_report(path, model_rep, zero_rep, per_action: bool):
             errs, n = rep.per_action[act]
             for hz in rep.horizons_ms:
                 rows.append(f"{name},{act},{hz},{errs[hz]!r},{n}")
-    _atomic_write_text(path, "\n".join(rows) + "\n")
+    atomic_write_text(path, "\n".join(rows) + "\n")
 
 
 def cmd_eval(args) -> int:
@@ -203,7 +197,7 @@ def cmd_eval(args) -> int:
         rows = ["frame,model_pck,zero_velocity_pck"]
         for k, (a, b) in enumerate(zip(scores_m, scores_z), start=1):
             rows.append(f"{k},{a!r},{b!r}")
-        _atomic_write_text(args.out, "\n".join(rows) + "\n")
+        atomic_write_text(args.out, "\n".join(rows) + "\n")
     print(f"wrote report: {args.out}")
     return 0
 
@@ -261,7 +255,7 @@ def cmd_ablate(args) -> int:
         _write_report(out / variant / "report.csv", rep, zero_rep, per_action=False)
         summary.append(variant + "," + ",".join(repr(rep.errors[h]) for h in horizons))
         print(f"{variant}: " + " ".join(f"{rep.errors[h]:.4f}" for h in horizons))
-    _atomic_write_text(out / "summary.csv", "\n".join(summary) + "\n")
+    atomic_write_text(out / "summary.csv", "\n".join(summary) + "\n")
     return 0
 
 

@@ -5,8 +5,8 @@ input gate, forget gate, output gate, candidate.  This order is part of
 the checkpoint format and must not change.
 
 Every forward op returns a tape caching the intermediates needed to run
-the matching backward op.  Inputs may be single vectors (d,) or batches
-(B, d); batched calls produce parameter gradients summed over the batch.
+the matching backward op.  Every input, state and gradient is a (B, d) batch,
+and every output one too; parameter gradients are summed over the batch.
 
 Each backward is split in two.  `lstm_gate_backward` and
 `head_layer_backward` carry the gradient through one step: the derivatives
@@ -52,13 +52,12 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _promote(x):
+def _batch(name: str, x) -> np.ndarray:
+    """x as a float64 (B, d) array; ShapeError for any other rank."""
     x = as_f64(x)
-    if x.ndim == 1:
-        return x[None, :], True
-    if x.ndim == 2:
-        return x, False
-    raise ShapeError(f"expected 1-D or 2-D array, got shape {x.shape}")
+    if x.ndim != 2:
+        raise ShapeError(f"{name}: expected a (B, d) array, got shape {x.shape}")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -86,9 +85,8 @@ class LstmState:
     c: np.ndarray
 
     @classmethod
-    def zeros(cls, h: int, batch: int | None = None) -> "LstmState":
-        shape = (h,) if batch is None else (batch, h)
-        return cls(np.zeros(shape), np.zeros(shape))
+    def zeros(cls, h: int, batch: int) -> "LstmState":
+        return cls(np.zeros((batch, h)), np.zeros((batch, h)))
 
 
 # Elements per `rng.uniform` call in `_draw_uniform`: its temporaries are
@@ -136,14 +134,12 @@ class LstmTape:
     g: np.ndarray
     c_new: np.ndarray
     tanh_c: np.ndarray
-    squeeze: bool
 
 
 def lstm_step(p: LstmParams, x, s: LstmState):
-    """One LSTM step.  Returns (next state, tape)."""
-    x2, sq = _promote(x)
-    h2, _ = _promote(s.h)
-    c2, _ = _promote(s.c)
+    """One LSTM step on a (B, d_in) input and a (B, h) state.  Returns (next
+    state, tape)."""
+    x2, h2, c2 = (_batch("lstm_step", a) for a in (x, s.h, s.c))
     h = p.h
     if x2.shape[1] != p.d_in:
         raise ShapeError(f"lstm_step: input dim {x2.shape[1]} != d_in {p.d_in}")
@@ -161,9 +157,7 @@ def lstm_step(p: LstmParams, x, s: LstmState):
     tanh_c = np.tanh(c_new)
     h_new = o * tanh_c
     tape = LstmTape(x=x2, h_prev=h2, c_prev=c2, i=i, f=f, o=o, g=g,
-                    c_new=c_new, tanh_c=tanh_c, squeeze=sq)
-    if sq:
-        return LstmState(h=h_new[0], c=c_new[0]), tape
+                    c_new=c_new, tanh_c=tanh_c)
     return LstmState(h=h_new, c=c_new), tape
 
 
@@ -199,20 +193,14 @@ def lstm_gate_backward(p: LstmParams, tape: LstmTape, dh: np.ndarray, dc_in: np.
 def lstm_step_backward(p: LstmParams, tape: LstmTape, grad_h, grad_c):
     """Backward of lstm_step.
 
-    grad_h / grad_c are gradients w.r.t. the step's output state.  Returns
-    ((dW, db), grad_x, (grad_h_prev, grad_c_prev)), dW and db shaped like
-    the cell's W and b.
+    grad_h / grad_c (B, h) are gradients w.r.t. the step's output state.
+    Returns ((dW, db), grad_x, (grad_h_prev, grad_c_prev)), dW and db shaped
+    like the cell's W and b, the others like the step's inputs.
     """
-    dh, sq = _promote(grad_h)
-    dc_in, _ = _promote(grad_c)
+    dh, dc_in = (_batch("lstm_step_backward", g) for g in (grad_h, grad_c))
     dpre, dz, dc_prev = lstm_gate_backward(p, tape, dh, dc_in)
     dW = dpre.T @ np.concatenate([tape.x, tape.h_prev], axis=1)
-    db = dpre.sum(axis=0)
-    dx = dz[:, :p.d_in]
-    dh_prev = dz[:, p.d_in:]
-    if sq and tape.squeeze:
-        return (dW, db), dx[0], (dh_prev[0], dc_prev[0])
-    return (dW, db), dx, (dh_prev, dc_prev)
+    return (dW, dpre.sum(axis=0)), dz[:, :p.d_in], (dz[:, p.d_in:], dc_prev)
 
 
 # ---------------------------------------------------------------------------
@@ -270,13 +258,25 @@ class HeadTape:
     r2: np.ndarray
     mask1: np.ndarray | None
     mask2: np.ndarray | None
-    squeeze: bool
+
+
+def _dropout_masks(hp: HeadParams, rows: int, dropout_rate: float,
+                   rng: np.random.Generator | None, train: bool):
+    """The head's two inverted-dropout masks for a call on `rows` rows, drawn
+    from `rng` in layer order, or (None, None) when no dropout applies."""
+    if not (train and dropout_rate > 0.0):
+        return None, None
+    if rng is None:
+        raise ConfigError("head_forward: dropout requires an rng in train mode")
+    keep = 1.0 - dropout_rate
+    return tuple((rng.random((rows, W.shape[0])) < keep) / keep for W in (hp.W1, hp.W2))
 
 
 def head_forward(hp: HeadParams, v_t, hiddens, slope: float = 0.01,
                  dropout_rate: float = 0.0, rng: np.random.Generator | None = None,
                  train: bool = False):
-    """Predict the next velocity from the current one plus M hidden states.
+    """Predict the next velocity (B, d_v) from the current one (B, d_v) plus M
+    hidden states (B, h).
 
     Dropout (inverted, rate `dropout_rate`) is applied to both hidden
     activations when `train` is true and the rate is positive; the masks are
@@ -285,38 +285,28 @@ def head_forward(hp: HeadParams, v_t, hiddens, slope: float = 0.01,
     if len(hiddens) != hp.n_states:
         raise ConfigError(
             f"head_forward: expected {hp.n_states} hidden states, got {len(hiddens)}")
-    v2, sq = _promote(v_t)
-    hs = [_promote(hh)[0] for hh in hiddens]
-    parts = [v2] + hs
+    v2 = _batch("head_forward", v_t)
+    hs = [_batch("head_forward", hh) for hh in hiddens]
     if v2.shape[1] != hp.d_v:
         raise ShapeError(f"head_forward: velocity dim {v2.shape[1]} != d_v {hp.d_v}")
     for hh in hs:
         if hh.shape != (v2.shape[0], hp.h):
             raise ShapeError(f"head_forward: hidden shape {hh.shape} != "
                              f"({v2.shape[0]}, {hp.h})")
-    z = np.concatenate(parts, axis=1)
+    mask1, mask2 = _dropout_masks(hp, v2.shape[0], dropout_rate, rng, train)
+    z = np.concatenate([v2] + hs, axis=1)
     a1 = z @ hp.W1.T + hp.b1
     r1 = np.where(a1 >= 0, a1, slope * a1)
     d1 = np.where(a1 >= 0, 1.0, slope)
-    mask1 = mask2 = None
-    use_dropout = train and dropout_rate > 0.0
-    if use_dropout:
-        if rng is None:
-            raise ConfigError("head_forward: dropout requires an rng in train mode")
-        keep = 1.0 - dropout_rate
-        mask1 = (rng.random(r1.shape) < keep) / keep
+    if mask1 is not None:
         r1 = r1 * mask1
     a2 = r1 @ hp.W2.T + hp.b2
     r2 = np.where(a2 >= 0, a2, slope * a2)
     d2 = np.where(a2 >= 0, 1.0, slope)
-    if use_dropout:
-        keep = 1.0 - dropout_rate
-        mask2 = (rng.random(r2.shape) < keep) / keep
+    if mask2 is not None:
         r2 = r2 * mask2
     out = r2 @ hp.W3.T + hp.b3
-    tape = HeadTape(z=z, d1=d1, d2=d2, r1=r1, r2=r2, mask1=mask1, mask2=mask2,
-                    squeeze=sq)
-    return (out[0] if sq else out), tape
+    return out, HeadTape(z=z, d1=d1, d2=d2, r1=r1, r2=r2, mask1=mask1, mask2=mask2)
 
 
 def head_skip(hp: HeadParams, rows: int, dropout_rate: float = 0.0,
@@ -324,11 +314,7 @@ def head_skip(hp: HeadParams, rows: int, dropout_rate: float = 0.0,
     """Stand-in for a `head_forward` call on `rows` rows whose output nothing
     reads: computes nothing, but draws the same two dropout masks from `rng`,
     so the random stream continues as if the head had run."""
-    if train and dropout_rate > 0.0:
-        if rng is None:
-            raise ConfigError("head_forward: dropout requires an rng in train mode")
-        rng.random((rows, hp.W1.shape[0]))
-        rng.random((rows, hp.W2.shape[0]))
+    _dropout_masks(hp, rows, dropout_rate, rng, train)
 
 
 def head_layer_backward(hp: HeadParams, tape: HeadTape, dout: np.ndarray):
@@ -354,23 +340,17 @@ def head_layer_backward(hp: HeadParams, tape: HeadTape, dout: np.ndarray):
 
 
 def head_backward(hp: HeadParams, tape: HeadTape, grad_out):
-    """Backward of head_forward.
+    """Backward of head_forward, from grad_out (B, d_v).
 
     Returns ((dW1, db1, dW2, db2, dW3, db3), grad_v_t, [grad_hidden_m for
-    each level]), each gradient shaped like the head tensor it names.
+    each level]), each gradient shaped like the tensor or input it names.
     """
-    dout, sq = _promote(grad_out)
+    dout = _batch("head_backward", grad_out)
     da1, da2, dz = head_layer_backward(hp, tape, dout)
     grads = (da1.T @ tape.z, da1.sum(axis=0), da2.T @ tape.r1,
              da2.sum(axis=0), dout.T @ tape.r2, dout.sum(axis=0))
-    dv = dz[:, :hp.d_v]
-    dhs = []
-    for m in range(hp.n_states):
-        lo = hp.d_v + m * hp.h
-        dhs.append(dz[:, lo:lo + hp.h])
-    if sq and tape.squeeze:
-        return grads, dv[0], [d[0] for d in dhs]
-    return grads, dv, dhs
+    lo = [hp.d_v + m * hp.h for m in range(hp.n_states)]
+    return grads, dz[:, :hp.d_v], [dz[:, i:i + hp.h] for i in lo]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Minimal float64 helpers: casting, global-norm clipping, seeded RNG streams.
+"""Minimal helpers: float64 casting, global-norm clipping, seeded RNG streams
+and atomic text writes.
 
 All arrays are plain numpy float64.  The layer code does its own affine maps
 and activations inline (see layers.py).
@@ -11,6 +12,8 @@ tensor can draw from its own reproducible stream.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
 __all__ = [
@@ -18,6 +21,7 @@ __all__ = [
     "global_norm",
     "clip_global_norm",
     "seeded_rng",
+    "atomic_write_text",
 ]
 
 
@@ -56,3 +60,12 @@ def seeded_rng(seed: int, *stream: int) -> np.random.Generator:
     """Deterministic PCG64 generator for (seed, stream...)."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(stream))
     return np.random.Generator(np.random.PCG64(ss))
+
+
+def atomic_write_text(path, text: str):
+    """Write UTF-8 `text` to `path` through `<path>.tmp` and a rename, so the
+    file is either absent, the old one, or complete."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text, encoding="utf-8")
+    tmp.replace(path)

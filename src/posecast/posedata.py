@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError, ParseError
-from .numcore import as_f64, seeded_rng
+from .numcore import as_f64, atomic_write_text, seeded_rng
 
 __all__ = [
     "PoseSequence",
@@ -49,15 +49,15 @@ class PoseSequence:
     frames: np.ndarray  # (T, D)
     frame_interval_ms: float
     space: str = "angle_expmap"
-    source_id: str = ""
     action: str = ""  # reporting only; never a model input
 
     def __post_init__(self):
         self.frames = as_f64(self.frames)
         if self.frames.ndim != 2 or self.frames.shape[0] < 1:
             raise InputError(f"PoseSequence: frames must be (T>=1, D), got {self.frames.shape}")
-        if self.frame_interval_ms <= 0:
-            raise InputError(f"PoseSequence: frame_interval_ms must be > 0, got {self.frame_interval_ms}")
+        if not 0 < self.frame_interval_ms < math.inf:
+            raise InputError("PoseSequence: frame_interval_ms must be finite and > 0, "
+                             f"got {self.frame_interval_ms}")
         if self.space not in SPACES:
             raise InputError(f"PoseSequence: unknown space {self.space!r}")
 
@@ -123,7 +123,7 @@ def downsample(p: PoseSequence, factor: int) -> PoseSequence:
         raise InputError(f"downsample: factor must be >= 1, got {factor}")
     return PoseSequence(frames=p.frames[::factor].copy(),
                         frame_interval_ms=p.frame_interval_ms * factor,
-                        space=p.space, source_id=p.source_id, action=p.action)
+                        space=p.space, action=p.action)
 
 
 def make_windows(p: PoseSequence, seed_len: int, target_len: int,
@@ -185,15 +185,13 @@ def load_sequence(path, expected_dim: int | None = None,
     if not rows:
         raise ParseError(f"{path}: empty sequence file")
     return PoseSequence(frames=np.array(rows), frame_interval_ms=frame_interval_ms,
-                        space=space, source_id=str(path), action=action)
+                        space=space, action=action)
 
 
 def save_sequence(path, p: PoseSequence):
     path = Path(path)
     lines = [",".join(repr(float(x)) for x in row) for row in p.frames]
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    tmp.replace(path)
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 @dataclass
@@ -275,8 +273,7 @@ def _load_entry(m: DatasetManifest, e: ManifestEntry, space: str) -> PoseSequenc
     if m.mask is not None:
         seq = PoseSequence(frames=seq.frames[:, m.mask].copy(),
                            frame_interval_ms=seq.frame_interval_ms,
-                           space=seq.space, source_id=seq.source_id,
-                           action=seq.action)
+                           space=seq.space, action=seq.action)
     return seq
 
 
@@ -294,6 +291,10 @@ def load_split(m: DatasetManifest, split: str,
 
 FAST_PERIOD_BAND = (4.0, 8.0)
 SLOW_PERIOD_BAND = (32.0, 64.0)
+# Values per generated dataset (n_seq * length * d): 1 GB of float64, far
+# above any dataset the tests or the benchmark generate.  A typo such as a
+# length of 10**12 becomes an input error instead of a MemoryError.
+MAX_SYNTH_VALUES = 2 ** 27
 
 
 def _draw_dim_params(rng: np.random.Generator, d: int, drift_scale: float):
@@ -322,6 +323,9 @@ def synth_multiscale(n_seq: int, length: int, d: int, seed: int,
         raise InputError(f"synth_multiscale: d must be >= 2, got {d}")
     if n_seq < 1 or length < 2:
         raise InputError("synth_multiscale: need n_seq >= 1 and length >= 2")
+    if n_seq * length * d > MAX_SYNTH_VALUES:
+        raise InputError(f"synth_multiscale: n_seq * length * d must be at most "
+                         f"{MAX_SYNTH_VALUES}, got {n_seq * length * d}")
     out = []
     t = np.arange(length)[:, None]
     for i in range(n_seq):
@@ -330,5 +334,5 @@ def synth_multiscale(n_seq: int, length: int, d: int, seed: int,
         frames = (amplitude_scale * amps * np.sin(2.0 * math.pi * t / periods + phases)
                   + drifts * t)
         out.append(PoseSequence(frames=frames, frame_interval_ms=frame_interval_ms,
-                                space="angle_expmap", source_id=f"synth-{seed}-{i}"))
+                                space="angle_expmap"))
     return out

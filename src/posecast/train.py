@@ -25,7 +25,7 @@ from . import checkpoint as ckpt
 from .arch import (Model, ModelConfig, param_count, param_layout, rollout_backward,
                    rollout_forward)
 from .errors import ConfigError, InputError, NumericError, ParseError, ShapeError
-from .numcore import as_f64, clip_global_norm
+from .numcore import as_f64, atomic_write_text, clip_global_norm
 from .posedata import PoseSequence
 
 __all__ = [
@@ -100,10 +100,7 @@ class TrainConfig:
         return self
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "batch_size", "clip_norm", "lr0", "decay_factor", "decay_every",
-            "iterations", "optimizer", "adam_beta1", "adam_beta2", "adam_eps",
-            "loss_space", "seed", "seed_len", "target_len", "checkpoint_every")}
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
@@ -387,11 +384,8 @@ def load_model_checkpoint(path):
 
 def write_trace(path, trace):
     """Loss trace CSV: one `iteration,loss,lr` row per iteration, no header."""
-    path = Path(path)
     lines = [f"{it},{loss!r},{lr!r}" for it, loss, lr in trace]
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    tmp.replace(path)
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def train_loop(model: Model, dataset: TrainingData, cfg: TrainConfig,

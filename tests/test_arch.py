@@ -88,17 +88,17 @@ def _step_updates(model, bank, x):
 def test_schedule_trace_k2_m3():
     # updated (level, phase) pairs per step follow (1,0),(2,t%2),(3,t%4)
     model = build_model(tiny_cfg(levels=3))
-    bank = new_bank(model)
+    bank = new_bank(model, 1)
     rng = np.random.default_rng(0)
     for t in range(8):
-        got, _ = _step_updates(model, bank, rng.normal(size=3))
+        got, _ = _step_updates(model, bank, rng.normal(size=(1, 3)))
         assert got == [(1, 0), (2, t % 2), (3, t % 4)]
 
 
 def test_exactly_one_phase_per_level_updates():
     model = build_model(tiny_cfg(granularity=3, levels=4, hidden=3))
-    bank = new_bank(model)
-    x = np.zeros(3)
+    bank = new_bank(model, 1)
+    x = np.zeros((1, 3))
     for t in range(30):
         got, _ = _step_updates(model, bank, x)
         assert got == [(m, active_phase(m, t, 3)) for m in (1, 2, 3, 4)]
@@ -268,7 +268,7 @@ def test_physical_cells_vs_logical_sequences():
     model = build_model(tiny_cfg())
     assert logical_sequence_count(2, 2) == 3
     assert len(model.cells) == 2
-    bank = new_bank(model)
+    bank = new_bank(model, 1)
     assert [len(level) for level in bank.states] == [1, 2]
 
 
@@ -279,9 +279,9 @@ def test_weight_sharing_mutation_affects_all_phases():
     xs = rng.normal(size=(6, 3))
     model.cells[1].W[...] = 0.0
     model.cells[1].b[...] = 0.0
-    bank = new_bank(model)
+    bank = new_bank(model, 1)
     for t in range(6):
-        model_step(model, bank, xs[t])
+        model_step(model, bank, xs[t:t + 1])
     for phase in bank.states[1]:
         assert not np.any(phase.h) and not np.any(phase.c)
 
@@ -347,9 +347,9 @@ def test_gradient_buffer_views_follow_the_parameter_layout():
 
 def test_zero_model_outputs_zero():
     model = zero_model(tiny_cfg(levels=3))
-    bank = new_bank(model)
-    out, _ = model_step(model, bank, np.array([1.0, -2.0, 3.0]))
-    assert np.array_equal(out, np.zeros(3))
+    bank = new_bank(model, 1)
+    out, _ = model_step(model, bank, np.array([[1.0, -2.0, 3.0]]))
+    assert np.array_equal(out, np.zeros((1, 3)))
 
 
 def test_model_step_determinism():
@@ -358,22 +358,30 @@ def test_model_step_determinism():
     outs = []
     for _ in range(2):
         model = build_model(tiny_cfg(levels=3, seed=5))
-        bank = new_bank(model)
-        outs.append([model_step(model, bank, x)[0] for x in xs])
+        bank = new_bank(model, 1)
+        outs.append([model_step(model, bank, x[None])[0] for x in xs])
     for a, b in zip(*outs):
         assert np.array_equal(a, b)
 
 
 def test_model_step_errors():
     model = build_model(tiny_cfg())
-    bank = new_bank(model)
+    bank = new_bank(model, 1)
     with pytest.raises(ShapeError):
-        model_step(model, bank, np.zeros(4))
+        model_step(model, bank, np.zeros((1, 4)))
     with pytest.raises(ConfigError):
-        model_step(model, bank, np.zeros(3), mode="predict")
-    other = new_bank(build_model(tiny_cfg(granularity=3)))
+        model_step(model, bank, np.zeros((1, 3)), mode="predict")
+    other = new_bank(build_model(tiny_cfg(granularity=3)), 1)
     with pytest.raises(ConfigError):
-        model_step(model, other, np.zeros(3))
+        model_step(model, other, np.zeros((1, 3)))
+
+
+def test_model_step_rejects_unbatched_input():
+    # the engine takes (B, d_v) inputs only; a single vector is a ShapeError
+    model = build_model(tiny_cfg())
+    for x in (np.zeros(3), np.zeros((1, 1, 3))):
+        with pytest.raises(ShapeError):
+            model_step(model, new_bank(model, 1), x)
 
 
 def _seed_velocities(n_steps, d=3, seed=0, interval=40.0):
@@ -466,10 +474,10 @@ def test_tp_rnn_m1_equals_single_layer_vel():
     tp.theta[:] = single.theta
     rng = np.random.default_rng(2)
     xs = rng.normal(size=(9, 3))
-    bank_s, bank_t = new_bank(single), new_bank(tp)
+    bank_s, bank_t = new_bank(single, 1), new_bank(tp, 1)
     for x in xs:
-        out_s, _ = model_step(single, bank_s, x)
-        out_t, _ = model_step(tp, bank_t, x)
+        out_s, _ = model_step(single, bank_s, x[None])
+        out_t, _ = model_step(tp, bank_t, x[None])
         assert np.array_equal(out_s, out_t)
 
 
@@ -479,13 +487,13 @@ def test_double_scale_strided_input_is_pose_difference_over_k():
     model = build_model(tiny_cfg(variant="double_scale_vel"))
     rng = np.random.default_rng(6)
     vels = rng.normal(size=(8, 3))
-    bank = new_bank(model)
+    bank = new_bank(model, 1)
     for t in range(8):
-        got, rec = _step_updates(model, bank, vels[t])
+        got, rec = _step_updates(model, bank, vels[t:t + 1])
         # the bank keeps the last K inputs: the window a firing step sums
         assert len(bank.recent) == min(t + 1, 2)
         for x, v in zip(bank.recent, vels[max(0, t - 1):t + 1]):
-            assert np.array_equal(x, v)
+            assert np.array_equal(x[0], v)
         if t % 2 == 1:  # fires every K=2 steps
             assert got == [(1, 0), (2, 0)]
             assert np.allclose(rec.tapes[1].x[0], vels[t - 1] + vels[t], atol=1e-15)
@@ -495,9 +503,9 @@ def test_double_scale_strided_input_is_pose_difference_over_k():
 
 def test_double_scale_phase_updates_every_step():
     model = build_model(tiny_cfg(variant="double_scale_phase_vel"))
-    bank = new_bank(model)
+    bank = new_bank(model, 1)
     for t in range(6):
-        got, _ = _step_updates(model, bank, np.ones(3))
+        got, _ = _step_updates(model, bank, np.ones((1, 3)))
         assert got == [(1, 0), (2, t % 2)]
 
 

@@ -52,9 +52,16 @@ def test_synth_deterministic(tmp_path):
         assert fa.read_bytes() == fb.read_bytes()
 
 
-def test_synth_rejects_dim_one(tmp_path, capsys):
-    assert run("synth", "--out", tmp_path / "d", "--dim", 1) == 3
+@pytest.mark.parametrize("flag,value", [
+    ("dim", 1), ("dim", 10 ** 12), ("length", 10 ** 12),
+    ("interval-ms", "nan"), ("interval-ms", "inf"),
+])
+def test_synth_rejects_dim_one(tmp_path, capsys, flag, value):
+    # a one-dimensional dataset, one too large to hold, or a frame interval
+    # no later command could read
+    assert run("synth", "--out", tmp_path / "d", f"--{flag}", value) == 3
     assert "input error" in capsys.readouterr().err
+    assert not (tmp_path / "d" / "manifest.txt").exists()
 
 
 # ---------------------------------------------------------------------------

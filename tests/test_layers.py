@@ -5,8 +5,8 @@ import pytest
 
 from posecast.errors import ConfigError, ShapeError
 from posecast.layers import (HeadParams, LstmParams, LstmState, grad_check,
-                             head_backward, head_forward, init_head, init_lstm,
-                             lstm_step, lstm_step_backward)
+                             head_backward, head_forward, head_skip, init_head,
+                             init_lstm, lstm_step, lstm_step_backward)
 
 
 def _zeroed(p: LstmParams) -> LstmParams:
@@ -50,9 +50,9 @@ def test_lstm_param_count_closed_form():
 
 def test_lstm_step_all_zero_params():
     p = _zeroed(init_lstm(3, 4, seed=0))
-    s, _ = lstm_step(p, np.ones(3), LstmState.zeros(4))
-    assert np.array_equal(s.h, np.zeros(4))
-    assert np.array_equal(s.c, np.zeros(4))
+    s, _ = lstm_step(p, np.ones((1, 3)), LstmState.zeros(4, 1))
+    assert np.array_equal(s.h, np.zeros((1, 4)))
+    assert np.array_equal(s.c, np.zeros((1, 4)))
 
 
 def test_lstm_step_gate_saturation_preserves_cell():
@@ -61,9 +61,9 @@ def test_lstm_step_gate_saturation_preserves_cell():
     p.b[0 * h:1 * h] = -50.0  # input gate shut
     p.b[1 * h:2 * h] = +50.0  # forget gate open
     p.b[2 * h:3 * h] = -50.0  # output gate shut
-    s, _ = lstm_step(p, np.zeros(2), LstmState(h=np.zeros(h), c=np.ones(h)))
-    assert np.allclose(s.c, np.ones(h), atol=1e-12)
-    assert np.allclose(s.h, np.zeros(h), atol=1e-12)
+    s, _ = lstm_step(p, np.zeros((1, 2)), LstmState(h=np.zeros((1, h)), c=np.ones((1, h))))
+    assert np.allclose(s.c, np.ones((1, h)), atol=1e-12)
+    assert np.allclose(s.h, np.zeros((1, h)), atol=1e-12)
 
 
 def test_lstm_step_matches_scalar_oracle():
@@ -99,17 +99,17 @@ def test_lstm_step_matches_scalar_oracle():
         exp_c.append(c)
         exp_h.append(o * math.tanh(c))
 
-    s, _ = lstm_step(p, np.array(x), LstmState(h=np.array(h_prev), c=np.array(c_prev)))
-    assert np.allclose(s.h, exp_h, atol=1e-15)
-    assert np.allclose(s.c, exp_c, atol=1e-15)
+    s, _ = lstm_step(p, np.array([x]), LstmState(h=np.array([h_prev]), c=np.array([c_prev])))
+    assert np.allclose(s.h[0], exp_h, atol=1e-15)
+    assert np.allclose(s.c[0], exp_c, atol=1e-15)
 
 
 def test_lstm_step_shape_errors():
     p = init_lstm(3, 4, seed=0)
     with pytest.raises(ShapeError):
-        lstm_step(p, np.ones(2), LstmState.zeros(4))
+        lstm_step(p, np.ones((1, 2)), LstmState.zeros(4, 1))
     with pytest.raises(ShapeError):
-        lstm_step(p, np.ones(3), LstmState.zeros(5))
+        lstm_step(p, np.ones((1, 3)), LstmState.zeros(5, 1))
 
 
 def test_lstm_step_batched_matches_loop():
@@ -120,11 +120,11 @@ def test_lstm_step_batched_matches_loop():
     C = rng.normal(size=(6, 4))
     s, _ = lstm_step(p, X, LstmState(h=H, c=C))
     for i in range(6):
-        si, _ = lstm_step(p, X[i], LstmState(h=H[i], c=C[i]))
+        si, _ = lstm_step(p, X[i:i + 1], LstmState(h=H[i:i + 1], c=C[i:i + 1]))
         # matmul accumulation order differs between batched and single-row
         # calls, so agreement is to rounding, not bit-exact
-        assert np.allclose(s.h[i], si.h, atol=1e-15)
-        assert np.allclose(s.c[i], si.c, atol=1e-15)
+        assert np.allclose(s.h[i], si.h[0], atol=1e-15)
+        assert np.allclose(s.c[i], si.c[0], atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +143,8 @@ def _lstm_from_flat(theta, d_in, h):
 
 def test_lstm_backward_zero_grads():
     p = init_lstm(2, 3, seed=0)
-    _, tape = lstm_step(p, np.ones(2), LstmState.zeros(3))
-    (dW, db), dx, (dh, dc) = lstm_step_backward(p, tape, np.zeros(3), np.zeros(3))
+    _, tape = lstm_step(p, np.ones((1, 2)), LstmState.zeros(3, 1))
+    (dW, db), dx, (dh, dc) = lstm_step_backward(p, tape, np.zeros((1, 3)), np.zeros((1, 3)))
     assert not np.any(dW) and not np.any(db)
     assert not np.any(dx) and not np.any(dh) and not np.any(dc)
 
@@ -154,15 +154,15 @@ def test_lstm_backward_matches_fd(seed):
     d_in, h = 3, 4
     rng = np.random.default_rng(seed)
     p = init_lstm(d_in, h, seed=seed)
-    x = rng.normal(size=d_in)
-    s0 = LstmState(h=rng.normal(size=h) * 0.5, c=rng.normal(size=h) * 0.5)
-    wh = rng.normal(size=h)
-    wc = rng.normal(size=h)
+    x = rng.normal(size=(1, d_in))
+    s0 = LstmState(h=rng.normal(size=(1, h)) * 0.5, c=rng.normal(size=(1, h)) * 0.5)
+    wh = rng.normal(size=(1, h))
+    wc = rng.normal(size=(1, h))
 
     def f(theta):
         pp = _lstm_from_flat(theta, d_in, h)
         s, _ = lstm_step(pp, x, LstmState(h=s0.h.copy(), c=s0.c.copy()))
-        return float(wh @ s.h + wc @ s.c)
+        return float(np.sum(wh * s.h + wc * s.c))
 
     _, tape = lstm_step(p, x, s0)
     (dW, db), _, _ = lstm_step_backward(p, tape, wh, wc)
@@ -176,26 +176,26 @@ def test_lstm_backward_chained_input_gradient():
     d_in = h = 3
     rng = np.random.default_rng(12)
     p = init_lstm(d_in, h, seed=12)
-    x1 = rng.normal(size=d_in)
-    x2 = rng.normal(size=d_in)
-    w = rng.normal(size=h)
+    x1 = rng.normal(size=(1, d_in))
+    x2 = rng.normal(size=(1, d_in))
+    w = rng.normal(size=(1, h))
 
     def f(x1v):
-        s1, _ = lstm_step(p, x1v, LstmState.zeros(h))
+        s1, _ = lstm_step(p, x1v, LstmState.zeros(h, 1))
         s2, _ = lstm_step(p, x2, s1)
-        return float(w @ s2.h)
+        return float(np.sum(w * s2.h))
 
-    s1, tape1 = lstm_step(p, x1, LstmState.zeros(h))
+    s1, tape1 = lstm_step(p, x1, LstmState.zeros(h, 1))
     _, tape2 = lstm_step(p, x2, s1)
-    _, _, (dh1, dc1) = lstm_step_backward(p, tape2, w, np.zeros(h))
+    _, _, (dh1, dc1) = lstm_step_backward(p, tape2, w, np.zeros((1, h)))
     _, dx1, _ = lstm_step_backward(p, tape1, dh1, dc1)
 
     eps = 1e-6
     for k in range(d_in):
-        e = np.zeros(d_in)
-        e[k] = eps
+        e = np.zeros((1, d_in))
+        e[0, k] = eps
         fd = (f(x1 + e) - f(x1 - e)) / (2 * eps)
-        assert abs(dx1[k] - fd) < 1e-8
+        assert abs(dx1[0, k] - fd) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +212,8 @@ def test_head_zero_params_zero_output():
     hp = init_head(3, 2, 4, 5, 4, seed=0)
     for _, t in hp.tensors():
         t[...] = 0.0
-    out, _ = head_forward(hp, np.ones(3), [np.ones(4), np.ones(4)])
-    assert np.array_equal(out, np.zeros(3))
+    out, _ = head_forward(hp, np.ones((1, 3)), [np.ones((1, 4)), np.ones((1, 4))])
+    assert np.array_equal(out, np.zeros((1, 3)))
 
 
 def test_head_hand_computed_scalar():
@@ -223,25 +223,25 @@ def test_head_hand_computed_scalar():
                     d_v=1, n_states=1, h=1)
     # positive branch: (-0.75)*2*(0.5+0.25)... laid out step by step:
     # a1 = 0.75, r1 = 0.75; a2 = 1.5, r2 = 1.5; out = -1.5*1.5 + 0.25 = -2.0
-    out, _ = head_forward(hp, np.array([0.5]), [np.array([0.25])], slope=0.1)
-    assert out[0] == pytest.approx(-2.0, abs=1e-15)
+    out, _ = head_forward(hp, np.array([[0.5]]), [np.array([[0.25]])], slope=0.1)
+    assert out[0, 0] == pytest.approx(-2.0, abs=1e-15)
     # negative branch through both leaky units
-    out2, _ = head_forward(hp, np.array([-0.5]), [np.array([-0.25])], slope=0.1)
+    out2, _ = head_forward(hp, np.array([[-0.5]]), [np.array([[-0.25]])], slope=0.1)
     # a1 = -0.75 -> r1 = -0.075; a2 = -0.15 -> r2 = -0.015; out = 0.2725
-    assert out2[0] == pytest.approx(0.2725, abs=1e-15)
+    assert out2[0, 0] == pytest.approx(0.2725, abs=1e-15)
 
 
 def test_head_output_dim_contract():
     for d_v, n_states in [(2, 1), (3, 2), (5, 3)]:
         hp = init_head(d_v, n_states, 4, 6, 5, seed=d_v)
-        out, _ = head_forward(hp, np.zeros(d_v), [np.zeros(4)] * n_states)
-        assert out.shape == (d_v,)
+        out, _ = head_forward(hp, np.zeros((1, d_v)), [np.zeros((1, 4))] * n_states)
+        assert out.shape == (1, d_v)
 
 
 def test_head_wrong_hidden_count():
     hp = init_head(3, 2, 4, 5, 4, seed=0)
     with pytest.raises(ConfigError):
-        head_forward(hp, np.zeros(3), [np.zeros(4)])
+        head_forward(hp, np.zeros((1, 3)), [np.zeros((1, 4))])
 
 
 def _head_flat(hp):
@@ -257,8 +257,8 @@ def _head_set_flat(hp, theta):
 
 def test_head_backward_zero_grad():
     hp = init_head(2, 2, 3, 4, 3, seed=4)
-    _, tape = head_forward(hp, np.ones(2), [np.ones(3), np.ones(3)])
-    g, dv, dhs = head_backward(hp, tape, np.zeros(2))
+    _, tape = head_forward(hp, np.ones((1, 2)), [np.ones((1, 3)), np.ones((1, 3))])
+    g, dv, dhs = head_backward(hp, tape, np.zeros((1, 2)))
     assert all(not np.any(t) for t in g)
     assert not np.any(dv) and all(not np.any(d) for d in dhs)
 
@@ -268,15 +268,15 @@ def test_head_backward_matches_fd(seed):
     d_v, n_states, h, h1, h2 = 3, 2, 4, 5, 4
     rng = np.random.default_rng(seed + 100)
     hp = init_head(d_v, n_states, h, h1, h2, seed=seed)
-    v = rng.normal(size=d_v)
-    hiddens = [rng.normal(size=h) for _ in range(n_states)]
-    w = rng.normal(size=d_v)
+    v = rng.normal(size=(1, d_v))
+    hiddens = [rng.normal(size=(1, h)) for _ in range(n_states)]
+    w = rng.normal(size=(1, d_v))
 
     def f(theta):
         hp2 = init_head(d_v, n_states, h, h1, h2, seed=seed)
         _head_set_flat(hp2, theta)
         out, _ = head_forward(hp2, v, hiddens, slope=0.01)
-        return float(w @ out)
+        return float(np.sum(w * out))
 
     out, tape = head_forward(hp, v, hiddens, slope=0.01)
     g, _, _ = head_backward(hp, tape, w)
@@ -289,27 +289,27 @@ def test_head_backward_hidden_input_gradients_match_fd():
     d_v, n_states, h = 2, 3, 3
     rng = np.random.default_rng(42)
     hp = init_head(d_v, n_states, h, 5, 4, seed=0)
-    v = rng.normal(size=d_v)
-    hiddens = [rng.normal(size=h) for _ in range(n_states)]
-    w = rng.normal(size=d_v)
+    v = rng.normal(size=(1, d_v))
+    hiddens = [rng.normal(size=(1, h)) for _ in range(n_states)]
+    w = rng.normal(size=(1, d_v))
     _, tape = head_forward(hp, v, hiddens)
     _, _, dhs = head_backward(hp, tape, w)
     eps = 1e-6
     for m in range(n_states):
         for k in range(h):
             bumped = [hh.copy() for hh in hiddens]
-            bumped[m][k] += eps
+            bumped[m][0, k] += eps
             fp, _ = head_forward(hp, v, bumped)
-            bumped[m][k] -= 2 * eps
+            bumped[m][0, k] -= 2 * eps
             fm, _ = head_forward(hp, v, bumped)
-            fd = float(w @ (fp - fm)) / (2 * eps)
-            assert abs(dhs[m][k] - fd) < 1e-8
+            fd = float(np.sum(w * (fp - fm))) / (2 * eps)
+            assert abs(dhs[m][0, k] - fd) < 1e-8
 
 
 def test_head_dropout_masks_cached_and_exact():
     hp = init_head(2, 2, 3, 8, 6, seed=1)
-    v = np.array([0.3, -0.2])
-    hiddens = [np.full(3, 0.1), np.full(3, -0.1)]
+    v = np.array([[0.3, -0.2]])
+    hiddens = [np.full((1, 3), 0.1), np.full((1, 3), -0.1)]
     rng = np.random.default_rng(77)
     out, tape = head_forward(hp, v, hiddens, dropout_rate=0.5,
                              rng=rng, train=True)
@@ -318,16 +318,16 @@ def test_head_dropout_masks_cached_and_exact():
     assert set(np.unique(tape.mask1)) <= {0.0, 2.0}
     # backward with the cached masks agrees with finite differences on W3,
     # holding the masks fixed
-    w = np.array([1.0, -1.0])
+    w = np.array([[1.0, -1.0]])
     (_, _, _, _, dW3, _), _, _ = head_backward(hp, tape, w)
     eps = 1e-6
 
     def f_fixed_mask(W3):
-        a1 = np.concatenate([v] + hiddens) @ hp.W1.T + hp.b1
+        a1 = np.concatenate([v] + hiddens, axis=1)[0] @ hp.W1.T + hp.b1
         r1 = np.where(a1 >= 0, a1, 0.01 * a1) * tape.mask1[0]
         a2 = r1 @ hp.W2.T + hp.b2
         r2 = np.where(a2 >= 0, a2, 0.01 * a2) * tape.mask2[0]
-        return float(w @ (W3 @ r2 + hp.b3))
+        return float(w[0] @ (W3 @ r2 + hp.b3))
 
     for idx in [(0, 0), (1, 3)]:
         W3p = hp.W3.copy(); W3p[idx] += eps
@@ -339,12 +339,49 @@ def test_head_dropout_masks_cached_and_exact():
 def test_head_dropout_requires_rng():
     hp = init_head(2, 1, 3, 4, 3, seed=0)
     with pytest.raises(ConfigError):
-        head_forward(hp, np.zeros(2), [np.zeros(3)], dropout_rate=0.2,
+        head_forward(hp, np.zeros((1, 2)), [np.zeros((1, 3))], dropout_rate=0.2,
                      train=True)
     # eval mode never applies dropout
-    out, tape = head_forward(hp, np.ones(2), [np.ones(3)], dropout_rate=0.2,
+    out, tape = head_forward(hp, np.ones((1, 2)), [np.ones((1, 3))], dropout_rate=0.2,
                              train=False)
     assert tape.mask1 is None
+
+
+def test_head_skip_draws_the_masks_head_forward_draws():
+    hp = init_head(2, 1, 3, 8, 6, seed=1)
+    ran, skipped = np.random.default_rng(9), np.random.default_rng(9)
+    head_forward(hp, np.ones((4, 2)), [np.ones((4, 3))], dropout_rate=0.3, rng=ran,
+                 train=True)
+    head_skip(hp, 4, dropout_rate=0.3, rng=skipped, train=True)
+    assert ran.bit_generator.state == skipped.bit_generator.state
+    with pytest.raises(ConfigError):
+        head_skip(hp, 4, dropout_rate=0.3, train=True)
+
+
+# ---------------------------------------------------------------------------
+# the (B, d) contract
+
+
+def test_layers_reject_unbatched_arrays():
+    # every layer takes and returns (B, d) arrays; a single vector (d,) is a
+    # ShapeError, never a batch of one
+    p = init_lstm(3, 4, seed=0)
+    hp = init_head(3, 1, 4, 5, 4, seed=0)
+    s = LstmState.zeros(4, 1)
+    with pytest.raises(ShapeError):
+        lstm_step(p, np.ones(3), s)
+    with pytest.raises(ShapeError):
+        lstm_step(p, np.ones((1, 3)), LstmState(np.zeros(4), np.zeros(4)))
+    _, tape = lstm_step(p, np.ones((1, 3)), s)
+    with pytest.raises(ShapeError):
+        lstm_step_backward(p, tape, np.zeros(4), np.zeros(4))
+    with pytest.raises(ShapeError):
+        head_forward(hp, np.ones(3), [np.ones((1, 4))])
+    with pytest.raises(ShapeError):
+        head_forward(hp, np.ones((1, 3)), [np.ones(4)])
+    _, htape = head_forward(hp, np.ones((1, 3)), [np.ones((1, 4))])
+    with pytest.raises(ShapeError):
+        head_backward(hp, htape, np.zeros(3))
 
 
 # ---------------------------------------------------------------------------

@@ -110,15 +110,21 @@ def test_level_major_schedule_stacks_phases(monkeypatch):
 
 
 def test_tape_free_requires_eval_mode():
+    from posecast.arch import observe
+    from posecast.posedata import VelocitySequence
+    model = _model("tp_rnn", 2)
     seed_vels, origin = _inputs(2, 4)
     with pytest.raises(ConfigError):
-        rollout_forward(_model("tp_rnn", 2), seed_vels, origin, 3, mode="train",
-                        record=False)
+        rollout_forward(model, seed_vels, origin, 3, mode="train", record=False)
+    seed_v = VelocitySequence(steps=seed_vels[0], origin_pose=origin[0],
+                              frame_interval_ms=40.0)
+    with pytest.raises(ConfigError):
+        observe(model, seed_v, mode="train", rng=np.random.default_rng(0), record=False)
 
 
 @pytest.mark.parametrize("variant,levels", [("tp_rnn", 3), ("double_scale_vel", 2)])
 def test_observe_wrapper_tape_free_matches_recording(variant, levels):
-    # the single-sequence wrappers return unbatched banks on both paths
+    # the single-sequence wrappers return the engine's B=1 bank on both paths
     from posecast.arch import forecast, observe
     from posecast.posedata import PoseSequence, to_velocity
     model = _model(variant, levels)
@@ -128,7 +134,7 @@ def test_observe_wrapper_tape_free_matches_recording(variant, levels):
     for record in (True, False):
         bank, records, v_first = observe(model, seed_v, record=record)
         assert (records is None) == (not record)
-        assert v_first.shape == (3,) and bank.last_pose.shape == (3,)
-        assert all(s.h.shape == (5,) for level in bank.states for s in level)
+        assert v_first.shape == (3,) and bank.last_pose.shape == (1, 3)
+        assert all(s.h.shape == (1, 5) for level in bank.states for s in level)
         out.append(forecast(model, bank, v_first, 6).steps)
     assert np.abs(out[1] - out[0]).max() <= 1e-12 * np.abs(out[0]).max()
