@@ -27,16 +27,19 @@ their upper levels (K = granularity; `VARIANTS` holds one entry each):
     double_scale_phase_vel 2       K,          every step,    stride   (K=2)
     tp_rnn                 M       K^(m-1),    every step,    below
 
-The level table drives the state bank's layout, the step engine, the
-level-major seed, the backward pass and the parameter layout of the flat
-buffer `Model.theta`.  `Level.phase`, `Level.fires` and `_stride_window` give
-every schedule fact; nothing records one.  A step record holds one tape per
-level (None where it did not fire), the state bank only the last K inputs.
-A level with more than one phase fires every step, so the tape-free seed cuts
-its firing steps into runs of `phases` steps, phase i firing at a run's i-th
-step, and runs each run as one stacked LSTM call.  Every state, input and
-prediction is a (B, d) batch, a single sequence one of B = 1; the recorded
-rollout plus `rollout_backward` give exact gradients through the
+The level table drives the state bank's layout, the engine's level sweep,
+the backward pass and the parameter layout of the flat buffer `Model.theta`.
+`Level.phase`, `Level.fires` and `_stride_window` give every schedule fact;
+nothing records one.  A step record holds one tape per level (None where it
+did not fire), the state bank only the last K inputs.
+
+Every forward step runs through one level sweep, `_advance`: the whole seed
+in one call, each forecast step (and each `model_step`) in a call of one
+input.  The sweep cuts a level's firing steps into runs of up to `phases`
+steps, each on its own phase.  Tape-free, a run is one stacked LSTM call;
+recorded, each firing step is its own call and keeps its tape.  Every state,
+input and prediction is a (B, d) batch, a single sequence one of B = 1; the
+recorded rollout plus `rollout_backward` give exact gradients through the
 autoregressive loop.
 """
 
@@ -338,56 +341,17 @@ def _window_sum(xs: list[np.ndarray]) -> np.ndarray:
 
 
 def model_step(model: Model, bank: PhaseStateBank, x_t, mode: str = "eval",
-               rng: np.random.Generator | None = None, record: bool = True,
-               head: bool = True):
-    """Advance the hierarchy one step; returns (predicted next velocity, tape).
+               rng: np.random.Generator | None = None):
+    """Advance the hierarchy one step; returns (predicted next velocity, step record).
 
     x_t (B, d_v) is the velocity at the current step (the current pose for the
     single_layer_pose variant) and the prediction is (B, d_v).  Exactly one
-    phase per active level mutates.
-    With head=False the step's output is not needed: the head is not run
-    (the prediction and the step record's head tape are None), but its
-    dropout masks are still drawn, so `rng` advances as if it had run.
+    phase per active level mutates.  One recorded call of the engine's level
+    sweep (`_advance`) on one input.
     """
-    cfg = model.config
-    if mode not in ("train", "eval"):
-        raise ConfigError(f"mode: must be train|eval, got {mode!r}")
-    if len(bank.states) != len(model.levels) or any(
-            len(states) != level.phases for states, level in zip(bank.states, model.levels)):
-        raise ConfigError("model_step: bank layout does not match model config")
-    x = as_f64(x_t)
-    if x.ndim != 2 or x.shape[1] != cfg.d_v:
-        raise ShapeError(f"model_step: expected a (B, {cfg.d_v}) input, got shape {x.shape}")
-    t = bank.t
-
-    bank.recent = bank.recent[1 - cfg.granularity:] + [x]  # steps _stride_window(t, K)
-
-    tapes = []
-    hiddens = []
-    for level, cell, states in zip(model.levels, model.cells, bank.states):
-        q = level.phase(t)
-        tape = None
-        if level.fires(t):
-            if level.source == "below":
-                inp = hiddens[-1]
-            elif level.source == "stride":
-                inp = _window_sum(bank.recent)
-            else:
-                inp = x
-            states[q], tape = lstm_step(cell, inp, states[q])
-        tapes.append(tape)
-        hiddens.append(states[q].h)
-
-    if head:
-        vhat, head_tape = head_forward(model.head, x, hiddens, slope=cfg.leaky_slope,
-                                       dropout_rate=cfg.effective_dropout, rng=rng,
-                                       train=(mode == "train"))
-    else:
-        vhat = head_tape = None
-        head_skip(model.head, x.shape[0], dropout_rate=cfg.effective_dropout, rng=rng,
-                  train=(mode == "train"))
-    bank.t = t + 1
-    return vhat, (StepRecord(tapes=tapes, head_tape=head_tape) if record else None)
+    records = []
+    vhat = _advance(model, bank, [x_t], mode, rng, records)
+    return vhat, records[0]
 
 
 def observe(model: Model, seed_velocities: VelocitySequence, mode: str = "eval",
@@ -438,14 +402,13 @@ def rollout_forward(model: Model, seed_vels: np.ndarray, origin: np.ndarray,
     t < S consumes seed_vels[:, t]; later steps consume the model's own
     previous prediction.
 
-    With record=True every step is run in time order and its tapes are kept
-    for `rollout_backward`: records[t].tapes[m] is level m+1's LSTM tape at
-    step t (None where it did not fire), records[t].head_tape the head's (None
-    at seed steps t < S-1); phases and stride windows follow from the level
-    table and t.  record=False (eval mode only) keeps no tapes and
-    returns None for the records: the seed runs level by level with each
-    level's phase sequences stacked into one batch (see `_level_major_seed`),
-    and the head runs only where its output is a prediction.
+    The seed is one call of the level sweep (`_advance`), each forecast step
+    one more.  With record=True every tape is kept for `rollout_backward`:
+    records[t].tapes[m] is level m+1's LSTM tape at step t (None where it did
+    not fire), records[t].head_tape the head's (None at seed steps t < S-1);
+    phases and stride windows follow from the level table and t.
+    record=False (eval mode only) keeps no tapes, returns None for the
+    records and stacks each run of a level's phases into one LSTM call.
     """
     seed_vels = as_f64(seed_vels)
     origin = as_f64(origin)
@@ -459,9 +422,7 @@ def rollout_forward(model: Model, seed_vels: np.ndarray, origin: np.ndarray,
 def _observe(model: Model, seed_vels: np.ndarray, origin: np.ndarray, mode: str,
              rng, record: bool):
     """Seed stage of the engine: (bank at t=S, step records or None, prediction
-    at t=S-1).  Step-major with tapes (record=True), otherwise level-major,
-    which runs in eval mode only.  Either way the head runs only at t=S-1; the
-    step-major seed still draws the skipped steps' dropout masks."""
+    at t=S-1), from one level sweep over the S seed inputs."""
     if not record and mode != "eval":
         raise ConfigError("record=False runs in eval mode only")
     is_pose = model.levels[0].source == "pose"
@@ -470,16 +431,8 @@ def _observe(model: Model, seed_vels: np.ndarray, origin: np.ndarray, mode: str,
     for t in range(seed_vels.shape[1]):
         pose = pose + seed_vels[:, t]
         xs.append(pose if is_pose else seed_vels[:, t])
-    if record:
-        bank, records = new_bank(model, seed_vels.shape[0]), []
-        for t, x in enumerate(xs):
-            # only the last seed step's output is a prediction
-            vhat, rec = model_step(model, bank, x, mode=mode, rng=rng,
-                                   head=(t == len(xs) - 1))
-            records.append(rec)
-    else:
-        records = None
-        bank, vhat = _level_major_seed(model, xs)
+    bank, records = new_bank(model, seed_vels.shape[0]), [] if record else None
+    vhat = _advance(model, bank, xs, mode, rng, records)
     bank.last_pose = pose
     return bank, records, vhat
 
@@ -494,58 +447,86 @@ def _feed_back(model: Model, bank: PhaseStateBank, v, n_steps: int, mode: str, r
     preds = [v]
     for _ in range(1, n_steps):
         pose = pose + v
-        v, rec = model_step(model, bank, pose if is_pose else v, mode=mode, rng=rng,
-                            record=records is not None)
-        if records is not None:
-            records.append(rec)
+        v = _advance(model, bank, [pose if is_pose else v], mode, rng, records)
         preds.append(v)
     bank.last_pose = pose + v
     return preds
 
 
-def _cat_rows(arrays: list[np.ndarray]) -> np.ndarray:
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+def _advance(model: Model, bank: PhaseStateBank, xs: list, mode: str, rng,
+             records: list | None) -> np.ndarray:
+    """The engine's one level sweep: advance `bank` over the known inputs xs,
+    xs[i] (B, d_v) being the input at step bank.t + i, and return the
+    prediction at the last of them.
 
+    Every input is known, so a level depends only on the level below and its
+    phases on nothing else.  In every `VARIANTS` entry a level with more than
+    one phase, or whose output feeds the level above, fires every step.  So a
+    level's firing steps are cut into runs of up to `phases` consecutive
+    steps, each step of a run on its own phase, and the run outputs in time
+    order are the `below` stream.  The head runs only at the last step.
 
-def _level_major_seed(model: Model, xs: list[np.ndarray]):
-    """Run the observed seed level by level, in eval mode, without tapes.
-
-    xs[t] (B, d) is the input at seed step t.  Every input is known, so a
-    level depends only on the level below and its phases on nothing else.
-    In every `VARIANTS` entry a level with more than one phase, or whose
-    output feeds the level above, fires every step.  So round r stacks
-    phases 0..n-1 on the r-th run of `phases` firing steps into one
-    lstm_step of n * B rows, and the run outputs in time order are the
-    `below` stream.  Returns the bank at t = S, as after S `model_step`
-    calls, and the prediction at t = S-1.
+    With `records` a list (recorded) one StepRecord per input is appended,
+    each firing step is its own B-row LSTM call whose tape goes to
+    records[t].tapes[m], and the head's dropout masks of the skipped steps are
+    drawn in time order before the head runs, so the random stream is that of
+    one step at a time.  With records None (tape-free) each run is one LSTM
+    call on its phases stacked into len(run) * B rows.
     """
     cfg = model.config
-    S, B = len(xs), xs[0].shape[0]
-    bank = new_bank(model, B)
+    if mode not in ("train", "eval"):
+        raise ConfigError(f"mode: must be train|eval, got {mode!r}")
+    if len(bank.states) != len(model.levels) or any(
+            len(states) != level.phases for states, level in zip(bank.states, model.levels)):
+        raise ConfigError("bank layout does not match model config")
+    xs = [as_f64(x) for x in xs]
+    for x in xs:
+        if x.ndim != 2 or x.shape[1] != cfg.d_v:
+            raise ShapeError(f"expected a (B, {cfg.d_v}) input, got shape {x.shape}")
+    K, t0, n, B = cfg.granularity, bank.t, len(xs), xs[0].shape[0]
+    recent, first = bank.recent + xs, t0 - len(bank.recent)  # recent[i] is step first + i
+    if records is not None:
+        records += [StepRecord(tapes=[None] * len(model.levels), head_tape=None) for _ in xs]
+        recs = records[-n:]  # recs[i] is step t0 + i
     below = xs  # per step: the hidden output the level below produced at it
-    for level, cell, states in zip(model.levels, model.cells, bank.states):
-        fired = [t for t in range(S) if level.fires(t)]
+    for m, (level, cell, states) in enumerate(zip(model.levels, model.cells, bank.states)):
+        fired = [t for t in range(t0, t0 + n) if level.fires(t)]
+        size = level.phases if records is None else 1
         outs = []
-        for r in range(0, len(fired), level.phases):
-            run = fired[r:r + level.phases]
+        for run in (fired[r:r + size] for r in range(0, len(fired), size)):
             if level.source == "stride":
-                x = _cat_rows([_window_sum([xs[i] for i in _stride_window(t, cfg.granularity)])
-                               for t in run])
+                inps = [_window_sum([recent[i - first] for i in _stride_window(t, K)])
+                        for t in run]
             else:
-                x = _cat_rows([below[t] for t in run])
-            n = len(run)
-            new, _ = lstm_step(cell, x, LstmState(_cat_rows([s.h for s in states[:n]]),
-                                                  _cat_rows([s.c for s in states[:n]])))
-            states[:n] = [LstmState(new.h[i * B:(i + 1) * B], new.c[i * B:(i + 1) * B])
-                          for i in range(n)]
-            outs += [s.h for s in states[:n]]
+                inps = [below[t - t0] for t in run]
+            qs = [level.phase(t) for t in run]
+            # tape-free, a call's tape is dropped at once: a stacked one is
+            # len(run) times a step's, and would live on through the next call
+            if len(run) > 1:
+                new = lstm_step(cell, np.concatenate(inps),
+                                LstmState(np.concatenate([states[q].h for q in qs]),
+                                          np.concatenate([states[q].c for q in qs])))[0]
+                for i, q in enumerate(qs):
+                    states[q] = LstmState(new.h[i * B:(i + 1) * B], new.c[i * B:(i + 1) * B])
+            elif records is None:
+                states[qs[0]] = lstm_step(cell, inps[0], states[qs[0]])[0]
+            else:
+                tapes = recs[run[0] - t0].tapes
+                states[qs[0]], tapes[m] = lstm_step(cell, inps[0], states[qs[0]])
+            outs += [states[q].h for q in qs]
         below = outs
-    t = S - 1
+    t = t0 + n - 1
+    train = mode == "train"
+    for _ in range(n - 1):  # only the last step's output is a prediction
+        head_skip(model.head, B, dropout_rate=cfg.effective_dropout, rng=rng, train=train)
     hiddens = [states[level.phase(t)].h for level, states in zip(model.levels, bank.states)]
-    vhat, _ = head_forward(model.head, xs[t], hiddens, slope=cfg.leaky_slope)
-    bank.t = S
-    bank.recent = xs[max(0, S - cfg.granularity):]
-    return bank, vhat
+    vhat, head_tape = head_forward(model.head, xs[-1], hiddens, slope=cfg.leaky_slope,
+                                   dropout_rate=cfg.effective_dropout, rng=rng, train=train)
+    if records is not None:
+        recs[-1].head_tape = head_tape
+    bank.t = t0 + n
+    bank.recent = recent[-K:]  # steps _stride_window(bank.t - 1, K)
+    return vhat
 
 
 # ---------------------------------------------------------------------------

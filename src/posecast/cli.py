@@ -97,10 +97,10 @@ def train_config_from_file(path) -> TrainConfig:
 
 
 def cmd_synth(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     seqs = synth_multiscale(args.n_seq, args.length, args.dim, args.seed,
                             frame_interval_ms=args.interval_ms)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     n_train = max(1, int(round(0.8 * len(seqs))))
     if n_train == len(seqs) and len(seqs) > 1:
         n_train -= 1

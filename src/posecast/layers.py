@@ -132,7 +132,6 @@ class LstmTape:
     f: np.ndarray
     o: np.ndarray
     g: np.ndarray
-    c_new: np.ndarray
     tanh_c: np.ndarray
 
 
@@ -156,8 +155,7 @@ def lstm_step(p: LstmParams, x, s: LstmState):
     c_new = f * c2 + i * g
     tanh_c = np.tanh(c_new)
     h_new = o * tanh_c
-    tape = LstmTape(x=x2, h_prev=h2, c_prev=c2, i=i, f=f, o=o, g=g,
-                    c_new=c_new, tanh_c=tanh_c)
+    tape = LstmTape(x=x2, h_prev=h2, c_prev=c2, i=i, f=f, o=o, g=g, tanh_c=tanh_c)
     return LstmState(h=h_new, c=c_new), tape
 
 

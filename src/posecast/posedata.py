@@ -225,7 +225,7 @@ def load_manifest(path) -> DatasetManifest:
     path = Path(path)
     if not path.exists():
         raise ParseError(f"{path}: no such file")
-    entries = []
+    entries, linenos = [], []
     mask = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -254,8 +254,14 @@ def load_manifest(path) -> DatasetManifest:
                                  f"got {interval_s!r}")
             entries.append(ManifestEntry(path=p, split=split, action=action,
                                          dim=dim, interval_ms=interval))
+            linenos.append(lineno)
     if not entries:
         raise ParseError(f"{path}: manifest lists no sequences")
+    # a mask cuts every entry down to len(mask) dims; without one they must agree
+    for lineno, e in zip(linenos, entries) if mask is None else ():
+        if e.dim != entries[0].dim:
+            raise ParseError(f"{path}:{lineno}: dim {e.dim} differs from the first "
+                             f"entry's dim {entries[0].dim}")
     for e in entries if mask is not None else ():
         bad = [i for i in mask if not 0 <= i < e.dim]
         if bad:

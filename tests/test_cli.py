@@ -61,7 +61,8 @@ def test_synth_rejects_dim_one(tmp_path, capsys, flag, value):
     # no later command could read
     assert run("synth", "--out", tmp_path / "d", f"--{flag}", value) == 3
     assert "input error" in capsys.readouterr().err
-    assert not (tmp_path / "d" / "manifest.txt").exists()
+    # the arguments are checked before anything is written, the directory too
+    assert not (tmp_path / "d").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +337,28 @@ def test_eval_infinite_manifest_interval_exits_3(tmp_path, capsys):
                "--seed-len", 10, "--target-len", 5, "--out", tmp_path / "r.csv") == 3
     err = capsys.readouterr().err
     assert "input error" in err and "interval_ms" in err and "manifest.txt:1" in err
+
+
+@pytest.mark.parametrize("case", ["test_dim_differs_from_train", "test_dims_differ"])
+def test_eval_rejects_mixed_manifest_dims(tmp_path, capsys, case):
+    # without a mask= line every entry must have the first entry's dim; the
+    # error names the first line that differs
+    lines = {}
+    for dim in (4, 6):
+        data = synth(tmp_path, f"d{dim}", dim=dim)
+        lines[dim] = [f"d{dim}/{line}" for line in (data / "manifest.txt").read_text().split()]
+    train4 = [line for line in lines[4] if ",train," in line]
+    test4 = [line for line in lines[4] if ",test," in line]
+    test6 = [line for line in lines[6] if ",test," in line]
+    body = train4 + (test6 if case == "test_dim_differs_from_train" else test4 + test6)
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text("\n".join(body) + "\n")
+    assert run("eval", "--checkpoint", zero_checkpoint(tmp_path, d_v=4), "--manifest",
+               manifest, "--seed-len", 10, "--target-len", 5,
+               "--out", tmp_path / "r.csv") == 3
+    err = capsys.readouterr().err
+    assert "input error" in err and f"manifest.txt:{body.index(test6[0]) + 1}: dim 6" in err
+    assert not (tmp_path / "r.csv").exists()
 
 
 def _bad_checkpoint(tmp_path, case):

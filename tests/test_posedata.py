@@ -226,6 +226,13 @@ def test_manifest_errors(tmp_path):
         f.write_text(f"# header\na.csv,train,walking,3,{interval}\n")
         with pytest.raises(ParseError, match=r"m\.txt:2: interval_ms must be finite"):
             load_manifest(f)
+    f.write_text("a.csv,train,walking,3,40.0\nb.csv,test,walking,3,40.0\n"
+                 "c.csv,test,eating,4,40.0\n")
+    with pytest.raises(ParseError, match=r"m\.txt:3: dim 4 differs"):
+        load_manifest(f)
+    # a mask cuts every entry to the same dims, so they may differ
+    f.write_text(f.read_text() + "mask=0,2\n")
+    assert load_manifest(f).dim == 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,24 @@
-"""The tape-free rollout (level-major seed) against the recording rollout.
+"""The engine's level sweep against one `model_step` call per step.
 
-`rollout_forward(record=False)` runs the observed seed level by level, with
-each level's phase sequences stacked into one batch, and the head only at
-the last seed step.  It must reproduce the recording (step-major) engine:
-predictions to 1e-12, max-abs normalised, and the state bank at t = S
-exactly.  At B=1 a stacked round is a 2-4 row GEMM where the step-major
-engine runs 1-row products, so there the states agree to rounding only.
+Every forward step runs through one level sweep, `arch._advance`: the whole
+seed in one call and each forecast step in one more.  The reference here is
+the step-at-a-time order, one `model_step` (a one-input sweep) per step.
+The recorded sweep runs each firing step as its own B-row call and must match
+that reference bit for bit, tapes, dropout masks and random stream included.
+`rollout_forward(record=False)` stacks each run of a level's phases into one
+batch; it must reproduce the reference's predictions to 1e-12, max-abs
+normalised, and its state bank at t = S exactly.  At B=1 a stacked round is a
+2-4 row GEMM where the reference runs 1-row products, so there the states
+agree to rounding only.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from posecast import arch
-from posecast.arch import ModelConfig, build_model, rollout_forward
+from posecast.arch import ModelConfig, build_model, model_step, new_bank, rollout_forward
 from posecast.errors import ConfigError
 
 VARIANT_LEVELS = [("single_layer_pose", 1), ("single_layer_vel", 1),
@@ -21,9 +27,10 @@ VARIANT_LEVELS = [("single_layer_pose", 1), ("single_layer_vel", 1),
                   ("tp_rnn", 3)]
 
 
-def _model(variant, levels, K=2):
-    return build_model(ModelConfig(variant=variant, d_v=3, granularity=K,
-                                   levels=levels, hidden=5, head1=6, head2=4, seed=3))
+def _model(variant, levels, K=2, dropout_rate=None):
+    return build_model(ModelConfig(variant=variant, d_v=3, granularity=K, levels=levels,
+                                   hidden=5, head1=6, head2=4, seed=3,
+                                   dropout_rate=dropout_rate))
 
 
 def _inputs(B, S, seed=0):
@@ -31,16 +38,50 @@ def _inputs(B, S, seed=0):
     return rng.normal(size=(B, S, 3)), rng.normal(size=(B, 3))
 
 
+def _stepwise_seed(model, seed_vels, origin, mode="eval", rng=None):
+    """The seed one `model_step` per step: (bank at t=S, step records,
+    prediction at t=S-1)."""
+    is_pose = model.levels[0].source == "pose"
+    bank, records, pose = new_bank(model, seed_vels.shape[0]), [], origin
+    for t in range(seed_vels.shape[1]):
+        pose = pose + seed_vels[:, t]
+        v, rec = model_step(model, bank, pose if is_pose else seed_vels[:, t], mode, rng)
+        records.append(rec)
+    bank.last_pose = pose
+    return bank, records, v
+
+
+def _stepwise(model, seed_vels, origin, n_pred, mode="eval", rng=None):
+    """The whole rollout one `model_step` per step: (preds (n_pred, B, d),
+    step records)."""
+    bank, records, v = _stepwise_seed(model, seed_vels, origin, mode, rng)
+    is_pose = model.levels[0].source == "pose"
+    pose, preds = bank.last_pose, [v]
+    for _ in range(1, n_pred):
+        pose = pose + v
+        v, rec = model_step(model, bank, pose if is_pose else v, mode, rng)
+        records.append(rec)
+        preds.append(v)
+    return np.stack(preds), records
+
+
+def _assert_same_tape(a, b):
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert (x is None) == (y is None), f.name
+        assert x is None or np.array_equal(x, y), f.name
+
+
 def _check(model, B, S, n_pred=6):
     seed_vels, origin = _inputs(B, S, seed=S)
-    ref, _ = rollout_forward(model, seed_vels, origin, n_pred, mode="eval")
+    ref, _ = _stepwise(model, seed_vels, origin, n_pred)
     got, records = rollout_forward(model, seed_vels, origin, n_pred, mode="eval",
                                    record=False)
     assert records is None
     assert got.shape == ref.shape == (n_pred, B, 3)
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    bank_ref, _, v_ref = arch._observe(model, seed_vels, origin, "eval", None, True)
+    bank_ref, _, v_ref = _stepwise_seed(model, seed_vels, origin)
     bank, _, v = arch._observe(model, seed_vels, origin, "eval", None, False)
     assert bank.t == bank_ref.t == S
     assert np.array_equal(bank.last_pose, bank_ref.last_pose)
@@ -84,10 +125,37 @@ def test_tape_free_short_seeds(variant, levels):
         _check(_model(variant, levels), 2, S=S)
 
 
+@pytest.mark.parametrize("variant,levels", VARIANT_LEVELS)
+def test_recorded_rollout_matches_step_at_a_time(variant, levels):
+    # train mode with dropout: the recorded sweep runs level by level, the
+    # reference step by step, and the head's masks come from the same draws
+    model = _model(variant, levels, dropout_rate=0.3)
+    S, n_pred = 10, 6
+    seed_vels, origin = _inputs(3, S)
+    rng, rng_ref = np.random.default_rng(8), np.random.default_rng(8)
+    got, records = rollout_forward(model, seed_vels, origin, n_pred, mode="train", rng=rng)
+    ref, records_ref = _stepwise(model, seed_vels, origin, n_pred, mode="train", rng=rng_ref)
+    assert np.array_equal(got, ref)
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+    assert len(records) == len(records_ref) == S + n_pred - 1
+    for t, (rec, rec_ref) in enumerate(zip(records, records_ref)):
+        assert len(rec.tapes) == len(rec_ref.tapes) == levels
+        for tape, tape_ref in zip(rec.tapes, rec_ref.tapes):
+            assert (tape is None) == (tape_ref is None)
+            if tape is not None:
+                _assert_same_tape(tape, tape_ref)
+        if t < S - 1:  # the seed's head outputs are not predictions
+            assert rec.head_tape is None
+        else:
+            assert rec.head_tape.mask1 is not None
+            _assert_same_tape(rec.head_tape, rec_ref.head_tape)
+
+
 def test_level_major_schedule_stacks_phases(monkeypatch):
-    # tp_rnn, K=2, M=3, S=10: level 1 runs 10 steps of B rows, level 2 five
-    # rounds of 2B rows, level 3 three rounds (4B, 4B, 2B rows); the head
-    # runs once, at t = S-1
+    # tp_rnn, K=2, M=3, S=10: level 1 runs 10 steps of B rows; tape-free,
+    # level 2 runs five rounds of 2B rows and level 3 three rounds (4B, 4B, 2B
+    # rows), while recording runs every level's firing steps one B-row call
+    # each.  The head runs once, at t = S-1
     model = _model("tp_rnn", 3)
     level = {id(c): m for m, c in enumerate(model.cells, start=1)}
     rows, heads = [], []
@@ -104,9 +172,15 @@ def test_level_major_schedule_stacks_phases(monkeypatch):
     monkeypatch.setattr(arch, "lstm_step", count_step)
     monkeypatch.setattr(arch, "head_forward", count_head)
     seed_vels, origin = _inputs(3, 10)
-    arch._observe(model, seed_vels, origin, "eval", None, False)
-    assert rows == [(1, 3)] * 10 + [(2, 6)] * 5 + [(3, 12), (3, 12), (3, 6)]
-    assert len(heads) == 1
+    expected = {False: [(1, 3)] * 10 + [(2, 6)] * 5 + [(3, 12), (3, 12), (3, 6)],
+                True: [(1, 3)] * 10 + [(2, 3)] * 10 + [(3, 3)] * 10}
+    for record, want in expected.items():
+        rows.clear()
+        heads.clear()
+        _, records, _ = arch._observe(model, seed_vels, origin, "eval", None, record)
+        assert rows == want and len(heads) == 1
+        assert record == (records is not None)
+        assert not record or all(tape is not None for rec in records for tape in rec.tapes)
 
 
 def test_tape_free_requires_eval_mode():
