@@ -6,8 +6,8 @@ from .arch import (Model, ModelConfig, PhaseStateBank, active_phase,
 from .errors import (ConfigError, InputError, NumericError, ParseError,
                      PosecastError, ShapeError)
 from .metrics import angle_mae, pck, zero_velocity_forecast
-from .posedata import (PoseSequence, VelocitySequence, Window, downsample,
-                       integrate, make_windows, synth_multiscale, to_velocity)
+from .posedata import (PoseSequence, VelocitySequence, Window, integrate,
+                       make_windows, synth_multiscale, to_velocity)
 from .train import TrainConfig, lr_at, train_loop
 
 __all__ = [
@@ -15,7 +15,7 @@ __all__ = [
     "forecast", "logical_sequence_count", "model_step", "new_bank", "observe",
     "ConfigError", "InputError", "NumericError", "ParseError", "PosecastError",
     "ShapeError", "angle_mae", "pck", "zero_velocity_forecast", "PoseSequence",
-    "VelocitySequence", "Window", "downsample", "integrate", "make_windows",
+    "VelocitySequence", "Window", "integrate", "make_windows",
     "synth_multiscale", "to_velocity", "TrainConfig", "lr_at", "train_loop",
 ]
 

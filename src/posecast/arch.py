@@ -36,7 +36,8 @@ did not fire), the state bank only the last K inputs.
 Every forward step runs through one level sweep, `_advance`: the whole seed
 in one call, each forecast step (and each `model_step`) in a call of one
 input.  The sweep cuts a level's firing steps into runs of up to `phases`
-steps, each on its own phase.  Tape-free, a run is one stacked LSTM call;
+steps, each on its own phase.  Tape-free, a run is one stacked LSTM step,
+and over a few rows a level's input projections are hoisted into one GEMM;
 recorded, each firing step is its own call and keeps its tape.  Every state,
 input and prediction is a (B, d) batch, a single sequence one of B = 1; the
 recorded rollout plus `rollout_backward` give exact gradients through the
@@ -53,7 +54,7 @@ import numpy as np
 from .errors import ConfigError, InputError, NumericError, ShapeError
 from .layers import (HeadParams, LstmParams, LstmState, draw_head, draw_lstm,
                      head_forward, head_layer_backward, head_skip, lstm_gate_backward,
-                     lstm_step)
+                     lstm_gates, lstm_step)
 from .numcore import as_f64
 from .posedata import VelocitySequence
 
@@ -453,6 +454,15 @@ def _feed_back(model: Model, bank: PhaseStateBank, v, n_steps: int, mode: str, r
     return preds
 
 
+# Most rows, (firing steps) * B, whose input projections the tape-free sweep
+# hoists into one GEMM per level (see `_advance`).  Hoisting replaces each
+# run's few-row product with the full W by one with W's recurrent columns; it
+# pays at a few rows per run and is a wash from about 400 rows on (tp_rnn,
+# h=256, M=3, S=49: a 49-row seed 0.73x, 392 rows 0.96-0.99x, 6272 rows
+# 1.17x), where its (rows, 4h) buffer only adds memory.
+HOIST_ROWS = 256
+
+
 def _advance(model: Model, bank: PhaseStateBank, xs: list, mode: str, rng,
              records: list | None) -> np.ndarray:
     """The engine's one level sweep: advance `bank` over the known inputs xs,
@@ -471,7 +481,11 @@ def _advance(model: Model, bank: PhaseStateBank, xs: list, mode: str, rng,
     records[t].tapes[m], and the head's dropout masks of the skipped steps are
     drawn in time order before the head runs, so the random stream is that of
     one step at a time.  With records None (tape-free) each run is one LSTM
-    call on its phases stacked into len(run) * B rows.
+    step on its phases stacked into len(run) * B rows.  Where a level fires
+    more than once and its firing steps hold at most HOIST_ROWS rows, their
+    input projections x @ W[:, :d_in].T + b are one GEMM and each run adds
+    only its h @ W[:, d_in:].T; that splits each row's dot product in two,
+    so its predictions move by rounding (about 1e-16) only.
     """
     cfg = model.config
     if mode not in ("train", "eval"):
@@ -491,28 +505,41 @@ def _advance(model: Model, bank: PhaseStateBank, xs: list, mode: str, rng,
     below = xs  # per step: the hidden output the level below produced at it
     for m, (level, cell, states) in enumerate(zip(model.levels, model.cells, bank.states)):
         fired = [t for t in range(t0, t0 + n) if level.fires(t)]
+        if level.source == "stride":
+            inps = [_window_sum([recent[i - first] for i in _stride_window(t, K)])
+                    for t in fired]
+        else:
+            inps = [below[t - t0] for t in fired]
         size = level.phases if records is None else 1
+        hoist = records is None and 1 < len(fired) and len(fired) * B <= HOIST_ROWS
+        if hoist:
+            # every firing step's input projection in one GEMM; a run then
+            # adds only its recurrent product
+            xw = np.concatenate(inps) @ cell.W[:, :cell.d_in].T
+            xw += cell.b
+            w_h = cell.W[:, cell.d_in:].T
         outs = []
-        for run in (fired[r:r + size] for r in range(0, len(fired), size)):
-            if level.source == "stride":
-                inps = [_window_sum([recent[i - first] for i in _stride_window(t, K)])
-                        for t in run]
-            else:
-                inps = [below[t - t0] for t in run]
+        for r in range(0, len(fired), size):
+            run = fired[r:r + size]
             qs = [level.phase(t) for t in run]
-            # tape-free, a call's tape is dropped at once: a stacked one is
-            # len(run) times a step's, and would live on through the next call
-            if len(run) > 1:
-                new = lstm_step(cell, np.concatenate(inps),
-                                LstmState(np.concatenate([states[q].h for q in qs]),
-                                          np.concatenate([states[q].c for q in qs])))[0]
+            if records is not None:
+                states[qs[0]], recs[run[0] - t0].tapes[m] = lstm_step(cell, inps[r],
+                                                                      states[qs[0]])
+            else:
+                # a call's tape is dropped at once: a stacked one is len(run)
+                # times a step's, and would live on through the next call
+                s = states[qs[0]] if len(qs) == 1 else LstmState(
+                    np.concatenate([states[q].h for q in qs]),
+                    np.concatenate([states[q].c for q in qs]))
+                if hoist:
+                    pre = s.h @ w_h
+                    pre += xw[r * B:(r + len(run)) * B]
+                    new = LstmState(*lstm_gates(pre, s.c)[:2])
+                else:
+                    new = lstm_step(cell, inps[r] if len(run) == 1
+                                    else np.concatenate(inps[r:r + len(run)]), s)[0]
                 for i, q in enumerate(qs):
                     states[q] = LstmState(new.h[i * B:(i + 1) * B], new.c[i * B:(i + 1) * B])
-            elif records is None:
-                states[qs[0]] = lstm_step(cell, inps[0], states[qs[0]])[0]
-            else:
-                tapes = recs[run[0] - t0].tapes
-                states[qs[0]], tapes[m] = lstm_step(cell, inps[0], states[qs[0]])
             outs += [states[q].h for q in qs]
         below = outs
     t = t0 + n - 1

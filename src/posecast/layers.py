@@ -34,6 +34,7 @@ __all__ = [
     "init_lstm",
     "draw_lstm",
     "lstm_step",
+    "lstm_gates",
     "lstm_step_backward",
     "lstm_gate_backward",
     "HeadParams",
@@ -46,10 +47,6 @@ __all__ = [
     "GradCheckReport",
     "grad_check",
 ]
-
-
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
 
 
 def _batch(name: str, x) -> np.ndarray:
@@ -146,17 +143,36 @@ def lstm_step(p: LstmParams, x, s: LstmState):
         raise ShapeError(f"lstm_step: state dims {h2.shape[1]}/{c2.shape[1]} != h {h}")
     if h2.shape[0] != x2.shape[0] or c2.shape[0] != x2.shape[0]:
         raise ShapeError("lstm_step: batch size mismatch between input and state")
-    z = np.concatenate([x2, h2], axis=1)
-    pre = z @ p.W.T + p.b
-    i = _sigmoid(pre[:, 0 * h:1 * h])
-    f = _sigmoid(pre[:, 1 * h:2 * h])
-    o = _sigmoid(pre[:, 2 * h:3 * h])
-    g = np.tanh(pre[:, 3 * h:4 * h])
-    c_new = f * c2 + i * g
-    tanh_c = np.tanh(c_new)
-    h_new = o * tanh_c
+    pre = np.concatenate([x2, h2], axis=1) @ p.W.T
+    pre += p.b
+    h_new, c_new, tanh_c = lstm_gates(pre, c2)
+    i, f, o, g = (pre[:, k * h:(k + 1) * h] for k in range(4))
     tape = LstmTape(x=x2, h_prev=h2, c_prev=c2, i=i, f=f, o=o, g=g, tanh_c=tanh_c)
     return LstmState(h=h_new, c=c_new), tape
+
+
+def lstm_gates(pre: np.ndarray, c_prev: np.ndarray):
+    """The LSTM update from gate preactivations pre (rows, 4h), ordered
+    (i, f, o, g), and the previous cell state c_prev (rows, h).
+
+    Works in place: pre's first 3h columns become the sigmoid gates i, f, o
+    and its last h the candidate g = tanh.  Returns (h_new, c_new, tanh_c),
+    each (rows, h).  The elementwise operations are those of
+    1 / (1 + exp(-x)) and tanh in the same order, so the bits are those of
+    the out-of-place expressions.
+    """
+    h = c_prev.shape[1]
+    sig = pre[:, :3 * h]
+    np.negative(sig, out=sig)
+    np.exp(sig, out=sig)
+    sig += 1.0
+    np.divide(1.0, sig, out=sig)
+    g = pre[:, 3 * h:]
+    np.tanh(g, out=g)
+    c_new = pre[:, h:2 * h] * c_prev
+    c_new += pre[:, :h] * g
+    tanh_c = np.tanh(c_new)
+    return pre[:, 2 * h:3 * h] * tanh_c, c_new, tanh_c
 
 
 def lstm_gate_backward(p: LstmParams, tape: LstmTape, dh: np.ndarray, dc_in: np.ndarray):
@@ -170,7 +186,7 @@ def lstm_gate_backward(p: LstmParams, tape: LstmTape, dh: np.ndarray, dc_in: np.
     """
     if dh.shape != tape.tanh_c.shape or dc_in.shape != tape.tanh_c.shape:
         raise ShapeError(
-            f"lstm_step_backward: grad shapes {dh.shape}/{dc_in.shape} "
+            f"lstm_gate_backward: grad shapes {dh.shape}/{dc_in.shape} "
             f"do not match tape {tape.tanh_c.shape}")
     i, f, o, g = tape.i, tape.f, tape.o, tape.g
     do = dh * tape.tanh_c
@@ -325,7 +341,7 @@ def head_layer_backward(hp: HeadParams, tape: HeadTape, dout: np.ndarray):
     matching output gradient.
     """
     if dout.shape[1] != hp.d_v or dout.shape[0] != tape.z.shape[0]:
-        raise ShapeError(f"head_backward: grad shape {dout.shape} does not match tape")
+        raise ShapeError(f"head_layer_backward: grad shape {dout.shape} does not match tape")
     dr2 = dout @ hp.W3
     if tape.mask2 is not None:
         dr2 = dr2 * tape.mask2

@@ -30,7 +30,6 @@ __all__ = [
     "DatasetManifest",
     "to_velocity",
     "integrate",
-    "downsample",
     "make_windows",
     "load_sequence",
     "save_sequence",
@@ -116,14 +115,6 @@ def integrate(v: VelocitySequence, space: str = "angle_expmap") -> PoseSequence:
             frames[t + 1] = frames[t] + v.steps[t]
     return PoseSequence(frames=frames, frame_interval_ms=v.frame_interval_ms,
                         space=space)
-
-
-def downsample(p: PoseSequence, factor: int) -> PoseSequence:
-    if factor < 1:
-        raise InputError(f"downsample: factor must be >= 1, got {factor}")
-    return PoseSequence(frames=p.frames[::factor].copy(),
-                        frame_interval_ms=p.frame_interval_ms * factor,
-                        space=p.space, action=p.action)
 
 
 def make_windows(p: PoseSequence, seed_len: int, target_len: int,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 
 from posecast.errors import ConfigError, ShapeError
 from posecast.layers import (HeadParams, LstmParams, LstmState, grad_check,
-                             head_backward, head_forward, head_skip, init_head,
-                             init_lstm, lstm_step, lstm_step_backward)
+                             head_backward, head_forward, head_layer_backward,
+                             head_skip, init_head, init_lstm, lstm_gate_backward,
+                             lstm_step, lstm_step_backward)
 
 
 def _zeroed(p: LstmParams) -> LstmParams:
@@ -102,6 +104,32 @@ def test_lstm_step_matches_scalar_oracle():
     s, _ = lstm_step(p, np.array([x]), LstmState(h=np.array([h_prev]), c=np.array([c_prev])))
     assert np.allclose(s.h[0], exp_h, atol=1e-15)
     assert np.allclose(s.c[0], exp_c, atol=1e-15)
+
+
+@pytest.mark.parametrize("B,h", [(1, 5), (16, 64), (3, 256)])
+def test_lstm_step_gates_are_the_textbook_expressions_bit_for_bit(B, h):
+    # the gates are computed in place; their bits must be those of the
+    # out-of-place expressions, or a recorded tape, a loss and a checkpoint
+    # would move
+    d_in = 7
+    p = init_lstm(d_in, h, seed=B)
+    rng = np.random.default_rng(h)
+    p.b[:] = rng.normal(scale=10.0, size=4 * h)  # saturated gates too
+    x, h_prev, c_prev = (rng.normal(scale=3.0, size=(B, n)) for n in (d_in, h, h))
+    s, tape = lstm_step(p, x, LstmState(h=h_prev, c=c_prev))
+
+    pre = np.concatenate([x, h_prev], axis=1) @ p.W.T + p.b
+    i, f, o = (1.0 / (1.0 + np.exp(-pre[:, k * h:(k + 1) * h])) for k in range(3))
+    g = np.tanh(pre[:, 3 * h:])
+    c = f * c_prev + i * g
+    tanh_c = np.tanh(c)
+    want = {"x": x, "h_prev": h_prev, "c_prev": c_prev, "i": i, "f": f, "o": o, "g": g,
+            "tanh_c": tanh_c}
+    assert set(want) == {fld.name for fld in dataclasses.fields(tape)}
+    for name, a in want.items():
+        assert np.array_equal(getattr(tape, name), a), name
+    assert np.array_equal(s.c, c)
+    assert np.array_equal(s.h, o * tanh_c)
 
 
 def test_lstm_step_shape_errors():
@@ -382,6 +410,18 @@ def test_layers_reject_unbatched_arrays():
     _, htape = head_forward(hp, np.ones((1, 3)), [np.ones((1, 4))])
     with pytest.raises(ShapeError):
         head_backward(hp, htape, np.zeros(3))
+
+
+def test_backward_cores_name_themselves_in_shape_errors():
+    # arch.rollout_backward calls the cores directly, so their errors name them
+    p = init_lstm(3, 4, seed=0)
+    _, tape = lstm_step(p, np.ones((2, 3)), LstmState.zeros(4, 2))
+    with pytest.raises(ShapeError, match=r"^lstm_gate_backward: grad shapes"):
+        lstm_gate_backward(p, tape, np.zeros((2, 5)), np.zeros((2, 4)))
+    hp = init_head(3, 1, 4, 5, 4, seed=0)
+    _, htape = head_forward(hp, np.ones((2, 3)), [np.ones((2, 4))])
+    with pytest.raises(ShapeError, match=r"^head_layer_backward: grad shape"):
+        head_layer_backward(hp, htape, np.zeros((3, 3)))
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ from hypothesis.extra.numpy import arrays
 
 from posecast.errors import InputError, ParseError
 from posecast.posedata import (FAST_PERIOD_BAND, SLOW_PERIOD_BAND,
-                               PoseSequence, VelocitySequence, downsample,
-                               integrate, load_manifest, load_sequence,
+                               PoseSequence, VelocitySequence, integrate,
+                               load_manifest, load_sequence,
                                load_split, make_windows, save_sequence,
                                synth_multiscale, to_velocity)
 
@@ -69,28 +69,6 @@ def test_roundtrip_exact_for_constant_sequences():
     p = seq([[0.1, -2.7, 3.3]] * 6)
     back = integrate(to_velocity(p))
     assert np.array_equal(back.frames, p.frames)
-
-
-def test_downsample_telescoping_identity():
-    # velocities of the downsampled sequence equal strided sums of the
-    # original velocities
-    rng = np.random.default_rng(3)
-    p = seq(rng.normal(size=(21, 4)))
-    v = to_velocity(p)
-    v2 = to_velocity(downsample(p, 2))
-    summed = v.steps[0::2][: len(v2.steps)] + v.steps[1::2][: len(v2.steps)]
-    assert np.allclose(v2.steps, summed, atol=1e-12)
-
-
-def test_downsample_indices_and_interval():
-    p = seq(np.arange(14).reshape(7, 2), interval=20.0)
-    q = downsample(p, 2)
-    assert np.array_equal(q.frames, p.frames[[0, 2, 4, 6]])
-    assert q.frame_interval_ms == 40.0
-    assert downsample(p, 1).frames is not p.frames
-    assert np.array_equal(downsample(p, 1).frames, p.frames)
-    with pytest.raises(InputError):
-        downsample(p, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ that reference bit for bit, tapes, dropout masks and random stream included.
 `rollout_forward(record=False)` stacks each run of a level's phases into one
 batch; it must reproduce the reference's predictions to 1e-12, max-abs
 normalised, and its state bank at t = S exactly.  At B=1 a stacked round is a
-2-4 row GEMM where the reference runs 1-row products, so there the states
-agree to rounding only.
+2-4 row GEMM where the reference runs 1-row products, and where the seed
+hoists a level's input projections (at most `arch.HOIST_ROWS` rows) each
+preactivation is summed in two parts; there the states agree to rounding only.
 """
 
 import dataclasses
@@ -72,6 +73,13 @@ def _assert_same_tape(a, b):
         assert x is None or np.array_equal(x, y), f.name
 
 
+def _hoisted(model, B, S):
+    """Whether a tape-free seed of S steps at batch B hoists some level's
+    input projections."""
+    fired = (sum(map(level.fires, range(S))) for level in model.levels)
+    return any(1 < n and n * B <= arch.HOIST_ROWS for n in fired)
+
+
 def _check(model, B, S, n_pred=6):
     seed_vels, origin = _inputs(B, S, seed=S)
     ref, _ = _stepwise(model, seed_vels, origin, n_pred)
@@ -93,22 +101,26 @@ def _check(model, B, S, n_pred=6):
     for ti, x, y in zip(window, bank.recent, bank_ref.recent):
         assert np.array_equal(x, y) and np.allclose(x, xs[:, ti], rtol=0, atol=1e-12)
     assert [len(level) for level in bank.states] == [len(level) for level in bank_ref.states]
+    exact = B > 1 and not _hoisted(model, B, S)
     for level, level_ref in zip(bank.states, bank_ref.states):
         for s, s_ref in zip(level, level_ref):
             for a, b in ((s.h, s_ref.h), (s.c, s_ref.c)):
                 assert a.shape == b.shape == (B, 5)
-                if B > 1:
+                if exact:
                     assert np.array_equal(a, b)
                 else:
                     assert np.allclose(a, b, rtol=0, atol=1e-14)
     assert np.array_equal(v, got[0]) and np.abs(v - v_ref).max() <= 1e-12 * np.abs(v_ref).max()
 
 
-@pytest.mark.parametrize("B", [1, 3])
+@pytest.mark.parametrize("B", [1, 3, arch.HOIST_ROWS + 1])
 @pytest.mark.parametrize("variant,levels", VARIANT_LEVELS)
 def test_tape_free_matches_recording_all_variants(variant, levels, B):
-    # S = 10 is not a multiple of K^(M-1) = 4 for tp_rnn with M = 3
-    _check(_model(variant, levels), B, S=10)
+    # S = 10 is not a multiple of K^(M-1) = 4 for tp_rnn with M = 3; at
+    # B = HOIST_ROWS + 1 no level hoists, so the bank must match exactly
+    model = _model(variant, levels)
+    assert _hoisted(model, B, 10) == (B <= 3)
+    _check(model, B, S=10)
 
 
 @pytest.mark.parametrize("B", [1, 3])
@@ -155,26 +167,36 @@ def test_level_major_schedule_stacks_phases(monkeypatch):
     # tp_rnn, K=2, M=3, S=10: level 1 runs 10 steps of B rows; tape-free,
     # level 2 runs five rounds of 2B rows and level 3 three rounds (4B, 4B, 2B
     # rows), while recording runs every level's firing steps one B-row call
-    # each.  The head runs once, at t = S-1
+    # each.  The head runs once, at t = S-1.  Tape-free with hoisting (B = 3,
+    # 30 rows per level) each round is one `lstm_gates` call on the same rows
+    # and no `lstm_step` runs
     model = _model("tp_rnn", 3)
     level = {id(c): m for m, c in enumerate(model.cells, start=1)}
     rows, heads = [], []
-    real_step, real_head = arch.lstm_step, arch.head_forward
+    real_step, real_gates, real_head = arch.lstm_step, arch.lstm_gates, arch.head_forward
 
     def count_step(p, x, s):
         rows.append((level[id(p)], x.shape[0]))
         return real_step(p, x, s)
+
+    def count_gates(pre, c_prev):
+        rows.append(("gates", pre.shape[0]))
+        return real_gates(pre, c_prev)
 
     def count_head(*a, **kw):
         heads.append(1)
         return real_head(*a, **kw)
 
     monkeypatch.setattr(arch, "lstm_step", count_step)
+    monkeypatch.setattr(arch, "lstm_gates", count_gates)
     monkeypatch.setattr(arch, "head_forward", count_head)
     seed_vels, origin = _inputs(3, 10)
-    expected = {False: [(1, 3)] * 10 + [(2, 6)] * 5 + [(3, 12), (3, 12), (3, 6)],
-                True: [(1, 3)] * 10 + [(2, 3)] * 10 + [(3, 3)] * 10}
-    for record, want in expected.items():
+    rounds = [3] * 10 + [6] * 5 + [12, 12, 6]
+    expected = [(False, 0, [(1, 3)] * 10 + [(2, 6)] * 5 + [(3, 12), (3, 12), (3, 6)]),
+                (False, arch.HOIST_ROWS, [("gates", r) for r in rounds]),
+                (True, arch.HOIST_ROWS, [(1, 3)] * 10 + [(2, 3)] * 10 + [(3, 3)] * 10)]
+    for record, cap, want in expected:
+        monkeypatch.setattr(arch, "HOIST_ROWS", cap)
         rows.clear()
         heads.clear()
         _, records, _ = arch._observe(model, seed_vels, origin, "eval", None, record)
