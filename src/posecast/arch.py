@@ -38,10 +38,11 @@ in one call, each forecast step (and each `model_step`) in a call of one
 input.  The sweep cuts a level's firing steps into runs of up to `phases`
 steps, each on its own phase.  Tape-free, a run is one stacked LSTM step,
 and over a few rows a level's input projections are hoisted into one GEMM;
-recorded, each firing step is its own call and keeps its tape.  Every state,
-input and prediction is a (B, d) batch, a single sequence one of B = 1; the
-recorded rollout plus `rollout_backward` give exact gradients through the
-autoregressive loop.
+otherwise the sweep goes one top-level phase cycle at a time, so its memory
+does not grow with the seed.  Recorded, each firing step is its own call and
+keeps its tape.  Every state, input and prediction is a (B, d) batch, a
+single sequence one of B = 1; the recorded rollout plus `rollout_backward`
+give exact gradients through the autoregressive loop.
 """
 
 from __future__ import annotations
@@ -285,13 +286,22 @@ class Model:
     def n_params(self) -> int:
         return self.theta.size
 
-    def set_tensors(self, arrays: list[np.ndarray]):
-        """Copy one array per tensor, in `tensors()` order, into `theta`."""
+    def set_tensors(self, arrays):
+        """Copy one array per tensor, in `tensors()` order, into `theta`.
+
+        `arrays` may be any iterable: each array is copied as it comes, so a
+        generator that drops each one after its copy holds one at a time.  A
+        count other than one per tensor raises ShapeError, once the arrays
+        that came are copied.
+        """
         views = self.views(self.theta)
-        if len(arrays) != len(views):
-            raise ShapeError(f"set_tensors: expected {len(views)} arrays, got {len(arrays)}")
-        for view, arr in zip(views, arrays):
+        arrays = iter(arrays)
+        n = 0
+        for n, (view, arr) in enumerate(zip(views, arrays), start=1):
             view[...] = as_f64(arr).reshape(view.shape)
+        if n != len(views) or next(arrays, None) is not None:
+            raise ShapeError(f"set_tensors: expected {len(views)} arrays, "
+                             f"got {n if n < len(views) else 'more'}")
 
 
 def build_model(cfg: ModelConfig) -> Model:
@@ -486,6 +496,13 @@ def _advance(model: Model, bank: PhaseStateBank, xs: list, mode: str, rng,
     input projections x @ W[:, :d_in].T + b are one GEMM and each run adds
     only its h @ W[:, d_in:].T; that splits each row's dot product in two,
     so its predictions move by rounding (about 1e-16) only.
+
+    Tape-free and unhoisted, the sweep goes level by level over one block of
+    max(phases) steps at a time, counted from bank.t: a block holds whole
+    runs of every level, so each LSTM call gets the rows it would get in one
+    sweep over all of xs, and only a block's outputs per level stay alive,
+    not len(xs) * B rows.  A hoisted or recorded sweep is one block, over
+    all of xs (a recorded one keeps every output in its tapes anyway).
     """
     cfg = model.config
     if mode not in ("train", "eval"):
@@ -502,46 +519,55 @@ def _advance(model: Model, bank: PhaseStateBank, xs: list, mode: str, rng,
     if records is not None:
         records += [StepRecord(tapes=[None] * len(model.levels), head_tape=None) for _ in xs]
         recs = records[-n:]  # recs[i] is step t0 + i
-    below = xs  # per step: the hidden output the level below produced at it
-    for m, (level, cell, states) in enumerate(zip(model.levels, model.cells, bank.states)):
-        fired = [t for t in range(t0, t0 + n) if level.fires(t)]
-        if level.source == "stride":
-            inps = [_window_sum([recent[i - first] for i in _stride_window(t, K)])
-                    for t in fired]
-        else:
-            inps = [below[t - t0] for t in fired]
-        size = level.phases if records is None else 1
-        hoist = records is None and 1 < len(fired) and len(fired) * B <= HOIST_ROWS
-        if hoist:
-            # every firing step's input projection in one GEMM; a run then
-            # adds only its recurrent product
-            xw = np.concatenate(inps) @ cell.W[:, :cell.d_in].T
-            xw += cell.b
-            w_h = cell.W[:, cell.d_in:].T
-        outs = []
-        for r in range(0, len(fired), size):
-            run = fired[r:r + size]
-            qs = [level.phase(t) for t in run]
-            if records is not None:
-                states[qs[0]], recs[run[0] - t0].tapes[m] = lstm_step(cell, inps[r],
-                                                                      states[qs[0]])
+    n_fired = [sum(map(level.fires, range(t0, t0 + n))) for level in model.levels]
+    hoist = [records is None and 1 < k and k * B <= HOIST_ROWS for k in n_fired]
+    # every level's phase count divides the largest, so a block of that many
+    # steps splits no run
+    block = n if records is not None or any(hoist) else max(lv.phases for lv in model.levels)
+    for b0 in range(t0, t0 + n, block):
+        steps = range(b0, min(b0 + block, t0 + n))
+        below = xs[b0 - t0:steps.stop - t0]  # per step: the level below's hidden output
+        for m, (level, cell, states) in enumerate(zip(model.levels, model.cells,
+                                                      bank.states)):
+            fired = [t for t in steps if level.fires(t)]
+            if level.source == "stride":
+                inps = [_window_sum([recent[i - first] for i in _stride_window(t, K)])
+                        for t in fired]
             else:
-                # a call's tape is dropped at once: a stacked one is len(run)
-                # times a step's, and would live on through the next call
-                s = states[qs[0]] if len(qs) == 1 else LstmState(
-                    np.concatenate([states[q].h for q in qs]),
-                    np.concatenate([states[q].c for q in qs]))
-                if hoist:
-                    pre = s.h @ w_h
-                    pre += xw[r * B:(r + len(run)) * B]
-                    new = LstmState(*lstm_gates(pre, s.c)[:2])
+                inps = [below[t - b0] for t in fired]
+            size = level.phases if records is None else 1
+            if hoist[m]:
+                # every firing step's input projection in one GEMM; a run then
+                # adds only its recurrent product
+                xw = np.concatenate(inps) @ cell.W[:, :cell.d_in].T
+                xw += cell.b
+                w_h = cell.W[:, cell.d_in:].T
+            outs = []
+            for r in range(0, len(fired), size):
+                run = fired[r:r + size]
+                qs = [level.phase(t) for t in run]
+                if records is not None:
+                    states[qs[0]], recs[run[0] - t0].tapes[m] = lstm_step(cell, inps[r],
+                                                                          states[qs[0]])
                 else:
-                    new = lstm_step(cell, inps[r] if len(run) == 1
-                                    else np.concatenate(inps[r:r + len(run)]), s)[0]
-                for i, q in enumerate(qs):
-                    states[q] = LstmState(new.h[i * B:(i + 1) * B], new.c[i * B:(i + 1) * B])
-            outs += [states[q].h for q in qs]
-        below = outs
+                    # a call's tape is dropped at once: a stacked one is
+                    # len(run) times a step's, and would live on through the
+                    # next call
+                    s = states[qs[0]] if len(qs) == 1 else LstmState(
+                        np.concatenate([states[q].h for q in qs]),
+                        np.concatenate([states[q].c for q in qs]))
+                    if hoist[m]:
+                        pre = s.h @ w_h
+                        pre += xw[r * B:(r + len(run)) * B]
+                        new = LstmState(*lstm_gates(pre, s.c)[:2])
+                    else:
+                        new = lstm_step(cell, inps[r] if len(run) == 1
+                                        else np.concatenate(inps[r:r + len(run)]), s)[0]
+                    for i, q in enumerate(qs):
+                        states[q] = LstmState(new.h[i * B:(i + 1) * B],
+                                              new.c[i * B:(i + 1) * B])
+                outs += [states[q].h for q in qs]
+            below = outs
     t = t0 + n - 1
     train = mode == "train"
     for _ in range(n - 1):  # only the last step's output is a prediction

@@ -19,6 +19,8 @@ format version, meta keys, and tensor shapes for human inspection.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -62,51 +64,74 @@ def save_checkpoint(path, meta: dict, tensors: list[tuple[str, np.ndarray]]):
 
 
 class _Reader:
-    def __init__(self, buf: bytes, path: Path):
-        self.buf = buf
-        self.off = 0
+    """A checkpoint file's fields in order; each size is checked against the
+    bytes left in the file before anything is read or allocated for it."""
+
+    def __init__(self, fh, path: Path):
+        self.fh = fh
+        self.left = os.fstat(fh.fileno()).st_size
         self.path = path
 
-    def take(self, n: int) -> bytes:
-        if self.off + n > len(self.buf):
+    def _claim(self, n: int):
+        if n > self.left:
             raise ParseError(f"{self.path}: truncated checkpoint")
-        out = self.buf[self.off:self.off + n]
-        self.off += n
+        self.left -= n
+
+    def take(self, n: int) -> bytes:
+        self._claim(n)
+        out = self.fh.read(n)
+        if len(out) != n:  # the file shrank while being read
+            raise ParseError(f"{self.path}: truncated checkpoint")
         return out
 
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))[0]
 
+    def array(self, shape: tuple[int, ...]) -> np.ndarray:
+        """A fresh float64 array of `shape`, read straight from the file."""
+        self._claim(8 * math.prod(shape))
+        try:
+            out = np.empty(shape, dtype="<f8")
+        except ValueError:  # a dimension past numpy's limit, the data empty
+            raise ParseError(f"{self.path}: bad tensor shape {shape}") from None
+        if self.fh.readinto(out.reshape(-1).view(np.uint8)) != out.nbytes:
+            raise ParseError(f"{self.path}: truncated checkpoint")
+        return out.astype(np.float64, copy=False)
+
 
 def load_checkpoint(path):
-    """Returns (meta dict, ordered dict name -> float64 array)."""
+    """Returns (meta dict, ordered dict name -> float64 array).
+
+    The file is read field by field, each tensor's data straight into its own
+    array, so a load holds one copy of the tensors.  A size the rest of the
+    file cannot hold raises ParseError("truncated") before it is allocated; a
+    tensor name that appears twice raises ParseError too.
+    """
     path = Path(path)
     if not path.exists():
         raise ParseError(f"{path}: no such file")
-    r = _Reader(path.read_bytes(), path)
-    if r.take(len(MAGIC)) != MAGIC:
-        raise ParseError(f"{path}: not a posecast checkpoint (bad magic)")
-    version = r.unpack("<I")
-    if version != VERSION:
-        raise ParseError(f"{path}: unsupported checkpoint version {version}")
-    meta_len = r.unpack("<Q")
-    try:
-        meta = json.loads(r.take(meta_len).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise ParseError(f"{path}: bad meta block: {e}") from None
-    n = r.unpack("<I")
-    tensors: dict[str, np.ndarray] = {}
-    for _ in range(n):
-        name_len = r.unpack("<H")
+    with open(path, "rb") as fh:
+        r = _Reader(fh, path)
+        if r.take(len(MAGIC)) != MAGIC:
+            raise ParseError(f"{path}: not a posecast checkpoint (bad magic)")
+        version = r.unpack("<I")
+        if version != VERSION:
+            raise ParseError(f"{path}: unsupported checkpoint version {version}")
+        meta_len = r.unpack("<Q")
         try:
-            name = r.take(name_len).decode("utf-8")
-        except UnicodeDecodeError:
-            raise ParseError(f"{path}: bad tensor name") from None
-        ndim = r.unpack("<B")
-        shape = tuple(r.unpack("<Q") for _ in range(ndim))
-        count = 1
-        for d in shape:
-            count *= d
-        data = np.frombuffer(r.take(count * 8), dtype="<f8").reshape(shape)
-        tensors[name] = data.astype(np.float64)  # a fresh, writable array
+            meta = json.loads(r.take(meta_len).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise ParseError(f"{path}: bad meta block: {e}") from None
+        n = r.unpack("<I")
+        tensors: dict[str, np.ndarray] = {}
+        for _ in range(n):
+            name_len = r.unpack("<H")
+            try:
+                name = r.take(name_len).decode("utf-8")
+            except UnicodeDecodeError:
+                raise ParseError(f"{path}: bad tensor name") from None
+            if name in tensors:
+                raise ParseError(f"{path}: tensor {name!r} appears twice")
+            ndim = r.unpack("<B")
+            tensors[name] = r.array(tuple(r.unpack("<Q") for _ in range(ndim)))
     return meta, tensors

@@ -228,6 +228,11 @@ def load_manifest(path) -> DatasetManifest:
                     mask = [int(s) for s in line[len("mask="):].split(",")]
                 except ValueError:
                     raise ParseError(f"{path}:{lineno}: bad mask line") from None
+                seen = set()
+                for i in mask:
+                    if i in seen:
+                        raise ParseError(f"{path}:{lineno}: mask index {i} appears twice")
+                    seen.add(i)
                 continue
             parts = line.split(",")
             if len(parts) != 5:

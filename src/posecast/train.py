@@ -145,7 +145,8 @@ class AdamState:
 
     @classmethod
     def zeros_like(cls, theta: np.ndarray) -> "AdamState":
-        return cls(m=np.zeros_like(theta), v=np.zeros_like(theta))
+        # np.zeros, not np.zeros_like: its pages stay unmapped until written
+        return cls(m=np.zeros(theta.shape), v=np.zeros(theta.shape))
 
 
 def adam_step(theta: np.ndarray, g: np.ndarray, state: AdamState, lr: float, t: int,
@@ -355,6 +356,8 @@ def load_model_checkpoint(path):
     tensors are checked against the parameter layout the config describes
     before anything is allocated; any mismatch raises ParseError.  The model
     is allocated once and filled from the file: no initial values are drawn.
+    Each loaded tensor is dropped once copied into `theta` (or the Adam
+    moments), so a load holds the file's tensors once, plus one.
     """
     meta, tensors = ckpt.load_checkpoint(path)
     cfg = _meta_config(path, meta, "model_config", ModelConfig)
@@ -374,11 +377,13 @@ def load_model_checkpoint(path):
                 raise ParseError(f"{path}: tensor {prefix + name!r} has shape {have.shape}, "
                                  f"model_config needs {shape}")
     model = Model(cfg)
-    model.set_tensors([tensors[n] for n in names])
+    model.set_tensors(tensors.pop(n) for n in names)
     adam = None
     if has_adam:
-        adam = AdamState(*(np.concatenate([tensors[prefix + n].ravel() for n in names])
-                           for prefix in ("opt.m.", "opt.v.")))
+        adam = AdamState.zeros_like(model.theta)
+        for prefix, flat in (("opt.m.", adam.m), ("opt.v.", adam.v)):
+            for name, view in zip(names, model.views(flat)):
+                view[...] = tensors.pop(prefix + name)
     return model, meta, adam
 
 

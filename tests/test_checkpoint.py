@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,12 +83,19 @@ def test_unsupported_version(tmp_path):
 
 
 def test_truncated_file(tmp_path):
+    # a file cut anywhere, inside a header field or a tensor's data, is
+    # truncated; only the whole file loads
     p = tmp_path / "ok.bin"
-    save_checkpoint(p, {"k": 1}, [("w", np.ones((4, 4)))])
+    tensors = [("w", np.ones((4, 4))), ("b", np.arange(3.0))]
+    save_checkpoint(p, {"k": 1}, tensors)
+    raw = p.read_bytes()
     cut = tmp_path / "cut.bin"
-    cut.write_bytes(p.read_bytes()[:-16])
-    with pytest.raises(ParseError, match="truncated"):
-        load_checkpoint(cut)
+    for n in range(len(raw)):
+        cut.write_bytes(raw[:n])
+        with pytest.raises(ParseError, match="truncated"):
+            load_checkpoint(cut)
+    _, loaded = load_checkpoint(p)
+    assert all(np.array_equal(loaded[name], arr) for name, arr in tensors)
 
 
 def test_missing_file(tmp_path):
@@ -99,3 +107,63 @@ def test_no_stray_temp_files(tmp_path):
     save_checkpoint(tmp_path / "ck.bin", {}, [("w", np.zeros(2))])
     names = sorted(f.name for f in tmp_path.iterdir())
     assert names == ["ck.bin", "ck.bin.manifest.txt"]
+
+
+def _header(meta: dict, n_tensors: int) -> bytes:
+    meta_bytes = json.dumps(meta).encode("utf-8")
+    return (MAGIC + struct.pack("<IQ", VERSION, len(meta_bytes)) + meta_bytes
+            + struct.pack("<I", n_tensors))
+
+
+def _tensor_header(name: str, shape) -> bytes:
+    nb = name.encode("utf-8")
+    return struct.pack(f"<H{len(nb)}sB{len(shape)}Q", len(nb), nb, len(shape), *shape)
+
+
+def test_repeated_tensor_name_rejected(tmp_path):
+    p = tmp_path / "twice.bin"
+    save_checkpoint(p, {"k": 1}, [("head.b3", np.zeros(3)), ("w", np.ones(2)),
+                                  ("head.b3", np.full(3, 9.0))])
+    with pytest.raises(ParseError, match=r"tensor 'head\.b3' appears twice"):
+        load_checkpoint(p)
+
+
+def test_claimed_size_beyond_the_file_is_not_allocated(tmp_path):
+    # the header claims a 1 GB tensor; the file holds 64 bytes of data
+    p = tmp_path / "huge.bin"
+    p.write_bytes(_header({"k": 1}, 1) + _tensor_header("w", (2 ** 15, 2 ** 12))
+                  + b"\x00" * 64)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="truncated"):
+            load_checkpoint(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_huge_dimension_of_an_empty_tensor_rejected(tmp_path):
+    # zero elements fit any file, but no array has a dimension of 2^64 - 1
+    p = tmp_path / "wide.bin"
+    p.write_bytes(_header({"k": 1}, 1) + _tensor_header("w", (0, 2 ** 64 - 1)))
+    with pytest.raises(ParseError, match="bad tensor shape"):
+        load_checkpoint(p)
+
+
+def test_load_holds_one_copy_of_the_tensors(tmp_path):
+    # each tensor is read straight into its own array: no file-sized buffer
+    # beside the arrays
+    p = tmp_path / "big.bin"
+    tensors = [(f"w{i}", np.full((256, 256), float(i))) for i in range(8)]
+    save_checkpoint(p, {"k": 1}, tensors)
+    size = sum(arr.nbytes for _, arr in tensors)
+    tracemalloc.start()
+    try:
+        _, loaded = load_checkpoint(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(np.array_equal(loaded[name], arr) for name, arr in tensors)
+    assert all(arr.flags.writeable and arr.dtype == np.float64 for arr in loaded.values())
+    assert peak < 1.25 * size, (peak, size)

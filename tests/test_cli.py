@@ -328,6 +328,19 @@ def test_eval_rejects_mask_index_out_of_range(tmp_path, capsys, mask):
     assert "input error" in err and "mask index" in err
 
 
+def test_eval_rejects_repeated_mask_index(tmp_path, capsys):
+    # a repeated index would feed the same column in twice
+    data = synth(tmp_path)
+    manifest = data / "manifest.txt"
+    lines = manifest.read_text().splitlines() + ["mask=0,0,1"]
+    manifest.write_text("\n".join(lines) + "\n")
+    assert run("eval", "--checkpoint", zero_checkpoint(tmp_path), "--manifest", manifest,
+               "--seed-len", 10, "--target-len", 5, "--out", tmp_path / "r.csv") == 3
+    err = capsys.readouterr().err
+    assert "input error" in err
+    assert f"manifest.txt:{len(lines)}: mask index 0 appears twice" in err
+
+
 def test_eval_infinite_manifest_interval_exits_3(tmp_path, capsys):
     # a bad data file (exit 3), not a horizon off the frame grid (exit 2)
     data = synth(tmp_path)
@@ -376,12 +389,15 @@ def _bad_checkpoint(tmp_path, case):
         tensors = tensors[:-1]
     elif case == "huge_granularity":
         meta["model_config"]["granularity"] = 10 ** 12
+    elif case == "repeated_tensor":
+        tensors = tensors + [("head.b3", np.full(3, 9.0))]
     p = tmp_path / f"{case}.bin"
     save_checkpoint(p, meta, tensors)
     return p
 
 
-BAD_CHECKPOINTS = ["no_model_config", "unknown_key", "shape_mismatch", "missing_tensor"]
+BAD_CHECKPOINTS = ["no_model_config", "unknown_key", "shape_mismatch", "missing_tensor",
+                   "repeated_tensor"]
 
 
 @pytest.mark.parametrize("case", BAD_CHECKPOINTS)

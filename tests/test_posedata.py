@@ -211,6 +211,9 @@ def test_manifest_errors(tmp_path):
     # a mask cuts every entry to the same dims, so they may differ
     f.write_text(f.read_text() + "mask=0,2\n")
     assert load_manifest(f).dim == 2
+    f.write_text(f.read_text() + "mask=2,0,2\n")
+    with pytest.raises(ParseError, match=r"m\.txt:5: mask index 2 appears twice"):
+        load_manifest(f)
 
 
 # ---------------------------------------------------------------------------

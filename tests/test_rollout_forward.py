@@ -14,6 +14,7 @@ preactivation is summed in two parts; there the states agree to rounding only.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,12 +124,31 @@ def test_tape_free_matches_recording_all_variants(variant, levels, B):
     _check(model, B, S=10)
 
 
-@pytest.mark.parametrize("B", [1, 3])
+@pytest.mark.parametrize("B", [1, 3, arch.HOIST_ROWS + 1])
 @pytest.mark.parametrize("K,S", [(2, 10), (2, 3), (2, 1), (3, 10), (3, 5), (3, 1)])
 def test_tape_free_matches_recording_tp_rnn_m3(K, S, B):
     # S < K^(M-1) leaves some upper phases untouched; S = 1 is the one-step
-    # zero-velocity seed of `posecast forecast --init-vel zero`
+    # zero-velocity seed of `posecast forecast --init-vel zero`.  At B =
+    # HOIST_ROWS + 1 the seed runs in blocks of K^(M-1) steps (K=2, S=10:
+    # 4, 4, 2; K=3, S=10: 9, 1), and the bank must match exactly
     _check(_model("tp_rnn", 3, K=K), B, S=S)
+
+
+def test_tape_free_seed_memory_does_not_grow_with_its_length():
+    # unhoisted, the tape-free sweep keeps one block of K^(M-1) steps of
+    # level outputs alive, so the traced peak stays flat while S grows 8x;
+    # a sweep over the whole seed per level holds S * B rows per level
+    model = _model("tp_rnn", 3)
+    peaks = []
+    for S in (16, 128):
+        seed_vels, origin = _inputs(arch.HOIST_ROWS + 1, S)
+        tracemalloc.start()
+        try:
+            rollout_forward(model, seed_vels, origin, 2, mode="eval", record=False)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.25 * peaks[0], peaks
 
 
 @pytest.mark.parametrize("variant,levels", VARIANT_LEVELS)
@@ -169,7 +189,9 @@ def test_level_major_schedule_stacks_phases(monkeypatch):
     # rows), while recording runs every level's firing steps one B-row call
     # each.  The head runs once, at t = S-1.  Tape-free with hoisting (B = 3,
     # 30 rows per level) each round is one `lstm_gates` call on the same rows
-    # and no `lstm_step` runs
+    # and no `lstm_step` runs.  Unhoisted, the tape-free sweep goes level by
+    # level over blocks of 4 steps (the top level's phases): steps 0-3, 4-7,
+    # then 8-9, on the same rows
     model = _model("tp_rnn", 3)
     level = {id(c): m for m, c in enumerate(model.cells, start=1)}
     rows, heads = [], []
@@ -192,7 +214,8 @@ def test_level_major_schedule_stacks_phases(monkeypatch):
     monkeypatch.setattr(arch, "head_forward", count_head)
     seed_vels, origin = _inputs(3, 10)
     rounds = [3] * 10 + [6] * 5 + [12, 12, 6]
-    expected = [(False, 0, [(1, 3)] * 10 + [(2, 6)] * 5 + [(3, 12), (3, 12), (3, 6)]),
+    block = [(1, 3)] * 4 + [(2, 6)] * 2 + [(3, 12)]
+    expected = [(False, 0, block + block + [(1, 3)] * 2 + [(2, 6)] + [(3, 6)]),
                 (False, arch.HOIST_ROWS, [("gates", r) for r in rounds]),
                 (True, arch.HOIST_ROWS, [(1, 3)] * 10 + [(2, 3)] * 10 + [(3, 3)] * 10)]
     for record, cap, want in expected:

@@ -6,7 +6,8 @@ from posecast.errors import ConfigError, InputError, NumericError, ShapeError
 from posecast.posedata import PoseSequence, synth_multiscale
 from posecast.train import (MAX_BATCH_SIZE, AdamState, TrainConfig, TrainingData,
                             adam_step, load_model_checkpoint, lr_at,
-                            rollout_loss_batch, save_model_checkpoint, sgd_step,
+                            rollout_loss_batch, save_model_checkpoint,
+                            save_train_checkpoint, sgd_step,
                             train_loop, write_trace)
 
 
@@ -342,6 +343,19 @@ def test_model_checkpoint_roundtrip(tmp_path):
     assert meta["iteration"] == 3
     assert np.array_equal(loaded.theta, model.theta)
     assert loaded.config == model.config
+
+
+def test_train_checkpoint_reloads_theta_and_adam_state_byte_equal(tmp_path):
+    model = tiny_model(levels=3, seed=4)
+    rng = np.random.default_rng(2)
+    adam = AdamState(m=rng.normal(size=model.n_params), v=rng.random(model.n_params))
+    cfg = TrainConfig(batch_size=2, iterations=5, seed_len=6, target_len=3,
+                      optimizer="adam")
+    save_train_checkpoint(tmp_path / "t.bin", model, cfg, 3, rng, adam)
+    loaded, meta, got = load_model_checkpoint(tmp_path / "t.bin")
+    assert meta["iteration"] == 3
+    assert loaded.theta.tobytes() == model.theta.tobytes()
+    assert got.m.tobytes() == adam.m.tobytes() and got.v.tobytes() == adam.v.tobytes()
 
 
 def test_loading_a_checkpoint_draws_no_initial_values(tmp_path, monkeypatch):
