@@ -34,10 +34,10 @@ nothing records one.  A step record holds one tape per level (None where it
 did not fire), the state bank only the last K inputs.
 
 Every forward step runs through one level sweep, `_advance`: the whole seed
-in one call, each forecast step (and each `model_step`) in a call of one
-input.  The sweep cuts a level's firing steps into runs of up to `phases`
-steps, each on its own phase.  Tape-free, a run is one stacked LSTM step,
-and over a few rows a level's input projections are hoisted into one GEMM;
+in one call, each forecast step in a call of one input.  The sweep cuts a
+level's firing steps into runs of up to `phases` steps, each on its own
+phase.  Tape-free, a run is one stacked LSTM step, and over a few rows a
+level's input projections are hoisted into one GEMM;
 otherwise the sweep goes one top-level phase cycle at a time, so its memory
 does not grow with the seed.  Recorded, each firing step is its own call and
 keeps its tape.  Every state, input and prediction is a (B, d) batch, a
@@ -69,11 +69,8 @@ __all__ = [
     "Model",
     "PhaseStateBank",
     "new_bank",
-    "active_phase",
-    "logical_sequence_count",
     "build_model",
     "param_count",
-    "model_step",
     "observe",
     "forecast",
     "rollout_forward",
@@ -111,20 +108,6 @@ MAX_PHASES = 4096
 # Parameters per model: well above the paper-scale model (13.4 M) and a
 # 13-level hierarchy of 1024-wide cells (about 113 M); 1 GB of float64.
 MAX_PARAMS = 2 ** 27
-
-
-def active_phase(m: int, t: int, K: int) -> int:
-    """Phase index updating at step t on level m: t mod K^(m-1)."""
-    if m < 1 or t < 0:
-        raise InputError(f"active_phase: need m >= 1 and t >= 0, got {m}, {t}")
-    return t % (K ** (m - 1))
-
-
-def logical_sequence_count(K: int, M: int) -> int:
-    """Total phase-shifted recurrent sequences across all levels."""
-    if K < 2 or M < 1:
-        raise InputError(f"logical_sequence_count: need K >= 2, M >= 1, got {K}, {M}")
-    return sum(K ** m for m in range(M))
 
 
 @dataclass
@@ -349,20 +332,6 @@ def _stride_window(t: int, K: int) -> range:
 def _window_sum(xs: list[np.ndarray]) -> np.ndarray:
     """A stride-fed level's input: the inputs of its stride window summed in order."""
     return sum(xs[1:], xs[0])
-
-
-def model_step(model: Model, bank: PhaseStateBank, x_t, mode: str = "eval",
-               rng: np.random.Generator | None = None):
-    """Advance the hierarchy one step; returns (predicted next velocity, step record).
-
-    x_t (B, d_v) is the velocity at the current step (the current pose for the
-    single_layer_pose variant) and the prediction is (B, d_v).  Exactly one
-    phase per active level mutates.  One recorded call of the engine's level
-    sweep (`_advance`) on one input.
-    """
-    records = []
-    vhat = _advance(model, bank, [x_t], mode, rng, records)
-    return vhat, records[0]
 
 
 def observe(model: Model, seed_velocities: VelocitySequence, mode: str = "eval",

@@ -105,7 +105,8 @@ def load_checkpoint(path):
     The file is read field by field, each tensor's data straight into its own
     array, so a load holds one copy of the tensors.  A size the rest of the
     file cannot hold raises ParseError("truncated") before it is allocated; a
-    tensor name that appears twice raises ParseError too.
+    tensor name that appears twice, or any byte after the last tensor, raises
+    ParseError too.
     """
     path = Path(path)
     if not path.exists():
@@ -134,4 +135,6 @@ def load_checkpoint(path):
                 raise ParseError(f"{path}: tensor {name!r} appears twice")
             ndim = r.unpack("<B")
             tensors[name] = r.array(tuple(r.unpack("<Q") for _ in range(ndim)))
+        if r.left:
+            raise ParseError(f"{path}: {r.left} trailing bytes after the last tensor")
     return meta, tensors

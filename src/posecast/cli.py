@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -159,7 +160,11 @@ def _horizons(args, interval_ms, target_len) -> list[int]:
             except ValueError:
                 raise InputError(f"--horizons: {s!r} is not an integer (ms)") from None
         return out
-    return [h for h in DEFAULT_HORIZONS_MS if h <= target_len * interval_ms]
+    out = [h for h in DEFAULT_HORIZONS_MS if h <= target_len * interval_ms]
+    if not out:
+        raise InputError(f"no default horizon fits a {target_len}-frame target at "
+                         f"{interval_ms:g} ms per frame; pass --horizons")
+    return out
 
 
 def _write_report(path, model_rep, zero_rep, per_action: bool):
@@ -177,6 +182,8 @@ def _write_report(path, model_rep, zero_rep, per_action: bool):
 
 
 def cmd_eval(args) -> int:
+    if not 0 < args.threshold < math.inf:
+        raise InputError(f"--threshold: must be finite and > 0, got {args.threshold}")
     model, meta, _ = load_model_checkpoint(args.checkpoint)
     manifest = load_manifest(args.manifest)
     if model.config.d_v != manifest.dim:

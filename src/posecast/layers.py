@@ -21,7 +21,7 @@ as a few time-batched GEMMs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,21 +31,17 @@ from .numcore import as_f64, seeded_rng
 __all__ = [
     "LstmParams",
     "LstmState",
-    "init_lstm",
     "draw_lstm",
     "lstm_step",
     "lstm_gates",
     "lstm_step_backward",
     "lstm_gate_backward",
     "HeadParams",
-    "init_head",
     "draw_head",
     "head_forward",
     "head_skip",
     "head_backward",
     "head_layer_backward",
-    "GradCheckReport",
-    "grad_check",
 ]
 
 
@@ -67,13 +63,6 @@ class LstmParams:
     b: np.ndarray  # (4h,)
     d_in: int
     h: int
-
-    def tensors(self):
-        return [("W", self.W), ("b", self.b)]
-
-    @property
-    def n_params(self) -> int:
-        return self.W.size + self.b.size
 
 
 @dataclass
@@ -99,16 +88,6 @@ def _draw_uniform(rng: np.random.Generator, bound: float, out: np.ndarray):
     for i in range(0, flat.size, _DRAW_BLOCK):
         block = flat[i:i + _DRAW_BLOCK]
         block[...] = rng.uniform(-bound, bound, size=block.size)
-
-
-def init_lstm(d_in: int, h: int, seed: int, *, stream: tuple = (),
-              forget_bias: float = 1.0) -> LstmParams:
-    """A new cell initialized by `draw_lstm`."""
-    if d_in < 1 or h < 1:
-        raise ConfigError(f"init_lstm: d_in and h must be >= 1, got {d_in}, {h}")
-    p = LstmParams(W=np.empty((4 * h, d_in + h)), b=np.empty(4 * h), d_in=d_in, h=h)
-    draw_lstm(p, seed, stream=stream, forget_bias=forget_bias)
-    return p
 
 
 def draw_lstm(p: LstmParams, seed: int, *, stream: tuple = (), forget_bias: float = 1.0):
@@ -233,26 +212,6 @@ class HeadParams:
     n_states: int  # hidden states consumed, one per hierarchy level
     h: int
 
-    def tensors(self):
-        return [("W1", self.W1), ("b1", self.b1), ("W2", self.W2),
-                ("b2", self.b2), ("W3", self.W3), ("b3", self.b3)]
-
-    @property
-    def n_params(self) -> int:
-        return sum(t.size for _, t in self.tensors())
-
-
-def init_head(d_v: int, n_states: int, h: int, h1: int, h2: int, seed: int,
-              *, stream: tuple = ()) -> HeadParams:
-    """A new head initialized by `draw_head`."""
-    if min(d_v, n_states, h, h1, h2) < 1:
-        raise ConfigError("init_head: all dimensions must be >= 1")
-    hp = HeadParams(W1=np.empty((h1, d_v + n_states * h)), b1=np.empty(h1),
-                    W2=np.empty((h2, h1)), b2=np.empty(h2), W3=np.empty((d_v, h2)),
-                    b3=np.empty(d_v), d_v=d_v, n_states=n_states, h=h)
-    draw_head(hp, seed, stream=stream)
-    return hp
-
 
 def draw_head(hp: HeadParams, seed: int, *, stream: tuple = ()):
     """Initialize hp's arrays in place: layer li's weights uniform in
@@ -365,52 +324,3 @@ def head_backward(hp: HeadParams, tape: HeadTape, grad_out):
              da2.sum(axis=0), dout.T @ tape.r2, dout.sum(axis=0))
     lo = [hp.d_v + m * hp.h for m in range(hp.n_states)]
     return grads, dz[:, :hp.d_v], [dz[:, i:i + hp.h] for i in lo]
-
-
-# ---------------------------------------------------------------------------
-# Finite-difference gradient verification
-
-
-@dataclass
-class GradCheckReport:
-    max_rel_error: float
-    failures: list = field(default_factory=list)  # (index, analytic, fd, rel)
-    n_params: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def grad_check(f, params, analytic, eps: float = 1e-5, tol: float = 1e-5) -> GradCheckReport:
-    """Compare analytic gradients against central finite differences.
-
-    f: callable mapping a flat parameter vector to a scalar.
-    params: flat parameter vector at which to check.
-    analytic: flat analytic gradient, or a callable params -> gradient.
-
-    Per-parameter relative error is |g_a - g_fd| / max(|g_a|, |g_fd|, 1e-8).
-    Failures above tol are reported as data, never raised.
-    """
-    if eps <= 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
-    theta = as_f64(params).copy()
-    g_a = as_f64(analytic(theta) if callable(analytic) else analytic)
-    if g_a.shape != theta.shape:
-        raise ShapeError(f"grad_check: analytic shape {g_a.shape} != params {theta.shape}")
-    failures = []
-    max_rel = 0.0
-    for k in range(theta.size):
-        orig = theta[k]
-        theta[k] = orig + eps
-        fp = float(f(theta))
-        theta[k] = orig - eps
-        fm = float(f(theta))
-        theta[k] = orig
-        g_fd = (fp - fm) / (2.0 * eps)
-        rel = abs(g_a[k] - g_fd) / max(abs(g_a[k]), abs(g_fd), 1e-8)
-        max_rel = max(max_rel, rel)
-        if rel > tol:
-            failures.append((k, float(g_a[k]), g_fd, rel))
-    return GradCheckReport(max_rel_error=max_rel, failures=failures,
-                           n_params=theta.size)

@@ -1,10 +1,7 @@
 """Pose/velocity data model, CSV ingestion, windowing, synthetic generator.
 
-Poses are (T, D) float64 arrays wrapped in PoseSequence; velocities are the
-per-step differences V[t] = P[t+1] - P[t] plus the origin pose.  The two
-representations round-trip to within one rounding error per step (float64
-cannot guarantee a + (b - a) == b), and exactly when the steps are zero --
-which is what the zero-velocity equivalence tests rely on.
+Poses are (T, D) float64 arrays wrapped in PoseSequence; a VelocitySequence
+holds the per-step differences V[t] = P[t+1] - P[t] plus the origin pose.
 
 Action labels live only in sequence/manifest metadata for reporting; the
 Window type used by training carries no label, so the model is
@@ -28,8 +25,6 @@ __all__ = [
     "Window",
     "ManifestEntry",
     "DatasetManifest",
-    "to_velocity",
-    "integrate",
     "make_windows",
     "load_sequence",
     "save_sequence",
@@ -96,25 +91,6 @@ class VelocitySequence:
 class Window:
     seed: PoseSequence    # observed slice; ends where target begins
     target: PoseSequence  # future slice
-
-
-def to_velocity(p: PoseSequence) -> VelocitySequence:
-    if p.n_frames < 2:
-        raise InputError(f"to_velocity: need >= 2 frames, got {p.n_frames}")
-    return VelocitySequence(steps=np.diff(p.frames, axis=0),
-                            origin_pose=p.frames[0].copy(),
-                            frame_interval_ms=p.frame_interval_ms)
-
-
-def integrate(v: VelocitySequence, space: str = "angle_expmap") -> PoseSequence:
-    frames = np.empty((v.n_steps + 1, v.dim))
-    frames[0] = v.origin_pose
-    if v.n_steps:
-        # sequential adds mirror how the forecaster accumulates poses
-        for t in range(v.n_steps):
-            frames[t + 1] = frames[t] + v.steps[t]
-    return PoseSequence(frames=frames, frame_interval_ms=v.frame_interval_ms,
-                        space=space)
 
 
 def make_windows(p: PoseSequence, seed_len: int, target_len: int,
@@ -217,7 +193,7 @@ def load_manifest(path) -> DatasetManifest:
     if not path.exists():
         raise ParseError(f"{path}: no such file")
     entries, linenos = [], []
-    mask = None
+    mask, mask_lineno = None, None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -225,14 +201,18 @@ def load_manifest(path) -> DatasetManifest:
                 continue
             if line.startswith("mask="):
                 try:
-                    mask = [int(s) for s in line[len("mask="):].split(",")]
+                    line_mask = [int(s) for s in line[len("mask="):].split(",")]
                 except ValueError:
                     raise ParseError(f"{path}:{lineno}: bad mask line") from None
                 seen = set()
-                for i in mask:
+                for i in line_mask:
                     if i in seen:
                         raise ParseError(f"{path}:{lineno}: mask index {i} appears twice")
                     seen.add(i)
+                if mask is not None:
+                    raise ParseError(f"{path}:{lineno}: second mask line (the first is "
+                                     f"line {mask_lineno})")
+                mask, mask_lineno = line_mask, lineno
                 continue
             parts = line.split(",")
             if len(parts) != 5:

@@ -15,11 +15,22 @@ purposes in the test suite:
 
 Only the flagship hierarchy variant is supported here; the ablation variants
 get their own finite-difference coverage at float64-friendly scales.
+
+`model_step`, by contrast, is the engine itself: one recorded call of its
+level sweep on one input, the step-at-a-time reference of the rollout tests.
 """
 
 import numpy as np
 
+from posecast import arch
+
 LD = np.longdouble
+
+
+def model_step(model, bank, x, mode="eval", rng=None):
+    """Advance `bank` one step on the (B, d_v) input x: (prediction, step record)."""
+    records = []
+    return arch._advance(model, bank, [x], mode, rng, records), records[0]
 
 
 def _sigmoid(z):

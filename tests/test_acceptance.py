@@ -12,8 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from posecast.arch import (ModelConfig, active_phase, build_model,
-                           logical_sequence_count)
+from posecast import arch
+from posecast.arch import ModelConfig, build_model, level_table, new_bank
 from posecast.evaluate import collect_windows, evaluate_mae, forecast_window
 from posecast.metrics import zero_velocity_forecast
 from posecast.posedata import load_manifest, load_split, synth_multiscale
@@ -84,24 +84,39 @@ def test_criterion_1_gradient_correctness():
 
 
 def test_criterion_2_schedule_invariants():
-    """For K in {2,3}, M in {2..5}, T=200: exactly one phase per level
-    updates each step, each level-m phase updates with period K^(m-1), and
-    logical_sequence_count matches the closed-form sum.  Under 5 s."""
+    """For K in {2,3}, M in {2..5}, T=200, on the engine itself: a tp_rnn
+    bank holds sum_m K^(m-1) phase sequences, and each recorded one-input
+    step of the level sweep replaces exactly one state per level, phase
+    t mod K^(m-1) of level m, so each level-m phase updates with period
+    K^(m-1).  Under 5 s."""
     t0 = time.time()
     T = 200
     for K in (2, 3):
         for M in range(2, 6):
-            assert logical_sequence_count(K, M) == sum(K ** m for m in range(M))
-            for m in range(1, M + 1):
-                n_phases = K ** (m - 1)
-                updates = {q: [] for q in range(n_phases)}
-                for t in range(T):
-                    q = active_phase(m, t, K)
-                    assert 0 <= q < n_phases  # exactly one active phase
-                    updates[q].append(t)
-                for q, ts in updates.items():
-                    assert ts[0] == q
-                    assert all(b - a == n_phases for a, b in zip(ts, ts[1:]))
+            cfg = ModelConfig(variant="tp_rnn", d_v=2, granularity=K, levels=M,
+                              hidden=2, head1=2, head2=2).validate()
+            model = build_model(cfg)
+            bank = new_bank(model, 1)
+            assert [len(states) for states in bank.states] == [K ** m for m in range(M)]
+            assert sum(map(len, bank.states)) == sum(K ** m for m in range(M))
+            table = level_table(cfg)
+            updates = {(m, q): [] for m in range(1, M + 1) for q in range(K ** (m - 1))}
+            x = np.zeros((1, 2))
+            for t in range(T):
+                before = [list(states) for states in bank.states]
+                records = []
+                arch._advance(model, bank, [x], "eval", None, records)
+                replaced = [(m, q) for m, (old, new) in enumerate(zip(before, bank.states), 1)
+                            for q, (a, b) in enumerate(zip(old, new)) if a is not b]
+                # exactly one phase per level, the one the level table names
+                assert replaced == [(m, t % K ** (m - 1)) for m in range(1, M + 1)]
+                assert replaced == [(m, level.phase(t)) for m, level in enumerate(table, 1)]
+                assert all(tape is not None for tape in records[0].tapes)
+                for mq in replaced:
+                    updates[mq].append(t)
+            for (m, q), ts in updates.items():
+                assert ts[0] == q
+                assert all(b - a == K ** (m - 1) for a, b in zip(ts, ts[1:]))
     elapsed = time.time() - t0
     report(2, elapsed < 5.0, f"(K in {{2,3}}, M in {{2..5}}, T=200, "
                              f"{elapsed:.2f}s)")
@@ -125,7 +140,7 @@ def test_criterion_3_parameter_accounting():
         alt = build_model(ModelConfig(variant="tp_rnn", d_v=3, granularity=K,
                                       levels=2, hidden=4, head1=5, head2=4))
         ok = ok and alt.n_params == 371
-    ok = ok and logical_sequence_count(2, 2) == 3 and len(model.cells) == 2
+    ok = ok and sum(map(len, new_bank(model, 1).states)) == 3 and len(model.cells) == 2
     report(3, ok, f"(cell0 {cell0} + cell1 {cell1} + head {head} = "
                   f"{model.n_params}; K-independent; 3 logical / 2 cells + head)")
 

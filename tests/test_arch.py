@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from posecast.arch import (MAX_PHASES, VARIANTS, Model, ModelConfig, active_phase,
-                           build_model, forecast, level_table, logical_sequence_count,
-                           model_step, new_bank, observe, param_count, param_layout,
-                           rollout_backward, rollout_forward)
+from posecast.arch import (MAX_PHASES, VARIANTS, Model, ModelConfig, build_model,
+                           forecast, level_table, new_bank, observe, param_count,
+                           param_layout, rollout_backward, rollout_forward)
 from posecast.errors import ConfigError, InputError, NumericError, ShapeError
-from posecast.layers import init_lstm
+from posecast.layers import LstmParams, draw_lstm
 from posecast.metrics import zero_velocity_forecast
-from posecast.posedata import (PoseSequence, VelocitySequence, integrate,
-                               synth_multiscale, to_velocity)
+from posecast.posedata import PoseSequence, VelocitySequence, synth_multiscale
+
+from rollout_oracle import model_step
 
 
 def tiny_cfg(variant="tp_rnn", **kw):
@@ -25,51 +25,52 @@ def zero_model(cfg) -> Model:
     return m
 
 
+def velocities(frames, interval=40.0) -> VelocitySequence:
+    return VelocitySequence(np.diff(frames, axis=0), frames[0].copy(), interval)
+
+
 # ---------------------------------------------------------------------------
-# phase schedule
+# phase schedule: the engine reads level m's active phase, t mod K^(m-1) in
+# tp_rnn, from its level table
 
 
 def test_active_phase_examples():
-    assert active_phase(1, 7, 2) == 0
-    assert active_phase(2, 5, 2) == 1
-    assert active_phase(2, 4, 2) == 0
+    levels = level_table(tiny_cfg().validate())
+    assert levels[0].phase(7) == 0
+    assert levels[1].phase(5) == 1
+    assert levels[1].phase(4) == 0
 
 
 def test_active_phase_level5_period_16():
     # each fixed phase of level 5 (K=2) recurs with period 2^4 = 16
+    level5 = level_table(tiny_cfg(levels=5).validate())[4]
     for q in range(16):
-        hits = [t for t in range(200) if active_phase(5, t, 2) == q]
+        hits = [t for t in range(200) if level5.phase(t) == q]
         assert hits[0] == q
         assert all(b - a == 16 for a, b in zip(hits, hits[1:]))
 
 
-def test_active_phase_preconditions():
-    with pytest.raises(InputError):
-        active_phase(0, 3, 2)
-    with pytest.raises(InputError):
-        active_phase(1, -1, 2)
-
-
 def test_logical_sequence_count():
-    assert logical_sequence_count(2, 2) == 3
-    assert logical_sequence_count(2, 5) == 31
-    assert logical_sequence_count(3, 3) == 13
-    with pytest.raises(InputError):
-        logical_sequence_count(1, 2)
+    # the bank holds sum_m K^(m-1) phase sequences
+    for K, M, n in [(2, 2, 3), (2, 5, 31), (3, 3, 13)]:
+        model = build_model(tiny_cfg(granularity=K, levels=M))
+        assert sum(level.phases for level in model.levels) == n
+        assert sum(map(len, new_bank(model, 1).states)) == n
 
 
 def test_mixed_radix_phase_spawning_equivalence():
     # spawning a phase as (parent phase + K^(m-2) * next digit) produces the
-    # same index as the residue t mod K^(m-1)
+    # same index as the level table's phase, the residue t mod K^(m-1)
     def spawn(m, t, K):
         if m == 1:
             return 0
         return spawn(m - 1, t, K) + K ** (m - 2) * ((t // K ** (m - 2)) % K)
 
     for K in (2, 3):
-        for m in range(1, 6):
+        table = level_table(tiny_cfg(granularity=K, levels=5).validate())
+        for m, level in enumerate(table, start=1):
             for t in range(150):
-                assert spawn(m, t, K) == active_phase(m, t, K)
+                assert spawn(m, t, K) == level.phase(t) == t % K ** (m - 1)
 
 
 def _step_updates(model, bank, x):
@@ -101,7 +102,7 @@ def test_exactly_one_phase_per_level_updates():
     x = np.zeros((1, 3))
     for t in range(30):
         got, _ = _step_updates(model, bank, x)
-        assert got == [(m, active_phase(m, t, 3)) for m in (1, 2, 3, 4)]
+        assert got == [(m, t % 3 ** (m - 1)) for m in (1, 2, 3, 4)]
 
 
 # The schedule in closed form, as per-variant rules: the reference for the
@@ -266,7 +267,6 @@ def test_param_count_k_independent():
 def test_physical_cells_vs_logical_sequences():
     # K=2, M=2: three logical sequences but exactly two stored cells + head
     model = build_model(tiny_cfg())
-    assert logical_sequence_count(2, 2) == 3
     assert len(model.cells) == 2
     bank = new_bank(model, 1)
     assert [len(level) for level in bank.states] == [1, 2]
@@ -304,8 +304,10 @@ def test_level_input_dims_per_variant():
 
 def test_theta_is_one_buffer_behind_the_named_tensors():
     model = build_model(tiny_cfg(levels=3))
-    # the initial values are those the layer initializers draw
-    assert np.array_equal(model.cells[1].W, init_lstm(4, 4, 0, stream=(0, 2)).W)
+    # the initial values are those the layer initializer draws
+    cell = LstmParams(W=np.empty((16, 8)), b=np.empty(16), d_in=4, h=4)
+    draw_lstm(cell, 0, stream=(0, 2))
+    assert np.array_equal(model.cells[1].W, cell.W)
     off = 0
     for _, arr in model.tensors():
         assert np.shares_memory(arr, model.theta)
@@ -386,8 +388,7 @@ def test_model_step_rejects_unbatched_input():
 
 def _seed_velocities(n_steps, d=3, seed=0, interval=40.0):
     rng = np.random.default_rng(seed)
-    frames = np.cumsum(rng.normal(size=(n_steps + 1, d)), axis=0)
-    return to_velocity(PoseSequence(frames=frames, frame_interval_ms=interval))
+    return velocities(np.cumsum(rng.normal(size=(n_steps + 1, d)), axis=0), interval)
 
 
 def test_observe_schedule_counts():
@@ -399,7 +400,7 @@ def test_observe_schedule_counts():
     for t, rec in enumerate(records):
         for m, tape in enumerate(rec.tapes, start=1):
             if tape is not None:
-                q = active_phase(m, t, 2)
+                q = t % 2 ** (m - 1)
                 counts[(m, q)] = counts.get((m, q), 0) + 1
     assert counts[(1, 0)] == 50
     assert counts[(2, 0)] == 25 and counts[(2, 1)] == 25
@@ -457,7 +458,7 @@ def test_zero_model_forecast_is_zero_velocity_baseline(variant, levels):
     seed = PoseSequence(frames=frames[:12], frame_interval_ms=40.0)
     target = PoseSequence(frames=frames[12:], frame_interval_ms=40.0)
 
-    bank, _, v_first = observe(model, to_velocity(seed))
+    bank, _, v_first = observe(model, velocities(seed.frames))
     pred = forecast(model, bank, v_first, 5)
     assert np.array_equal(pred.steps, np.zeros((5, 3)))
 
@@ -521,7 +522,6 @@ def test_rollout_forward_matches_observe_forecast():
         preds, _ = rollout_forward(model, np.diff(seeds, axis=1),
                                    seeds[:, 0], 4, mode="eval")
         for b, s in enumerate(seqs):
-            p = PoseSequence(frames=s.frames[:10], frame_interval_ms=40.0)
-            bank, _, v_first = observe(model, to_velocity(p))
+            bank, _, v_first = observe(model, velocities(s.frames[:10]))
             single = forecast(model, bank, v_first, 4)
             assert np.allclose(preds[:, b, :], single.steps, atol=1e-12)

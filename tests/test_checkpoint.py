@@ -50,6 +50,17 @@ def test_saved_bytes_follow_documented_layout(tmp_path):
     assert p.read_bytes() == expected
 
 
+def test_bytes_after_the_last_tensor_rejected(tmp_path):
+    # one appended byte, or a second checkpoint after the first, is no checkpoint
+    p = tmp_path / "ck.bin"
+    save_checkpoint(p, {"kind": "model"}, [("w", np.arange(6.0).reshape(2, 3))])
+    good = p.read_bytes()
+    for extra in (b"\x00", good):
+        p.write_bytes(good + extra)
+        with pytest.raises(ParseError, match=f"{len(extra)} trailing bytes"):
+            load_checkpoint(p)
+
+
 def test_save_is_deterministic(tmp_path):
     tensors = [("w", np.arange(6.0).reshape(2, 3))]
     meta = {"b": 1, "a": 2}

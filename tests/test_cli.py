@@ -278,6 +278,29 @@ def test_eval_rejects_non_integer_horizon(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_eval_without_a_default_horizon_exits_3(tmp_path, capsys):
+    # a 1-frame target at 40 ms ends before the first default horizon (80 ms)
+    data = synth(tmp_path)
+    out = tmp_path / "r.csv"
+    assert run("eval", "--checkpoint", zero_checkpoint(tmp_path), "--manifest",
+               data / "manifest.txt", "--seed-len", 10, "--target-len", 1, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert "input error" in err and "--horizons" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "0", "-0.05"])
+def test_eval_rejects_a_threshold_not_finite_and_positive(tmp_path, capsys, threshold):
+    data = synth(tmp_path, dim=4)
+    out = tmp_path / "pck.csv"
+    assert run("eval", "--checkpoint", zero_checkpoint(tmp_path, d_v=4), "--manifest",
+               data / "manifest.txt", "--protocol", "pck", f"--threshold={threshold}",
+               "--seed-len", 10, "--target-len", 5, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert "input error" in err and "--threshold" in err
+    assert not out.exists()
+
+
 def test_eval_pck_protocol(tmp_path):
     data = synth(tmp_path, dim=4)  # even dim: planar joint pairs
     ck = zero_checkpoint(tmp_path, d_v=4)
@@ -341,6 +364,18 @@ def test_eval_rejects_repeated_mask_index(tmp_path, capsys):
     assert f"manifest.txt:{len(lines)}: mask index 0 appears twice" in err
 
 
+def test_eval_rejects_a_second_mask_line(tmp_path, capsys):
+    data = synth(tmp_path)
+    manifest = data / "manifest.txt"
+    lines = manifest.read_text().splitlines() + ["mask=0,1,2", "mask=2,1,0"]
+    manifest.write_text("\n".join(lines) + "\n")
+    assert run("eval", "--checkpoint", zero_checkpoint(tmp_path), "--manifest", manifest,
+               "--seed-len", 10, "--target-len", 5, "--out", tmp_path / "r.csv") == 3
+    err = capsys.readouterr().err
+    assert "input error" in err
+    assert f"manifest.txt:{len(lines)}: second mask line" in err
+
+
 def test_eval_infinite_manifest_interval_exits_3(tmp_path, capsys):
     # a bad data file (exit 3), not a horizon off the frame grid (exit 2)
     data = synth(tmp_path)
@@ -393,11 +428,13 @@ def _bad_checkpoint(tmp_path, case):
         tensors = tensors + [("head.b3", np.full(3, 9.0))]
     p = tmp_path / f"{case}.bin"
     save_checkpoint(p, meta, tensors)
+    if case == "trailing_byte":
+        p.write_bytes(p.read_bytes() + b"\x00")
     return p
 
 
 BAD_CHECKPOINTS = ["no_model_config", "unknown_key", "shape_mismatch", "missing_tensor",
-                   "repeated_tensor"]
+                   "repeated_tensor", "trailing_byte"]
 
 
 @pytest.mark.parametrize("case", BAD_CHECKPOINTS)
@@ -690,6 +727,24 @@ def test_ablate_unknown_variant(tmp_path):
     assert run("ablate", "--model-config", mc, "--train-config", tc,
                "--manifest", data / "manifest.txt", "--variants", "gru",
                "--out", tmp_path / "a") == 2
+
+
+def test_ablate_without_a_default_horizon_exits_3_before_training(tmp_path, capsys,
+                                                                  monkeypatch):
+    import posecast.cli as cli_mod
+
+    trained = []
+    monkeypatch.setattr(cli_mod, "train_loop", lambda *a, **kw: trained.append(a))
+    data = synth(tmp_path)
+    mc, _ = _train_cfgs(tmp_path)
+    tc = write_cfg(tmp_path / "train1.cfg", iterations=5, batch_size=4, seed_len=8,
+                   target_len=1, seed=0)
+    out = tmp_path / "a"
+    assert run("ablate", "--model-config", mc, "--train-config", tc,
+               "--manifest", data / "manifest.txt", "--out", out) == 3
+    err = capsys.readouterr().err
+    assert "input error" in err and "--horizons" in err
+    assert trained == [] and not out.exists()
 
 
 def test_ablate_rejects_non_integer_horizon(tmp_path, capsys):

@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from posecast import evaluate
+from posecast.arch import ModelConfig, build_model
 from posecast.errors import InputError, ParseError
-from posecast.posedata import (FAST_PERIOD_BAND, SLOW_PERIOD_BAND,
-                               PoseSequence, VelocitySequence, integrate,
-                               load_manifest, load_sequence,
-                               load_split, make_windows, save_sequence,
-                               synth_multiscale, to_velocity)
+from posecast.posedata import (FAST_PERIOD_BAND, SLOW_PERIOD_BAND, PoseSequence,
+                               load_manifest, load_sequence, load_split, make_windows,
+                               save_sequence, synth_multiscale)
 
 
 def seq(frames, interval=40.0, **kw):
@@ -18,57 +18,71 @@ def seq(frames, interval=40.0, **kw):
 
 
 # ---------------------------------------------------------------------------
-# velocity round trips
+# velocity round trips, as a forecast runs them (`evaluate.forecast_seed`): the
+# seed's poses become the engine's velocities, its predicted velocities
+# become poses again, summed from the last seed pose
 
 
-def test_to_velocity_example():
-    v = to_velocity(seq([[1, 2], [3, 5], [6, 9]]))
-    assert np.array_equal(v.steps, [[2, 3], [3, 4]])
-    assert np.array_equal(v.origin_pose, [1, 2])
+def _round_trip(mp, seed_frames, preds):
+    """forecast_seed over seed_frames with the engine replaced by one that
+    predicts preds (n, d): (the velocities and origin the engine got, the
+    frames forecast_seed returns)."""
+    got = {}
+
+    def engine(model, seed_vels, origin, n_steps, **kw):
+        got.update(vels=seed_vels[0], origin=origin[0])
+        return np.asarray(preds, dtype=float)[:, None, :], None
+
+    mp.setattr(evaluate, "rollout_forward", engine)
+    frames = evaluate.forecast_seed(None, np.asarray(seed_frames, dtype=float), len(preds))
+    return got["vels"], got["origin"], frames
 
 
-def test_to_velocity_constant_sequence():
-    v = to_velocity(seq([[5, 5]] * 4))
-    assert not np.any(v.steps)
+def _zero_model(d):
+    model = build_model(ModelConfig(variant="tp_rnn", d_v=d, levels=2, hidden=3,
+                                    head1=3, head2=3))
+    model.theta[:] = 0.0
+    return model
+
+
+def test_to_velocity_example(monkeypatch):
+    vels, origin, _ = _round_trip(monkeypatch, [[1, 2], [3, 5], [6, 9]], [[0, 0]])
+    assert np.array_equal(vels, [[2, 3], [3, 4]])
+    assert np.array_equal(origin, [1, 2])
+
+
+def test_to_velocity_constant_sequence(monkeypatch):
+    vels, _, _ = _round_trip(monkeypatch, [[5, 5]] * 4, [[0, 0]])
+    assert vels.shape == (3, 2) and not np.any(vels)
 
 
 def test_to_velocity_needs_two_frames():
     with pytest.raises(InputError):
-        to_velocity(seq([[1.0, 2.0]]))
+        evaluate.forecast_seed(_zero_model(2), np.array([[1.0, 2.0]]), 3)
 
 
-def test_integrate_example():
-    p = integrate(VelocitySequence(steps=np.array([[1.0, 1.0], [1.0, 1.0]]),
-                                   origin_pose=np.zeros(2),
-                                   frame_interval_ms=40.0))
-    assert np.array_equal(p.frames, [[0, 0], [1, 1], [2, 2]])
-
-
-def test_integrate_empty_steps():
-    p = integrate(VelocitySequence(steps=np.zeros((0, 3)),
-                                   origin_pose=np.array([1.0, 2.0, 3.0]),
-                                   frame_interval_ms=40.0))
-    assert p.n_frames == 1
-    assert np.array_equal(p.frames[0], [1, 2, 3])
+def test_integrate_example(monkeypatch):
+    _, _, frames = _round_trip(monkeypatch, [[5, 5], [0, 0]], [[1.0, 1.0], [1.0, 1.0]])
+    assert np.array_equal(frames, [[1, 1], [2, 2]])
 
 
 @settings(max_examples=40, deadline=None)
 @given(arrays(np.float64, st.tuples(st.integers(2, 12), st.integers(1, 5)),
               elements=st.floats(-1e6, 1e6)))
 def test_roundtrip_near_exact(frames):
-    # float64 cannot promise a + (b - a) == b, so the round trip is exact
-    # to one rounding error per step, not bit-level
-    p = seq(frames)
-    back = integrate(to_velocity(p))
+    # from the first frame held still (`forecast --init-vel zero`), predicting
+    # each true step gives the frames back; float64 cannot promise
+    # a + (b - a) == b, so to one rounding error per step, not bit-level
+    with pytest.MonkeyPatch.context() as mp:
+        _, _, back = _round_trip(mp, frames[[0, 0]], np.diff(frames, axis=0))
     tol = 4 * np.finfo(np.float64).eps * max(1.0, np.abs(frames).max())
-    assert np.allclose(back.frames, p.frames, rtol=0, atol=tol * frames.shape[0])
+    assert np.allclose(back, frames[1:], rtol=0, atol=tol * frames.shape[0])
 
 
 def test_roundtrip_exact_for_constant_sequences():
     # zero steps integrate back bit-exactly -- the zero-velocity anchor
-    p = seq([[0.1, -2.7, 3.3]] * 6)
-    back = integrate(to_velocity(p))
-    assert np.array_equal(back.frames, p.frames)
+    frames = np.array([[0.1, -2.7, 3.3]] * 6)
+    assert np.array_equal(evaluate.forecast_seed(_zero_model(3), frames[:4], 2), frames[4:])
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +225,13 @@ def test_manifest_errors(tmp_path):
     # a mask cuts every entry to the same dims, so they may differ
     f.write_text(f.read_text() + "mask=0,2\n")
     assert load_manifest(f).dim == 2
-    f.write_text(f.read_text() + "mask=2,0,2\n")
+    body = f.read_text()
+    f.write_text(body + "mask=2,0,2\n")
     with pytest.raises(ParseError, match=r"m\.txt:5: mask index 2 appears twice"):
+        load_manifest(f)
+    # a second mask would replace the first and feed the columns permuted
+    f.write_text(body + "mask=2,0\n")
+    with pytest.raises(ParseError, match=r"m\.txt:5: second mask line \(the first is line 4\)"):
         load_manifest(f)
 
 

@@ -40,7 +40,7 @@ def reference_backward(model, records, n_obs, d_preds):
 
     stride_fed = cfg.variant in ("double_scale_vel", "double_scale_phase_vel")
     cells = [[np.zeros_like(c.W), np.zeros_like(c.b)] for c in model.cells]
-    head = [np.zeros_like(t) for _, t in model.head.tensors()]
+    head = [np.zeros_like(t) for t in model.views(model.theta)[2 * len(model.cells):]]
     pending = {}  # (level, phase) -> [dh, dc] w.r.t. its latest state
 
     def state_grad(m, q):

@@ -1,8 +1,9 @@
-"""The engine's level sweep against one `model_step` call per step.
+"""The engine's level sweep against one one-input call per step.
 
 Every forward step runs through one level sweep, `arch._advance`: the whole
 seed in one call and each forecast step in one more.  The reference here is
-the step-at-a-time order, one `model_step` (a one-input sweep) per step.
+the step-at-a-time order, one `rollout_oracle.model_step` (a one-input
+sweep) per step.
 The recorded sweep runs each firing step as its own B-row call and must match
 that reference bit for bit, tapes, dropout masks and random stream included.
 `rollout_forward(record=False)` stacks each run of a level's phases into one
@@ -20,8 +21,10 @@ import numpy as np
 import pytest
 
 from posecast import arch
-from posecast.arch import ModelConfig, build_model, model_step, new_bank, rollout_forward
+from posecast.arch import ModelConfig, build_model, new_bank, rollout_forward
 from posecast.errors import ConfigError
+
+from rollout_oracle import model_step
 
 VARIANT_LEVELS = [("single_layer_pose", 1), ("single_layer_vel", 1),
                   ("stacked2_vel", 2), ("double_scale_vel", 2),
@@ -245,10 +248,10 @@ def test_tape_free_requires_eval_mode():
 def test_observe_wrapper_tape_free_matches_recording(variant, levels):
     # the single-sequence wrappers return the engine's B=1 bank on both paths
     from posecast.arch import forecast, observe
-    from posecast.posedata import PoseSequence, to_velocity
+    from posecast.posedata import VelocitySequence
     model = _model(variant, levels)
     frames = np.random.default_rng(4).normal(size=(11, 3))
-    seed_v = to_velocity(PoseSequence(frames=frames, frame_interval_ms=40.0))
+    seed_v = VelocitySequence(np.diff(frames, axis=0), frames[0].copy(), 40.0)
     out = []
     for record in (True, False):
         bank, records, v_first = observe(model, seed_v, record=record)
