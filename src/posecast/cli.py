@@ -22,7 +22,7 @@ from pathlib import Path
 from . import evaluate
 from .arch import VARIANTS, ModelConfig, build_model
 from .errors import ConfigError, InputError, NumericError, ParseError
-from .metrics import DEFAULT_HORIZONS_MS
+from .metrics import DEFAULT_HORIZONS_MS, horizon_indices
 from .numcore import atomic_write_text
 from .posedata import (PoseSequence, load_manifest, load_sequence, load_split,
                        save_sequence, synth_multiscale)
@@ -151,19 +151,20 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _horizons(args, interval_ms, target_len) -> list[int]:
+def _horizons(args, windows, target_len) -> list[int]:
+    """--horizons (default: those within the target), resolved before any work."""
+    interval_ms = evaluate.frame_interval(windows)
     if args.horizons:
-        out = []
-        for s in args.horizons.split(","):
-            try:
-                out.append(int(s))
-            except ValueError:
-                raise InputError(f"--horizons: {s!r} is not an integer (ms)") from None
-        return out
-    out = [h for h in DEFAULT_HORIZONS_MS if h <= target_len * interval_ms]
-    if not out:
-        raise InputError(f"no default horizon fits a {target_len}-frame target at "
-                         f"{interval_ms:g} ms per frame; pass --horizons")
+        try:
+            out = [int(s) for s in args.horizons.split(",")]
+        except ValueError as e:
+            raise InputError(f"--horizons must be integers (ms): {e}") from None
+    else:
+        out = [h for h in DEFAULT_HORIZONS_MS if h <= target_len * interval_ms]
+        if not out:
+            raise InputError(f"no default horizon fits a {target_len}-frame target at "
+                             f"{interval_ms:g} ms per frame; pass --horizons")
+    horizon_indices(out, interval_ms, target_len)
     return out
 
 
@@ -193,8 +194,7 @@ def cmd_eval(args) -> int:
     test_seqs = load_split(manifest, "test", space=space)
     windows = evaluate.collect_windows(test_seqs, args.seed_len, args.target_len)
     if args.protocol == "mae":
-        interval = test_seqs[0].frame_interval_ms
-        horizons = _horizons(args, interval, args.target_len)
+        horizons = _horizons(args, windows, args.target_len)
         model_rep, zero_rep = evaluate.evaluate_mae(model, windows, horizons)
         _write_report(args.out, model_rep, zero_rep, per_action=True)
     else:
@@ -229,6 +229,10 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    variants = args.variants.split(",") if args.variants else list(VARIANTS)
+    if not set(variants) <= set(VARIANTS) or len(set(variants)) < len(variants):
+        raise ConfigError(f"--variants {args.variants!r}: each must be a distinct "
+                          f"variant of {', '.join(VARIANTS)}")
     manifest = load_manifest(args.manifest)
     tcfg = train_config_from_file(args.train_config)
     base = model_config_from_file(args.model_config, default_d_v=manifest.dim)
@@ -239,15 +243,11 @@ def cmd_ablate(args) -> int:
     data = TrainingData(sequences=train_seqs, seed_len=tcfg.seed_len,
                         target_len=tcfg.target_len)
     windows = evaluate.collect_windows(test_seqs, tcfg.seed_len, tcfg.target_len)
-    interval = test_seqs[0].frame_interval_ms
-    horizons = _horizons(args, interval, tcfg.target_len)
+    horizons = _horizons(args, windows, tcfg.target_len)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    variants = args.variants.split(",") if args.variants else list(VARIANTS)
     summary = ["variant," + ",".join(f"mae_{h}" for h in horizons)]
     for variant in variants:
-        if variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {variant!r}")
         # a variant with a configured level count runs at least two levels;
         # every two-level model runs at K=2, the double-scale variants' K
         levels = VARIANTS[variant].levels or max(2, base.levels)

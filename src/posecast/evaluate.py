@@ -6,8 +6,8 @@ import numpy as np
 
 from .arch import Model, rollout_forward
 from .errors import InputError, NumericError
-from .metrics import (HorizonReport, aggregate_reports, angle_mae, pck,
-                      zero_velocity_forecast)
+from .metrics import (HorizonReport, aggregate_reports, angle_mae, horizon_indices,
+                      pck, window_sum, zero_velocity_forecast)
 from .posedata import PoseSequence, Window, make_windows
 
 __all__ = [
@@ -15,6 +15,7 @@ __all__ = [
     "forecast_seed",
     "forecast_window",
     "batched_forecast_poses",
+    "frame_interval",
     "evaluate_mae",
     "evaluate_pck",
 ]
@@ -84,53 +85,47 @@ def batched_forecast_poses(model: Model, windows: list[Window]) -> np.ndarray:
     return out
 
 
+def frame_interval(windows: list[Window]) -> float:
+    """The frame interval (ms) all windows share; InputError if they do not."""
+    intervals = sorted({w.target.frame_interval_ms for w in windows})
+    if len(intervals) != 1:
+        raise InputError(f"evaluation windows need one frame interval, got {intervals} ms")
+    return intervals[0]
+
+
+def _truth_and_zero(windows: list[Window]) -> tuple[np.ndarray, np.ndarray]:
+    """Ground-truth frames (W, n, d) and the zero-velocity forecast of them.
+    Built after the model's rollout, they stay out of its memory peak."""
+    truth = np.stack([w.target.frames for w in windows])
+    last = np.stack([w.seed.frames[-1:] for w in windows])
+    return truth, zero_velocity_forecast(last, truth.shape[1])
+
+
 def evaluate_mae(model: Model | None, windows: list[Window],
                  horizons_ms) -> tuple[HorizonReport | None, HorizonReport]:
     """(model report or None, zero-velocity report) over the same windows."""
-    zero_reports = []
-    model_reports = []
-    pred_frames = batched_forecast_poses(model, windows) if model is not None else None
-    for i, w in enumerate(windows):
-        truth = w.target
-        zv = zero_velocity_forecast(w.seed, w.target.n_frames)
-        zero_reports.append(angle_mae(zv, truth, horizons_ms))
-        if pred_frames is not None:
-            pred = PoseSequence(frames=pred_frames[i],
-                                frame_interval_ms=truth.frame_interval_ms,
-                                space=truth.space)
-            model_reports.append(angle_mae(pred, truth, horizons_ms))
-    model_rep = aggregate_reports(model_reports) if model_reports else None
-    return model_rep, aggregate_reports(zero_reports)
+    ks = horizon_indices(horizons_ms, frame_interval(windows), windows[0].target.n_frames)
+    preds = None if model is None else batched_forecast_poses(model, windows)
+    truth, zero = _truth_and_zero(windows)
+    actions = [w.target.action for w in windows]
+    zero_rep = aggregate_reports(angle_mae(zero, truth, ks), horizons_ms, actions)
+    if preds is None:
+        return None, zero_rep
+    return aggregate_reports(angle_mae(preds, truth, ks), horizons_ms, actions), zero_rep
 
 
 def evaluate_pck(model: Model, windows: list[Window], threshold: float = 0.05):
-    """Mean per-frame PCK over windows for the model and the zero-velocity
-    baseline.
-
-    Returns (model scores, zero scores, skipped), one score per future frame;
-    skipped counts the window frames left out of the means because their
-    ground-truth bounding box has zero size.
-    """
-    n = windows[0].target.n_frames
-    acc_m = np.zeros(n)
-    acc_z = np.zeros(n)
-    cnt = np.zeros(n)
-    skipped = 0
-    pred_frames = batched_forecast_poses(model, windows)
-    for i, w in enumerate(windows):
-        truth = w.target
-        pred = PoseSequence(frames=pred_frames[i],
-                            frame_interval_ms=truth.frame_interval_ms,
-                            space="planar_2d")
-        zv = zero_velocity_forecast(w.seed, n)
-        sm, skipped_frames = pck(pred, truth, threshold)
-        sz, _ = pck(zv, truth, threshold)
-        skipped += len(skipped_frames)
-        for k in range(n):
-            if not np.isnan(sm[k]) and not np.isnan(sz[k]):
-                acc_m[k] += sm[k]
-                acc_z[k] += sz[k]
-                cnt[k] += 1
-    cnt = np.where(cnt > 0, cnt, 1.0)
-    return (acc_m / cnt).tolist(), (acc_z / cnt).tolist(), skipped
-
+    """Mean PCK per future frame over windows, for the model and the
+    zero-velocity baseline: (model scores, zero scores, skipped), where skipped
+    counts the window frames left out because their ground-truth bounding box
+    has zero size."""
+    if {w.target.space for w in windows} != {"planar_2d"}:
+        raise InputError("pck: sequences must be planar_2d")
+    preds = batched_forecast_poses(model, windows)
+    truth, zero = _truth_and_zero(windows)
+    scores_m = pck(preds, truth, threshold)
+    scores_z = pck(zero, truth, threshold)
+    skipped = np.isnan(scores_z)  # a zero-size truth box: the same frames for both
+    cnt = np.maximum(np.sum(~skipped, axis=0), 1)
+    means = [(window_sum(np.nan_to_num(s)) / cnt).tolist() for s in (scores_m, scores_z)]
+    return means[0], means[1], int(skipped.sum())

@@ -1,9 +1,12 @@
 """Evaluation metrics: angle-space MAE at fixed horizons, PCK, zero-velocity.
 
+Every function scores all W windows at once, on (W, n, d) frame arrays.
+
 The horizon error is the plain Euclidean distance between the full
 predicted and ground-truth pose vectors at that future frame, averaged
 over all evaluated windows.  Horizons are wall-clock milliseconds and must
-land on frame boundaries.
+land on frame boundaries; `horizon_indices` resolves them to frame indices
+once, before any scoring.  Means over windows are summed in window order.
 
 PCK normalizer note: the per-frame normalizer is the max dimension of the
 ground-truth joint bounding box.  Published PCK numbers depend on the
@@ -18,14 +21,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .posedata import PoseSequence
 
 __all__ = [
     "DEFAULT_HORIZONS_MS",
     "HorizonReport",
     "horizon_frame_index",
+    "horizon_indices",
     "angle_mae",
     "aggregate_reports",
+    "window_sum",
     "zero_velocity_forecast",
     "pck",
 ]
@@ -51,88 +55,73 @@ def horizon_frame_index(horizon_ms: float, frame_interval_ms: float) -> int:
     return int(round(k)) - 1
 
 
-def angle_mae(pred: PoseSequence, truth: PoseSequence,
-              horizons_ms=DEFAULT_HORIZONS_MS) -> HorizonReport:
-    """Per-horizon Euclidean pose error for one predicted window."""
-    if pred.dim != truth.dim or pred.n_frames != truth.n_frames:
-        raise InputError(
-            f"angle_mae: pred {pred.frames.shape} vs truth {truth.frames.shape}")
-    if pred.frame_interval_ms != truth.frame_interval_ms:
-        raise InputError("angle_mae: frame intervals differ")
-    errors = {}
-    for hz in horizons_ms:
-        k = horizon_frame_index(hz, truth.frame_interval_ms)
-        if k >= truth.n_frames:
-            raise InputError(f"angle_mae: horizon {hz} ms beyond window "
-                             f"({truth.n_frames} frames)")
-        errors[hz] = float(np.linalg.norm(pred.frames[k] - truth.frames[k]))
-    rep = HorizonReport(horizons_ms=tuple(horizons_ms), errors=errors, n_windows=1)
-    if truth.action:
-        rep.per_action[truth.action] = (dict(errors), 1)
-    return rep
+def horizon_indices(horizons_ms, interval_ms: float, n_frames: int) -> list[int]:
+    """Future-frame indices of the horizons in an n_frames target; a horizon
+    past the target or given twice is an InputError."""
+    ks = [horizon_frame_index(hz, interval_ms) for hz in horizons_ms]
+    if len(set(ks)) < len(ks):
+        raise InputError(f"horizons {list(horizons_ms)} ms: one is given twice")
+    if max(ks, default=0) >= n_frames:
+        raise InputError(f"horizons {list(horizons_ms)} ms: one is beyond the "
+                         f"{n_frames}-frame window at {interval_ms:g} ms")
+    return ks
 
 
-def aggregate_reports(reports: list[HorizonReport]) -> HorizonReport:
-    """Window-count weighted mean of per-window (or partial) reports."""
-    if not reports:
-        raise InputError("aggregate_reports: no reports")
-    horizons = reports[0].horizons_ms
-    total = sum(r.n_windows for r in reports)
-    errors = {hz: sum(r.errors[hz] * r.n_windows for r in reports) / total
-              for hz in horizons}
-    per_action = {}
-    for r in reports:
-        for act, (errs, n) in r.per_action.items():
-            if act not in per_action:
-                per_action[act] = ({hz: 0.0 for hz in horizons}, 0)
-            acc, cnt = per_action[act]
-            for hz in horizons:
-                acc[hz] += errs[hz] * n
-            per_action[act] = (acc, cnt + n)
-    per_action = {act: ({hz: acc[hz] / cnt for hz in horizons}, cnt)
-                  for act, (acc, cnt) in per_action.items()}
-    return HorizonReport(horizons_ms=horizons, errors=errors, n_windows=total,
-                         per_action=per_action)
+def window_sum(rows: np.ndarray) -> np.ndarray:
+    """Sum over windows (axis 0), one by one in order; `ndarray.sum` may go pairwise."""
+    return np.cumsum(rows, axis=0)[-1]
 
 
-def zero_velocity_forecast(seed: PoseSequence, n_steps: int) -> PoseSequence:
-    """Repeat the last observed pose for every future frame."""
-    if seed.n_frames < 1:
-        raise InputError("zero_velocity_forecast: empty seed")
-    if n_steps < 1:
-        raise InputError(f"zero_velocity_forecast: n_steps must be >= 1, got {n_steps}")
-    frames = np.tile(seed.frames[-1], (n_steps, 1))
-    return PoseSequence(frames=frames, frame_interval_ms=seed.frame_interval_ms,
-                        space=seed.space, action=seed.action)
+def angle_mae(pred: np.ndarray, truth: np.ndarray, ks) -> np.ndarray:
+    """Euclidean pose errors (W, H) at future-frame indices ks of (W, n, d)
+    predicted and ground-truth frames."""
+    if pred.shape != truth.shape or pred.ndim != 3:
+        raise InputError(f"angle_mae: pred {pred.shape} vs truth {truth.shape}")
+    diff = pred[:, ks] - truth[:, ks]
+    # one dot product per row: the bits of np.linalg.norm on that row alone
+    return np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
 
 
-def pck(pred: PoseSequence, truth: PoseSequence, threshold: float = 0.05):
-    """Percentage of correct 2D keypoints per frame.
+def aggregate_reports(errors: np.ndarray, horizons_ms, actions) -> HorizonReport:
+    """The report of per-window errors (W, H): the mean over all windows at
+    each horizon, and per non-empty action label its mean and window count."""
+    if len(errors) == 0:
+        raise InputError("aggregate_reports: no windows")
+    actions = np.asarray(actions)
+
+    def means(rows):
+        return dict(zip(horizons_ms, (window_sum(rows) / len(rows)).tolist()))
+
+    per_action = {act: (means(errors[actions == act]), int(np.sum(actions == act)))
+                  for act in np.unique(actions).tolist() if act}
+    return HorizonReport(horizons_ms=tuple(horizons_ms), errors=means(errors),
+                         n_windows=len(errors), per_action=per_action)
+
+
+def zero_velocity_forecast(seeds: np.ndarray, n_steps: int) -> np.ndarray:
+    """Frames (W, n_steps, d) repeating the last pose of each seed (W, S, d)."""
+    if seeds.shape[1] < 1 or n_steps < 1:
+        raise InputError(f"zero_velocity_forecast: needs a seed frame and n_steps >= 1, "
+                         f"got seeds {seeds.shape} and n_steps {n_steps}")
+    return np.repeat(seeds[:, -1:], n_steps, axis=1)
+
+
+def pck(pred: np.ndarray, truth: np.ndarray, threshold: float = 0.05) -> np.ndarray:
+    """Percentage of correct 2D keypoints per frame (W, n) of (W, n, d) frames.
 
     A joint is correct when its Euclidean distance to the ground truth is
     strictly less than threshold times the frame normalizer (max dimension
-    of the ground-truth joint bounding box).  Returns (scores, skipped):
-    scores has one percentage per frame, NaN where the frame was skipped
-    for a degenerate bounding box; skipped lists those frame indices.
+    of the ground-truth joint bounding box).  A frame whose bounding box has
+    zero size is skipped: its score is NaN.
     """
-    if truth.space != "planar_2d" or pred.space != "planar_2d":
-        raise InputError("pck: sequences must be planar_2d")
-    if pred.dim != truth.dim or pred.n_frames != truth.n_frames:
-        raise InputError("pck: shape mismatch between pred and truth")
-    if pred.dim % 2 != 0:
-        raise InputError(f"pck: dim {pred.dim} is not 2 * n_joints")
-    n_joints = pred.dim // 2
-    scores = []
-    skipped = []
-    for k in range(truth.n_frames):
-        tj = truth.frames[k].reshape(n_joints, 2)
-        pj = pred.frames[k].reshape(n_joints, 2)
-        span = tj.max(axis=0) - tj.min(axis=0)
-        norm = float(span.max())
-        if norm <= 0:
-            scores.append(float("nan"))
-            skipped.append(k)
-            continue
-        dists = np.linalg.norm(pj - tj, axis=1)
-        scores.append(100.0 * float(np.count_nonzero(dists < threshold * norm)) / n_joints)
-    return scores, skipped
+    if pred.shape != truth.shape or pred.ndim != 3:
+        raise InputError(f"pck: pred {pred.shape} vs truth {truth.shape}")
+    if pred.shape[2] % 2 != 0:
+        raise InputError(f"pck: dim {pred.shape[2]} is not 2 * n_joints")
+    n_joints = pred.shape[2] // 2
+    tj = truth.reshape(*truth.shape[:2], n_joints, 2)
+    pj = pred.reshape(tj.shape)
+    norm = (tj.max(axis=2) - tj.min(axis=2)).max(axis=2)
+    dists = np.linalg.norm(pj - tj, axis=3)
+    hits = np.count_nonzero(dists < threshold * norm[..., None], axis=2)
+    return np.where(norm <= 0, np.nan, 100.0 * hits / n_joints)

@@ -169,6 +169,17 @@ def adam_step(theta: np.ndarray, g: np.ndarray, state: AdamState, lr: float, t: 
 # Rollout loss
 
 
+def _mean_norm_and_grad(diff: np.ndarray):
+    """Mean Euclidean norm of the rows of diff (B, n, d), and its gradient
+    w.r.t. diff (zero where a row is zero)."""
+    B, n, _ = diff.shape
+    norms = np.sqrt(np.sum(diff * diff, axis=2))  # (B, n)
+    safe = np.where(norms > 0, norms, 1.0)
+    u = diff / safe[:, :, None]
+    u[norms == 0] = 0.0
+    return float(norms.mean()), u / (B * n)
+
+
 def pose_loss_and_grad(preds: np.ndarray, last_seed_pose: np.ndarray,
                        target_poses: np.ndarray):
     """Mean per-frame Euclidean pose error plus its gradient w.r.t. preds.
@@ -176,16 +187,9 @@ def pose_loss_and_grad(preds: np.ndarray, last_seed_pose: np.ndarray,
     preds: (n, B, d) predicted velocities; last_seed_pose: (B, d);
     target_poses: (B, n, d).  Returns (loss, d_preds (n, B, d)).
     """
-    n, B, d = preds.shape
     pred_poses = last_seed_pose[:, None, :] + np.cumsum(
         preds.transpose(1, 0, 2), axis=1)  # (B, n, d)
-    diff = pred_poses - target_poses
-    norms = np.sqrt(np.sum(diff * diff, axis=2))  # (B, n)
-    loss = float(norms.mean())
-    safe = np.where(norms > 0, norms, 1.0)
-    u = diff / safe[:, :, None]
-    u[norms == 0] = 0.0
-    d_pose = u / (B * n)
+    loss, d_pose = _mean_norm_and_grad(pred_poses - target_poses)
     # velocity j contributes to every pose frame k >= j
     d_preds = np.cumsum(d_pose[:, ::-1, :], axis=1)[:, ::-1, :]
     return loss, d_preds.transpose(1, 0, 2)
@@ -194,18 +198,11 @@ def pose_loss_and_grad(preds: np.ndarray, last_seed_pose: np.ndarray,
 def velocity_loss_and_grad(preds: np.ndarray, last_seed_pose: np.ndarray,
                            target_poses: np.ndarray):
     """Mean per-step Euclidean velocity error and gradient w.r.t. preds."""
-    n, B, d = preds.shape
     target_vels = np.concatenate(
         [(target_poses[:, :1] - last_seed_pose[:, None, :]),
          np.diff(target_poses, axis=1)], axis=1)  # (B, n, d)
-    diff = preds.transpose(1, 0, 2) - target_vels
-    norms = np.sqrt(np.sum(diff * diff, axis=2))
-    loss = float(norms.mean())
-    safe = np.where(norms > 0, norms, 1.0)
-    u = diff / safe[:, :, None]
-    u[norms == 0] = 0.0
-    d_preds = (u / (B * n)).transpose(1, 0, 2)
-    return loss, d_preds
+    loss, d_vels = _mean_norm_and_grad(preds.transpose(1, 0, 2) - target_vels)
+    return loss, d_vels.transpose(1, 0, 2)
 
 
 def rollout_loss_batch(model: Model, seed_poses: np.ndarray,

@@ -463,8 +463,8 @@ def test_zero_model_forecast_is_zero_velocity_baseline(variant, levels):
     assert np.array_equal(pred.steps, np.zeros((5, 3)))
 
     poses = forecast_window(model, Window(seed=seed, target=target))
-    baseline = zero_velocity_forecast(seed, 5)
-    assert np.array_equal(poses.frames, baseline.frames)
+    baseline = zero_velocity_forecast(seed.frames[None], 5)[0]
+    assert np.array_equal(poses.frames, baseline)
 
 
 def test_tp_rnn_m1_equals_single_layer_vel():

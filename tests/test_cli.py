@@ -267,6 +267,43 @@ def test_eval_rejects_off_grid_horizon(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_eval_rejects_a_repeated_horizon(tmp_path, capsys):
+    # each row once: a repeated horizon is an input error, not a doubled row
+    data = synth(tmp_path)
+    out = tmp_path / "r.csv"
+    assert run("eval", "--checkpoint", zero_checkpoint(tmp_path), "--manifest",
+               data / "manifest.txt", "--seed-len", 10, "--target-len", 5,
+               "--horizons", "40,80,40", "--out", out) == 3
+    err = capsys.readouterr().err
+    assert "input error" in err and "twice" in err
+    assert not out.exists()
+
+
+def _two_interval_manifest(data, intervals):
+    """The synth manifest with its last two sequences in the test split, at the
+    two frame intervals in that order."""
+    lines = (data / "manifest.txt").read_text().splitlines()
+    for i, interval in zip((-2, -1), intervals):
+        name, _, action, dim, _ = lines[i].split(",")
+        lines[i] = f"{name},test,{action},{dim},{interval!r}"
+    manifest = data / "manifest_mixed.txt"
+    manifest.write_text("\n".join(lines) + "\n")
+    return manifest
+
+
+@pytest.mark.parametrize("intervals", [(40.0, 20.0), (20.0, 40.0)])
+def test_eval_rejects_test_windows_at_two_frame_intervals(tmp_path, capsys, intervals):
+    # whatever the manifest order, one horizon would land on two frames
+    data = synth(tmp_path)
+    out = tmp_path / "r.csv"
+    assert run("eval", "--checkpoint", zero_checkpoint(tmp_path), "--manifest",
+               _two_interval_manifest(data, intervals), "--seed-len", 10,
+               "--target-len", 5, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert "input error" in err and "[20.0, 40.0]" in err
+    assert not out.exists()
+
+
 def test_eval_rejects_non_integer_horizon(tmp_path, capsys):
     data = synth(tmp_path)
     ck = zero_checkpoint(tmp_path)
@@ -745,6 +782,39 @@ def test_ablate_without_a_default_horizon_exits_3_before_training(tmp_path, caps
     err = capsys.readouterr().err
     assert "input error" in err and "--horizons" in err
     assert trained == [] and not out.exists()
+
+
+def _ablate_untrained(tmp_path, monkeypatch, *flags, manifest=None):
+    """The exit code of an ablate run, and whether it trained or wrote anything."""
+    import posecast.cli as cli_mod
+
+    trained = []
+    monkeypatch.setattr(cli_mod, "train_loop", lambda *a, **kw: trained.append(a))
+    data = synth(tmp_path)
+    mc, tc = _train_cfgs(tmp_path, iterations=5)
+    out = tmp_path / "a"
+    rc = run("ablate", "--model-config", mc, "--train-config", tc, "--manifest",
+             manifest(data) if manifest else data / "manifest.txt", *flags, "--out", out)
+    return rc, bool(trained) or out.exists()
+
+
+@pytest.mark.parametrize("horizons,code", [("2000", 3), ("40,40", 3), ("80,70", 2)])
+def test_ablate_checks_horizons_before_training(tmp_path, monkeypatch, horizons, code):
+    # past the target, repeated, or off the frame grid
+    assert _ablate_untrained(tmp_path, monkeypatch, "--horizons", horizons) == (code, False)
+
+
+@pytest.mark.parametrize("variants", ["tp_rnn,bogus", "stacked2_vel,stacked2_vel"])
+def test_ablate_checks_every_variant_before_training(tmp_path, monkeypatch, capsys,
+                                                     variants):
+    assert _ablate_untrained(tmp_path, monkeypatch, "--variants", variants) == (2, False)
+    assert "config error" in capsys.readouterr().err
+
+
+def test_ablate_rejects_test_windows_at_two_frame_intervals(tmp_path, monkeypatch, capsys):
+    manifest = lambda data: _two_interval_manifest(data, (20.0, 40.0))  # noqa: E731
+    assert _ablate_untrained(tmp_path, monkeypatch, manifest=manifest) == (3, False)
+    assert "[20.0, 40.0]" in capsys.readouterr().err
 
 
 def test_ablate_rejects_non_integer_horizon(tmp_path, capsys):
