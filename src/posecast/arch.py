@@ -36,10 +36,10 @@ did not fire), the state bank only the last K inputs.
 Every forward step runs through one level sweep, `_advance`: the whole seed
 in one call, each forecast step in a call of one input.  The sweep cuts a
 level's firing steps into runs of up to `phases` steps, each on its own
-phase.  Tape-free, a run is one stacked LSTM step, and over a few rows a
-level's input projections are hoisted into one GEMM;
-otherwise the sweep goes one top-level phase cycle at a time, so its memory
-does not grow with the seed.  Recorded, each firing step is its own call and
+phase.  Tape-free, a run is one stacked LSTM step, and the sweep goes over
+blocks of whole top-level phase cycles of about HOIST_ROWS rows, hoisting a
+level's input projections within a block into one GEMM, so its memory does
+not grow with the seed.  Recorded, each firing step is its own call and
 keeps its tape.  Every state, input and prediction is a (B, d) batch, a
 single sequence one of B = 1; the recorded rollout plus `rollout_backward`
 give exact gradients through the autoregressive loop.
@@ -433,12 +433,12 @@ def _feed_back(model: Model, bank: PhaseStateBank, v, n_steps: int, mode: str, r
     return preds
 
 
-# Most rows, (firing steps) * B, whose input projections the tape-free sweep
-# hoists into one GEMM per level (see `_advance`).  Hoisting replaces each
-# run's few-row product with the full W by one with W's recurrent columns; it
-# pays at a few rows per run and is a wash from about 400 rows on (tp_rnn,
-# h=256, M=3, S=49: a 49-row seed 0.73x, 392 rows 0.96-0.99x, 6272 rows
-# 1.17x), where its (rows, 4h) buffer only adds memory.
+# The row budget of a tape-free block, steps * B (see `_advance`); a level
+# whose firing steps in a block hold at most this many rows hoists their input
+# projections into one GEMM.  That replaces each run's few-row product with
+# the full W by one with W's recurrent columns; it pays at a few rows per run
+# and is a wash from about 400 rows on (tp_rnn, h=256, M=3, S=49: a 49-row
+# seed 0.73x, 392 rows 0.96-0.99x, 6272 rows 1.17x).
 HOIST_ROWS = 256
 
 
@@ -459,19 +459,18 @@ def _advance(model: Model, bank: PhaseStateBank, xs: list, mode: str, rng,
     each firing step is its own B-row LSTM call whose tape goes to
     records[t].tapes[m], and the head's dropout masks of the skipped steps are
     drawn in time order before the head runs, so the random stream is that of
-    one step at a time.  With records None (tape-free) each run is one LSTM
-    step on its phases stacked into len(run) * B rows.  Where a level fires
-    more than once and its firing steps hold at most HOIST_ROWS rows, their
-    input projections x @ W[:, :d_in].T + b are one GEMM and each run adds
-    only its h @ W[:, d_in:].T; that splits each row's dot product in two,
-    so its predictions move by rounding (about 1e-16) only.
+    one step at a time.  A recorded sweep is one block, over all of xs.
 
-    Tape-free and unhoisted, the sweep goes level by level over one block of
-    max(phases) steps at a time, counted from bank.t: a block holds whole
-    runs of every level, so each LSTM call gets the rows it would get in one
-    sweep over all of xs, and only a block's outputs per level stay alive,
-    not len(xs) * B rows.  A hoisted or recorded sweep is one block, over
-    all of xs (a recorded one keeps every output in its tapes anyway).
+    With records None (tape-free) each run is one LSTM step on its phases
+    stacked into len(run) * B rows, and the sweep goes level by level over
+    blocks of cycle * max(1, HOIST_ROWS // (cycle * B)) steps, cycle =
+    max(phases), counted from bank.t.  A block holds whole runs of every
+    level, so each LSTM call gets the rows it would get in one sweep over all
+    of xs, and only a block's outputs per level stay alive.  Where a level
+    fires more than once in a block and those steps hold at most HOIST_ROWS
+    rows, their input projections x @ W[:, :d_in].T + b are one GEMM and each
+    run adds only its h @ W[:, d_in:].T; that splits each row's dot product
+    in two, so its predictions move by rounding (about 1e-16) only.
     """
     cfg = model.config
     if mode not in ("train", "eval"):
@@ -488,11 +487,10 @@ def _advance(model: Model, bank: PhaseStateBank, xs: list, mode: str, rng,
     if records is not None:
         records += [StepRecord(tapes=[None] * len(model.levels), head_tape=None) for _ in xs]
         recs = records[-n:]  # recs[i] is step t0 + i
-    n_fired = [sum(map(level.fires, range(t0, t0 + n))) for level in model.levels]
-    hoist = [records is None and 1 < k and k * B <= HOIST_ROWS for k in n_fired]
-    # every level's phase count divides the largest, so a block of that many
-    # steps splits no run
-    block = n if records is not None or any(hoist) else max(lv.phases for lv in model.levels)
+    # every level's phase count divides the largest, so a block of whole
+    # cycles splits no run
+    cycle = max(level.phases for level in model.levels)
+    block = n if records is not None else cycle * max(1, HOIST_ROWS // (cycle * max(B, 1)))
     for b0 in range(t0, t0 + n, block):
         steps = range(b0, min(b0 + block, t0 + n))
         below = xs[b0 - t0:steps.stop - t0]  # per step: the level below's hidden output
@@ -505,7 +503,8 @@ def _advance(model: Model, bank: PhaseStateBank, xs: list, mode: str, rng,
             else:
                 inps = [below[t - b0] for t in fired]
             size = level.phases if records is None else 1
-            if hoist[m]:
+            hoist = records is None and 1 < len(fired) and len(fired) * B <= HOIST_ROWS
+            if hoist:
                 # every firing step's input projection in one GEMM; a run then
                 # adds only its recurrent product
                 xw = np.concatenate(inps) @ cell.W[:, :cell.d_in].T
@@ -525,7 +524,7 @@ def _advance(model: Model, bank: PhaseStateBank, xs: list, mode: str, rng,
                     s = states[qs[0]] if len(qs) == 1 else LstmState(
                         np.concatenate([states[q].h for q in qs]),
                         np.concatenate([states[q].c for q in qs]))
-                    if hoist[m]:
+                    if hoist:
                         pre = s.h @ w_h
                         pre += xw[r * B:(r + len(run)) * B]
                         new = LstmState(*lstm_gates(pre, s.c)[:2])

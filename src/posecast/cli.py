@@ -22,7 +22,7 @@ from pathlib import Path
 from . import evaluate
 from .arch import VARIANTS, ModelConfig, build_model
 from .errors import ConfigError, InputError, NumericError, ParseError
-from .metrics import DEFAULT_HORIZONS_MS, horizon_indices
+from .metrics import DEFAULT_HORIZONS_MS, horizon_frame_index, horizon_indices
 from .numcore import atomic_write_text
 from .posedata import (PoseSequence, load_manifest, load_sequence, load_split,
                        save_sequence, synth_multiscale)
@@ -151,8 +151,17 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _on_grid(horizon_ms, interval_ms) -> bool:
+    try:
+        horizon_frame_index(horizon_ms, interval_ms)
+    except ConfigError:
+        return False
+    return True
+
+
 def _horizons(args, windows, target_len) -> list[int]:
-    """--horizons (default: those within the target), resolved before any work."""
+    """--horizons (default: those on the frame grid within the target),
+    resolved before any work."""
     interval_ms = evaluate.frame_interval(windows)
     if args.horizons:
         try:
@@ -160,10 +169,11 @@ def _horizons(args, windows, target_len) -> list[int]:
         except ValueError as e:
             raise InputError(f"--horizons must be integers (ms): {e}") from None
     else:
-        out = [h for h in DEFAULT_HORIZONS_MS if h <= target_len * interval_ms]
+        out = [h for h in DEFAULT_HORIZONS_MS
+               if h <= target_len * interval_ms and _on_grid(h, interval_ms)]
         if not out:
-            raise InputError(f"no default horizon fits a {target_len}-frame target at "
-                             f"{interval_ms:g} ms per frame; pass --horizons")
+            raise InputError(f"no default horizon lies on the {interval_ms:g} ms frame "
+                             f"grid within a {target_len}-frame target; pass --horizons")
     horizon_indices(out, interval_ms, target_len)
     return out
 
@@ -221,7 +231,7 @@ def cmd_forecast(args) -> int:
         seed_frames = seed.frames[[-1, -1]]
     else:
         seed_frames = seed.frames
-    frames = evaluate.forecast_seed(model, seed_frames, args.n_steps)
+    frames = evaluate.forecast_frames(model, seed_frames[None], args.n_steps)[0]
     pose_out = PoseSequence(frames=frames, frame_interval_ms=seed.frame_interval_ms)
     save_sequence(args.out, pose_out)
     print(f"wrote {args.n_steps} predicted frames: {args.out}")

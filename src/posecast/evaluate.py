@@ -12,7 +12,7 @@ from .posedata import PoseSequence, Window, make_windows
 
 __all__ = [
     "collect_windows",
-    "forecast_seed",
+    "forecast_frames",
     "forecast_window",
     "batched_forecast_poses",
     "frame_interval",
@@ -38,29 +38,27 @@ def collect_windows(sequences: list[PoseSequence], seed_len: int,
     return windows
 
 
-def _forecast_poses(model: Model, seeds: np.ndarray, n_steps: int) -> np.ndarray:
+def forecast_frames(model: Model, seeds: np.ndarray, n_steps: int,
+                    first: int = 0) -> np.ndarray:
     """Pose frames (W, n_steps, d) continuing W seeds of pose frames (W, S+1, d),
-    from one tape-free rollout over all of them."""
+    from one tape-free rollout over all of them.
+
+    Raises NumericError at the first non-finite prediction, naming its window
+    (counted from `first`) and step.
+    """
     preds, _ = rollout_forward(model, np.diff(seeds, axis=1), seeds[:, 0], n_steps,
                                mode="eval", record=False)
-    return seeds[:, -1][:, None, :] + np.cumsum(preds.transpose(1, 0, 2), axis=1)
-
-
-def forecast_seed(model: Model, seed_frames: np.ndarray, n_steps: int) -> np.ndarray:
-    """Predicted pose frames (n_steps, d) after one seed of pose frames (S+1, d).
-
-    Raises NumericError at the first non-finite prediction.
-    """
-    frames = _forecast_poses(model, seed_frames[None], n_steps)[0]
-    bad = np.flatnonzero(~np.isfinite(frames).all(axis=1))
+    frames = seeds[:, -1][:, None, :] + np.cumsum(preds.transpose(1, 0, 2), axis=1)
+    bad = np.argwhere(~np.isfinite(frames).all(axis=2))
     if bad.size:
-        raise NumericError(f"forecast: non-finite prediction at step {bad[0]}")
+        raise NumericError(f"forecast: non-finite prediction in window "
+                           f"{first + bad[0, 0]} at step {bad[0, 1]}")
     return frames
 
 
 def forecast_window(model: Model, window: Window) -> PoseSequence:
     """Predicted future poses for one window (frames align with window.target)."""
-    frames = forecast_seed(model, window.seed.frames, window.target.n_frames)
+    frames = forecast_frames(model, window.seed.frames[None], window.target.n_frames)[0]
     return PoseSequence(frames=frames, frame_interval_ms=window.seed.frame_interval_ms,
                         space=window.seed.space, action=window.target.action)
 
@@ -75,8 +73,8 @@ def batched_forecast_poses(model: Model, windows: list[Window]) -> np.ndarray:
     out = None
     for i in range(0, len(windows), EVAL_CHUNK):
         chunk = windows[i:i + EVAL_CHUNK]
-        frames = _forecast_poses(model, np.stack([w.seed.frames for w in chunk]),
-                                 windows[0].target.n_frames)
+        frames = forecast_frames(model, np.stack([w.seed.frames for w in chunk]),
+                                 windows[0].target.n_frames, first=i)
         if len(chunk) == len(windows):
             return frames
         if out is None:
@@ -121,6 +119,7 @@ def evaluate_pck(model: Model, windows: list[Window], threshold: float = 0.05):
     has zero size."""
     if {w.target.space for w in windows} != {"planar_2d"}:
         raise InputError("pck: sequences must be planar_2d")
+    frame_interval(windows)  # frame k must be one horizon in every window
     preds = batched_forecast_poses(model, windows)
     truth, zero = _truth_and_zero(windows)
     scores_m = pck(preds, truth, threshold)

@@ -250,6 +250,10 @@ class TrainingData:
         dims = {s.dim for s in self.sequences}
         if len(dims) > 1:
             raise InputError(f"TrainingData: mixed sequence dims {sorted(dims)}")
+        intervals = {s.frame_interval_ms for s in self.sequences}
+        if len(intervals) > 1:
+            raise InputError("TrainingData: sequences at more than one frame interval, "
+                             f"{sorted(intervals)} ms")
         self.starts = []
         for i, s in enumerate(self.sequences):
             for st in range(0, s.n_frames - total + 1):

@@ -171,6 +171,23 @@ def test_train_resume_dim_mismatch_exits_2(tmp_path):
                "--out", tmp_path / "resumed") == 2
 
 
+def test_train_rejects_a_train_split_at_two_frame_intervals(tmp_path, capsys):
+    # one phase schedule cannot run 30 ms and 40 ms steps; fresh or resumed,
+    # rejected before the run directory exists
+    data = synth(tmp_path)
+    mixed = _manifest_at(data, 30.0, rows=[0])
+    mc, tc = _train_cfgs(tmp_path, iterations=4, checkpoint_every=2)
+    out = tmp_path / "run"
+    assert run("train", "--model-config", mc, "--train-config", tc,
+               "--manifest", mixed, "--out", out) == 3
+    assert "[30.0, 40.0]" in capsys.readouterr().err and not out.exists()
+    assert run("train", "--model-config", mc, "--train-config", tc,
+               "--manifest", data / "manifest.txt", "--out", tmp_path / "part") == 0
+    assert run("train", "--resume", tmp_path / "part" / "checkpoint_00000002.bin",
+               "--manifest", mixed, "--out", out) == 3
+    assert "[30.0, 40.0]" in capsys.readouterr().err and not out.exists()
+
+
 def test_train_negative_seed_exits_2(tmp_path):
     data = synth(tmp_path)
     mc, tc = _train_cfgs(tmp_path, iterations=2)
@@ -291,6 +308,17 @@ def _two_interval_manifest(data, intervals):
     return manifest
 
 
+def _manifest_at(data, interval, rows=None):
+    """The synth manifest with the frame interval of `rows` (default: every
+    row) set to interval."""
+    lines = (data / "manifest.txt").read_text().splitlines()
+    for i in range(len(lines)) if rows is None else rows:
+        lines[i] = lines[i].rsplit(",", 1)[0] + f",{interval!r}"
+    manifest = data / "manifest_at.txt"
+    manifest.write_text("\n".join(lines) + "\n")
+    return manifest
+
+
 @pytest.mark.parametrize("intervals", [(40.0, 20.0), (20.0, 40.0)])
 def test_eval_rejects_test_windows_at_two_frame_intervals(tmp_path, capsys, intervals):
     # whatever the manifest order, one horizon would land on two frames
@@ -302,6 +330,23 @@ def test_eval_rejects_test_windows_at_two_frame_intervals(tmp_path, capsys, inte
     err = capsys.readouterr().err
     assert "input error" in err and "[20.0, 40.0]" in err
     assert not out.exists()
+
+
+def test_eval_pck_rejects_test_windows_at_two_frame_intervals(tmp_path, capsys,
+                                                             monkeypatch):
+    # frame k of a 30 ms window and of a 40 ms one are different horizons;
+    # rejected before any forecast
+    from posecast import evaluate
+    forecasts = []
+    monkeypatch.setattr(evaluate, "forecast_frames", lambda *a, **kw: forecasts.append(a))
+    data = synth(tmp_path, dim=4)
+    out = tmp_path / "pck.csv"
+    assert run("eval", "--checkpoint", zero_checkpoint(tmp_path, d_v=4), "--manifest",
+               _two_interval_manifest(data, (30.0, 40.0)), "--protocol", "pck",
+               "--seed-len", 10, "--target-len", 5, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert "input error" in err and "[30.0, 40.0]" in err
+    assert forecasts == [] and not out.exists()
 
 
 def test_eval_rejects_non_integer_horizon(tmp_path, capsys):
@@ -324,6 +369,30 @@ def test_eval_without_a_default_horizon_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "input error" in err and "--horizons" in err
     assert not out.exists()
+
+
+def test_eval_without_a_default_horizon_on_the_frame_grid_exits_3(tmp_path, capsys):
+    # a 40-frame target at 30 ms spans 1200 ms, but no default lies on a frame
+    data = synth(tmp_path)
+    out = tmp_path / "r.csv"
+    assert run("eval", "--checkpoint", zero_checkpoint(tmp_path), "--manifest",
+               _manifest_at(data, 30.0), "--seed-len", 10, "--target-len", 40,
+               "--out", out) == 3
+    err = capsys.readouterr().err
+    assert "input error" in err and "30 ms" in err and "--horizons" in err
+    assert not out.exists()
+
+
+def test_eval_default_horizons_are_those_on_the_frame_grid(tmp_path):
+    # at 80 ms, 80-560 ms lie on frames and 1000 ms does not
+    data = synth(tmp_path)
+    out = tmp_path / "r.csv"
+    assert run("eval", "--checkpoint", zero_checkpoint(tmp_path), "--manifest",
+               _manifest_at(data, 80.0), "--seed-len", 10, "--target-len", 15,
+               "--out", out) == 0
+    rows = out.read_text().splitlines()
+    assert [r.split(",")[2] for r in rows if r.startswith("model,ALL,")] == \
+        ["80", "160", "320", "400", "560"]
 
 
 @pytest.mark.parametrize("threshold", ["nan", "inf", "0", "-0.05"])
@@ -497,6 +566,37 @@ def test_forecast_checkpoint_with_huge_phase_bank_exits_2(tmp_path):
     sd = seed_csv(tmp_path, [[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
     assert run("forecast", "--checkpoint", _bad_checkpoint(tmp_path, "huge_granularity"),
                "--seed-csv", sd, "--n-steps", 3, "--out", tmp_path / "p.csv") == 2
+
+
+def _nan_checkpoint(tmp_path, d_v=3):
+    """A checkpoint whose first weight (level 1's W[0, 0]) is NaN."""
+    model = build_model(ModelConfig(variant="tp_rnn", d_v=d_v, granularity=2,
+                                    levels=2, hidden=4, head1=5, head2=4))
+    model.theta[0] = np.nan
+    p = tmp_path / "nan.bin"
+    save_model_checkpoint(p, model)
+    return p
+
+
+@pytest.mark.parametrize("protocol", ["mae", "pck"])
+def test_eval_nan_weight_exits_4_without_a_report(tmp_path, capsys, protocol):
+    data = synth(tmp_path, dim=4)
+    out = tmp_path / "r.csv"
+    assert run("eval", "--checkpoint", _nan_checkpoint(tmp_path, d_v=4), "--manifest",
+               data / "manifest.txt", "--protocol", protocol, "--seed-len", 10,
+               "--target-len", 5, "--out", out) == 4
+    err = capsys.readouterr().err
+    assert "numeric error" in err and "window 0 at step 0" in err
+    assert not out.exists()
+
+
+def test_forecast_nan_weight_exits_4(tmp_path, capsys):
+    sd = seed_csv(tmp_path, [[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
+    out = tmp_path / "p.csv"
+    assert run("forecast", "--checkpoint", _nan_checkpoint(tmp_path), "--seed-csv", sd,
+               "--n-steps", 3, "--out", out) == 4
+    assert "numeric error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_missing_checkpoint(tmp_path):
@@ -815,6 +915,19 @@ def test_ablate_rejects_test_windows_at_two_frame_intervals(tmp_path, monkeypatc
     manifest = lambda data: _two_interval_manifest(data, (20.0, 40.0))  # noqa: E731
     assert _ablate_untrained(tmp_path, monkeypatch, manifest=manifest) == (3, False)
     assert "[20.0, 40.0]" in capsys.readouterr().err
+
+
+def test_ablate_without_a_default_horizon_on_the_frame_grid_exits_3(tmp_path, monkeypatch,
+                                                                   capsys):
+    manifest = lambda data: _manifest_at(data, 30.0)  # noqa: E731
+    assert _ablate_untrained(tmp_path, monkeypatch, manifest=manifest) == (3, False)
+    assert "--horizons" in capsys.readouterr().err
+
+
+def test_ablate_rejects_a_train_split_at_two_frame_intervals(tmp_path, monkeypatch, capsys):
+    manifest = lambda data: _manifest_at(data, 30.0, rows=[0])  # noqa: E731
+    assert _ablate_untrained(tmp_path, monkeypatch, manifest=manifest) == (3, False)
+    assert "[30.0, 40.0]" in capsys.readouterr().err
 
 
 def test_ablate_rejects_non_integer_horizon(tmp_path, capsys):

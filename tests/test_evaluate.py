@@ -1,9 +1,11 @@
 import tracemalloc
 
 import numpy as np
+import pytest
 
 import posecast.evaluate as evaluate
 from posecast.arch import ModelConfig, build_model
+from posecast.errors import NumericError
 from posecast.posedata import synth_multiscale
 
 
@@ -43,3 +45,13 @@ def test_working_memory_is_flat_in_the_number_of_windows(monkeypatch):
             tracemalloc.stop()
         working.append(peak - out.nbytes)
     assert working[1] < 1.2 * working[0], working
+
+
+def test_a_non_finite_window_is_named_across_chunks(monkeypatch):
+    # window 6 is the third of the second chunk of 4; it alone turns
+    # non-finite, as batch rows do not mix
+    monkeypatch.setattr(evaluate, "EVAL_CHUNK", 4)
+    model, windows = _model(), _windows(2)
+    windows[6].seed.frames[-1, 0] = np.nan
+    with pytest.raises(NumericError, match="window 6 at step 0"):
+        evaluate.batched_forecast_poses(model, windows)

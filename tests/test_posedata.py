@@ -18,15 +18,15 @@ def seq(frames, interval=40.0, **kw):
 
 
 # ---------------------------------------------------------------------------
-# velocity round trips, as a forecast runs them (`evaluate.forecast_seed`): the
+# velocity round trips, as a forecast runs them (`evaluate.forecast_frames`): the
 # seed's poses become the engine's velocities, its predicted velocities
 # become poses again, summed from the last seed pose
 
 
 def _round_trip(mp, seed_frames, preds):
-    """forecast_seed over seed_frames with the engine replaced by one that
+    """forecast_frames over one seed with the engine replaced by one that
     predicts preds (n, d): (the velocities and origin the engine got, the
-    frames forecast_seed returns)."""
+    frames forecast_frames returns)."""
     got = {}
 
     def engine(model, seed_vels, origin, n_steps, **kw):
@@ -34,8 +34,9 @@ def _round_trip(mp, seed_frames, preds):
         return np.asarray(preds, dtype=float)[:, None, :], None
 
     mp.setattr(evaluate, "rollout_forward", engine)
-    frames = evaluate.forecast_seed(None, np.asarray(seed_frames, dtype=float), len(preds))
-    return got["vels"], got["origin"], frames
+    frames = evaluate.forecast_frames(None, np.asarray(seed_frames, dtype=float)[None],
+                                      len(preds))
+    return got["vels"], got["origin"], frames[0]
 
 
 def _zero_model(d):
@@ -58,7 +59,7 @@ def test_to_velocity_constant_sequence(monkeypatch):
 
 def test_to_velocity_needs_two_frames():
     with pytest.raises(InputError):
-        evaluate.forecast_seed(_zero_model(2), np.array([[1.0, 2.0]]), 3)
+        evaluate.forecast_frames(_zero_model(2), np.array([[[1.0, 2.0]]]), 3)
 
 
 def test_integrate_example(monkeypatch):
@@ -82,7 +83,8 @@ def test_roundtrip_near_exact(frames):
 def test_roundtrip_exact_for_constant_sequences():
     # zero steps integrate back bit-exactly -- the zero-velocity anchor
     frames = np.array([[0.1, -2.7, 3.3]] * 6)
-    assert np.array_equal(evaluate.forecast_seed(_zero_model(3), frames[:4], 2), frames[4:])
+    assert np.array_equal(evaluate.forecast_frames(_zero_model(3), frames[None, :4], 2)[0],
+                          frames[4:])
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,13 @@ sweep) per step.
 The recorded sweep runs each firing step as its own B-row call and must match
 that reference bit for bit, tapes, dropout masks and random stream included.
 `rollout_forward(record=False)` stacks each run of a level's phases into one
-batch; it must reproduce the reference's predictions to 1e-12, max-abs
-normalised, and its state bank at t = S exactly.  At B=1 a stacked round is a
-2-4 row GEMM where the reference runs 1-row products, and where the seed
-hoists a level's input projections (at most `arch.HOIST_ROWS` rows) each
-preactivation is summed in two parts; there the states agree to rounding only.
+batch and sweeps blocks of whole top-level phase cycles of about
+`arch.HOIST_ROWS` rows; it must reproduce the reference's predictions to
+1e-12, max-abs normalised, and its state bank at t = S exactly.  At B=1 a
+stacked round is a 2-4 row GEMM where the reference runs 1-row products, and
+where a level hoists its input projections over a block (its firing steps
+there hold at most `arch.HOIST_ROWS` rows) each preactivation is summed in two
+parts; there the states agree to rounding only.
 """
 
 import dataclasses
@@ -79,8 +81,11 @@ def _assert_same_tape(a, b):
 
 def _hoisted(model, B, S):
     """Whether a tape-free seed of S steps at batch B hoists some level's
-    input projections."""
-    fired = (sum(map(level.fires, range(S))) for level in model.levels)
+    input projections in some block."""
+    cycle = max(level.phases for level in model.levels)
+    block = cycle * max(1, arch.HOIST_ROWS // (cycle * B))
+    fired = (sum(map(level.fires, range(b0, min(b0 + block, S))))
+             for b0 in range(0, S, block) for level in model.levels)
     return any(1 < n and n * B <= arch.HOIST_ROWS for n in fired)
 
 
@@ -152,6 +157,52 @@ def test_tape_free_seed_memory_does_not_grow_with_its_length():
         finally:
             tracemalloc.stop()
     assert peaks[1] < 1.25 * peaks[0], peaks
+
+
+def test_long_single_seed_hoists_block_by_block(monkeypatch):
+    # B=1, S=300 > HOIST_ROWS: blocks of 256 steps (64 cycles of 4), then 44;
+    # in each block every level hoists, so every seed round is one
+    # `lstm_gates` call and no `lstm_step` runs: level 1 256 + 44 one-row
+    # rounds, level 2 128 + 22 of two rows, level 3 64 + 11 of four rows
+    model, S = _model("tp_rnn", 3), 300
+    assert arch.HOIST_ROWS < S and _hoisted(model, 1, S)
+    calls = []
+    real_step, real_gates = arch.lstm_step, arch.lstm_gates
+    monkeypatch.setattr(arch, "lstm_step",
+                        lambda p, x, s: calls.append(("step", x.shape[0])) or real_step(p, x, s))
+    monkeypatch.setattr(arch, "lstm_gates",
+                        lambda pre, c: calls.append(("gates", pre.shape[0])) or real_gates(pre, c))
+    seed_vels, origin = _inputs(1, S)
+    arch._observe(model, seed_vels, origin, "eval", None, False)
+    want = [1] * 256 + [2] * 128 + [4] * 64 + [1] * 44 + [2] * 22 + [4] * 11
+    assert calls == [("gates", r) for r in want]
+    monkeypatch.undo()
+    _check(model, 1, S=S)
+
+
+def test_long_single_seed_memory_does_not_grow_with_its_length():
+    # hoisted block by block, a B=1 seed keeps one block's projections and
+    # outputs alive, so the traced peak stays flat while S grows 8x; one
+    # hoisted block over the whole seed holds S rows of (4h) per level
+    model = build_model(ModelConfig(variant="tp_rnn", d_v=3, levels=3, hidden=128,
+                                    head1=6, head2=4, seed=3))
+    peaks = []
+    for S in (300, 2400):
+        seed_vels, origin = _inputs(1, S)
+        tracemalloc.start()
+        try:
+            rollout_forward(model, seed_vels, origin, 2, mode="eval", record=False)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.25 * peaks[0], peaks
+
+
+def test_empty_batch_rolls_out_to_an_empty_result():
+    model = _model("tp_rnn", 3)
+    seed_vels, origin = _inputs(0, 10)
+    preds, records = rollout_forward(model, seed_vels, origin, 4, mode="eval", record=False)
+    assert preds.shape == (4, 0, 3) and records is None
 
 
 @pytest.mark.parametrize("variant,levels", VARIANT_LEVELS)

@@ -215,6 +215,10 @@ def test_training_data_errors():
     mixed = synth_multiscale(1, 30, 3, seed=0) + synth_multiscale(1, 30, 4, seed=0)
     with pytest.raises(InputError):
         TrainingData(sequences=mixed, seed_len=5, target_len=3)
+    two_intervals = (synth_multiscale(1, 30, 3, seed=0, frame_interval_ms=30.0)
+                     + synth_multiscale(1, 30, 3, seed=1))
+    with pytest.raises(InputError, match=r"\[30.0, 40.0\]"):
+        TrainingData(sequences=two_intervals, seed_len=5, target_len=3)
 
 
 def test_train_config_validation():
