@@ -29,9 +29,12 @@ their upper levels (K = granularity; `VARIANTS` holds one entry each):
 
 The level table drives the state bank's layout, the engine's level sweep,
 the backward pass and the parameter layout of the flat buffer `Model.theta`.
-`Level.phase`, `Level.fires` and `_stride_window` give every schedule fact;
-nothing records one.  A step record holds one tape per level (None where it
-did not fire), the state bank only the last K inputs.
+`Level.phase`, `Level.fires`, `Level.last_firing` and `_stride_window` give
+every schedule fact; nothing records one.  A recorded rollout's tape
+(`RolloutTape`) keeps, per level, the gates and cell state of each firing in
+two slabs, plus the inputs and the head's tapes; every hidden state and
+layer input is recomputed from those.  The state bank keeps only the last K
+inputs.
 
 Every forward step runs through one level sweep, `_advance`: the whole seed
 in one call, each forecast step in a call of one input.  The sweep cuts a
@@ -40,9 +43,10 @@ phase.  Tape-free, a run is one stacked LSTM step, and the sweep goes over
 blocks of whole top-level phase cycles of about HOIST_ROWS rows, hoisting a
 level's input projections within a block into one GEMM, so its memory does
 not grow with the seed.  Recorded, each firing step is its own call and
-keeps its tape.  Every state, input and prediction is a (B, d) batch, a
-single sequence one of B = 1; the recorded rollout plus `rollout_backward`
-give exact gradients through the autoregressive loop.
+writes its gates and cell state into the tape's slab rows.  Every state,
+input and prediction is a (B, d) batch, a single sequence one of B = 1; the
+recorded rollout plus `rollout_backward` give exact gradients through the
+autoregressive loop.
 """
 
 from __future__ import annotations
@@ -191,6 +195,13 @@ class Level:
         # a period-K level first fires once it has seen K inputs
         return t % self.period == self.period - 1
 
+    def last_firing(self, t: int) -> int:
+        """The last step at or before t that updated phase t's sequence;
+        negative while none has (the sequence still holds the zero state)."""
+        while t >= 0 and not self.fires(t):
+            t -= self.phases
+        return t
+
 
 def level_table(cfg: ModelConfig) -> list[Level]:
     """The levels, level 1 first, of the model the validated config `cfg` describes."""
@@ -318,9 +329,33 @@ def new_bank(model: Model, batch: int) -> PhaseStateBank:
 
 
 @dataclass
-class StepRecord:
-    tapes: list  # per level: its lstm tape, or None where it did not fire
-    head_tape: object  # None where the head was skipped (seed steps t < S-1)
+class RolloutTape:
+    """What a recorded rollout of T steps keeps for `rollout_backward`.
+
+    Per level, each firing step's gates (i, f, o, g, as `lstm_gates` leaves
+    them) and new cell state c, as rows of an (n, B, 4h) and an (n, B, h)
+    slab, n = T // period; the T inputs; and the head's tape of each step
+    it ran.  tanh(c), every hidden state and every layer input are
+    recomputed from these.  A level's last firing is row 0 (`row`): the
+    backward visits firings latest first, so a chunk of consecutive ones is
+    one contiguous run of rows.
+    """
+    xs: np.ndarray               # (T, B, d_v): step t's input
+    gates: list[np.ndarray]      # per level, (n, B, 4h)
+    c: list[np.ndarray]          # per level, (n, B, h)
+    heads: list = field(default_factory=list)  # HeadTape per head step, in time order
+
+    @classmethod
+    def empty(cls, model: Model, batch: int, steps: int) -> "RolloutTape":
+        h = model.config.hidden
+        n = [steps // level.period for level in model.levels]
+        return cls(xs=np.empty((steps, batch, model.config.d_v)),
+                   gates=[np.empty((k, batch, 4 * h)) for k in n],
+                   c=[np.empty((k, batch, h)) for k in n])
+
+    def row(self, m: int, level: Level, t: int) -> int:
+        """The slab row of level m's (0-based, `level`) firing at step t."""
+        return len(self.c[m]) - (t + 1) // level.period
 
 
 def _stride_window(t: int, K: int) -> range:
@@ -338,17 +373,19 @@ def observe(model: Model, seed_velocities: VelocitySequence, mode: str = "eval",
             rng: np.random.Generator | None = None, record: bool = True):
     """Run the model over all seed velocities from a zero-initialized bank.
 
-    Returns (bank at forecast start, step records or None, prediction (d,)
-    for the first future step).  A single-sequence wrapper over the rollout
-    engine's seed stage: the bank is the engine's, a batch of one, so its
-    states are (1, hidden).  record=False runs in eval mode only.
+    Returns (bank at forecast start, the seed's RolloutTape or None,
+    prediction (d,) for the first future step).  A single-sequence wrapper
+    over the rollout engine's seed stage: the bank is the engine's, a batch
+    of one, so its states are (1, hidden).  record=False runs in eval mode
+    only.
     """
     if seed_velocities.n_steps < 1:
         raise InputError("observe: empty seed")
-    bank, records, vhat = _observe(model, seed_velocities.steps[None],
-                                   seed_velocities.origin_pose[None], mode, rng, record)
+    tape = RolloutTape.empty(model, 1, seed_velocities.n_steps) if record else None
+    bank, vhat = _observe(model, seed_velocities.steps[None],
+                          seed_velocities.origin_pose[None], mode, rng, tape)
     bank.frame_interval_ms = seed_velocities.frame_interval_ms
-    return bank, records, vhat[0]
+    return bank, tape, vhat[0]
 
 
 def forecast(model: Model, bank: PhaseStateBank, v_first, n_steps: int,
@@ -378,56 +415,58 @@ def rollout_forward(model: Model, seed_vels: np.ndarray, origin: np.ndarray,
     """Batched observe + autoregressive forecast.
 
     seed_vels: (B, S, d) ground-truth seed velocities; origin: (B, d) first
-    seed pose.  Returns (preds (n_steps, B, d), step records).  Step t for
-    t < S consumes seed_vels[:, t]; later steps consume the model's own
-    previous prediction.
+    seed pose.  Returns (preds (n_steps, B, d), tape).  Step t for t < S
+    consumes seed_vels[:, t]; later steps consume the model's own previous
+    prediction.
 
     The seed is one call of the level sweep (`_advance`), each forecast step
-    one more.  With record=True every tape is kept for `rollout_backward`:
-    records[t].tapes[m] is level m+1's LSTM tape at step t (None where it did
-    not fire), records[t].head_tape the head's (None at seed steps t < S-1);
-    phases and stride windows follow from the level table and t.
-    record=False (eval mode only) keeps no tapes, returns None for the
-    records and stacks each run of a level's phases into one LSTM call.
+    one more.  With record=True the returned RolloutTape of the T = S +
+    n_steps - 1 steps holds what `rollout_backward` needs; phases and stride
+    windows follow from the level table and t.  record=False (eval mode
+    only) keeps no tape, returns None for it and stacks each run of a level's
+    phases into one LSTM call.
     """
     seed_vels = as_f64(seed_vels)
     origin = as_f64(origin)
-    _, S, _ = seed_vels.shape
+    B, S, _ = seed_vels.shape
     if S < 1 or n_steps < 1:
         raise InputError("rollout_forward: need S >= 1 and n_steps >= 1")
-    bank, records, vhat = _observe(model, seed_vels, origin, mode, rng, record)
-    return np.stack(_feed_back(model, bank, vhat, n_steps, mode, rng, records)), records
+    tape = RolloutTape.empty(model, B, S + n_steps - 1) if record else None
+    bank, vhat = _observe(model, seed_vels, origin, mode, rng, tape)
+    return np.stack(_feed_back(model, bank, vhat, n_steps, mode, rng, tape)), tape
 
 
 def _observe(model: Model, seed_vels: np.ndarray, origin: np.ndarray, mode: str,
-             rng, record: bool):
-    """Seed stage of the engine: (bank at t=S, step records or None, prediction
-    at t=S-1), from one level sweep over the S seed inputs."""
-    if not record and mode != "eval":
+             rng, tape: RolloutTape | None):
+    """Seed stage of the engine: (bank at t=S, prediction at t=S-1), from one
+    level sweep over the S seed inputs, recorded into `tape` when given."""
+    if tape is None and mode != "eval":
         raise ConfigError("record=False runs in eval mode only")
     is_pose = model.levels[0].source == "pose"
-    pose = origin.copy()
-    xs = []
+    xs = np.empty_like(seed_vels) if is_pose else seed_vels
+    pose = origin
     for t in range(seed_vels.shape[1]):
+        # in time order, as the forecast integrates its predictions
         pose = pose + seed_vels[:, t]
-        xs.append(pose if is_pose else seed_vels[:, t])
-    bank, records = new_bank(model, seed_vels.shape[0]), [] if record else None
-    vhat = _advance(model, bank, xs, mode, rng, records)
+        if is_pose:
+            xs[:, t] = pose
+    bank = new_bank(model, seed_vels.shape[0])
+    vhat = _advance(model, bank, xs, mode, rng, tape)
     bank.last_pose = pose
-    return bank, records, vhat
+    return bank, vhat
 
 
 def _feed_back(model: Model, bank: PhaseStateBank, v, n_steps: int, mode: str, rng,
-               records: list | None = None) -> list:
+               tape: RolloutTape | None = None) -> list:
     """Forecast stage: from the first prediction v, feed each prediction back
     as the next input for n_steps - 1 steps.  Returns the n_steps predictions;
-    step records are appended to `records` when it is a list."""
+    the steps are recorded into `tape` when given."""
     is_pose = model.levels[0].source == "pose"
     pose = bank.last_pose
     preds = [v]
     for _ in range(1, n_steps):
         pose = pose + v
-        v = _advance(model, bank, [pose if is_pose else v], mode, rng, records)
+        v = _advance(model, bank, (pose if is_pose else v)[:, None], mode, rng, tape)
         preds.append(v)
     bank.last_pose = pose + v
     return preds
@@ -442,10 +481,10 @@ def _feed_back(model: Model, bank: PhaseStateBank, v, n_steps: int, mode: str, r
 HOIST_ROWS = 256
 
 
-def _advance(model: Model, bank: PhaseStateBank, xs: list, mode: str, rng,
-             records: list | None) -> np.ndarray:
-    """The engine's one level sweep: advance `bank` over the known inputs xs,
-    xs[i] (B, d_v) being the input at step bank.t + i, and return the
+def _advance(model: Model, bank: PhaseStateBank, xs: np.ndarray, mode: str, rng,
+             tape: RolloutTape | None) -> np.ndarray:
+    """The engine's one level sweep: advance `bank` over the known inputs xs
+    (B, n, d_v), xs[:, i] being the input at step bank.t + i, and return the
     prediction at the last of them.
 
     Every input is known, so a level depends only on the level below and its
@@ -455,22 +494,24 @@ def _advance(model: Model, bank: PhaseStateBank, xs: list, mode: str, rng,
     steps, each step of a run on its own phase, and the run outputs in time
     order are the `below` stream.  The head runs only at the last step.
 
-    With `records` a list (recorded) one StepRecord per input is appended,
-    each firing step is its own B-row LSTM call whose tape goes to
-    records[t].tapes[m], and the head's dropout masks of the skipped steps are
-    drawn in time order before the head runs, so the random stream is that of
-    one step at a time.  A recorded sweep is one block, over all of xs.
+    With a `tape` (recorded; sized for the whole rollout) each firing step is
+    its own B-row LSTM call that writes its gates and cell state into the
+    tape's slab rows, the inputs and the head's tape go to the tape, and the
+    head's dropout masks of the skipped steps are drawn in time order before
+    the head runs, so the random stream is that of one step at a time.  A
+    recorded sweep is one block, over all of xs.
 
-    With records None (tape-free) each run is one LSTM step on its phases
+    With tape None (tape-free) each run is one LSTM step on its phases
     stacked into len(run) * B rows, and the sweep goes level by level over
     blocks of cycle * max(1, HOIST_ROWS // (cycle * B)) steps, cycle =
     max(phases), counted from bank.t.  A block holds whole runs of every
     level, so each LSTM call gets the rows it would get in one sweep over all
-    of xs, and only a block's outputs per level stay alive.  Where a level
-    fires more than once in a block and those steps hold at most HOIST_ROWS
-    rows, their input projections x @ W[:, :d_in].T + b are one GEMM and each
-    run adds only its h @ W[:, d_in:].T; that splits each row's dot product
-    in two, so its predictions move by rounding (about 1e-16) only.
+    of xs, and only a block's inputs and outputs per level stay alive.  Where
+    a level fires more than once in a block and those steps hold at most
+    HOIST_ROWS rows, their input projections x @ W[:, :d_in].T + b are one
+    GEMM and each run adds only its h @ W[:, d_in:].T; that splits each row's
+    dot product in two, so its predictions move by rounding (about 1e-16)
+    only.
     """
     cfg = model.config
     if mode not in ("train", "eval"):
@@ -478,32 +519,33 @@ def _advance(model: Model, bank: PhaseStateBank, xs: list, mode: str, rng,
     if len(bank.states) != len(model.levels) or any(
             len(states) != level.phases for states, level in zip(bank.states, model.levels)):
         raise ConfigError("bank layout does not match model config")
-    xs = [as_f64(x) for x in xs]
-    for x in xs:
-        if x.ndim != 2 or x.shape[1] != cfg.d_v:
-            raise ShapeError(f"expected a (B, {cfg.d_v}) input, got shape {x.shape}")
-    K, t0, n, B = cfg.granularity, bank.t, len(xs), xs[0].shape[0]
-    recent, first = bank.recent + xs, t0 - len(bank.recent)  # recent[i] is step first + i
-    if records is not None:
-        records += [StepRecord(tapes=[None] * len(model.levels), head_tape=None) for _ in xs]
-        recs = records[-n:]  # recs[i] is step t0 + i
+    xs = as_f64(xs)
+    if xs.ndim != 3 or xs.shape[2] != cfg.d_v:
+        raise ShapeError(f"expected a (B, n, {cfg.d_v}) input, got shape {xs.shape}")
+    K, t0, (B, n, _) = cfg.granularity, bank.t, xs.shape
+    first = t0 - len(bank.recent)  # bank.recent[i] is step first + i
+
+    def inp(i: int) -> np.ndarray:
+        return xs[:, i - t0] if i >= t0 else bank.recent[i - first]
+
+    if tape is not None:
+        tape.xs[t0:t0 + n] = xs.swapaxes(0, 1)
     # every level's phase count divides the largest, so a block of whole
     # cycles splits no run
     cycle = max(level.phases for level in model.levels)
-    block = n if records is not None else cycle * max(1, HOIST_ROWS // (cycle * max(B, 1)))
+    block = n if tape is not None else cycle * max(1, HOIST_ROWS // (cycle * max(B, 1)))
     for b0 in range(t0, t0 + n, block):
         steps = range(b0, min(b0 + block, t0 + n))
-        below = xs[b0 - t0:steps.stop - t0]  # per step: the level below's hidden output
+        below = [xs[:, t - t0] for t in steps]  # per step: the level below's hidden output
         for m, (level, cell, states) in enumerate(zip(model.levels, model.cells,
                                                       bank.states)):
             fired = [t for t in steps if level.fires(t)]
             if level.source == "stride":
-                inps = [_window_sum([recent[i - first] for i in _stride_window(t, K)])
-                        for t in fired]
+                inps = [_window_sum([inp(i) for i in _stride_window(t, K)]) for t in fired]
             else:
                 inps = [below[t - b0] for t in fired]
-            size = level.phases if records is None else 1
-            hoist = records is None and 1 < len(fired) and len(fired) * B <= HOIST_ROWS
+            size = level.phases if tape is None else 1
+            hoist = tape is None and 1 < len(fired) and len(fired) * B <= HOIST_ROWS
             if hoist:
                 # every firing step's input projection in one GEMM; a run then
                 # adds only its recurrent product
@@ -514,9 +556,11 @@ def _advance(model: Model, bank: PhaseStateBank, xs: list, mode: str, rng,
             for r in range(0, len(fired), size):
                 run = fired[r:r + size]
                 qs = [level.phase(t) for t in run]
-                if records is not None:
-                    states[qs[0]], recs[run[0] - t0].tapes[m] = lstm_step(cell, inps[r],
-                                                                          states[qs[0]])
+                if tape is not None:
+                    row = tape.row(m, level, run[0])
+                    states[qs[0]] = lstm_step(cell, inps[r], states[qs[0]],
+                                              gates=tape.gates[m][row])[0]
+                    tape.c[m][row] = states[qs[0]].c
                 else:
                     # a call's tape is dropped at once: a stacked one is
                     # len(run) times a step's, and would live on through the
@@ -527,7 +571,7 @@ def _advance(model: Model, bank: PhaseStateBank, xs: list, mode: str, rng,
                     if hoist:
                         pre = s.h @ w_h
                         pre += xw[r * B:(r + len(run)) * B]
-                        new = LstmState(*lstm_gates(pre, s.c)[:2])
+                        new = LstmState(*lstm_gates(pre, s.c))
                     else:
                         new = lstm_step(cell, inps[r] if len(run) == 1
                                         else np.concatenate(inps[r:r + len(run)]), s)[0]
@@ -541,12 +585,14 @@ def _advance(model: Model, bank: PhaseStateBank, xs: list, mode: str, rng,
     for _ in range(n - 1):  # only the last step's output is a prediction
         head_skip(model.head, B, dropout_rate=cfg.effective_dropout, rng=rng, train=train)
     hiddens = [states[level.phase(t)].h for level, states in zip(model.levels, bank.states)]
-    vhat, head_tape = head_forward(model.head, xs[-1], hiddens, slope=cfg.leaky_slope,
+    vhat, head_tape = head_forward(model.head, xs[:, -1], hiddens, slope=cfg.leaky_slope,
                                    dropout_rate=cfg.effective_dropout, rng=rng, train=train)
-    if records is not None:
-        recs[-1].head_tape = head_tape
+    if tape is not None:
+        tape.heads.append(head_tape)
+    # the steps _stride_window(t, K) reads next, copied so the bank does not
+    # hold xs
+    bank.recent = [inp(i).copy() for i in range(max(first, t0 + n - K), t0 + n)]
     bank.t = t0 + n
-    bank.recent = recent[-K:]  # steps _stride_window(bank.t - 1, K)
     return vhat
 
 
@@ -554,10 +600,10 @@ def _advance(model: Model, bank: PhaseStateBank, xs: list, mode: str, rng,
 # Exact reverse-mode gradients through a recorded rollout
 
 
-# Steps whose gradient rows are stacked before one weight-gradient GEMM.  Each
-# flush reads and writes the whole dW once, so fewer flushes save bandwidth;
-# the stacked rows, 2 * WGRAD_CHUNK * B * (4h + d_in + h) floats per level,
-# are what a larger chunk costs in memory.
+# Steps whose gradient rows go into one weight-gradient GEMM.  Each flush
+# reads and writes the whole dW once, so fewer flushes save bandwidth; a
+# chunk's input rows, WGRAD_CHUNK * B * (d_in + h) floats per level, are what
+# a larger chunk costs in memory (its gradient rows are tape rows).
 WGRAD_CHUNK = 8
 # dW rows per GEMM within a flush; bounds the GEMM's temporary output.
 _ROW_BLOCK = 256
@@ -567,42 +613,30 @@ class _WeightGradSum:
     """Accumulates sum_k P_k.T @ Z_k into dW and the row sums of P_k into db.
 
     P_k (B, n_out) is one step's preactivation gradient and Z_k (B, n_in)
-    that step's layer input, given as column blocks.  Rows are stacked
-    WGRAD_CHUNK steps at a time and folded in with one GEMM per chunk.
+    that step's layer input.  Steps come latest first, WGRAD_CHUNK to a
+    chunk: the caller writes the k-th step's Z rows of a chunk into `z(k)`
+    and folds the chunk in with `flush(P)`, P its steps' P rows stacked in
+    the same order, one GEMM per block of _ROW_BLOCK dW rows into `scratch`.
     """
 
-    def __init__(self, dW: np.ndarray, db: np.ndarray, rows: int):
-        self.dW, self.db, self.rows = dW, db, rows
-        self.P = np.empty((WGRAD_CHUNK * rows, dW.shape[0]))
+    def __init__(self, dW: np.ndarray, db: np.ndarray, rows: int, scratch: np.ndarray):
+        self.dW, self.db, self.rows, self.scratch = dW, db, rows, scratch
         self.Z = np.empty((WGRAD_CHUNK * rows, dW.shape[1]))
-        self.tmp = np.empty((min(_ROW_BLOCK, dW.shape[0]), dW.shape[1]))
-        self.n = 0
 
-    def push(self, p: np.ndarray, *z_parts: np.ndarray):
-        rows = slice(self.n * self.rows, (self.n + 1) * self.rows)
-        self.P[rows] = p
-        col = 0
-        for part in z_parts:
-            self.Z[rows, col:col + part.shape[1]] = part
-            col += part.shape[1]
-        self.n += 1
-        if self.n == WGRAD_CHUNK:
-            self.flush()
+    def z(self, k: int) -> np.ndarray:
+        return self.Z[k * self.rows:(k + 1) * self.rows]
 
-    def flush(self):
-        k = self.n * self.rows
-        if k:
-            P, Z = self.P[:k], self.Z[:k]
-            for r0 in range(0, self.dW.shape[0], _ROW_BLOCK):
-                block = self.dW[r0:r0 + _ROW_BLOCK]
-                out = self.tmp[:block.shape[0]]
-                np.matmul(P[:, r0:r0 + _ROW_BLOCK].T, Z, out=out)
-                block += out
-            self.db += P.sum(axis=0)
-        self.n = 0
+    def flush(self, P: np.ndarray):
+        Z = self.Z[:P.shape[0]]
+        for r0 in range(0, self.dW.shape[0], _ROW_BLOCK):
+            block = self.dW[r0:r0 + _ROW_BLOCK]
+            out = self.scratch[:block.size].reshape(block.shape)
+            np.matmul(P[:, r0:r0 + _ROW_BLOCK].T, Z, out=out)
+            block += out
+        self.db += P.sum(axis=0)
 
 
-def rollout_backward(model: Model, records: list[StepRecord], n_obs: int,
+def rollout_backward(model: Model, tape: RolloutTape, n_obs: int,
                      d_preds: np.ndarray, grads: np.ndarray | None = None) -> np.ndarray:
     """Exact BPTT through a recorded rollout.
 
@@ -612,23 +646,30 @@ def rollout_backward(model: Model, records: list[StepRecord], n_obs: int,
     parameter gradient as a flat float64 array laid out like `model.theta`;
     `model.views` gives its per-tensor views.  It is written into `grads`
     (zeroed first) when given, so a training loop can reuse one buffer;
-    otherwise a new one is allocated.
+    otherwise a new one is allocated.  The tape's gate rows are overwritten
+    with their gradients, so a tape serves one backward: a second raises
+    ShapeError.
 
     The reverse time loop runs only what the recurrence needs: the gate and
-    input derivatives of each step.  Weight gradients are formed as
-    time-batched GEMMs: each layer's preactivation-gradient rows and input
-    rows are stacked over WGRAD_CHUNK steps and folded into dW with one
-    `P.T @ Z` per chunk.  The head runs backward only at steps t >= S-1;
+    input derivatives of each step.  It recomputes each firing's tanh(c) and
+    h = o * tanh(c) once, when first read, with the forward's ufuncs, so
+    they have its bits.  Weight gradients are formed as time-batched GEMMs:
+    each level's preactivation gradients overwrite its gate rows, so
+    WGRAD_CHUNK consecutive firings are one slab view, and with their input
+    rows [x, h_prev], rebuilt in a stacking buffer, are folded into dW with
+    one `P.T @ Z` per chunk.  The head runs backward only at steps t >= S-1;
     earlier head outputs are not predictions and get no gradient.
     """
     cfg = model.config
     S = n_obs
-    n_pred = d_preds.shape[0]
+    n_pred, B, _ = d_preds.shape
     T = S + n_pred - 1
-    if len(records) != T:
-        raise ShapeError(f"rollout_backward: {len(records)} records, expected {T}")
+    if tape.xs.shape[0] != T or len(tape.heads) != n_pred:
+        raise ShapeError(f"rollout_backward: a tape of {tape.xs.shape[0]} steps and "
+                         f"{len(tape.heads)} head steps, expected {T} and {n_pred} "
+                         "(a tape serves one backward)")
     is_pose = model.levels[0].source == "pose"
-    B = d_preds.shape[1]
+    L, h, d_v = len(model.levels), cfg.hidden, cfg.d_v
 
     if grads is None:
         grads = np.zeros_like(model.theta)
@@ -636,18 +677,31 @@ def rollout_backward(model: Model, records: list[StepRecord], n_obs: int,
         grads[...] = 0.0
     # the layout's (W, b) pairs: each level's cell, then the head's three layers
     views = model.views(grads)
-    sums = [_WeightGradSum(dW, db, B) for dW, db in zip(views[::2], views[1::2])]
-    cell_sums, head_sums = sums[:len(model.levels)], sums[len(model.levels):]
+    dWs = views[::2]
+    scratch = np.empty(max(min(_ROW_BLOCK, dW.shape[0]) * dW.shape[1] for dW in dWs))
+    sums = [_WeightGradSum(dW, db, B, scratch) for dW, db in zip(dWs, views[1::2])]
+    cell_sums, head_sums = sums[:L], sums[L:]
+    # the head's P rows (da1, da2, dout), stacked like its Z rows
+    head_ps = [np.empty((WGRAD_CHUNK * B, dW.shape[0])) for dW in dWs[L:]]
     # pending gradient w.r.t. the latest produced state of each (level, phase)
-    h = cfg.hidden
     gs = [[[np.zeros((B, h)), np.zeros((B, h))] for _ in range(level.phases)]
           for level in model.levels]
     # gradient w.r.t. the input stream value at each step (velocity, or pose
     # for the pose-input variant)
-    d_x = [np.zeros((B, cfg.d_v)) for _ in range(T)]
+    d_x = [np.zeros((B, d_v)) for _ in range(T)]
+    zero = np.zeros((B, h))
+    acts = {}  # (m, t) -> (tanh(c), h) of level m's firing at step t, until it is visited
+
+    def act(m: int, t: int):
+        if t < 0:  # the zero initial state
+            return zero, zero
+        if (m, t) not in acts:
+            row = tape.row(m, model.levels[m], t)
+            tanh_c = np.tanh(tape.c[m][row])
+            acts[m, t] = tanh_c, tape.gates[m][row, :, 2 * h:3 * h] * tanh_c
+        return acts[m, t]
 
     for t in reversed(range(T)):
-        rec = records[t]
         if is_pose and t + 1 < T:
             # pose chain: x_t feeds x_{t+1} = x_t + v_in[t+1]
             d_x[t] += d_x[t + 1]
@@ -656,23 +710,46 @@ def rollout_backward(model: Model, records: list[StepRecord], n_obs: int,
             if t + 1 < T:
                 # this step's output was fed back as step t+1's input velocity
                 d_out = d_out + d_x[t + 1]
-            ht = rec.head_tape
+            ht = tape.heads[t - (S - 1)]
             da1, da2, dz = head_layer_backward(model.head, ht, d_out)
-            head_sums[0].push(da1, ht.z)
-            head_sums[1].push(da2, ht.r1)
-            head_sums[2].push(d_out, ht.r2)
-            d_x[t] += dz[:, :cfg.d_v]
+            k = (T - 1 - t) % WGRAD_CHUNK
+            z = head_sums[0].z(k)
+            z[:, :d_v] = tape.xs[t]
             for m, level in enumerate(model.levels):
-                lo = cfg.d_v + m * h
+                z[:, d_v + m * h:d_v + (m + 1) * h] = act(m, level.last_firing(t))[1]
+            head_sums[1].z(k)[...] = ht.r1
+            head_sums[2].z(k)[...] = ht.r2
+            for acc, P, p in zip(head_sums, head_ps, (da1, da2, d_out)):
+                P[k * B:(k + 1) * B] = p
+                if k == WGRAD_CHUNK - 1 or t == S - 1:
+                    acc.flush(P[:(k + 1) * B])
+            d_x[t] += dz[:, :d_v]
+            for m, level in enumerate(model.levels):
+                lo = d_v + m * h
                 gs[m][level.phase(t)][0] += dz[:, lo:lo + h]
-        for m in reversed(range(len(model.levels))):
-            tape, level, cell = rec.tapes[m], model.levels[m], model.cells[m]
-            if tape is None:
+        for m in reversed(range(L)):
+            level, cell = model.levels[m], model.cells[m]
+            if not level.fires(t):
                 continue
-            q = level.phase(t)
+            row, q = tape.row(m, level, t), level.phase(t)
+            k = row % WGRAD_CHUNK
+            prev = level.last_firing(t - level.phases)
+            z = cell_sums[m].z(k)
+            if level.source == "below":
+                z[:, :cell.d_in] = act(m - 1, t)[1]
+            elif level.source == "stride":
+                z[:, :cell.d_in] = _window_sum(
+                    [tape.xs[i] for i in _stride_window(t, cfg.granularity)])
+            else:
+                z[:, :cell.d_in] = tape.xs[t]
+            z[:, cell.d_in:] = act(m, prev)[1]
+            c_prev = tape.c[m][tape.row(m, level, prev)] if prev >= 0 else zero
+            tanh_c = act(m, t)[0]
+            del acts[m, t]
             dh, dc = gs[m][q]
-            dpre, dz, dc_prev = lstm_gate_backward(cell, tape, dh, dc)
-            cell_sums[m].push(dpre, tape.x, tape.h_prev)
+            dz, dc_prev = lstm_gate_backward(cell, tape.gates[m][row], tanh_c, c_prev, dh, dc)
+            if k == WGRAD_CHUNK - 1 or row == len(tape.c[m]) - 1:
+                cell_sums[m].flush(tape.gates[m][row - k:row + 1].reshape(-1, 4 * h))
             gs[m][q] = [dz[:, cell.d_in:], dc_prev]
             d_inp = dz[:, :cell.d_in]
             if level.source == "below":
@@ -682,6 +759,7 @@ def rollout_backward(model: Model, records: list[StepRecord], n_obs: int,
                     d_x[ti] += d_inp
             else:
                 d_x[t] += d_inp
-    for acc in sums:
-        acc.flush()
+    # the gate rows hold gradients now; without head steps the tape fails the
+    # check above
+    tape.heads.clear()
     return grads

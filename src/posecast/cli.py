@@ -43,8 +43,12 @@ def read_kv_config(path) -> dict[str, str]:
     path = Path(path)
     if not path.exists():
         raise ParseError(f"{path}: no such file")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text ({e.reason})") from None
     out = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -4,9 +4,15 @@ Gate storage order in the stacked weight matrix is (i, f, o, g):
 input gate, forget gate, output gate, candidate.  This order is part of
 the checkpoint format and must not change.
 
-Every forward op returns a tape caching the intermediates needed to run
-the matching backward op.  Every input, state and gradient is a (B, d) batch,
-and every output one too; parameter gradients are summed over the batch.
+Every forward op returns a tape of what it computed that its backward needs
+and cannot recompute cheaply: an LSTM step's gates (i, f, o, g) as
+`lstm_gates` leaves them and its new cell state c, the head's activation
+derivatives and outputs.  tanh(c) and h = o * tanh(c) are recomputed from
+those with the ufuncs `lstm_gates` uses, so they have the forward's bits.
+An LSTM tape also names the step's input and previous state (the caller's
+arrays, not copies); the head's does not, so `head_backward` takes its
+inputs again.  Every input, state and gradient is a (B, d) batch, and every
+output one too; parameter gradients are summed over the batch.
 
 Each backward is split in two.  `lstm_gate_backward` and
 `head_layer_backward` carry the gradient through one step: the derivatives
@@ -101,19 +107,18 @@ def draw_lstm(p: LstmParams, seed: int, *, stream: tuple = (), forget_bias: floa
 
 @dataclass
 class LstmTape:
-    x: np.ndarray
+    x: np.ndarray       # the step's input and previous state, the caller's arrays
     h_prev: np.ndarray
     c_prev: np.ndarray
-    i: np.ndarray
-    f: np.ndarray
-    o: np.ndarray
-    g: np.ndarray
-    tanh_c: np.ndarray
+    gates: np.ndarray   # (B, 4h): i, f, o, g as `lstm_gates` leaves them
+    c: np.ndarray       # (B, h): the new cell state
 
 
-def lstm_step(p: LstmParams, x, s: LstmState):
+def lstm_step(p: LstmParams, x, s: LstmState, gates: np.ndarray | None = None):
     """One LSTM step on a (B, d_in) input and a (B, h) state.  Returns (next
-    state, tape)."""
+    state, tape).  The gates are computed in `gates`, a (B, 4h) float64
+    C-contiguous array, when it is given (a row of a recorded rollout's
+    slab), else in a new one."""
     x2, h2, c2 = (_batch("lstm_step", a) for a in (x, s.h, s.c))
     h = p.h
     if x2.shape[1] != p.d_in:
@@ -122,12 +127,11 @@ def lstm_step(p: LstmParams, x, s: LstmState):
         raise ShapeError(f"lstm_step: state dims {h2.shape[1]}/{c2.shape[1]} != h {h}")
     if h2.shape[0] != x2.shape[0] or c2.shape[0] != x2.shape[0]:
         raise ShapeError("lstm_step: batch size mismatch between input and state")
-    pre = np.concatenate([x2, h2], axis=1) @ p.W.T
+    pre = np.matmul(np.concatenate([x2, h2], axis=1), p.W.T, out=gates)
     pre += p.b
-    h_new, c_new, tanh_c = lstm_gates(pre, c2)
-    i, f, o, g = (pre[:, k * h:(k + 1) * h] for k in range(4))
-    tape = LstmTape(x=x2, h_prev=h2, c_prev=c2, i=i, f=f, o=o, g=g, tanh_c=tanh_c)
-    return LstmState(h=h_new, c=c_new), tape
+    h_new, c_new = lstm_gates(pre, c2)
+    return LstmState(h=h_new, c=c_new), LstmTape(x=x2, h_prev=h2, c_prev=c2, gates=pre,
+                                                 c=c_new)
 
 
 def lstm_gates(pre: np.ndarray, c_prev: np.ndarray):
@@ -135,10 +139,11 @@ def lstm_gates(pre: np.ndarray, c_prev: np.ndarray):
     (i, f, o, g), and the previous cell state c_prev (rows, h).
 
     Works in place: pre's first 3h columns become the sigmoid gates i, f, o
-    and its last h the candidate g = tanh.  Returns (h_new, c_new, tanh_c),
-    each (rows, h).  The elementwise operations are those of
-    1 / (1 + exp(-x)) and tanh in the same order, so the bits are those of
-    the out-of-place expressions.
+    and its last h the candidate g = tanh.  Returns (h_new, c_new), each
+    (rows, h), h_new = o * tanh(c_new).  The elementwise operations are those
+    of 1 / (1 + exp(-x)) and tanh in the same order, so the bits are those of
+    the out-of-place expressions, and a backward that recomputes
+    o * np.tanh(c_new) gets h_new's bits.
     """
     h = c_prev.shape[1]
     sig = pre[:, :3 * h]
@@ -150,37 +155,43 @@ def lstm_gates(pre: np.ndarray, c_prev: np.ndarray):
     np.tanh(g, out=g)
     c_new = pre[:, h:2 * h] * c_prev
     c_new += pre[:, :h] * g
-    tanh_c = np.tanh(c_new)
-    return pre[:, 2 * h:3 * h] * tanh_c, c_new, tanh_c
+    return pre[:, 2 * h:3 * h] * np.tanh(c_new), c_new
 
 
-def lstm_gate_backward(p: LstmParams, tape: LstmTape, dh: np.ndarray, dc_in: np.ndarray):
+def lstm_gate_backward(p: LstmParams, gates: np.ndarray, tanh_c: np.ndarray,
+                       c_prev: np.ndarray, dh: np.ndarray, dc_in: np.ndarray):
     """Gradient through one batched LSTM step, without the weight gradient.
 
-    dh / dc_in: (B, h) gradients w.r.t. the step's output state.  Returns
-    (dpre, dz, dc_prev): dpre (B, 4h) w.r.t. the gate preactivations in
-    (i, f, o, g) order, dz (B, d_in + h) w.r.t. z = [x, h_prev], and
+    gates (B, 4h) is the step's tape entry, tanh_c (B, h) np.tanh of its new
+    cell state and c_prev (B, h) its previous one; dh / dc_in: (B, h)
+    gradients w.r.t. the step's output state.  Overwrites `gates` with dpre,
+    the gradient w.r.t. the gate preactivations in (i, f, o, g) order, and
+    returns (dz, dc_prev): dz (B, d_in + h) w.r.t. z = [x, h_prev] and
     dc_prev (B, h).  The step's weight gradient is dpre.T @ z and its bias
     gradient dpre summed over rows.
     """
-    if dh.shape != tape.tanh_c.shape or dc_in.shape != tape.tanh_c.shape:
+    if dh.shape != tanh_c.shape or dc_in.shape != tanh_c.shape:
         raise ShapeError(
             f"lstm_gate_backward: grad shapes {dh.shape}/{dc_in.shape} "
-            f"do not match tape {tape.tanh_c.shape}")
-    i, f, o, g = tape.i, tape.f, tape.o, tape.g
-    do = dh * tape.tanh_c
-    dc = dc_in + dh * o * (1.0 - tape.tanh_c ** 2)
+            f"do not match tape {tanh_c.shape}")
+    h = tanh_c.shape[1]
+    i, f, o, g = (gates[:, k * h:(k + 1) * h] for k in range(4))
+    do = dh * tanh_c
+    dc = dc_in + dh * o * (1.0 - tanh_c ** 2)
     di = dc * g
-    df = dc * tape.c_prev
+    df = dc * c_prev
     dg = dc * i
     dc_prev = dc * f
-    dpre = np.concatenate([
-        di * i * (1.0 - i),
-        df * f * (1.0 - f),
-        do * o * (1.0 - o),
-        dg * (1.0 - g * g),
-    ], axis=1)
-    return dpre, dpre @ p.W, dc_prev
+    # each product left to right, as (di * i) * (1 - i), in place once no
+    # other derivative reads the gate
+    di *= i
+    np.multiply(di, 1.0 - i, out=i)
+    df *= f
+    np.multiply(df, 1.0 - f, out=f)
+    do *= o
+    np.multiply(do, 1.0 - o, out=o)
+    np.multiply(dg, 1.0 - g * g, out=g)
+    return gates @ p.W, dc_prev
 
 
 def lstm_step_backward(p: LstmParams, tape: LstmTape, grad_h, grad_c):
@@ -191,7 +202,8 @@ def lstm_step_backward(p: LstmParams, tape: LstmTape, grad_h, grad_c):
     like the cell's W and b, the others like the step's inputs.
     """
     dh, dc_in = (_batch("lstm_step_backward", g) for g in (grad_h, grad_c))
-    dpre, dz, dc_prev = lstm_gate_backward(p, tape, dh, dc_in)
+    dpre = tape.gates.copy()
+    dz, dc_prev = lstm_gate_backward(p, dpre, np.tanh(tape.c), tape.c_prev, dh, dc_in)
     dW = dpre.T @ np.concatenate([tape.x, tape.h_prev], axis=1)
     return (dW, dpre.sum(axis=0)), dz[:, :p.d_in], (dz[:, p.d_in:], dc_prev)
 
@@ -224,7 +236,6 @@ def draw_head(hp: HeadParams, seed: int, *, stream: tuple = ()):
 
 @dataclass
 class HeadTape:
-    z: np.ndarray        # concatenated input
     d1: np.ndarray       # activation derivative, layer 1
     d2: np.ndarray
     r1: np.ndarray       # post-activation (and post-dropout) layer-1 output
@@ -279,7 +290,7 @@ def head_forward(hp: HeadParams, v_t, hiddens, slope: float = 0.01,
     if mask2 is not None:
         r2 = r2 * mask2
     out = r2 @ hp.W3.T + hp.b3
-    return out, HeadTape(z=z, d1=d1, d2=d2, r1=r1, r2=r2, mask1=mask1, mask2=mask2)
+    return out, HeadTape(d1=d1, d2=d2, r1=r1, r2=r2, mask1=mask1, mask2=mask2)
 
 
 def head_skip(hp: HeadParams, rows: int, dropout_rate: float = 0.0,
@@ -297,9 +308,9 @@ def head_layer_backward(hp: HeadParams, tape: HeadTape, dout: np.ndarray):
     gradients w.r.t. the layer-1 and layer-2 preactivations and the
     concatenated input z.  The weight gradients are dout.T @ r2 (W3),
     da2.T @ r1 (W2) and da1.T @ z (W1), each bias gradient the row sum of the
-    matching output gradient.
+    matching output gradient, z = [v_t, hiddens...] the call's input.
     """
-    if dout.shape[1] != hp.d_v or dout.shape[0] != tape.z.shape[0]:
+    if dout.shape[1] != hp.d_v or dout.shape[0] != tape.d1.shape[0]:
         raise ShapeError(f"head_layer_backward: grad shape {dout.shape} does not match tape")
     dr2 = dout @ hp.W3
     if tape.mask2 is not None:
@@ -312,15 +323,17 @@ def head_layer_backward(hp: HeadParams, tape: HeadTape, dout: np.ndarray):
     return da1, da2, da1 @ hp.W1
 
 
-def head_backward(hp: HeadParams, tape: HeadTape, grad_out):
-    """Backward of head_forward, from grad_out (B, d_v).
+def head_backward(hp: HeadParams, v_t, hiddens, tape: HeadTape, grad_out):
+    """Backward of the head_forward call on v_t and hiddens that gave `tape`,
+    from grad_out (B, d_v).
 
     Returns ((dW1, db1, dW2, db2, dW3, db3), grad_v_t, [grad_hidden_m for
     each level]), each gradient shaped like the tensor or input it names.
     """
     dout = _batch("head_backward", grad_out)
     da1, da2, dz = head_layer_backward(hp, tape, dout)
-    grads = (da1.T @ tape.z, da1.sum(axis=0), da2.T @ tape.r1,
+    z = np.concatenate([_batch("head_backward", a) for a in (v_t, *hiddens)], axis=1)
+    grads = (da1.T @ z, da1.sum(axis=0), da2.T @ tape.r1,
              da2.sum(axis=0), dout.T @ tape.r2, dout.sum(axis=0))
     lo = [hp.d_v + m * hp.h for m in range(hp.n_states)]
     return grads, dz[:, :hp.d_v], [dz[:, i:i + hp.h] for i in lo]

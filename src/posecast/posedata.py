@@ -124,6 +124,15 @@ def make_windows(p: PoseSequence, seed_len: int, target_len: int,
 # plus an optional `mask=i,j,...` footer naming the kept dimensions.
 
 
+def _numbered_lines(fh, path):
+    """(line number, line) of the text file `fh` opened as UTF-8, one line
+    at a time; ParseError naming `path` at the first byte that is not UTF-8."""
+    try:
+        yield from enumerate(fh, start=1)
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text ({e.reason})") from None
+
+
 def load_sequence(path, expected_dim: int | None = None,
                   frame_interval_ms: float = 1.0, space: str = "angle_expmap",
                   action: str = "") -> PoseSequence:
@@ -133,7 +142,7 @@ def load_sequence(path, expected_dim: int | None = None,
     rows = []
     dim = expected_dim
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in _numbered_lines(fh, path):
             line = line.strip()
             if not line:
                 continue
@@ -195,7 +204,7 @@ def load_manifest(path) -> DatasetManifest:
     entries, linenos = [], []
     mask, mask_lineno = None, None
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in _numbered_lines(fh, path):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

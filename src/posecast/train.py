@@ -226,10 +226,10 @@ def rollout_loss_batch(model: Model, seed_poses: np.ndarray,
     seed_vels = np.diff(seed_poses, axis=1)
     origin = seed_poses[:, 0]
     n = target_poses.shape[1]
-    preds, records = rollout_forward(model, seed_vels, origin, n, mode=mode, rng=rng)
+    preds, tape = rollout_forward(model, seed_vels, origin, n, mode=mode, rng=rng)
     loss_fn = pose_loss_and_grad if cfg.loss_space == "pose" else velocity_loss_and_grad
     loss, d_preds = loss_fn(preds, seed_poses[:, -1], target_poses)
-    grads = rollout_backward(model, records, seed_vels.shape[1], d_preds, grads)
+    grads = rollout_backward(model, tape, seed_vels.shape[1], d_preds, grads)
     return loss, grads
 
 

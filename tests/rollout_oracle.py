@@ -16,8 +16,8 @@ purposes in the test suite:
 Only the flagship hierarchy variant is supported here; the ablation variants
 get their own finite-difference coverage at float64-friendly scales.
 
-`model_step`, by contrast, is the engine itself: one recorded call of its
-level sweep on one input, the step-at-a-time reference of the rollout tests.
+`model_step`, by contrast, is the engine itself: one call of its level sweep
+on one input, the step-at-a-time reference of the rollout tests.
 """
 
 import numpy as np
@@ -27,10 +27,20 @@ from posecast import arch
 LD = np.longdouble
 
 
-def model_step(model, bank, x, mode="eval", rng=None):
-    """Advance `bank` one step on the (B, d_v) input x: (prediction, step record)."""
-    records = []
-    return arch._advance(model, bank, [x], mode, rng, records), records[0]
+def model_step(model, bank, x, mode="eval", rng=None, tape=None):
+    """Advance `bank` one step on the (B, d_v) input x and return the
+    prediction.  The step is recorded into `tape`, an `arch.RolloutTape`
+    sized for the whole run, when one is given."""
+    return arch._advance(model, bank, np.asarray(x)[:, None], mode, rng, tape)
+
+
+def nan_tape(model, B, T):
+    """An `arch.RolloutTape` for T steps at batch B whose slabs and inputs hold
+    NaN until a step writes them."""
+    tape = arch.RolloutTape.empty(model, B, T)
+    for a in (tape.xs, *tape.gates, *tape.c):
+        a.fill(np.nan)
+    return tape
 
 
 def _sigmoid(z):

@@ -101,17 +101,19 @@ def test_criterion_2_schedule_invariants():
             assert sum(map(len, bank.states)) == sum(K ** m for m in range(M))
             table = level_table(cfg)
             updates = {(m, q): [] for m in range(1, M + 1) for q in range(K ** (m - 1))}
-            x = np.zeros((1, 2))
+            x = np.zeros((1, 1, 2))
+            tape = arch.RolloutTape.empty(model, 1, T)
             for t in range(T):
                 before = [list(states) for states in bank.states]
-                records = []
-                arch._advance(model, bank, [x], "eval", None, records)
+                arch._advance(model, bank, x, "eval", None, tape)
                 replaced = [(m, q) for m, (old, new) in enumerate(zip(before, bank.states), 1)
                             for q, (a, b) in enumerate(zip(old, new)) if a is not b]
                 # exactly one phase per level, the one the level table names
                 assert replaced == [(m, t % K ** (m - 1)) for m in range(1, M + 1)]
                 assert replaced == [(m, level.phase(t)) for m, level in enumerate(table, 1)]
-                assert all(tape is not None for tape in records[0].tapes)
+                # and each level's firing wrote its tape row, the new state's
+                assert all(np.array_equal(tape.c[m - 1][tape.row(m - 1, table[m - 1], t)],
+                                          bank.states[m - 1][q].c) for m, q in replaced)
                 for mq in replaced:
                     updates[mq].append(t)
             for (m, q), ts in updates.items():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from posecast import arch
 from posecast.arch import (MAX_PHASES, VARIANTS, Model, ModelConfig, build_model,
                            forecast, level_table, new_bank, observe, param_count,
                            param_layout, rollout_backward, rollout_forward)
@@ -9,7 +10,7 @@ from posecast.layers import LstmParams, draw_lstm
 from posecast.metrics import zero_velocity_forecast
 from posecast.posedata import PoseSequence, VelocitySequence, synth_multiscale
 
-from rollout_oracle import model_step
+from rollout_oracle import model_step, nan_tape
 
 
 def tiny_cfg(variant="tp_rnn", **kw):
@@ -73,35 +74,42 @@ def test_mixed_radix_phase_spawning_equivalence():
                 assert spawn(m, t, K) == level.phase(t) == t % K ** (m - 1)
 
 
-def _step_updates(model, bank, x):
-    """One step: the (level, phase) of every state it replaced, and its record.
-    The levels whose record holds a tape are exactly the updated ones."""
-    before = [list(states) for states in bank.states]
-    _, rec = model_step(model, bank, x)
+def _written_rows(tape):
+    return [int(np.isfinite(c).all(axis=(1, 2)).sum()) for c in tape.c]
+
+
+def _step_updates(model, bank, x, tape):
+    """One step, recorded into `tape` (see `nan_tape`): the (level, phase) of
+    every state it replaced.  The levels that wrote a tape row are exactly the
+    updated ones, each one row, its firing's, holding the new cell state."""
+    t, before, rows = bank.t, [list(states) for states in bank.states], _written_rows(tape)
+    model_step(model, bank, x, tape=tape)
     updated = [(m, q) for m, (old, new) in enumerate(zip(before, bank.states), start=1)
                for q, (a, b) in enumerate(zip(old, new)) if a is not b]
-    assert len(rec.tapes) == len(model.levels)
-    assert [m for m, _ in updated] == [m for m, tape in enumerate(rec.tapes, start=1)
-                                       if tape is not None]
-    return updated, rec
+    grew = [m for m, (a, b) in enumerate(zip(rows, _written_rows(tape)), start=1) if b != a]
+    assert [m for m, _ in updated] == grew
+    for m, q in updated:
+        row = tape.row(m - 1, model.levels[m - 1], t)
+        assert np.array_equal(tape.c[m - 1][row], bank.states[m - 1][q].c)
+    return updated
 
 
 def test_schedule_trace_k2_m3():
     # updated (level, phase) pairs per step follow (1,0),(2,t%2),(3,t%4)
     model = build_model(tiny_cfg(levels=3))
-    bank = new_bank(model, 1)
+    bank, tape = new_bank(model, 1), nan_tape(model, 1, 8)
     rng = np.random.default_rng(0)
     for t in range(8):
-        got, _ = _step_updates(model, bank, rng.normal(size=(1, 3)))
+        got = _step_updates(model, bank, rng.normal(size=(1, 3)), tape)
         assert got == [(1, 0), (2, t % 2), (3, t % 4)]
 
 
 def test_exactly_one_phase_per_level_updates():
     model = build_model(tiny_cfg(granularity=3, levels=4, hidden=3))
-    bank = new_bank(model, 1)
+    bank, tape = new_bank(model, 1), nan_tape(model, 1, 30)
     x = np.zeros((1, 3))
     for t in range(30):
-        got, _ = _step_updates(model, bank, x)
+        got = _step_updates(model, bank, x, tape)
         assert got == [(m, t % 3 ** (m - 1)) for m in (1, 2, 3, 4)]
 
 
@@ -333,6 +341,12 @@ def test_gradient_buffer_views_follow_the_parameter_layout():
                                  mode="eval")
     d_preds = np.ones((3, 2, 3))
     grads = rollout_backward(model, records, 8, d_preds)
+    # a backward overwrites its tape's gates with their gradients: a tape
+    # serves one backward
+    with pytest.raises(ShapeError, match="one backward"):
+        rollout_backward(model, records, 8, d_preds)
+    _, records = rollout_forward(model, np.diff(frames[:, :9], axis=1), frames[:, 0], 3,
+                                 mode="eval")
     assert grads.dtype == np.float64 and grads.shape == model.theta.shape
     views = model.views(grads)
     assert [g.shape for g in views] == [arr.shape for _, arr in model.tensors()]
@@ -350,7 +364,7 @@ def test_gradient_buffer_views_follow_the_parameter_layout():
 def test_zero_model_outputs_zero():
     model = zero_model(tiny_cfg(levels=3))
     bank = new_bank(model, 1)
-    out, _ = model_step(model, bank, np.array([[1.0, -2.0, 3.0]]))
+    out = model_step(model, bank, np.array([[1.0, -2.0, 3.0]]))
     assert np.array_equal(out, np.zeros((1, 3)))
 
 
@@ -361,7 +375,7 @@ def test_model_step_determinism():
     for _ in range(2):
         model = build_model(tiny_cfg(levels=3, seed=5))
         bank = new_bank(model, 1)
-        outs.append([model_step(model, bank, x[None])[0] for x in xs])
+        outs.append([model_step(model, bank, x[None]) for x in xs])
     for a, b in zip(*outs):
         assert np.array_equal(a, b)
 
@@ -393,17 +407,21 @@ def _seed_velocities(n_steps, d=3, seed=0, interval=40.0):
 
 def test_observe_schedule_counts():
     model = build_model(tiny_cfg())
-    bank, records, vhat = observe(model, _seed_velocities(50))
+    bank, tape, vhat = observe(model, _seed_velocities(50))
     assert bank.t == 50
     assert vhat.shape == (3,)
-    counts = {}
-    for t, rec in enumerate(records):
-        for m, tape in enumerate(rec.tapes, start=1):
-            if tape is not None:
-                q = t % 2 ** (m - 1)
-                counts[(m, q)] = counts.get((m, q), 0) + 1
-    assert counts[(1, 0)] == 50
-    assert counts[(2, 0)] == 25 and counts[(2, 1)] == 25
+    # one tape row per level firing: 50 for each level, level 2's taking
+    # turns between its two phases
+    assert [len(c) for c in tape.c] == [len(g) for g in tape.gates] == [50, 50]
+    # each phase's last firing (step 49 - (49 - q) mod 2^(m-1)) holds the
+    # bank's state: its cell state, and h = o * tanh(c)
+    h = model.config.hidden
+    for m, level in enumerate(model.levels):
+        for q, state in enumerate(bank.states[m]):
+            row = tape.row(m, level, 49 - (49 - q) % level.phases)
+            assert np.array_equal(tape.c[m][row], state.c)
+            assert np.array_equal(tape.gates[m][row, :, 2 * h:3 * h] * np.tanh(tape.c[m][row]),
+                                  state.h)
 
 
 def test_observe_empty_seed_rejected():
@@ -477,36 +495,45 @@ def test_tp_rnn_m1_equals_single_layer_vel():
     xs = rng.normal(size=(9, 3))
     bank_s, bank_t = new_bank(single, 1), new_bank(tp, 1)
     for x in xs:
-        out_s, _ = model_step(single, bank_s, x[None])
-        out_t, _ = model_step(tp, bank_t, x[None])
+        out_s = model_step(single, bank_s, x[None])
+        out_t = model_step(tp, bank_t, x[None])
         assert np.array_equal(out_s, out_t)
 
 
-def test_double_scale_strided_input_is_pose_difference_over_k():
+def test_double_scale_strided_input_is_pose_difference_over_k(monkeypatch):
     # the stride-fed upper level consumes the sum of the last K velocities,
     # i.e. P_t - P_{t-K}
     model = build_model(tiny_cfg(variant="double_scale_vel"))
+    upper_inputs, real_step = [], arch.lstm_step
+
+    def step(p, x, s, gates=None):
+        if p is model.cells[1]:
+            upper_inputs.append(x)
+        return real_step(p, x, s, gates)
+
+    monkeypatch.setattr(arch, "lstm_step", step)
     rng = np.random.default_rng(6)
     vels = rng.normal(size=(8, 3))
-    bank = new_bank(model, 1)
+    bank, tape = new_bank(model, 1), nan_tape(model, 1, 8)
     for t in range(8):
-        got, rec = _step_updates(model, bank, vels[t:t + 1])
+        upper_inputs.clear()
+        got = _step_updates(model, bank, vels[t:t + 1], tape)
         # the bank keeps the last K inputs: the window a firing step sums
         assert len(bank.recent) == min(t + 1, 2)
         for x, v in zip(bank.recent, vels[max(0, t - 1):t + 1]):
             assert np.array_equal(x[0], v)
         if t % 2 == 1:  # fires every K=2 steps
             assert got == [(1, 0), (2, 0)]
-            assert np.allclose(rec.tapes[1].x[0], vels[t - 1] + vels[t], atol=1e-15)
+            assert np.allclose(upper_inputs[0][0], vels[t - 1] + vels[t], atol=1e-15)
         else:
-            assert got == [(1, 0)] and rec.tapes[1] is None
+            assert got == [(1, 0)] and upper_inputs == []
 
 
 def test_double_scale_phase_updates_every_step():
     model = build_model(tiny_cfg(variant="double_scale_phase_vel"))
-    bank = new_bank(model, 1)
+    bank, tape = new_bank(model, 1), nan_tape(model, 1, 6)
     for t in range(6):
-        got, _ = _step_updates(model, bank, np.ones((1, 3)))
+        got = _step_updates(model, bank, np.ones((1, 3)), tape)
         assert got == [(1, 0), (2, t % 2)]
 
 

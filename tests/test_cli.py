@@ -606,6 +606,33 @@ def test_eval_missing_checkpoint(tmp_path):
                "--out", tmp_path / "r.csv") == 3
 
 
+@pytest.mark.parametrize("kind", ["seed_csv", "config", "manifest", "split_csv"])
+def test_non_utf8_input_file_exits_3_naming_it(tmp_path, capsys, kind):
+    # a 0xff byte is not UTF-8: every text file the CLI reads ends in an
+    # input error that names the file, not a UnicodeDecodeError traceback
+    data = synth(tmp_path)
+    manifest = data / "manifest.txt"
+    mc, tc = _train_cfgs(tmp_path, iterations=2)
+    train = ("train", "--model-config", mc, "--train-config", tc, "--manifest", manifest,
+             "--out", tmp_path / "r")
+    if kind == "seed_csv":
+        bad = tmp_path / "seed.csv"
+        argv = ("forecast", "--checkpoint", zero_checkpoint(tmp_path), "--seed-csv", bad,
+                "--n-steps", 3, "--out", tmp_path / "p.csv")
+    elif kind == "config":
+        bad, argv = tc, train
+    elif kind == "manifest":
+        bad = manifest
+        argv = ("eval", "--checkpoint", zero_checkpoint(tmp_path), "--manifest", manifest,
+                "--seed-len", 10, "--target-len", 5, "--out", tmp_path / "r.csv")
+    else:  # a train sequence, read through load_split
+        bad, argv = data / manifest.read_text().split(",")[0], train
+    bad.write_bytes((bad.read_bytes() if bad.exists() else b"0,0,0\n") + b"0.5,\xff,1\n")
+    assert run(*argv) == 3
+    err = capsys.readouterr().err
+    assert "input error" in err and f"{bad}: not UTF-8" in err
+
+
 # ---------------------------------------------------------------------------
 # forecast
 

@@ -160,13 +160,45 @@ def test_lstm_step_gates_are_the_textbook_expressions_bit_for_bit(B, h):
     g = np.tanh(pre[:, 3 * h:])
     c = f * c_prev + i * g
     tanh_c = np.tanh(c)
-    want = {"x": x, "h_prev": h_prev, "c_prev": c_prev, "i": i, "f": f, "o": o, "g": g,
-            "tanh_c": tanh_c}
+    want = {"x": x, "h_prev": h_prev, "c_prev": c_prev,
+            "gates": np.concatenate([i, f, o, g], axis=1), "c": c}
     assert set(want) == {fld.name for fld in dataclasses.fields(tape)}
     for name, a in want.items():
         assert np.array_equal(getattr(tape, name), a), name
     assert np.array_equal(s.c, c)
     assert np.array_equal(s.h, o * tanh_c)
+    # a backward recomputes h from the tape's o and c with the same bits
+    assert np.array_equal(tape.gates[:, 2 * h:3 * h] * np.tanh(tape.c), s.h)
+    # gates written into a given array, a row of a recorded rollout's slab
+    slab = np.full((2, B, 4 * h), np.nan)
+    s2, tape2 = lstm_step(p, x, LstmState(h=h_prev, c=c_prev), gates=slab[1])
+    assert np.shares_memory(tape2.gates, slab[1]) and np.array_equal(slab[1], tape.gates)
+    assert np.isnan(slab[0]).all()
+    assert np.array_equal(s2.h, s.h) and np.array_equal(s2.c, s.c)
+
+
+@pytest.mark.parametrize("B,h", [(1, 5), (16, 64)])
+def test_lstm_gate_backward_is_the_textbook_expressions_bit_for_bit(B, h):
+    # dpre is written over the gates in place, each product left to right;
+    # its bits must be those of the out-of-place expressions, or a gradient
+    # and a checkpoint would move
+    d_in = 7
+    p = init_lstm(d_in, h, seed=B)
+    rng = np.random.default_rng(h + 1)
+    x, h_prev, c_prev, dh, dc_in = (rng.normal(size=(B, n)) for n in (d_in, h, h, h, h))
+    _, tape = lstm_step(p, x, LstmState(h=h_prev, c=c_prev))
+    i, f, o, g = (tape.gates[:, k * h:(k + 1) * h].copy() for k in range(4))
+    tanh_c = np.tanh(tape.c)
+    do = dh * tanh_c
+    dc = dc_in + dh * o * (1.0 - tanh_c ** 2)
+    di, df, dg = dc * g, dc * c_prev, dc * i
+    want = np.concatenate([di * i * (1.0 - i), df * f * (1.0 - f), do * o * (1.0 - o),
+                           dg * (1.0 - g * g)], axis=1)
+    gates = tape.gates
+    dz, dc_prev = lstm_gate_backward(p, gates, tanh_c, c_prev, dh, dc_in)
+    assert np.array_equal(gates, want)
+    assert np.array_equal(dz, want @ p.W)
+    assert np.array_equal(dc_prev, dc * f)
 
 
 def test_lstm_step_shape_errors():
@@ -323,7 +355,8 @@ def _head_set_flat(hp, theta):
 def test_head_backward_zero_grad():
     hp = init_head(2, 2, 3, 4, 3, seed=4)
     _, tape = head_forward(hp, np.ones((1, 2)), [np.ones((1, 3)), np.ones((1, 3))])
-    g, dv, dhs = head_backward(hp, tape, np.zeros((1, 2)))
+    g, dv, dhs = head_backward(hp, np.ones((1, 2)), [np.ones((1, 3)), np.ones((1, 3))], tape,
+                               np.zeros((1, 2)))
     assert all(not np.any(t) for t in g)
     assert not np.any(dv) and all(not np.any(d) for d in dhs)
 
@@ -344,7 +377,7 @@ def test_head_backward_matches_fd(seed):
         return float(np.sum(w * out))
 
     out, tape = head_forward(hp, v, hiddens, slope=0.01)
-    g, _, _ = head_backward(hp, tape, w)
+    g, _, _ = head_backward(hp, v, hiddens, tape, w)
     ga = np.concatenate([t.ravel() for t in g])
     rel = grad_check(f, _head_flat(hp), ga, eps=1e-5)
     assert rel.max() <= 1e-6, np.flatnonzero(rel > 1e-6)[:3]
@@ -358,7 +391,7 @@ def test_head_backward_hidden_input_gradients_match_fd():
     hiddens = [rng.normal(size=(1, h)) for _ in range(n_states)]
     w = rng.normal(size=(1, d_v))
     _, tape = head_forward(hp, v, hiddens)
-    _, _, dhs = head_backward(hp, tape, w)
+    _, _, dhs = head_backward(hp, v, hiddens, tape, w)
     eps = 1e-6
     for m in range(n_states):
         for k in range(h):
@@ -384,7 +417,7 @@ def test_head_dropout_masks_cached_and_exact():
     # backward with the cached masks agrees with finite differences on W3,
     # holding the masks fixed
     w = np.array([[1.0, -1.0]])
-    (_, _, _, _, dW3, _), _, _ = head_backward(hp, tape, w)
+    (_, _, _, _, dW3, _), _, _ = head_backward(hp, v, hiddens, tape, w)
     eps = 1e-6
 
     def f_fixed_mask(W3):
@@ -446,7 +479,7 @@ def test_layers_reject_unbatched_arrays():
         head_forward(hp, np.ones((1, 3)), [np.ones(4)])
     _, htape = head_forward(hp, np.ones((1, 3)), [np.ones((1, 4))])
     with pytest.raises(ShapeError):
-        head_backward(hp, htape, np.zeros(3))
+        head_backward(hp, np.ones((1, 3)), [np.ones((1, 4))], htape, np.zeros(3))
 
 
 def test_backward_cores_name_themselves_in_shape_errors():
@@ -454,7 +487,8 @@ def test_backward_cores_name_themselves_in_shape_errors():
     p = init_lstm(3, 4, seed=0)
     _, tape = lstm_step(p, np.ones((2, 3)), LstmState.zeros(4, 2))
     with pytest.raises(ShapeError, match=r"^lstm_gate_backward: grad shapes"):
-        lstm_gate_backward(p, tape, np.zeros((2, 5)), np.zeros((2, 4)))
+        lstm_gate_backward(p, tape.gates, np.tanh(tape.c), tape.c_prev, np.zeros((2, 5)),
+                           np.zeros((2, 4)))
     hp = init_head(3, 1, 4, 5, 4, seed=0)
     _, htape = head_forward(hp, np.ones((2, 3)), [np.ones((2, 4))])
     with pytest.raises(ShapeError, match=r"^head_layer_backward: grad shape"):

@@ -5,7 +5,8 @@ seed in one call and each forecast step in one more.  The reference here is
 the step-at-a-time order, one `rollout_oracle.model_step` (a one-input
 sweep) per step.
 The recorded sweep runs each firing step as its own B-row call and must match
-that reference bit for bit, tapes, dropout masks and random stream included.
+that reference bit for bit, tapes (the reference one-input calls record into a
+tape of their own), dropout masks and random stream included.
 `rollout_forward(record=False)` stacks each run of a level's phases into one
 batch and sweeps blocks of whole top-level phase cycles of about
 `arch.HOIST_ROWS` rows; it must reproduce the reference's predictions to
@@ -26,7 +27,7 @@ from posecast import arch
 from posecast.arch import ModelConfig, build_model, new_bank, rollout_forward
 from posecast.errors import ConfigError
 
-from rollout_oracle import model_step
+from rollout_oracle import model_step, nan_tape
 
 VARIANT_LEVELS = [("single_layer_pose", 1), ("single_layer_vel", 1),
                   ("stacked2_vel", 2), ("double_scale_vel", 2),
@@ -45,31 +46,29 @@ def _inputs(B, S, seed=0):
     return rng.normal(size=(B, S, 3)), rng.normal(size=(B, 3))
 
 
-def _stepwise_seed(model, seed_vels, origin, mode="eval", rng=None):
-    """The seed one `model_step` per step: (bank at t=S, step records,
-    prediction at t=S-1)."""
+def _stepwise_seed(model, seed_vels, origin, mode="eval", rng=None, tape=None):
+    """The seed one `model_step` per step, recorded into `tape` when given:
+    (bank at t=S, prediction at t=S-1)."""
     is_pose = model.levels[0].source == "pose"
-    bank, records, pose = new_bank(model, seed_vels.shape[0]), [], origin
+    bank, pose = new_bank(model, seed_vels.shape[0]), origin
     for t in range(seed_vels.shape[1]):
         pose = pose + seed_vels[:, t]
-        v, rec = model_step(model, bank, pose if is_pose else seed_vels[:, t], mode, rng)
-        records.append(rec)
+        v = model_step(model, bank, pose if is_pose else seed_vels[:, t], mode, rng, tape)
     bank.last_pose = pose
-    return bank, records, v
+    return bank, v
 
 
-def _stepwise(model, seed_vels, origin, n_pred, mode="eval", rng=None):
-    """The whole rollout one `model_step` per step: (preds (n_pred, B, d),
-    step records)."""
-    bank, records, v = _stepwise_seed(model, seed_vels, origin, mode, rng)
+def _stepwise(model, seed_vels, origin, n_pred, mode="eval", rng=None, tape=None):
+    """The whole rollout one `model_step` per step, recorded into `tape` when
+    given: preds (n_pred, B, d)."""
+    bank, v = _stepwise_seed(model, seed_vels, origin, mode, rng, tape)
     is_pose = model.levels[0].source == "pose"
     pose, preds = bank.last_pose, [v]
     for _ in range(1, n_pred):
         pose = pose + v
-        v, rec = model_step(model, bank, pose if is_pose else v, mode, rng)
-        records.append(rec)
+        v = model_step(model, bank, pose if is_pose else v, mode, rng, tape)
         preds.append(v)
-    return np.stack(preds), records
+    return np.stack(preds)
 
 
 def _assert_same_tape(a, b):
@@ -91,15 +90,15 @@ def _hoisted(model, B, S):
 
 def _check(model, B, S, n_pred=6):
     seed_vels, origin = _inputs(B, S, seed=S)
-    ref, _ = _stepwise(model, seed_vels, origin, n_pred)
-    got, records = rollout_forward(model, seed_vels, origin, n_pred, mode="eval",
-                                   record=False)
-    assert records is None
+    ref = _stepwise(model, seed_vels, origin, n_pred)
+    got, tape = rollout_forward(model, seed_vels, origin, n_pred, mode="eval",
+                                record=False)
+    assert tape is None
     assert got.shape == ref.shape == (n_pred, B, 3)
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    bank_ref, _, v_ref = _stepwise_seed(model, seed_vels, origin)
-    bank, _, v = arch._observe(model, seed_vels, origin, "eval", None, False)
+    bank_ref, v_ref = _stepwise_seed(model, seed_vels, origin)
+    bank, v = arch._observe(model, seed_vels, origin, "eval", None, None)
     assert bank.t == bank_ref.t == S
     assert np.array_equal(bank.last_pose, bank_ref.last_pose)
     # the bank keeps the inputs of the last K steps, the stride window at S-1
@@ -173,7 +172,7 @@ def test_long_single_seed_hoists_block_by_block(monkeypatch):
     monkeypatch.setattr(arch, "lstm_gates",
                         lambda pre, c: calls.append(("gates", pre.shape[0])) or real_gates(pre, c))
     seed_vels, origin = _inputs(1, S)
-    arch._observe(model, seed_vels, origin, "eval", None, False)
+    arch._observe(model, seed_vels, origin, "eval", None, None)
     want = [1] * 256 + [2] * 128 + [4] * 64 + [1] * 44 + [2] * 22 + [4] * 11
     assert calls == [("gates", r) for r in want]
     monkeypatch.undo()
@@ -198,11 +197,67 @@ def test_long_single_seed_memory_does_not_grow_with_its_length():
     assert peaks[1] < 1.25 * peaks[0], peaks
 
 
+@pytest.mark.parametrize("variant,levels", [("tp_rnn", 3), ("double_scale_vel", 2),
+                                            ("single_layer_pose", 1)])
+def test_tape_free_seed_holds_nothing_per_step_beyond_its_inputs(variant, levels):
+    # the seed reads the caller's (B, S, d) input array in place (the pose
+    # variant integrates it into one array of poses) and keeps no per-step
+    # objects: a list of per-step input views costs about 150 bytes a step,
+    # more than 8 * B * d for a small pose.  At B=2 a seed of 300 steps
+    # already runs two full blocks of HOIST_ROWS rows, the most the sweep
+    # keeps alive at once
+    model = _model(variant, levels)
+    peaks = {}
+    for S in (300, 2400):
+        seed_vels, origin = _inputs(2, S)
+        tracemalloc.start()
+        try:
+            rollout_forward(model, seed_vels, origin, 2, mode="eval", record=False)
+            peaks[S] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[2400] - peaks[300] <= seed_vels.nbytes, peaks
+
+
+def _array_bytes(obj) -> int:
+    """Bytes of the distinct arrays reachable through lists, tuples and
+    dataclass instances, as the benchmark's tracer counts a tape."""
+    seen, total, todo = set(), 0, [obj]
+    while todo:
+        o = todo.pop()
+        if isinstance(o, np.ndarray):
+            if id(o) not in seen:
+                seen.add(id(o))
+                total += o.nbytes
+        elif isinstance(o, (list, tuple)):
+            todo.extend(o)
+        elif dataclasses.is_dataclass(o) and not isinstance(o, type):
+            todo.extend(vars(o).values())
+    return total
+
+
+@pytest.mark.parametrize("variant", ["tp_rnn", "double_scale_vel"])
+def test_recorded_tape_keeps_gates_and_cell_state_per_firing(variant):
+    # per level firing, B rows of 4h gates and h cell state; besides those
+    # only the T inputs and, per prediction step, the head's d1, r1, d2 and
+    # r2 (no dropout).  tanh(c), h, the layer inputs and the head's input
+    # rows are recomputed, so a tape keeping them holds more
+    h, B, S, n_pred = 16, 3, 10, 6
+    model = build_model(ModelConfig(variant=variant, d_v=3, levels=2, hidden=h, head1=6,
+                                    head2=4, seed=3))
+    seed_vels, origin = _inputs(B, S)
+    _, tape = rollout_forward(model, seed_vels, origin, n_pred, mode="eval")
+    T = S + n_pred - 1
+    firings = sum(T // level.period for level in model.levels)
+    floats = firings * (4 * h + h) + T * 3 + n_pred * 2 * (6 + 4)
+    assert _array_bytes(tape) <= 8 * B * floats
+
+
 def test_empty_batch_rolls_out_to_an_empty_result():
     model = _model("tp_rnn", 3)
     seed_vels, origin = _inputs(0, 10)
-    preds, records = rollout_forward(model, seed_vels, origin, 4, mode="eval", record=False)
-    assert preds.shape == (4, 0, 3) and records is None
+    preds, tape = rollout_forward(model, seed_vels, origin, 4, mode="eval", record=False)
+    assert preds.shape == (4, 0, 3) and tape is None
 
 
 @pytest.mark.parametrize("variant,levels", VARIANT_LEVELS)
@@ -219,22 +274,22 @@ def test_recorded_rollout_matches_step_at_a_time(variant, levels):
     S, n_pred = 10, 6
     seed_vels, origin = _inputs(3, S)
     rng, rng_ref = np.random.default_rng(8), np.random.default_rng(8)
-    got, records = rollout_forward(model, seed_vels, origin, n_pred, mode="train", rng=rng)
-    ref, records_ref = _stepwise(model, seed_vels, origin, n_pred, mode="train", rng=rng_ref)
+    got, tape = rollout_forward(model, seed_vels, origin, n_pred, mode="train", rng=rng)
+    # every row of the reference's tape is written, or it stays NaN and
+    # compares unequal
+    tape_ref = nan_tape(model, 3, S + n_pred - 1)
+    ref = _stepwise(model, seed_vels, origin, n_pred, mode="train", rng=rng_ref, tape=tape_ref)
     assert np.array_equal(got, ref)
     assert rng.bit_generator.state == rng_ref.bit_generator.state
-    assert len(records) == len(records_ref) == S + n_pred - 1
-    for t, (rec, rec_ref) in enumerate(zip(records, records_ref)):
-        assert len(rec.tapes) == len(rec_ref.tapes) == levels
-        for tape, tape_ref in zip(rec.tapes, rec_ref.tapes):
-            assert (tape is None) == (tape_ref is None)
-            if tape is not None:
-                _assert_same_tape(tape, tape_ref)
-        if t < S - 1:  # the seed's head outputs are not predictions
-            assert rec.head_tape is None
-        else:
-            assert rec.head_tape.mask1 is not None
-            _assert_same_tape(rec.head_tape, rec_ref.head_tape)
+    assert len(tape.gates) == len(tape.c) == levels
+    for a, b in zip([tape.xs, *tape.gates, *tape.c], [tape_ref.xs, *tape_ref.gates, *tape_ref.c]):
+        assert np.array_equal(a, b)
+    # the seed's head outputs are not predictions: the head's tapes are those
+    # of the n_pred steps t >= S-1, while each one-input call runs the head
+    assert len(tape.heads) == n_pred and len(tape_ref.heads) == S + n_pred - 1
+    for ht, ht_ref in zip(tape.heads, tape_ref.heads[S - 1:]):
+        assert ht.mask1 is not None
+        _assert_same_tape(ht, ht_ref)
 
 
 def test_level_major_schedule_stacks_phases(monkeypatch):
@@ -251,9 +306,9 @@ def test_level_major_schedule_stacks_phases(monkeypatch):
     rows, heads = [], []
     real_step, real_gates, real_head = arch.lstm_step, arch.lstm_gates, arch.head_forward
 
-    def count_step(p, x, s):
+    def count_step(p, x, s, gates=None):
         rows.append((level[id(p)], x.shape[0]))
-        return real_step(p, x, s)
+        return real_step(p, x, s, gates)
 
     def count_gates(pre, c_prev):
         rows.append(("gates", pre.shape[0]))
@@ -276,10 +331,11 @@ def test_level_major_schedule_stacks_phases(monkeypatch):
         monkeypatch.setattr(arch, "HOIST_ROWS", cap)
         rows.clear()
         heads.clear()
-        _, records, _ = arch._observe(model, seed_vels, origin, "eval", None, record)
+        tape = nan_tape(model, 3, 10) if record else None
+        arch._observe(model, seed_vels, origin, "eval", None, tape)
         assert rows == want and len(heads) == 1
-        assert record == (records is not None)
-        assert not record or all(tape is not None for rec in records for tape in rec.tapes)
+        # recorded, every level's firing at every step wrote its rows
+        assert not record or all(np.isfinite(a).all() for a in (tape.xs, *tape.gates, *tape.c))
 
 
 def test_tape_free_requires_eval_mode():
@@ -305,8 +361,8 @@ def test_observe_wrapper_tape_free_matches_recording(variant, levels):
     seed_v = VelocitySequence(np.diff(frames, axis=0), frames[0].copy(), 40.0)
     out = []
     for record in (True, False):
-        bank, records, v_first = observe(model, seed_v, record=record)
-        assert (records is None) == (not record)
+        bank, tape, v_first = observe(model, seed_v, record=record)
+        assert (tape is None) == (not record)
         assert v_first.shape == (3,) and bank.last_pose.shape == (1, 3)
         assert all(s.h.shape == (1, 5) for level in bank.states for s in level)
         out.append(forecast(model, bank, v_first, 6).steps)
