@@ -61,7 +61,6 @@ from .layers import (HeadParams, LstmParams, LstmState, draw_head, draw_lstm,
                      head_forward, head_layer_backward, head_skip, lstm_gate_backward,
                      lstm_gates, lstm_step)
 from .numcore import as_f64
-from .posedata import VelocitySequence
 
 __all__ = [
     "VARIANTS",
@@ -318,7 +317,6 @@ class PhaseStateBank:
     t: int = 0
     recent: list = field(default_factory=list)  # last K inputs, read by stride-fed levels
     last_pose: np.ndarray | None = None
-    frame_interval_ms: float = float("nan")
 
 
 def new_bank(model: Model, batch: int) -> PhaseStateBank:
@@ -369,40 +367,45 @@ def _window_sum(xs: list[np.ndarray]) -> np.ndarray:
     return sum(xs[1:], xs[0])
 
 
-def observe(model: Model, seed_velocities: VelocitySequence, mode: str = "eval",
+def observe(model: Model, seed_vels, origin, mode: str = "eval",
             rng: np.random.Generator | None = None, record: bool = True):
-    """Run the model over all seed velocities from a zero-initialized bank.
+    """Run the model over the (S, d) seed velocities of one sequence whose
+    first pose is the (d,) origin, from a zero-initialized bank.
 
     Returns (bank at forecast start, the seed's RolloutTape or None,
     prediction (d,) for the first future step).  A single-sequence wrapper
-    over the rollout engine's seed stage: the bank is the engine's, a batch
-    of one, so its states are (1, hidden).  record=False runs in eval mode
-    only.
+    over the engine's seed stage, `_observe`, on a batch of one, so the
+    bank's states are (1, hidden).  record=False runs in eval mode only.
+    Nothing in the package calls it: it stays because the benchmark's tracer
+    (perfbench/tracer.py) binds it by name.
     """
-    if seed_velocities.n_steps < 1:
+    seed_vels, origin = as_f64(seed_vels), as_f64(origin)
+    if seed_vels.ndim != 2 or origin.shape != seed_vels.shape[1:]:
+        raise InputError(f"observe: expected (S, d) seed velocities and a (d,) origin, "
+                         f"got shapes {seed_vels.shape} and {origin.shape}")
+    if len(seed_vels) < 1:
         raise InputError("observe: empty seed")
-    tape = RolloutTape.empty(model, 1, seed_velocities.n_steps) if record else None
-    bank, vhat = _observe(model, seed_velocities.steps[None],
-                          seed_velocities.origin_pose[None], mode, rng, tape)
-    bank.frame_interval_ms = seed_velocities.frame_interval_ms
+    tape = RolloutTape.empty(model, 1, len(seed_vels)) if record else None
+    bank, vhat = _observe(model, seed_vels[None], origin[None], mode, rng, tape)
     return bank, tape, vhat[0]
 
 
 def forecast(model: Model, bank: PhaseStateBank, v_first, n_steps: int,
-             mode: str = "eval", rng: np.random.Generator | None = None) -> VelocitySequence:
+             mode: str = "eval", rng: np.random.Generator | None = None) -> np.ndarray:
     """Autoregressive rollout from a bank of one sequence and its first
-    prediction v_first (d,): every prediction is fed back as the next input."""
+    prediction v_first (d,): every prediction is fed back as the next input.
+    Returns the (n_steps, d) predicted velocities.  Like `observe`, it stays
+    only because the benchmark's tracer binds it by name.
+    """
     if n_steps < 1:
         raise InputError(f"forecast: n_steps must be >= 1, got {n_steps}")
     if bank.last_pose is None:
         raise ConfigError("forecast: bank has no last pose; run observe first")
-    origin = bank.last_pose[0].copy()
     preds = np.concatenate(_feed_back(model, bank, as_f64(v_first)[None], n_steps, mode, rng))
     bad = np.flatnonzero(~np.isfinite(preds).all(axis=1))
     if bad.size:
         raise NumericError(f"forecast: non-finite prediction at step {bad[0]}")
-    return VelocitySequence(steps=preds, origin_pose=origin,
-                            frame_interval_ms=bank.frame_interval_ms)
+    return preds
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +582,9 @@ def _advance(model: Model, bank: PhaseStateBank, xs: np.ndarray, mode: str, rng,
                         states[q] = LstmState(new.h[i * B:(i + 1) * B],
                                               new.c[i * B:(i + 1) * B])
                 outs += [states[q].h for q in qs]
-            below = outs
+            # only the outputs outlive a level, so a tape-free sweep holds
+            # one level's inputs and outputs of one block at a time
+            below, inps, xw, outs = outs, None, None, None
     t = t0 + n - 1
     train = mode == "train"
     for _ in range(n - 1):  # only the last step's output is a prediction

@@ -129,6 +129,9 @@ def cmd_train(args) -> int:
         tcfg, start_iteration, rng_state = resume_state(args.resume, meta)
         manifest = load_manifest(args.manifest)
     else:
+        for flag in ("model_config", "train_config"):
+            if getattr(args, flag) is None:
+                raise ConfigError(f"--{flag.replace('_', '-')} is required without --resume")
         manifest = load_manifest(args.manifest)
         tcfg = train_config_from_file(args.train_config)
         model = build_model(model_config_from_file(args.model_config,

@@ -1,11 +1,10 @@
-"""Pose/velocity data model, CSV ingestion, windowing, synthetic generator.
+"""Pose data model, CSV ingestion, windowing, synthetic generator.
 
-Poses are (T, D) float64 arrays wrapped in PoseSequence; a VelocitySequence
-holds the per-step differences V[t] = P[t+1] - P[t] plus the origin pose.
-
-Action labels live only in sequence/manifest metadata for reporting; the
-Window type used by training carries no label, so the model is
-action-agnostic by construction.
+Poses are (T, D) float64 arrays wrapped in PoseSequence.  Its action label
+rides along on windows for per-action reports, but the model is
+action-agnostic by construction: the rollout engine takes bare frame arrays
+only, which `TrainingData.sample_batch` and `evaluate.forecast_frames` cut
+from the frames, never from a label.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from .numcore import as_f64, atomic_write_text, seeded_rng
 
 __all__ = [
     "PoseSequence",
-    "VelocitySequence",
     "Window",
     "ManifestEntry",
     "DatasetManifest",
@@ -62,29 +60,6 @@ class PoseSequence:
     @property
     def dim(self) -> int:
         return self.frames.shape[1]
-
-
-@dataclass
-class VelocitySequence:
-    steps: np.ndarray  # (T, D); may be empty (0, D)
-    origin_pose: np.ndarray  # (D,)
-    frame_interval_ms: float
-
-    def __post_init__(self):
-        self.steps = as_f64(self.steps)
-        self.origin_pose = as_f64(self.origin_pose)
-        if self.steps.ndim != 2 or self.origin_pose.ndim != 1:
-            raise InputError("VelocitySequence: steps must be (T, D), origin (D,)")
-        if self.steps.shape[0] and self.steps.shape[1] != self.origin_pose.shape[0]:
-            raise InputError("VelocitySequence: step dim != origin dim")
-
-    @property
-    def n_steps(self) -> int:
-        return self.steps.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.origin_pose.shape[0]
 
 
 @dataclass

@@ -390,8 +390,7 @@ def load_model_checkpoint(path):
 
 def write_trace(path, trace):
     """Loss trace CSV: one `iteration,loss,lr` row per iteration, no header."""
-    lines = [f"{it},{loss!r},{lr!r}" for it, loss, lr in trace]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, "".join(f"{it},{loss!r},{lr!r}\n" for it, loss, lr in trace))
 
 
 def train_loop(model: Model, dataset: TrainingData, cfg: TrainConfig,

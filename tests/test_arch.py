@@ -8,7 +8,7 @@ from posecast.arch import (MAX_PHASES, VARIANTS, Model, ModelConfig, build_model
 from posecast.errors import ConfigError, InputError, NumericError, ShapeError
 from posecast.layers import LstmParams, draw_lstm
 from posecast.metrics import zero_velocity_forecast
-from posecast.posedata import PoseSequence, VelocitySequence, synth_multiscale
+from posecast.posedata import PoseSequence, synth_multiscale
 
 from rollout_oracle import model_step, nan_tape
 
@@ -26,8 +26,9 @@ def zero_model(cfg) -> Model:
     return m
 
 
-def velocities(frames, interval=40.0) -> VelocitySequence:
-    return VelocitySequence(np.diff(frames, axis=0), frames[0].copy(), interval)
+def velocities(frames):
+    """observe's (seed velocities, origin) for the pose frames (S+1, d)."""
+    return np.diff(frames, axis=0), frames[0].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -400,14 +401,14 @@ def test_model_step_rejects_unbatched_input():
             model_step(model, new_bank(model, 1), x)
 
 
-def _seed_velocities(n_steps, d=3, seed=0, interval=40.0):
+def _seed_velocities(n_steps, d=3, seed=0):
     rng = np.random.default_rng(seed)
-    return velocities(np.cumsum(rng.normal(size=(n_steps + 1, d)), axis=0), interval)
+    return velocities(np.cumsum(rng.normal(size=(n_steps + 1, d)), axis=0))
 
 
 def test_observe_schedule_counts():
     model = build_model(tiny_cfg())
-    bank, tape, vhat = observe(model, _seed_velocities(50))
+    bank, tape, vhat = observe(model, *_seed_velocities(50))
     assert bank.t == 50
     assert vhat.shape == (3,)
     # one tape row per level firing: 50 for each level, level 2's taking
@@ -426,34 +427,38 @@ def test_observe_schedule_counts():
 
 def test_observe_empty_seed_rejected():
     model = build_model(tiny_cfg())
-    empty = VelocitySequence(steps=np.zeros((0, 3)), origin_pose=np.zeros(3),
-                             frame_interval_ms=40.0)
-    with pytest.raises(InputError):
-        observe(model, empty)
+    with pytest.raises(InputError, match="empty seed"):
+        observe(model, np.zeros((0, 3)), np.zeros(3))
+
+
+@pytest.mark.parametrize("seed_vels,origin", [
+    (np.zeros(3), np.zeros(3)), (np.zeros((1, 2, 3)), np.zeros(3)),
+    (np.zeros((4, 3)), np.zeros((1, 3))), (np.zeros((4, 3)), np.zeros(2)),
+])
+def test_observe_rejects_a_bad_shape(seed_vels, origin):
+    # (S, d) velocities and a (d,) origin, else an input error before any work
+    with pytest.raises(InputError, match="observe: expected"):
+        observe(build_model(tiny_cfg()), seed_vels, origin)
 
 
 def test_single_frame_seed_with_zero_velocity():
     # one observed pose, zero initial velocity: valid bank at t == 1
     model = build_model(tiny_cfg())
-    seed_v = VelocitySequence(steps=np.zeros((1, 3)),
-                              origin_pose=np.array([1.0, 2.0, 3.0]),
-                              frame_interval_ms=40.0)
-    bank, _, vhat = observe(model, seed_v)
+    bank, _, vhat = observe(model, np.zeros((1, 3)), np.array([1.0, 2.0, 3.0]))
     assert bank.t == 1
     assert vhat.shape == (3,)
 
 
 def test_forecast_shape_contract():
     model = build_model(tiny_cfg())
-    bank, _, v_first = observe(model, _seed_velocities(10))
+    bank, _, v_first = observe(model, *_seed_velocities(10))
     pred = forecast(model, bank, v_first, 25)
-    assert pred.steps.shape == (25, 3)
-    assert pred.frame_interval_ms == 40.0
+    assert pred.shape == (25, 3)
 
 
 def test_forecast_nonfinite_raises_with_step_index():
     model = build_model(tiny_cfg())
-    bank, _, _ = observe(model, _seed_velocities(4))
+    bank, _, _ = observe(model, *_seed_velocities(4))
     bad = np.array([np.nan, 0.0, 0.0])
     with pytest.raises(NumericError, match="step 0"):
         forecast(model, bank, bad, 3)
@@ -476,9 +481,9 @@ def test_zero_model_forecast_is_zero_velocity_baseline(variant, levels):
     seed = PoseSequence(frames=frames[:12], frame_interval_ms=40.0)
     target = PoseSequence(frames=frames[12:], frame_interval_ms=40.0)
 
-    bank, _, v_first = observe(model, velocities(seed.frames))
+    bank, _, v_first = observe(model, *velocities(seed.frames))
     pred = forecast(model, bank, v_first, 5)
-    assert np.array_equal(pred.steps, np.zeros((5, 3)))
+    assert np.array_equal(pred, np.zeros((5, 3)))
 
     poses = forecast_window(model, Window(seed=seed, target=target))
     baseline = zero_velocity_forecast(seed.frames[None], 5)[0]
@@ -549,6 +554,6 @@ def test_rollout_forward_matches_observe_forecast():
         preds, _ = rollout_forward(model, np.diff(seeds, axis=1),
                                    seeds[:, 0], 4, mode="eval")
         for b, s in enumerate(seqs):
-            bank, _, v_first = observe(model, velocities(s.frames[:10]))
+            bank, _, v_first = observe(model, *velocities(s.frames[:10]))
             single = forecast(model, bank, v_first, 4)
-            assert np.allclose(preds[:, b, :], single.steps, atol=1e-12)
+            assert np.allclose(preds[:, b, :], single, atol=1e-12)

@@ -125,6 +125,19 @@ def test_train_resume_matches_uninterrupted(tmp_path):
         (full / "checkpoint_final.bin").read_bytes()
 
 
+def test_train_resume_of_a_finished_run_writes_an_empty_loss_trace(tmp_path):
+    # no iteration is left, so the trace has zero rows: an empty file, not
+    # one blank line that a row count would read as one row
+    data = synth(tmp_path)
+    mc, tc = _train_cfgs(tmp_path, iterations=4)
+    run_dir, resumed = tmp_path / "run", tmp_path / "resumed"
+    assert run("train", "--model-config", mc, "--train-config", tc,
+               "--manifest", data / "manifest.txt", "--out", run_dir) == 0
+    assert run("train", "--resume", run_dir / "checkpoint_final.bin",
+               "--manifest", data / "manifest.txt", "--out", resumed) == 0
+    assert (resumed / "loss_trace.csv").read_bytes() == b""
+
+
 def _resume_checkpoint(tmp_path, data, case):
     mc, tc = _train_cfgs(tmp_path, iterations=4, checkpoint_every=2)
     assert run("train", "--model-config", mc, "--train-config", tc,
@@ -248,6 +261,21 @@ def test_model_config_without_variant_exits_2(tmp_path, capsys):
     assert run("train", "--model-config", mc, "--train-config", tc,
                "--manifest", data / "manifest.txt", "--out", tmp_path / "r") == 2
     assert "variant missing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("missing", ["--model-config", "--train-config"])
+def test_train_without_a_config_flag_exits_2(tmp_path, capsys, missing):
+    # without --resume both config files are required: the missing flag is
+    # named, with no traceback, before the run directory exists
+    data = synth(tmp_path)
+    mc, tc = _train_cfgs(tmp_path, iterations=2)
+    flags = {"--model-config": mc, "--train-config": tc}
+    del flags[missing]
+    out = tmp_path / "r"
+    assert run("train", *[a for kv in flags.items() for a in kv],
+               "--manifest", data / "manifest.txt", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert missing in err and "Traceback" not in err and not out.exists()
 
 
 def test_train_missing_manifest(tmp_path):

@@ -47,3 +47,20 @@ def test_every_export_has_a_caller():
               for n in getattr(importlib.import_module(name), "__all__", [])
               if n not in used and not re.search(rf"\b{re.escape(n)}\b", bench)]
     assert unused == []
+
+
+def test_every_tracer_target_resolves():
+    # the benchmark's tracer binds each (module, attribute) of its TARGETS by
+    # name, so a name deleted from the package would silently drop its metrics
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    targets = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"])
+
+    def resolves(module, attr):
+        obj = importlib.import_module(f"posecast.{module}")
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        return obj is not None
+
+    assert targets and [t for t in targets if not resolves(*t)] == []

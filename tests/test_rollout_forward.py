@@ -158,6 +158,24 @@ def test_tape_free_seed_memory_does_not_grow_with_its_length():
     assert peaks[1] < 1.25 * peaks[0], peaks
 
 
+def test_tape_free_sweep_holds_one_block_at_a_time():
+    # B=1, one level: blocks of HOIST_ROWS steps, each hoisted.  A level's
+    # inputs and projections die with it and the block's outputs when the
+    # next block starts, so a 4-block seed peaks where a 1-block one does;
+    # keeping the last block's alongside the next one's read 1.34x
+    model = _model("single_layer_vel", 1)
+    peaks = []
+    for S in (arch.HOIST_ROWS, 4 * arch.HOIST_ROWS):
+        seed_vels, origin = _inputs(1, S)
+        tracemalloc.start()
+        try:
+            rollout_forward(model, seed_vels, origin, 2, mode="eval", record=False)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.15 * peaks[0], peaks
+
+
 def test_long_single_seed_hoists_block_by_block(monkeypatch):
     # B=1, S=300 > HOIST_ROWS: blocks of 256 steps (64 cycles of 4), then 44;
     # in each block every level hoists, so every seed round is one
@@ -340,30 +358,26 @@ def test_level_major_schedule_stacks_phases(monkeypatch):
 
 def test_tape_free_requires_eval_mode():
     from posecast.arch import observe
-    from posecast.posedata import VelocitySequence
     model = _model("tp_rnn", 2)
     seed_vels, origin = _inputs(2, 4)
     with pytest.raises(ConfigError):
         rollout_forward(model, seed_vels, origin, 3, mode="train", record=False)
-    seed_v = VelocitySequence(steps=seed_vels[0], origin_pose=origin[0],
-                              frame_interval_ms=40.0)
     with pytest.raises(ConfigError):
-        observe(model, seed_v, mode="train", rng=np.random.default_rng(0), record=False)
+        observe(model, seed_vels[0], origin[0], mode="train", rng=np.random.default_rng(0),
+                record=False)
 
 
 @pytest.mark.parametrize("variant,levels", [("tp_rnn", 3), ("double_scale_vel", 2)])
 def test_observe_wrapper_tape_free_matches_recording(variant, levels):
     # the single-sequence wrappers return the engine's B=1 bank on both paths
     from posecast.arch import forecast, observe
-    from posecast.posedata import VelocitySequence
     model = _model(variant, levels)
     frames = np.random.default_rng(4).normal(size=(11, 3))
-    seed_v = VelocitySequence(np.diff(frames, axis=0), frames[0].copy(), 40.0)
     out = []
     for record in (True, False):
-        bank, tape, v_first = observe(model, seed_v, record=record)
+        bank, tape, v_first = observe(model, np.diff(frames, axis=0), frames[0], record=record)
         assert (tape is None) == (not record)
         assert v_first.shape == (3,) and bank.last_pose.shape == (1, 3)
         assert all(s.h.shape == (1, 5) for level in bank.states for s in level)
-        out.append(forecast(model, bank, v_first, 6).steps)
+        out.append(forecast(model, bank, v_first, 6))
     assert np.abs(out[1] - out[0]).max() <= 1e-12 * np.abs(out[0]).max()

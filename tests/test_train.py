@@ -405,7 +405,6 @@ def test_trained_model_reproduces_fast_period():
     # a two-level hierarchy trained on drift-free two-band sines recovers
     # the fast dimension's period within 10% over a 25-step forecast
     from posecast.arch import forecast, observe
-    from posecast.posedata import VelocitySequence
 
     seqs = synth_multiscale(6, 120, 2, seed=17, drift_scale=0.0)
     data = TrainingData(sequences=seqs, seed_len=16, target_len=8)
@@ -418,10 +417,9 @@ def test_trained_model_reproduces_fast_period():
 
     held_out = synth_multiscale(8, 120, 2, seed=99, drift_scale=0.0)[7]
     seed_p = PoseSequence(frames=held_out.frames[:40], frame_interval_ms=40.0)
-    bank, _, v0 = observe(model, VelocitySequence(np.diff(seed_p.frames, axis=0),
-                                                  seed_p.frames[0].copy(), 40.0))
+    bank, _, v0 = observe(model, np.diff(seed_p.frames, axis=0), seed_p.frames[0])
     pred = forecast(model, bank, v0, 25)
-    frames = seed_p.frames[-1] + np.cumsum(pred.steps, axis=0)
+    frames = seed_p.frames[-1] + np.cumsum(pred, axis=0)
     truth = held_out.frames[40:65]
 
     def dominant_period(x):
