@@ -33,20 +33,21 @@ the backward pass and the parameter layout of the flat buffer `Model.theta`.
 every schedule fact; nothing records one.  A recorded rollout's tape
 (`RolloutTape`) keeps, per level, the gates and cell state of each firing in
 two slabs, plus the inputs and the head's tapes; every hidden state and
-layer input is recomputed from those.  The state bank keeps only the last K
-inputs.
+layer input is recomputed from those.  The state bank (`PhaseStateBank`)
+holds each level's hidden and cell states as two (phases, B, hidden) slabs
+and the last K inputs; the LSTM update writes into the slab rows in place.
 
 Every forward step runs through one level sweep, `_advance`: the whole seed
 in one call, each forecast step in a call of one input.  The sweep cuts a
-level's firing steps into runs of up to `phases` steps, each on its own
-phase.  Tape-free, a run is one stacked LSTM step, and the sweep goes over
-blocks of whole top-level phase cycles of about HOIST_ROWS rows, hoisting a
-level's input projections within a block into one GEMM, so its memory does
-not grow with the seed.  Recorded, each firing step is its own call and
-writes its gates and cell state into the tape's slab rows.  Every state,
-input and prediction is a (B, d) batch, a single sequence one of B = 1; the
-recorded rollout plus `rollout_backward` give exact gradients through the
-autoregressive loop.
+level's firing steps into runs of consecutive phases, up to the phase wrap.
+Tape-free, a run is one LSTM step on one slice of the level's slabs, and the
+sweep goes over blocks of whole top-level phase cycles of about HOIST_ROWS
+rows, hoisting a level's input projections within a block into one GEMM, so
+its memory does not grow with the seed.  Recorded, each firing step is its
+own call, computes its gates in its tape row and copies its new cell state
+there.  Every state, input and prediction is a (B, d) batch, a single
+sequence one of B = 1; the recorded rollout plus `rollout_backward` give
+exact gradients through the autoregressive loop.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InputError, NumericError, ShapeError
-from .layers import (HeadParams, LstmParams, LstmState, draw_head, draw_lstm,
+from .layers import (HeadParams, LstmParams, draw_head, draw_lstm,
                      head_forward, head_layer_backward, head_skip, lstm_gate_backward,
                      lstm_gates, lstm_step)
 from .numcore import as_f64
@@ -313,17 +314,19 @@ def build_model(cfg: ModelConfig) -> Model:
 
 @dataclass
 class PhaseStateBank:
-    states: list[list[LstmState]]  # [level][phase]
+    """Per level, its phases' hidden and cell states as two C-contiguous
+    (phases, B, hidden) slabs, which the LSTM update writes in place."""
+    h: list[np.ndarray]
+    c: list[np.ndarray]
     t: int = 0
     recent: list = field(default_factory=list)  # last K inputs, read by stride-fed levels
     last_pose: np.ndarray | None = None
 
 
 def new_bank(model: Model, batch: int) -> PhaseStateBank:
-    """A zero bank for `batch` sequences: every state is (batch, hidden)."""
-    h = model.config.hidden
-    return PhaseStateBank(states=[[LstmState.zeros(h, batch) for _ in range(level.phases)]
-                                  for level in model.levels])
+    """A zero bank for `batch` sequences."""
+    shapes = [(level.phases, batch, model.config.hidden) for level in model.levels]
+    return PhaseStateBank(h=[np.zeros(s) for s in shapes], c=[np.zeros(s) for s in shapes])
 
 
 @dataclass
@@ -504,8 +507,9 @@ def _advance(model: Model, bank: PhaseStateBank, xs: np.ndarray, mode: str, rng,
     the head runs, so the random stream is that of one step at a time.  A
     recorded sweep is one block, over all of xs.
 
-    With tape None (tape-free) each run is one LSTM step on its phases
-    stacked into len(run) * B rows, and the sweep goes level by level over
+    With tape None (tape-free) each run is one LSTM step on the slab slice
+    of its phases, len(run) * B rows, cut at the phase wrap (seeds start at
+    t = 0, forecast steps fire once), and the sweep goes level by level over
     blocks of cycle * max(1, HOIST_ROWS // (cycle * B)) steps, cycle =
     max(phases), counted from bank.t.  A block holds whole runs of every
     level, so each LSTM call gets the rows it would get in one sweep over all
@@ -519,13 +523,13 @@ def _advance(model: Model, bank: PhaseStateBank, xs: np.ndarray, mode: str, rng,
     cfg = model.config
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode: must be train|eval, got {mode!r}")
-    if len(bank.states) != len(model.levels) or any(
-            len(states) != level.phases for states, level in zip(bank.states, model.levels)):
+    phases = [level.phases for level in model.levels]
+    if [len(a) for a in bank.h] != phases or [len(a) for a in bank.c] != phases:
         raise ConfigError("bank layout does not match model config")
     xs = as_f64(xs)
     if xs.ndim != 3 or xs.shape[2] != cfg.d_v:
         raise ShapeError(f"expected a (B, n, {cfg.d_v}) input, got shape {xs.shape}")
-    K, t0, (B, n, _) = cfg.granularity, bank.t, xs.shape
+    K, hid, t0, (B, n, _) = cfg.granularity, cfg.hidden, bank.t, xs.shape
     first = t0 - len(bank.recent)  # bank.recent[i] is step first + i
 
     def inp(i: int) -> np.ndarray:
@@ -535,19 +539,17 @@ def _advance(model: Model, bank: PhaseStateBank, xs: np.ndarray, mode: str, rng,
         tape.xs[t0:t0 + n] = xs.swapaxes(0, 1)
     # every level's phase count divides the largest, so a block of whole
     # cycles splits no run
-    cycle = max(level.phases for level in model.levels)
+    cycle = max(phases)
     block = n if tape is not None else cycle * max(1, HOIST_ROWS // (cycle * max(B, 1)))
     for b0 in range(t0, t0 + n, block):
         steps = range(b0, min(b0 + block, t0 + n))
         below = [xs[:, t - t0] for t in steps]  # per step: the level below's hidden output
-        for m, (level, cell, states) in enumerate(zip(model.levels, model.cells,
-                                                      bank.states)):
+        for m, (level, cell) in enumerate(zip(model.levels, model.cells)):
             fired = [t for t in steps if level.fires(t)]
             if level.source == "stride":
                 inps = [_window_sum([inp(i) for i in _stride_window(t, K)]) for t in fired]
             else:
                 inps = [below[t - b0] for t in fired]
-            size = level.phases if tape is None else 1
             hoist = tape is None and 1 < len(fired) and len(fired) * B <= HOIST_ROWS
             if hoist:
                 # every firing step's input projection in one GEMM; a run then
@@ -555,33 +557,28 @@ def _advance(model: Model, bank: PhaseStateBank, xs: np.ndarray, mode: str, rng,
                 xw = np.concatenate(inps) @ cell.W[:, :cell.d_in].T
                 xw += cell.b
                 w_h = cell.W[:, cell.d_in:].T
-            outs = []
-            for r in range(0, len(fired), size):
-                run = fired[r:r + size]
-                qs = [level.phase(t) for t in run]
-                if tape is not None:
-                    row = tape.row(m, level, run[0])
-                    states[qs[0]] = lstm_step(cell, inps[r], states[qs[0]],
-                                              gates=tape.gates[m][row])[0]
-                    tape.c[m][row] = states[qs[0]].c
+            # the slab rows are overwritten by the next cycle, so each run's
+            # new hidden states are copied out for the level above
+            outs = np.empty((len(fired), B, hid))
+            r = 0
+            while r < len(fired):
+                q = level.phase(fired[r])
+                # tape-free, a run is up to the phases left before the wrap,
+                # stacked into k * B rows; recorded, each firing is its own call
+                k = 1 if tape is not None else min(len(fired) - r, level.phases - q)
+                h, c = (a[m][q:q + k].reshape(k * B, hid) for a in (bank.h, bank.c))
+                if hoist:
+                    pre = h @ w_h
+                    pre += xw[r * B:(r + k) * B]
+                    lstm_gates(pre, c, h)
+                elif tape is not None:
+                    row = tape.row(m, level, fired[r])
+                    lstm_step(cell, inps[r], h, c, gates=tape.gates[m][row])
+                    tape.c[m][row] = c
                 else:
-                    # a call's tape is dropped at once: a stacked one is
-                    # len(run) times a step's, and would live on through the
-                    # next call
-                    s = states[qs[0]] if len(qs) == 1 else LstmState(
-                        np.concatenate([states[q].h for q in qs]),
-                        np.concatenate([states[q].c for q in qs]))
-                    if hoist:
-                        pre = s.h @ w_h
-                        pre += xw[r * B:(r + len(run)) * B]
-                        new = LstmState(*lstm_gates(pre, s.c))
-                    else:
-                        new = lstm_step(cell, inps[r] if len(run) == 1
-                                        else np.concatenate(inps[r:r + len(run)]), s)[0]
-                    for i, q in enumerate(qs):
-                        states[q] = LstmState(new.h[i * B:(i + 1) * B],
-                                              new.c[i * B:(i + 1) * B])
-                outs += [states[q].h for q in qs]
+                    lstm_step(cell, inps[r] if k == 1 else np.concatenate(inps[r:r + k]), h, c)
+                outs[r:r + k] = bank.h[m][q:q + k]
+                r += k
             # only the outputs outlive a level, so a tape-free sweep holds
             # one level's inputs and outputs of one block at a time
             below, inps, xw, outs = outs, None, None, None
@@ -589,7 +586,7 @@ def _advance(model: Model, bank: PhaseStateBank, xs: np.ndarray, mode: str, rng,
     train = mode == "train"
     for _ in range(n - 1):  # only the last step's output is a prediction
         head_skip(model.head, B, dropout_rate=cfg.effective_dropout, rng=rng, train=train)
-    hiddens = [states[level.phase(t)].h for level, states in zip(model.levels, bank.states)]
+    hiddens = [h[level.phase(t)] for level, h in zip(model.levels, bank.h)]
     vhat, head_tape = head_forward(model.head, xs[:, -1], hiddens, slope=cfg.leaky_slope,
                                    dropout_rate=cfg.effective_dropout, rng=rng, train=train)
     if tape is not None:
@@ -677,7 +674,7 @@ def rollout_backward(model: Model, tape: RolloutTape, n_obs: int,
     L, h, d_v = len(model.levels), cfg.hidden, cfg.d_v
 
     if grads is None:
-        grads = np.zeros_like(model.theta)
+        grads = np.zeros(model.theta.shape)
     else:
         grads[...] = 0.0
     # the layout's (W, b) pairs: each level's cell, then the head's three layers

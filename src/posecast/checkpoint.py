@@ -36,7 +36,8 @@ __all__ = ["save_checkpoint", "load_checkpoint", "MAGIC", "VERSION"]
 
 
 def save_checkpoint(path, meta: dict, tensors: list[tuple[str, np.ndarray]]):
-    """Write meta + named float64 tensors; atomic (write temp, rename).
+    """Write meta + named float64 tensors; atomic (write temp, rename), and a
+    failed write or rename removes the temp file.
 
     Tensor data is streamed from the arrays to the file, so saving adds no
     copy of the parameters to memory (beyond casting a non-float64 or
@@ -45,16 +46,20 @@ def save_checkpoint(path, meta: dict, tensors: list[tuple[str, np.ndarray]]):
     path = Path(path)
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(MAGIC + struct.pack("<IQ", VERSION, len(meta_bytes)) + meta_bytes
-                 + struct.pack("<I", len(tensors)))
-        for name, arr in tensors:
-            arr = np.ascontiguousarray(arr, dtype="<f8")
-            nb = name.encode("utf-8")
-            fh.write(struct.pack(f"<H{len(nb)}sB{arr.ndim}Q", len(nb), nb, arr.ndim,
-                                 *arr.shape))
-            fh.write(memoryview(arr))
-    tmp.replace(path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC + struct.pack("<IQ", VERSION, len(meta_bytes)) + meta_bytes
+                     + struct.pack("<I", len(tensors)))
+            for name, arr in tensors:
+                arr = np.ascontiguousarray(arr, dtype="<f8")
+                nb = name.encode("utf-8")
+                fh.write(struct.pack(f"<H{len(nb)}sB{arr.ndim}Q", len(nb), nb, arr.ndim,
+                                     *arr.shape))
+                fh.write(memoryview(arr))
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
     lines = [f"format: posecast checkpoint v{VERSION}",
              f"meta keys: {', '.join(sorted(meta))}"]

@@ -4,15 +4,16 @@ Gate storage order in the stacked weight matrix is (i, f, o, g):
 input gate, forget gate, output gate, candidate.  This order is part of
 the checkpoint format and must not change.
 
-Every forward op returns a tape of what it computed that its backward needs
-and cannot recompute cheaply: an LSTM step's gates (i, f, o, g) as
-`lstm_gates` leaves them and its new cell state c, the head's activation
-derivatives and outputs.  tanh(c) and h = o * tanh(c) are recomputed from
-those with the ufuncs `lstm_gates` uses, so they have the forward's bits.
-An LSTM tape also names the step's input and previous state (the caller's
-arrays, not copies); the head's does not, so `head_backward` takes its
-inputs again.  Every input, state and gradient is a (B, d) batch, and every
-output one too; parameter gradients are summed over the batch.
+The LSTM step updates the caller's state in place (`lstm_step`,
+`lstm_gates`): c goes from c_prev to c_new and h receives o * tanh(c_new),
+so a state bank's slab rows are the state.  An LSTM backward reads the
+step's gates (i, f, o, g) as `lstm_gates` leaves them and its new c, and
+recomputes tanh(c) and h from those with the ufuncs `lstm_gates` uses, so
+they have the forward's bits; `LstmTape` names those plus the step's input
+and previous state.  The head returns a tape of its activation derivatives
+and outputs, not its inputs, so `head_backward` takes those again.  Every
+input, state and gradient is a (B, d) batch, and every output one too;
+parameter gradients are summed over the batch.
 
 Each backward is split in two.  `lstm_gate_backward` and
 `head_layer_backward` carry the gradient through one step: the derivatives
@@ -36,7 +37,6 @@ from .numcore import as_f64, seeded_rng
 
 __all__ = [
     "LstmParams",
-    "LstmState",
     "draw_lstm",
     "lstm_step",
     "lstm_gates",
@@ -71,16 +71,6 @@ class LstmParams:
     h: int
 
 
-@dataclass
-class LstmState:
-    h: np.ndarray
-    c: np.ndarray
-
-    @classmethod
-    def zeros(cls, h: int, batch: int) -> "LstmState":
-        return cls(np.zeros((batch, h)), np.zeros((batch, h)))
-
-
 # Elements per `rng.uniform` call in `_draw_uniform`: its temporaries are
 # block-sized, never tensor-sized.
 _DRAW_BLOCK = 1 << 16
@@ -107,55 +97,55 @@ def draw_lstm(p: LstmParams, seed: int, *, stream: tuple = (), forget_bias: floa
 
 @dataclass
 class LstmTape:
-    x: np.ndarray       # the step's input and previous state, the caller's arrays
+    """What `lstm_step_backward` reads of one step."""
+    x: np.ndarray       # the step's input and previous state
     h_prev: np.ndarray
     c_prev: np.ndarray
     gates: np.ndarray   # (B, 4h): i, f, o, g as `lstm_gates` leaves them
     c: np.ndarray       # (B, h): the new cell state
 
 
-def lstm_step(p: LstmParams, x, s: LstmState, gates: np.ndarray | None = None):
-    """One LSTM step on a (B, d_in) input and a (B, h) state.  Returns (next
-    state, tape).  The gates are computed in `gates`, a (B, 4h) float64
-    C-contiguous array, when it is given (a row of a recorded rollout's
-    slab), else in a new one."""
-    x2, h2, c2 = (_batch("lstm_step", a) for a in (x, s.h, s.c))
-    h = p.h
+def lstm_step(p: LstmParams, x, h: np.ndarray, c: np.ndarray,
+              gates: np.ndarray | None = None):
+    """One LSTM step on a (B, d_in) input and the (B, h) float64 state h, c,
+    which it updates in place: [x, h] is read first, then c becomes the new
+    cell state and h the new hidden state.  The gates are computed in
+    `gates`, a (B, 4h) float64 C-contiguous array, when it is given (a row
+    of a recorded rollout's slab), else in a new one."""
+    x2 = _batch("lstm_step", x)
     if x2.shape[1] != p.d_in:
         raise ShapeError(f"lstm_step: input dim {x2.shape[1]} != d_in {p.d_in}")
-    if h2.shape[1] != h or c2.shape[1] != h:
-        raise ShapeError(f"lstm_step: state dims {h2.shape[1]}/{c2.shape[1]} != h {h}")
-    if h2.shape[0] != x2.shape[0] or c2.shape[0] != x2.shape[0]:
-        raise ShapeError("lstm_step: batch size mismatch between input and state")
-    pre = np.matmul(np.concatenate([x2, h2], axis=1), p.W.T, out=gates)
+    # updated in place, so never cast: a cast would update a copy
+    if not all(isinstance(a, np.ndarray) and a.dtype == np.float64
+               and a.shape == (len(x2), p.h) for a in (h, c)):
+        raise ShapeError(f"lstm_step: the state must be two float64 ({len(x2)}, {p.h}) arrays")
+    pre = np.matmul(np.concatenate([x2, h], axis=1), p.W.T, out=gates)
     pre += p.b
-    h_new, c_new = lstm_gates(pre, c2)
-    return LstmState(h=h_new, c=c_new), LstmTape(x=x2, h_prev=h2, c_prev=c2, gates=pre,
-                                                 c=c_new)
+    lstm_gates(pre, c, h)
 
 
-def lstm_gates(pre: np.ndarray, c_prev: np.ndarray):
+def lstm_gates(pre: np.ndarray, c: np.ndarray, h: np.ndarray):
     """The LSTM update from gate preactivations pre (rows, 4h), ordered
-    (i, f, o, g), and the previous cell state c_prev (rows, h).
-
-    Works in place: pre's first 3h columns become the sigmoid gates i, f, o
-    and its last h the candidate g = tanh.  Returns (h_new, c_new), each
-    (rows, h), h_new = o * tanh(c_new).  The elementwise operations are those
-    of 1 / (1 + exp(-x)) and tanh in the same order, so the bits are those of
-    the out-of-place expressions, and a backward that recomputes
-    o * np.tanh(c_new) gets h_new's bits.
+    (i, f, o, g), in place: c (rows, h) goes from the previous cell state to
+    the new one, h (rows, h) receives o * tanh(c_new), and pre's first 3h
+    columns become the sigmoid gates i, f, o and its last h the candidate
+    g = tanh.  The elementwise operations are those of 1 / (1 + exp(-x)),
+    tanh, f * c_prev + i * g and o * tanh(c_new) in the same order, so the
+    bits are those of the out-of-place expressions, and a backward that
+    recomputes o * np.tanh(c_new) gets h's bits.
     """
-    h = c_prev.shape[1]
-    sig = pre[:, :3 * h]
+    n = c.shape[1]
+    sig = pre[:, :3 * n]
     np.negative(sig, out=sig)
     np.exp(sig, out=sig)
     sig += 1.0
     np.divide(1.0, sig, out=sig)
-    g = pre[:, 3 * h:]
+    g = pre[:, 3 * n:]
     np.tanh(g, out=g)
-    c_new = pre[:, h:2 * h] * c_prev
-    c_new += pre[:, :h] * g
-    return pre[:, 2 * h:3 * h] * np.tanh(c_new), c_new
+    np.multiply(pre[:, n:2 * n], c, out=c)
+    c += pre[:, :n] * g
+    np.tanh(c, out=h)
+    np.multiply(pre[:, 2 * n:3 * n], h, out=h)
 
 
 def lstm_gate_backward(p: LstmParams, gates: np.ndarray, tanh_c: np.ndarray,

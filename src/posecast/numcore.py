@@ -64,8 +64,13 @@ def seeded_rng(seed: int, *stream: int) -> np.random.Generator:
 
 def atomic_write_text(path, text: str):
     """Write UTF-8 `text` to `path` through `<path>.tmp` and a rename, so the
-    file is either absent, the old one, or complete."""
+    file is either absent, the old one, or complete.  A failed write or
+    rename removes `<path>.tmp` and re-raises."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    tmp.replace(path)
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -243,7 +243,9 @@ class TrainingData:
     sequences: list[PoseSequence]
     seed_len: int
     target_len: int
-    starts: list[tuple[int, int]] = field(init=False)
+    # the window starts of all sequences in order: sequence i's st-th is
+    # number first[i] + st, and first[-1] counts them all
+    first: np.ndarray = field(init=False)
 
     def __post_init__(self):
         total = self.seed_len + self.target_len
@@ -254,19 +256,19 @@ class TrainingData:
         if len(intervals) > 1:
             raise InputError("TrainingData: sequences at more than one frame interval, "
                              f"{sorted(intervals)} ms")
-        self.starts = []
-        for i, s in enumerate(self.sequences):
-            for st in range(0, s.n_frames - total + 1):
-                self.starts.append((i, st))
-        if not self.starts:
+        counts = [max(0, s.n_frames - total + 1) for s in self.sequences]
+        self.first = np.concatenate([[0], np.cumsum(counts, dtype=np.int64)])
+        if self.first[-1] == 0:
             raise InputError("TrainingData: no sequence long enough for one window")
 
     def sample_batch(self, rng: np.random.Generator, batch_size: int):
         """Uniform random window starts; returns (seed (B,S,d), target (B,n,d))."""
-        idx = rng.integers(0, len(self.starts), size=batch_size)
+        idx = rng.integers(0, int(self.first[-1]), size=batch_size)
+        # the last sequence whose first start is at or before k holds k
+        seqs = np.searchsorted(self.first, idx, side="right") - 1
         seeds, targets = [], []
-        for k in idx:
-            i, st = self.starts[int(k)]
+        for k, i in zip(idx, seqs):
+            st = int(k - self.first[i])
             f = self.sequences[i].frames
             seeds.append(f[st:st + self.seed_len])
             targets.append(f[st + self.seed_len:st + self.seed_len + self.target_len])
@@ -427,7 +429,7 @@ def train_loop(model: Model, dataset: TrainingData, cfg: TrainConfig,
 
     # one gradient buffer for the whole run; clipping and the update work in
     # place on it and on model.theta
-    grads = np.zeros_like(model.theta)
+    grads = np.zeros(model.theta.shape)
     for it in range(start_iteration, cfg.iterations):
         seeds, targets = dataset.sample_batch(rng, cfg.batch_size)
         loss, grads = rollout_loss_batch(model, seeds, targets, cfg,

@@ -18,11 +18,18 @@ get their own finite-difference coverage at float64-friendly scales.
 
 `model_step`, by contrast, is the engine itself: one call of its level sweep
 on one input, the step-at-a-time reference of the rollout tests.
+`stacked_rollout` is the engine's tape-free rollout on a bank of per-phase
+(h, c) arrays: each run of a level's phases concatenated into one LSTM call
+and split back into per-phase views, with an out-of-place state update.  The
+engine's slab bank must reproduce it bit for bit.
+`taped_step` runs the in-place `lstm_step` on copies of a state and keeps
+what the single-step `lstm_step_backward` reads.
 """
 
 import numpy as np
 
 from posecast import arch
+from posecast.layers import LstmTape, head_forward, lstm_step
 
 LD = np.longdouble
 
@@ -41,6 +48,108 @@ def nan_tape(model, B, T):
     for a in (tape.xs, *tape.gates, *tape.c):
         a.fill(np.nan)
     return tape
+
+
+def taped_step(p, x, h_prev, c_prev):
+    """`lstm_step` on copies of the (B, h) state h_prev, c_prev: returns the
+    new (h, c) and the step's `LstmTape`."""
+    h, c = h_prev.copy(), c_prev.copy()
+    gates = np.empty((len(x), 4 * p.h))
+    lstm_step(p, x, h, c, gates=gates)
+    return h, c, LstmTape(x=x, h_prev=h_prev, c_prev=c_prev, gates=gates, c=c)
+
+
+def _gates_out_of_place(pre, c_prev):
+    """The LSTM update on gate preactivations pre: the gates in place on
+    pre, as `layers.lstm_gates` computes them, and the new state as new
+    arrays (h, c)."""
+    h = c_prev.shape[1]
+    sig = pre[:, :3 * h]
+    np.negative(sig, out=sig)
+    np.exp(sig, out=sig)
+    sig += 1.0
+    np.divide(1.0, sig, out=sig)
+    g = pre[:, 3 * h:]
+    np.tanh(g, out=g)
+    c_new = pre[:, h:2 * h] * c_prev
+    c_new += pre[:, :h] * g
+    return pre[:, 2 * h:3 * h] * np.tanh(c_new), c_new
+
+
+def _stacked_sweep(model, states, recent, t0, xs):
+    """One tape-free level sweep over the inputs xs (B, n, d_v) from step t0,
+    on `states` ([level][phase] -> (h, c)) and `recent` (the last K inputs),
+    both updated in place; returns the prediction at the last step."""
+    cfg = model.config
+    K, (B, n, _) = cfg.granularity, xs.shape
+    first = t0 - len(recent)
+
+    def inp(i):
+        return xs[:, i - t0] if i >= t0 else recent[i - first]
+
+    cycle = max(level.phases for level in model.levels)
+    block = cycle * max(1, arch.HOIST_ROWS // (cycle * max(B, 1)))
+    for b0 in range(t0, t0 + n, block):
+        steps = range(b0, min(b0 + block, t0 + n))
+        below = [xs[:, t - t0] for t in steps]
+        for level, cell, st in zip(model.levels, model.cells, states):
+            fired = [t for t in steps if level.fires(t)]
+            if level.source == "stride":
+                inps = [arch._window_sum([inp(i) for i in arch._stride_window(t, K)])
+                        for t in fired]
+            else:
+                inps = [below[t - b0] for t in fired]
+            hoist = 1 < len(fired) and len(fired) * B <= arch.HOIST_ROWS
+            if hoist:
+                xw = np.concatenate(inps) @ cell.W[:, :cell.d_in].T
+                xw += cell.b
+                w_h = cell.W[:, cell.d_in:].T
+            outs = []
+            for r in range(0, len(fired), level.phases):
+                qs = [level.phase(t) for t in fired[r:r + level.phases]]
+                h, c = st[qs[0]] if len(qs) == 1 else (
+                    np.concatenate([st[q][0] for q in qs]), np.concatenate([st[q][1] for q in qs]))
+                if hoist:
+                    pre = h @ w_h
+                    pre += xw[r * B:(r + len(qs)) * B]
+                else:
+                    x = inps[r] if len(qs) == 1 else np.concatenate(inps[r:r + len(qs)])
+                    pre = np.concatenate([x, h], axis=1) @ cell.W.T
+                    pre += cell.b
+                h, c = _gates_out_of_place(pre, c)
+                for i, q in enumerate(qs):
+                    st[q] = (h[i * B:(i + 1) * B], c[i * B:(i + 1) * B])
+                outs += [st[q][0] for q in qs]
+            below = outs
+    t = t0 + n - 1
+    hiddens = [st[level.phase(t)][0] for level, st in zip(model.levels, states)]
+    vhat, _ = head_forward(model.head, xs[:, -1], hiddens, slope=cfg.leaky_slope)
+    recent[:] = [inp(i).copy() for i in range(max(first, t0 + n - K), t0 + n)]
+    return vhat
+
+
+def stacked_rollout(model, seed_vels, origin, n_steps):
+    """The tape-free eval rollout on per-phase states: (preds (n_steps, B,
+    d), per level the list of its phases' final (h, c))."""
+    B, S, _ = seed_vels.shape
+    hid = model.config.hidden
+    states = [[(np.zeros((B, hid)), np.zeros((B, hid)))] * level.phases
+              for level in model.levels]
+    recent = []
+    is_pose = model.levels[0].source == "pose"
+    xs = np.empty_like(seed_vels) if is_pose else seed_vels
+    pose = origin
+    for t in range(S):
+        pose = pose + seed_vels[:, t]
+        if is_pose:
+            xs[:, t] = pose
+    v = _stacked_sweep(model, states, recent, 0, xs)
+    preds = [v]
+    for t in range(S, S + n_steps - 1):
+        pose = pose + v
+        v = _stacked_sweep(model, states, recent, t, (pose if is_pose else v)[:, None])
+        preds.append(v)
+    return np.stack(preds), states
 
 
 def _sigmoid(z):

@@ -86,9 +86,11 @@ def test_criterion_1_gradient_correctness():
 def test_criterion_2_schedule_invariants():
     """For K in {2,3}, M in {2..5}, T=200, on the engine itself: a tp_rnn
     bank holds sum_m K^(m-1) phase sequences, and each recorded one-input
-    step of the level sweep replaces exactly one state per level, phase
+    step of the level sweep changes exactly one state per level, phase
     t mod K^(m-1) of level m, so each level-m phase updates with period
-    K^(m-1).  Under 5 s."""
+    K^(m-1).  The bank's slabs are refilled with random values before each
+    step: a firing on the zero input from a zero state leaves its row as it
+    was.  Under 5 s."""
     t0 = time.time()
     T = 200
     for K in (2, 3):
@@ -97,23 +99,28 @@ def test_criterion_2_schedule_invariants():
                               hidden=2, head1=2, head2=2).validate()
             model = build_model(cfg)
             bank = new_bank(model, 1)
-            assert [len(states) for states in bank.states] == [K ** m for m in range(M)]
-            assert sum(map(len, bank.states)) == sum(K ** m for m in range(M))
+            assert [len(h) for h in bank.h] == [len(c) for c in bank.c] \
+                == [K ** m for m in range(M)]
+            assert sum(map(len, bank.h)) == sum(K ** m for m in range(M))
             table = level_table(cfg)
             updates = {(m, q): [] for m in range(1, M + 1) for q in range(K ** (m - 1))}
             x = np.zeros((1, 1, 2))
             tape = arch.RolloutTape.empty(model, 1, T)
+            rng = np.random.default_rng(K * 10 + M)
             for t in range(T):
-                before = [list(states) for states in bank.states]
+                for a in (*bank.h, *bank.c):
+                    a[...] = rng.normal(size=a.shape)
+                before = [(h.copy(), c.copy()) for h, c in zip(bank.h, bank.c)]
                 arch._advance(model, bank, x, "eval", None, tape)
-                replaced = [(m, q) for m, (old, new) in enumerate(zip(before, bank.states), 1)
-                            for q, (a, b) in enumerate(zip(old, new)) if a is not b]
+                replaced = [(m, int(q)) for m, (h, c) in enumerate(before, 1)
+                            for q in np.flatnonzero(((h != bank.h[m - 1])
+                                                     | (c != bank.c[m - 1])).any(axis=(1, 2)))]
                 # exactly one phase per level, the one the level table names
                 assert replaced == [(m, t % K ** (m - 1)) for m in range(1, M + 1)]
                 assert replaced == [(m, level.phase(t)) for m, level in enumerate(table, 1)]
                 # and each level's firing wrote its tape row, the new state's
                 assert all(np.array_equal(tape.c[m - 1][tape.row(m - 1, table[m - 1], t)],
-                                          bank.states[m - 1][q].c) for m, q in replaced)
+                                          bank.c[m - 1][q]) for m, q in replaced)
                 for mq in replaced:
                     updates[mq].append(t)
             for (m, q), ts in updates.items():
@@ -142,7 +149,7 @@ def test_criterion_3_parameter_accounting():
         alt = build_model(ModelConfig(variant="tp_rnn", d_v=3, granularity=K,
                                       levels=2, hidden=4, head1=5, head2=4))
         ok = ok and alt.n_params == 371
-    ok = ok and sum(map(len, new_bank(model, 1).states)) == 3 and len(model.cells) == 2
+    ok = ok and sum(map(len, new_bank(model, 1).h)) == 3 and len(model.cells) == 2
     report(3, ok, f"(cell0 {cell0} + cell1 {cell1} + head {head} = "
                   f"{model.n_params}; K-independent; 3 logical / 2 cells + head)")
 

@@ -57,7 +57,7 @@ def test_logical_sequence_count():
     for K, M, n in [(2, 2, 3), (2, 5, 31), (3, 3, 13)]:
         model = build_model(tiny_cfg(granularity=K, levels=M))
         assert sum(level.phases for level in model.levels) == n
-        assert sum(map(len, new_bank(model, 1).states)) == n
+        assert sum(map(len, new_bank(model, 1).h)) == n
 
 
 def test_mixed_radix_phase_spawning_equivalence():
@@ -80,18 +80,26 @@ def _written_rows(tape):
 
 
 def _step_updates(model, bank, x, tape):
-    """One step, recorded into `tape` (see `nan_tape`): the (level, phase) of
-    every state it replaced.  The levels that wrote a tape row are exactly the
-    updated ones, each one row, its firing's, holding the new cell state."""
-    t, before, rows = bank.t, [list(states) for states in bank.states], _written_rows(tape)
+    """One step, recorded into `tape` (see `nan_tape`), on a bank whose slabs
+    are first filled with random values, so every firing changes its rows:
+    the (level, phase) of every slab row it changed.  The levels that wrote a
+    tape row are exactly the updated ones, each one row, its firing's,
+    holding the new cell state."""
+    rng = np.random.default_rng(bank.t)
+    for a in (*bank.h, *bank.c):
+        a[...] = rng.normal(size=a.shape)
+    t, rows = bank.t, _written_rows(tape)
+    before = [(h.copy(), c.copy()) for h, c in zip(bank.h, bank.c)]
     model_step(model, bank, x, tape=tape)
-    updated = [(m, q) for m, (old, new) in enumerate(zip(before, bank.states), start=1)
-               for q, (a, b) in enumerate(zip(old, new)) if a is not b]
+    changed = [((h != h1) | (c != c1)).any(axis=(1, 2))
+               for (h, c), h1, c1 in zip(before, bank.h, bank.c)]
+    updated = [(m, int(q)) for m, rows in enumerate(changed, start=1)
+               for q in np.flatnonzero(rows)]
     grew = [m for m, (a, b) in enumerate(zip(rows, _written_rows(tape)), start=1) if b != a]
     assert [m for m, _ in updated] == grew
     for m, q in updated:
         row = tape.row(m - 1, model.levels[m - 1], t)
-        assert np.array_equal(tape.c[m - 1][row], bank.states[m - 1][q].c)
+        assert np.array_equal(tape.c[m - 1][row], bank.c[m - 1][q])
     return updated
 
 
@@ -278,7 +286,7 @@ def test_physical_cells_vs_logical_sequences():
     model = build_model(tiny_cfg())
     assert len(model.cells) == 2
     bank = new_bank(model, 1)
-    assert [len(level) for level in bank.states] == [1, 2]
+    assert [len(level) for level in bank.h] == [len(level) for level in bank.c] == [1, 2]
 
 
 def test_weight_sharing_mutation_affects_all_phases():
@@ -291,8 +299,7 @@ def test_weight_sharing_mutation_affects_all_phases():
     bank = new_bank(model, 1)
     for t in range(6):
         model_step(model, bank, xs[t:t + 1])
-    for phase in bank.states[1]:
-        assert not np.any(phase.h) and not np.any(phase.c)
+    assert not np.any(bank.h[1]) and not np.any(bank.c[1])
 
 
 def test_single_layer_vel_shapes():
@@ -418,11 +425,11 @@ def test_observe_schedule_counts():
     # bank's state: its cell state, and h = o * tanh(c)
     h = model.config.hidden
     for m, level in enumerate(model.levels):
-        for q, state in enumerate(bank.states[m]):
+        for q in range(level.phases):
             row = tape.row(m, level, 49 - (49 - q) % level.phases)
-            assert np.array_equal(tape.c[m][row], state.c)
+            assert np.array_equal(tape.c[m][row], bank.c[m][q])
             assert np.array_equal(tape.gates[m][row, :, 2 * h:3 * h] * np.tanh(tape.c[m][row]),
-                                  state.h)
+                                  bank.h[m][q])
 
 
 def test_observe_empty_seed_rejected():
@@ -511,10 +518,10 @@ def test_double_scale_strided_input_is_pose_difference_over_k(monkeypatch):
     model = build_model(tiny_cfg(variant="double_scale_vel"))
     upper_inputs, real_step = [], arch.lstm_step
 
-    def step(p, x, s, gates=None):
+    def step(p, x, h, c, gates=None):
         if p is model.cells[1]:
             upper_inputs.append(x)
-        return real_step(p, x, s, gates)
+        real_step(p, x, h, c, gates)
 
     monkeypatch.setattr(arch, "lstm_step", step)
     rng = np.random.default_rng(6)

@@ -118,6 +118,11 @@ def test_no_stray_temp_files(tmp_path):
     save_checkpoint(tmp_path / "ck.bin", {}, [("w", np.zeros(2))])
     names = sorted(f.name for f in tmp_path.iterdir())
     assert names == ["ck.bin", "ck.bin.manifest.txt"]
+    # nor a failed save: the rename onto a directory fails
+    (tmp_path / "dir.bin").mkdir()
+    with pytest.raises(OSError):
+        save_checkpoint(tmp_path / "dir.bin", {}, [("w", np.zeros(2))])
+    assert sorted(f.name for f in tmp_path.iterdir()) == names + ["dir.bin"]
 
 
 def _header(meta: dict, n_tensors: int) -> bytes:

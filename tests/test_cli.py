@@ -702,6 +702,17 @@ def test_forecast_dim_mismatch(tmp_path):
                "--n-steps", 2, "--out", tmp_path / "p.csv") == 2
 
 
+def test_forecast_out_a_directory_exits_5_leaving_no_temp_file(tmp_path):
+    # the CSV goes through <out>.tmp and a rename; the rename onto a
+    # directory fails, and the temp file goes with it
+    out = tmp_path / "p.csv"
+    out.mkdir()
+    sd = seed_csv(tmp_path, [[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
+    assert run("forecast", "--checkpoint", zero_checkpoint(tmp_path), "--seed-csv", sd,
+               "--n-steps", 2, "--out", out) == 5
+    assert out.is_dir() and not (tmp_path / "p.csv.tmp").exists()
+
+
 def test_forecast_is_deterministic(tmp_path):
     data = synth(tmp_path)
     mc, tc = _train_cfgs(tmp_path, iterations=20)

@@ -1,14 +1,15 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from posecast.errors import ConfigError, ShapeError
-from posecast.layers import (HeadParams, LstmParams, LstmState, draw_head, draw_lstm,
+from posecast.layers import (HeadParams, LstmParams, draw_head, draw_lstm,
                              head_backward, head_forward, head_layer_backward,
                              head_skip, lstm_gate_backward, lstm_step,
                              lstm_step_backward)
+
+from rollout_oracle import taped_step
 
 
 def init_lstm(d_in, h, seed, forget_bias=1.0) -> LstmParams:
@@ -47,6 +48,11 @@ def grad_check(f, theta, analytic, eps=1e-5) -> np.ndarray:
         g_fd = (fp - fm) / (2.0 * eps)
         rel[k] = abs(analytic[k] - g_fd) / max(abs(analytic[k]), abs(g_fd), 1e-8)
     return rel
+
+
+def _zeros(B: int, h: int):
+    """A zero (B, h) LSTM state (h, c)."""
+    return np.zeros((B, h)), np.zeros((B, h))
 
 
 def _zeroed(p: LstmParams) -> LstmParams:
@@ -89,9 +95,9 @@ def test_lstm_param_count_closed_form():
 
 def test_lstm_step_all_zero_params():
     p = _zeroed(init_lstm(3, 4, seed=0))
-    s, _ = lstm_step(p, np.ones((1, 3)), LstmState.zeros(4, 1))
-    assert np.array_equal(s.h, np.zeros((1, 4)))
-    assert np.array_equal(s.c, np.zeros((1, 4)))
+    h, c, _ = taped_step(p, np.ones((1, 3)), *_zeros(1, 4))
+    assert np.array_equal(h, np.zeros((1, 4)))
+    assert np.array_equal(c, np.zeros((1, 4)))
 
 
 def test_lstm_step_gate_saturation_preserves_cell():
@@ -100,9 +106,9 @@ def test_lstm_step_gate_saturation_preserves_cell():
     p.b[0 * h:1 * h] = -50.0  # input gate shut
     p.b[1 * h:2 * h] = +50.0  # forget gate open
     p.b[2 * h:3 * h] = -50.0  # output gate shut
-    s, _ = lstm_step(p, np.zeros((1, 2)), LstmState(h=np.zeros((1, h)), c=np.ones((1, h))))
-    assert np.allclose(s.c, np.ones((1, h)), atol=1e-12)
-    assert np.allclose(s.h, np.zeros((1, h)), atol=1e-12)
+    hh, c, _ = taped_step(p, np.zeros((1, 2)), np.zeros((1, h)), np.ones((1, h)))
+    assert np.allclose(c, np.ones((1, h)), atol=1e-12)
+    assert np.allclose(hh, np.zeros((1, h)), atol=1e-12)
 
 
 def test_lstm_step_matches_scalar_oracle():
@@ -138,43 +144,39 @@ def test_lstm_step_matches_scalar_oracle():
         exp_c.append(c)
         exp_h.append(o * math.tanh(c))
 
-    s, _ = lstm_step(p, np.array([x]), LstmState(h=np.array([h_prev]), c=np.array([c_prev])))
-    assert np.allclose(s.h[0], exp_h, atol=1e-15)
-    assert np.allclose(s.c[0], exp_c, atol=1e-15)
+    h, c, _ = taped_step(p, np.array([x]), np.array([h_prev]), np.array([c_prev]))
+    assert np.allclose(h[0], exp_h, atol=1e-15)
+    assert np.allclose(c[0], exp_c, atol=1e-15)
 
 
 @pytest.mark.parametrize("B,h", [(1, 5), (16, 64), (3, 256)])
 def test_lstm_step_gates_are_the_textbook_expressions_bit_for_bit(B, h):
-    # the gates are computed in place; their bits must be those of the
-    # out-of-place expressions, or a recorded tape, a loss and a checkpoint
-    # would move
+    # the gates and the state are computed in place; their bits must be
+    # those of the out-of-place expressions, or a recorded tape, a loss and a
+    # checkpoint would move
     d_in = 7
     p = init_lstm(d_in, h, seed=B)
     rng = np.random.default_rng(h)
     p.b[:] = rng.normal(scale=10.0, size=4 * h)  # saturated gates too
     x, h_prev, c_prev = (rng.normal(scale=3.0, size=(B, n)) for n in (d_in, h, h))
-    s, tape = lstm_step(p, x, LstmState(h=h_prev, c=c_prev))
 
     pre = np.concatenate([x, h_prev], axis=1) @ p.W.T + p.b
     i, f, o = (1.0 / (1.0 + np.exp(-pre[:, k * h:(k + 1) * h])) for k in range(3))
     g = np.tanh(pre[:, 3 * h:])
     c = f * c_prev + i * g
-    tanh_c = np.tanh(c)
-    want = {"x": x, "h_prev": h_prev, "c_prev": c_prev,
-            "gates": np.concatenate([i, f, o, g], axis=1), "c": c}
-    assert set(want) == {fld.name for fld in dataclasses.fields(tape)}
-    for name, a in want.items():
-        assert np.array_equal(getattr(tape, name), a), name
-    assert np.array_equal(s.c, c)
-    assert np.array_equal(s.h, o * tanh_c)
+    # the state is updated in place in rows of a bank's slab, the gates
+    # written into a row of a recorded rollout's slab
+    state = np.stack([h_prev, c_prev])[:, None].repeat(2, axis=1)
+    gates = np.full((2, B, 4 * h), np.nan)
+    assert lstm_step(p, x, state[0, 1], state[1, 1], gates=gates[1]) is None
+    assert np.array_equal(gates[1], np.concatenate([i, f, o, g], axis=1))
+    assert np.array_equal(state[1, 1], c)
+    assert np.array_equal(state[0, 1], o * np.tanh(c))
+    # the other rows are untouched
+    assert np.isnan(gates[0]).all()
+    assert np.array_equal(state[0, 0], h_prev) and np.array_equal(state[1, 0], c_prev)
     # a backward recomputes h from the tape's o and c with the same bits
-    assert np.array_equal(tape.gates[:, 2 * h:3 * h] * np.tanh(tape.c), s.h)
-    # gates written into a given array, a row of a recorded rollout's slab
-    slab = np.full((2, B, 4 * h), np.nan)
-    s2, tape2 = lstm_step(p, x, LstmState(h=h_prev, c=c_prev), gates=slab[1])
-    assert np.shares_memory(tape2.gates, slab[1]) and np.array_equal(slab[1], tape.gates)
-    assert np.isnan(slab[0]).all()
-    assert np.array_equal(s2.h, s.h) and np.array_equal(s2.c, s.c)
+    assert np.array_equal(gates[1, :, 2 * h:3 * h] * np.tanh(state[1, 1]), state[0, 1])
 
 
 @pytest.mark.parametrize("B,h", [(1, 5), (16, 64)])
@@ -186,7 +188,7 @@ def test_lstm_gate_backward_is_the_textbook_expressions_bit_for_bit(B, h):
     p = init_lstm(d_in, h, seed=B)
     rng = np.random.default_rng(h + 1)
     x, h_prev, c_prev, dh, dc_in = (rng.normal(size=(B, n)) for n in (d_in, h, h, h, h))
-    _, tape = lstm_step(p, x, LstmState(h=h_prev, c=c_prev))
+    _, _, tape = taped_step(p, x, h_prev, c_prev)
     i, f, o, g = (tape.gates[:, k * h:(k + 1) * h].copy() for k in range(4))
     tanh_c = np.tanh(tape.c)
     do = dh * tanh_c
@@ -204,9 +206,14 @@ def test_lstm_gate_backward_is_the_textbook_expressions_bit_for_bit(B, h):
 def test_lstm_step_shape_errors():
     p = init_lstm(3, 4, seed=0)
     with pytest.raises(ShapeError):
-        lstm_step(p, np.ones((1, 2)), LstmState.zeros(4, 1))
+        lstm_step(p, np.ones((1, 2)), *_zeros(1, 4))
     with pytest.raises(ShapeError):
-        lstm_step(p, np.ones((1, 3)), LstmState.zeros(5, 1))
+        lstm_step(p, np.ones((1, 3)), *_zeros(1, 5))
+    with pytest.raises(ShapeError):
+        lstm_step(p, np.ones((2, 3)), *_zeros(1, 4))
+    # an update in place needs float64 arrays: a cast would update a copy
+    with pytest.raises(ShapeError):
+        lstm_step(p, np.ones((1, 3)), np.zeros((1, 4), np.float32), np.zeros((1, 4)))
 
 
 def test_lstm_step_batched_matches_loop():
@@ -215,13 +222,13 @@ def test_lstm_step_batched_matches_loop():
     X = rng.normal(size=(6, 3))
     H = rng.normal(size=(6, 4))
     C = rng.normal(size=(6, 4))
-    s, _ = lstm_step(p, X, LstmState(h=H, c=C))
+    h, c, _ = taped_step(p, X, H, C)
     for i in range(6):
-        si, _ = lstm_step(p, X[i:i + 1], LstmState(h=H[i:i + 1], c=C[i:i + 1]))
+        hi, ci, _ = taped_step(p, X[i:i + 1], H[i:i + 1], C[i:i + 1])
         # matmul accumulation order differs between batched and single-row
         # calls, so agreement is to rounding, not bit-exact
-        assert np.allclose(s.h[i], si.h[0], atol=1e-15)
-        assert np.allclose(s.c[i], si.c[0], atol=1e-15)
+        assert np.allclose(h[i], hi[0], atol=1e-15)
+        assert np.allclose(c[i], ci[0], atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +247,7 @@ def _lstm_from_flat(theta, d_in, h):
 
 def test_lstm_backward_zero_grads():
     p = init_lstm(2, 3, seed=0)
-    _, tape = lstm_step(p, np.ones((1, 2)), LstmState.zeros(3, 1))
+    _, _, tape = taped_step(p, np.ones((1, 2)), *_zeros(1, 3))
     (dW, db), dx, (dh, dc) = lstm_step_backward(p, tape, np.zeros((1, 3)), np.zeros((1, 3)))
     assert not np.any(dW) and not np.any(db)
     assert not np.any(dx) and not np.any(dh) and not np.any(dc)
@@ -252,16 +259,16 @@ def test_lstm_backward_matches_fd(seed):
     rng = np.random.default_rng(seed)
     p = init_lstm(d_in, h, seed=seed)
     x = rng.normal(size=(1, d_in))
-    s0 = LstmState(h=rng.normal(size=(1, h)) * 0.5, c=rng.normal(size=(1, h)) * 0.5)
+    h0, c0 = rng.normal(size=(1, h)) * 0.5, rng.normal(size=(1, h)) * 0.5
     wh = rng.normal(size=(1, h))
     wc = rng.normal(size=(1, h))
 
     def f(theta):
         pp = _lstm_from_flat(theta, d_in, h)
-        s, _ = lstm_step(pp, x, LstmState(h=s0.h.copy(), c=s0.c.copy()))
-        return float(np.sum(wh * s.h + wc * s.c))
+        hh, c, _ = taped_step(pp, x, h0, c0)
+        return float(np.sum(wh * hh + wc * c))
 
-    _, tape = lstm_step(p, x, s0)
+    _, _, tape = taped_step(p, x, h0, c0)
     (dW, db), _, _ = lstm_step_backward(p, tape, wh, wc)
     ga = np.concatenate([dW.ravel(), db.ravel()])
     rel = grad_check(f, _lstm_flat(p), ga, eps=1e-5)
@@ -278,12 +285,12 @@ def test_lstm_backward_chained_input_gradient():
     w = rng.normal(size=(1, h))
 
     def f(x1v):
-        s1, _ = lstm_step(p, x1v, LstmState.zeros(h, 1))
-        s2, _ = lstm_step(p, x2, s1)
-        return float(np.sum(w * s2.h))
+        h1, c1, _ = taped_step(p, x1v, *_zeros(1, h))
+        h2, _, _ = taped_step(p, x2, h1, c1)
+        return float(np.sum(w * h2))
 
-    s1, tape1 = lstm_step(p, x1, LstmState.zeros(h, 1))
-    _, tape2 = lstm_step(p, x2, s1)
+    h1, c1, tape1 = taped_step(p, x1, *_zeros(1, h))
+    _, _, tape2 = taped_step(p, x2, h1, c1)
     _, _, (dh1, dc1) = lstm_step_backward(p, tape2, w, np.zeros((1, h)))
     _, dx1, _ = lstm_step_backward(p, tape1, dh1, dc1)
 
@@ -465,12 +472,11 @@ def test_layers_reject_unbatched_arrays():
     # ShapeError, never a batch of one
     p = init_lstm(3, 4, seed=0)
     hp = init_head(3, 1, 4, 5, 4, seed=0)
-    s = LstmState.zeros(4, 1)
     with pytest.raises(ShapeError):
-        lstm_step(p, np.ones(3), s)
+        lstm_step(p, np.ones(3), *_zeros(1, 4))
     with pytest.raises(ShapeError):
-        lstm_step(p, np.ones((1, 3)), LstmState(np.zeros(4), np.zeros(4)))
-    _, tape = lstm_step(p, np.ones((1, 3)), s)
+        lstm_step(p, np.ones((1, 3)), np.zeros(4), np.zeros(4))
+    _, _, tape = taped_step(p, np.ones((1, 3)), *_zeros(1, 4))
     with pytest.raises(ShapeError):
         lstm_step_backward(p, tape, np.zeros(4), np.zeros(4))
     with pytest.raises(ShapeError):
@@ -485,7 +491,7 @@ def test_layers_reject_unbatched_arrays():
 def test_backward_cores_name_themselves_in_shape_errors():
     # arch.rollout_backward calls the cores directly, so their errors name them
     p = init_lstm(3, 4, seed=0)
-    _, tape = lstm_step(p, np.ones((2, 3)), LstmState.zeros(4, 2))
+    _, _, tape = taped_step(p, np.ones((2, 3)), *_zeros(2, 4))
     with pytest.raises(ShapeError, match=r"^lstm_gate_backward: grad shapes"):
         lstm_gate_backward(p, tape.gates, np.tanh(tape.c), tape.c_prev, np.zeros((2, 5)),
                            np.zeros((2, 4)))

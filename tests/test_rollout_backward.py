@@ -20,9 +20,10 @@ import pytest
 
 import posecast.arch as arch
 from posecast.arch import ModelConfig, build_model, rollout_backward, rollout_forward
-from posecast.layers import (LstmState, head_backward, head_forward, lstm_step,
-                             lstm_step_backward)
+from posecast.layers import head_backward, head_forward, lstm_step_backward
 from posecast.posedata import synth_multiscale
+
+from rollout_oracle import taped_step
 
 
 def _phase(cfg, m, t):
@@ -48,10 +49,10 @@ def reference_forward(model, seed_vels, origin, n_pred, mode="eval", rng=None):
     B, S, _ = seed_vels.shape
     K, h = cfg.granularity, cfg.hidden
     is_pose = cfg.variant == "single_layer_pose"
-    states = {}  # (level, phase) -> its latest LstmState
+    states = {}  # (level, phase) -> its latest (h, c)
 
     def state(m, q):
-        return states.get((m, q), LstmState.zeros(h, B))
+        return states.get((m, q), (np.zeros((B, h)), np.zeros((B, h))))
 
     xs, steps, preds, pose = [], [], [], origin
     for t in range(S + n_pred - 1):
@@ -71,10 +72,10 @@ def reference_forward(model, seed_vels, origin, n_pred, mode="eval", rng=None):
                 for i in range(lo + 1, t + 1):
                     inp = inp + xs[i]
             q = _phase(cfg, m, t)
-            states[m, q], tape = lstm_step(model.cells[m - 1], inp, state(m, q))
+            *states[m, q], tape = taped_step(model.cells[m - 1], inp, *state(m, q))
             tapes.append(tape)
-            below = states[m, q].h
-        hiddens = [state(m, _phase(cfg, m, t)).h for m in range(1, cfg.levels + 1)]
+            below = states[m, q][0]
+        hiddens = [state(m, _phase(cfg, m, t))[0] for m in range(1, cfg.levels + 1)]
         # the head runs at every step, so its dropout masks come from the
         # same draws; only its outputs from t = S-1 on are predictions
         out, htape = head_forward(model.head, xs[t], hiddens, slope=cfg.leaky_slope,

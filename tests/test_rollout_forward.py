@@ -7,14 +7,16 @@ sweep) per step.
 The recorded sweep runs each firing step as its own B-row call and must match
 that reference bit for bit, tapes (the reference one-input calls record into a
 tape of their own), dropout masks and random stream included.
-`rollout_forward(record=False)` stacks each run of a level's phases into one
-batch and sweeps blocks of whole top-level phase cycles of about
-`arch.HOIST_ROWS` rows; it must reproduce the reference's predictions to
-1e-12, max-abs normalised, and its state bank at t = S exactly.  At B=1 a
+`rollout_forward(record=False)` runs each run of a level's phases on one
+slice of its state slabs and sweeps blocks of whole top-level phase cycles of
+about `arch.HOIST_ROWS` rows; it must reproduce the reference's predictions
+to 1e-12, max-abs normalised, and its state bank at t = S exactly.  At B=1 a
 stacked round is a 2-4 row GEMM where the reference runs 1-row products, and
 where a level hoists its input projections over a block (its firing steps
 there hold at most `arch.HOIST_ROWS` rows) each preactivation is summed in two
-parts; there the states agree to rounding only.
+parts; there the states agree to rounding only.  Against
+`rollout_oracle.stacked_rollout`, the same rounds on per-phase states
+concatenated per run and split back, it must agree bit for bit.
 """
 
 import dataclasses
@@ -27,7 +29,7 @@ from posecast import arch
 from posecast.arch import ModelConfig, build_model, new_bank, rollout_forward
 from posecast.errors import ConfigError
 
-from rollout_oracle import model_step, nan_tape
+from rollout_oracle import model_step, nan_tape, stacked_rollout
 
 VARIANT_LEVELS = [("single_layer_pose", 1), ("single_layer_vel", 1),
                   ("stacked2_vel", 2), ("double_scale_vel", 2),
@@ -108,16 +110,13 @@ def _check(model, B, S, n_pred=6):
         else seed_vels
     for ti, x, y in zip(window, bank.recent, bank_ref.recent):
         assert np.array_equal(x, y) and np.allclose(x, xs[:, ti], rtol=0, atol=1e-12)
-    assert [len(level) for level in bank.states] == [len(level) for level in bank_ref.states]
     exact = B > 1 and not _hoisted(model, B, S)
-    for level, level_ref in zip(bank.states, bank_ref.states):
-        for s, s_ref in zip(level, level_ref):
-            for a, b in ((s.h, s_ref.h), (s.c, s_ref.c)):
-                assert a.shape == b.shape == (B, 5)
-                if exact:
-                    assert np.array_equal(a, b)
-                else:
-                    assert np.allclose(a, b, rtol=0, atol=1e-14)
+    for a, b, level in zip([*bank.h, *bank.c], [*bank_ref.h, *bank_ref.c], model.levels * 2):
+        assert a.shape == b.shape == (level.phases, B, 5)
+        if exact:
+            assert np.array_equal(a, b)
+        else:
+            assert np.allclose(a, b, rtol=0, atol=1e-14)
     assert np.array_equal(v, got[0]) and np.abs(v - v_ref).max() <= 1e-12 * np.abs(v_ref).max()
 
 
@@ -139,6 +138,26 @@ def test_tape_free_matches_recording_tp_rnn_m3(K, S, B):
     # HOIST_ROWS + 1 the seed runs in blocks of K^(M-1) steps (K=2, S=10:
     # 4, 4, 2; K=3, S=10: 9, 1), and the bank must match exactly
     _check(_model("tp_rnn", 3, K=K), B, S=S)
+
+
+@pytest.mark.parametrize("S", [1, 10, 300])
+@pytest.mark.parametrize("B", [1, 3, arch.HOIST_ROWS + 1])
+@pytest.mark.parametrize("variant,levels,K", [(v, m, 2) for v, m in VARIANT_LEVELS]
+                         + [("tp_rnn", 3, 3)])
+def test_tape_free_matches_the_stacked_reference_bit_for_bit(variant, levels, K, B, S):
+    # the slab bank runs the same GEMMs on the same rows and the same ufuncs
+    # in the same order as the per-phase states did, so predictions and the
+    # final bank are the reference's bits
+    model = _model(variant, levels, K=K)
+    seed_vels, origin = _inputs(B, S, seed=S)
+    ref, states = stacked_rollout(model, seed_vels, origin, 6)
+    got, _ = rollout_forward(model, seed_vels, origin, 6, mode="eval", record=False)
+    assert np.array_equal(got, ref)
+    bank, v = arch._observe(model, seed_vels, origin, "eval", None, None)
+    arch._feed_back(model, bank, v, 6, "eval", None)
+    for m, phases in enumerate(states):
+        assert np.array_equal(bank.h[m], np.stack([h for h, _ in phases]))
+        assert np.array_equal(bank.c[m], np.stack([c for _, c in phases]))
 
 
 def test_tape_free_seed_memory_does_not_grow_with_its_length():
@@ -185,10 +204,10 @@ def test_long_single_seed_hoists_block_by_block(monkeypatch):
     assert arch.HOIST_ROWS < S and _hoisted(model, 1, S)
     calls = []
     real_step, real_gates = arch.lstm_step, arch.lstm_gates
-    monkeypatch.setattr(arch, "lstm_step",
-                        lambda p, x, s: calls.append(("step", x.shape[0])) or real_step(p, x, s))
-    monkeypatch.setattr(arch, "lstm_gates",
-                        lambda pre, c: calls.append(("gates", pre.shape[0])) or real_gates(pre, c))
+    monkeypatch.setattr(arch, "lstm_step", lambda p, x, h, c: calls.append(
+        ("step", x.shape[0])) or real_step(p, x, h, c))
+    monkeypatch.setattr(arch, "lstm_gates", lambda pre, c, h: calls.append(
+        ("gates", pre.shape[0])) or real_gates(pre, c, h))
     seed_vels, origin = _inputs(1, S)
     arch._observe(model, seed_vels, origin, "eval", None, None)
     want = [1] * 256 + [2] * 128 + [4] * 64 + [1] * 44 + [2] * 22 + [4] * 11
@@ -324,13 +343,13 @@ def test_level_major_schedule_stacks_phases(monkeypatch):
     rows, heads = [], []
     real_step, real_gates, real_head = arch.lstm_step, arch.lstm_gates, arch.head_forward
 
-    def count_step(p, x, s, gates=None):
+    def count_step(p, x, h, c, gates=None):
         rows.append((level[id(p)], x.shape[0]))
-        return real_step(p, x, s, gates)
+        real_step(p, x, h, c, gates)
 
-    def count_gates(pre, c_prev):
+    def count_gates(pre, c, h):
         rows.append(("gates", pre.shape[0]))
-        return real_gates(pre, c_prev)
+        real_gates(pre, c, h)
 
     def count_head(*a, **kw):
         heads.append(1)
@@ -378,6 +397,7 @@ def test_observe_wrapper_tape_free_matches_recording(variant, levels):
         bank, tape, v_first = observe(model, np.diff(frames, axis=0), frames[0], record=record)
         assert (tape is None) == (not record)
         assert v_first.shape == (3,) and bank.last_pose.shape == (1, 3)
-        assert all(s.h.shape == (1, 5) for level in bank.states for s in level)
+        assert [a.shape for a in bank.h] == [a.shape for a in bank.c] \
+            == [(level.phases, 1, 5) for level in model.levels]
         out.append(forecast(model, bank, v_first, 6))
     assert np.abs(out[1] - out[0]).max() <= 1e-12 * np.abs(out[0]).max()

@@ -202,10 +202,26 @@ def test_rollout_gradients_match_fd_all_variants(variant, levels, loss_space):
 def test_training_data_window_enumeration():
     seqs = synth_multiscale(2, 20, 3, seed=0)
     data = TrainingData(sequences=seqs, seed_len=10, target_len=5)
-    assert len(data.starts) == 2 * (20 - 15 + 1)
+    assert data.first[-1] == 2 * (20 - 15 + 1)
     seeds, targets = data.sample_batch(np.random.default_rng(0), 4)
     assert seeds.shape == (4, 10, 3)
     assert targets.shape == (4, 5, 3)
+
+
+def test_sample_batch_draws_the_batches_of_a_list_of_starts():
+    # sequences of uneven lengths, two too short for a window: the same draws
+    # pick the same windows as one (sequence, start) pair per window start
+    seqs = [synth_multiscale(1, n, 3, seed=n)[0] for n in (20, 7, 31, 15, 3, 16)]
+    data = TrainingData(sequences=seqs, seed_len=10, target_len=5)
+    starts = [(i, st) for i, s in enumerate(seqs) for st in range(s.n_frames - 15 + 1)]
+    assert data.first[-1] == len(starts) == 6 + 17 + 1 + 2
+    rng, rng_ref = np.random.default_rng(3), np.random.default_rng(3)
+    seeds, targets = data.sample_batch(rng, 1000)
+    idx = rng_ref.integers(0, len(starts), size=1000)
+    assert set(idx) == set(range(len(starts)))  # every window, first and last included
+    windows = np.stack([seqs[i].frames[st:st + 15] for i, st in (starts[k] for k in idx)])
+    assert np.array_equal(seeds, windows[:, :10]) and np.array_equal(targets, windows[:, 10:])
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
 def test_training_data_errors():
