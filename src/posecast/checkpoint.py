@@ -12,6 +12,12 @@ Layout (all integers little-endian):
         ndim     u8,  dims as u64 each
         data     row-major float64 little-endian
 
+A posecast model checkpoint lists its tensors in `Model.theta` order (see
+`arch.param_layout`): each level's `cell<m>.W` and `cell<m>.b`, then the
+head's `head.W1` .. `head.b3`.  A training checkpoint of an Adam run follows
+them with the first moments under the same names prefixed `opt.m.`, then
+the second moments prefixed `opt.v.`; `train._checkpoint_layout` lists them.
+
 Round-trips are bit-exact.  The sidecar `<path>.manifest.txt` lists the
 format version, meta keys, and tensor shapes for human inspection.
 """
@@ -27,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError
-from .numcore import atomic_write_text
+from .numcore import atomic_file, atomic_write_text
 
 MAGIC = b"PCASTCK\n"
 VERSION = 1
@@ -36,8 +42,7 @@ __all__ = ["save_checkpoint", "load_checkpoint", "MAGIC", "VERSION"]
 
 
 def save_checkpoint(path, meta: dict, tensors: list[tuple[str, np.ndarray]]):
-    """Write meta + named float64 tensors; atomic (write temp, rename), and a
-    failed write or rename removes the temp file.
+    """Write meta + named float64 tensors, atomically (`numcore.atomic_file`).
 
     Tensor data is streamed from the arrays to the file, so saving adds no
     copy of the parameters to memory (beyond casting a non-float64 or
@@ -45,21 +50,15 @@ def save_checkpoint(path, meta: dict, tensors: list[tuple[str, np.ndarray]]):
     """
     path = Path(path)
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC + struct.pack("<IQ", VERSION, len(meta_bytes)) + meta_bytes
-                     + struct.pack("<I", len(tensors)))
-            for name, arr in tensors:
-                arr = np.ascontiguousarray(arr, dtype="<f8")
-                nb = name.encode("utf-8")
-                fh.write(struct.pack(f"<H{len(nb)}sB{arr.ndim}Q", len(nb), nb, arr.ndim,
-                                     *arr.shape))
-                fh.write(memoryview(arr))
-        tmp.replace(path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_file(path) as fh:
+        fh.write(MAGIC + struct.pack("<IQ", VERSION, len(meta_bytes)) + meta_bytes
+                 + struct.pack("<I", len(tensors)))
+        for name, arr in tensors:
+            arr = np.ascontiguousarray(arr, dtype="<f8")
+            nb = name.encode("utf-8")
+            fh.write(struct.pack(f"<H{len(nb)}sB{arr.ndim}Q", len(nb), nb, arr.ndim,
+                                 *arr.shape))
+            fh.write(memoryview(arr))
 
     lines = [f"format: posecast checkpoint v{VERSION}",
              f"meta keys: {', '.join(sorted(meta))}"]

@@ -47,7 +47,7 @@ def read_kv_config(path) -> dict[str, str]:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
         raise ParseError(f"{path}: not UTF-8 text ({e.reason})") from None
-    out = {}
+    out, linenos = {}, {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -55,7 +55,11 @@ def read_kv_config(path) -> dict[str, str]:
         if "=" not in line:
             raise ParseError(f"{path}:{lineno}: expected key=value")
         key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in out:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} repeated (first set on "
+                              f"line {linenos[key]})")
+        out[key], linenos[key] = value.strip(), lineno
     return out
 
 
@@ -127,6 +131,10 @@ def cmd_train(args) -> int:
     if args.resume:
         model, meta, adam = load_model_checkpoint(args.resume)
         tcfg, start_iteration, rng_state = resume_state(args.resume, meta)
+        if (adam is not None) != (tcfg.optimizer == "adam"):
+            held = "holds" if adam is not None else "lacks"
+            raise InputError(f"{args.resume}: the checkpoint {held} Adam moments, but "
+                             f"its optimizer is {tcfg.optimizer!r}")
         manifest = load_manifest(args.manifest)
     else:
         for flag in ("model_config", "train_config"):

@@ -25,13 +25,13 @@ EVAL_CHUNK = 256
 
 
 def collect_windows(sequences: list[PoseSequence], seed_len: int,
-                    target_len: int, stride: int | None = None) -> list[Window]:
-    """Fixed-stride evaluation windows over all sequences (default stride:
-    the target length, so evaluation clips do not overlap in the future)."""
-    stride = target_len if stride is None else stride
+                    target_len: int) -> list[Window]:
+    """Evaluation windows over all sequences, at a stride of the target
+    length, so evaluation clips do not overlap in the future.  Each window's
+    frames are views of its sequence's."""
     windows = []
     for s in sequences:
-        windows.extend(make_windows(s, seed_len, target_len, stride))
+        windows.extend(make_windows(s, seed_len, target_len, target_len))
     if not windows:
         raise InputError("no evaluation windows: sequences shorter than "
                          f"{seed_len}+{target_len} frames")
@@ -120,6 +120,8 @@ def evaluate_pck(model: Model, windows: list[Window], threshold: float = 0.05):
     if {w.target.space for w in windows} != {"planar_2d"}:
         raise InputError("pck: sequences must be planar_2d")
     frame_interval(windows)  # frame k must be one horizon in every window
+    if windows[0].target.dim % 2 != 0:
+        raise InputError(f"pck: dim {windows[0].target.dim} is not 2 * n_joints")
     preds = batched_forecast_poses(model, windows)
     truth, zero = _truth_and_zero(windows)
     scores_m = pck(preds, truth, threshold)

@@ -46,9 +46,18 @@ class HorizonReport:
 
 
 def horizon_frame_index(horizon_ms: float, frame_interval_ms: float) -> int:
-    """0-based future-frame index for a horizon; must be a frame boundary."""
-    k = horizon_ms / frame_interval_ms
-    if abs(k - round(k)) > 1e-9 or round(k) < 1:
+    """0-based future-frame index for a horizon; must be a frame boundary.
+    A positive horizon too many frames out for a float lies past every
+    target: InputError."""
+    try:
+        k = horizon_ms / frame_interval_ms
+        off_grid = abs(k - round(k)) > 1e-9 or round(k) < 1
+    except OverflowError:  # the frame count, or the horizon itself, is not a finite float
+        if horizon_ms > 0:
+            raise InputError(f"horizon {horizon_ms} ms is beyond every window at "
+                             f"{frame_interval_ms:g} ms") from None
+        off_grid = True
+    if off_grid:
         raise ConfigError(
             f"horizon {horizon_ms} ms is not a positive multiple of the "
             f"frame interval {frame_interval_ms} ms")

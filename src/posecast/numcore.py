@@ -1,5 +1,5 @@
 """Minimal helpers: float64 casting, global-norm clipping, seeded RNG streams
-and atomic text writes.
+and atomic file writes.
 
 All arrays are plain numpy float64.  The layer code does its own affine maps
 and activations inline (see layers.py).
@@ -12,6 +12,7 @@ tensor can draw from its own reproducible stream.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ __all__ = [
     "global_norm",
     "clip_global_norm",
     "seeded_rng",
+    "atomic_file",
     "atomic_write_text",
 ]
 
@@ -62,15 +64,23 @@ def seeded_rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def atomic_write_text(path, text: str):
-    """Write UTF-8 `text` to `path` through `<path>.tmp` and a rename, so the
-    file is either absent, the old one, or complete.  A failed write or
-    rename removes `<path>.tmp` and re-raises."""
+@contextmanager
+def atomic_file(path):
+    """A binary file opened as `<path>.tmp` and renamed onto `path` when the
+    block ends, so `path` is either absent, the old file, or complete.  A
+    failed write or rename removes `<path>.tmp` and re-raises."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        with open(tmp, "wb") as fh:
+            yield fh
         tmp.replace(path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def atomic_write_text(path, text: str):
+    """Write UTF-8 `text` to `path` through `atomic_file`."""
+    with atomic_file(path) as fh:
+        fh.write(text.encode("utf-8"))

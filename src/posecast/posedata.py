@@ -71,6 +71,7 @@ class Window:
 def make_windows(p: PoseSequence, seed_len: int, target_len: int,
                  stride: int) -> list[Window]:
     """All maximal contiguous (seed, target) windows at the given stride.
+    Their frames are views of the sequence's, not copies.
 
     Seed and target keep the sequence's action label, for per-action reports;
     the model never reads it."""
@@ -81,10 +82,10 @@ def make_windows(p: PoseSequence, seed_len: int, target_len: int,
     total = seed_len + target_len
     out = []
     for start in range(0, p.n_frames - total + 1, stride):
-        seed = PoseSequence(frames=p.frames[start:start + seed_len].copy(),
+        seed = PoseSequence(frames=p.frames[start:start + seed_len],
                             frame_interval_ms=p.frame_interval_ms, space=p.space,
                             action=p.action)
-        target = PoseSequence(frames=p.frames[start + seed_len:start + total].copy(),
+        target = PoseSequence(frames=p.frames[start + seed_len:start + total],
                               frame_interval_ms=p.frame_interval_ms, space=p.space,
                               action=p.action)
         out.append(Window(seed=seed, target=target))
@@ -237,7 +238,8 @@ def _load_entry(m: DatasetManifest, e: ManifestEntry, space: str) -> PoseSequenc
     seq = load_sequence(p, expected_dim=e.dim, frame_interval_ms=e.interval_ms,
                         space=space, action=e.action)
     if m.mask is not None:
-        seq = PoseSequence(frames=seq.frames[:, m.mask].copy(),
+        # np.take, unlike `frames[:, mask]`, returns a fresh C-ordered array
+        seq = PoseSequence(frames=np.take(seq.frames, m.mask, axis=1),
                            frame_interval_ms=seq.frame_interval_ms,
                            space=seq.space, action=seq.action)
     return seq

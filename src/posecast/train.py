@@ -17,13 +17,13 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
 from . import checkpoint as ckpt
-from .arch import (Model, ModelConfig, param_count, param_layout, rollout_backward,
-                   rollout_forward)
+from .arch import Model, ModelConfig, param_layout, rollout_backward, rollout_forward
 from .errors import ConfigError, InputError, NumericError, ParseError, ShapeError
 from .numcore import as_f64, atomic_write_text, clip_global_norm
 from .posedata import PoseSequence
@@ -275,13 +275,20 @@ class TrainingData:
         return np.stack(seeds), np.stack(targets)
 
 
+def _checkpoint_layout(cfg: ModelConfig, adam: bool) -> list[tuple[str, tuple[int, ...]]]:
+    """A checkpoint's tensors as (name, shape) pairs in file order: the
+    `param_layout` tensors, then, for an Adam run, the same names prefixed
+    `opt.m.` (first moments) and `opt.v.` (second moments)."""
+    layout = param_layout(cfg)
+    return layout + [(prefix + name, shape) for prefix in ("opt.m.", "opt.v.") if adam
+                     for name, shape in layout]
+
+
 def _checkpoint_tensors(model: Model, adam: AdamState | None):
-    tensors = list(model.tensors())
-    if adam is not None:
-        names = [n for n, _ in tensors]
-        for prefix, flat in (("opt.m.", adam.m), ("opt.v.", adam.v)):
-            tensors.extend((prefix + n, arr) for n, arr in zip(names, model.views(flat)))
-    return tensors
+    flats = [model.theta] + ([] if adam is None else [adam.m, adam.v])
+    views = [view for flat in flats for view in model.views(flat)]
+    return [(name, view) for (name, _), view
+            in zip(_checkpoint_layout(model.config, adam is not None), views)]
 
 
 def save_train_checkpoint(path, model: Model, cfg: TrainConfig, iteration: int,
@@ -299,7 +306,7 @@ def save_train_checkpoint(path, model: Model, cfg: TrainConfig, iteration: int,
 def save_model_checkpoint(path, model: Model, iteration: int = 0):
     meta = {"kind": "model", "model_config": model.config.to_dict(),
             "iteration": iteration}
-    ckpt.save_checkpoint(path, meta, list(model.tensors()))
+    ckpt.save_checkpoint(path, meta, _checkpoint_tensors(model, None))
 
 
 def _meta_config(path, meta, key: str, cls):
@@ -355,38 +362,33 @@ def resume_state(path, meta):
 def load_model_checkpoint(path):
     """Rebuild a Model (and optional training state) from a checkpoint.
 
-    Returns (model, meta, adam_state_or_None).  The meta block and the
-    tensors are checked against the parameter layout the config describes
-    before anything is allocated; any mismatch raises ParseError.  The model
+    Returns (model, meta, adam_state_or_None).  The meta block, then the
+    file's (name, shape) list, are checked before anything is allocated: the
+    list must be `_checkpoint_layout` of the model config, with both Adam
+    moment sets or with none; any other file raises ParseError.  The model
     is allocated once and filled from the file: no initial values are drawn.
     Each loaded tensor is dropped once copied into `theta` (or the Adam
     moments), so a load holds the file's tensors once, plus one.
     """
     meta, tensors = ckpt.load_checkpoint(path)
     cfg = _meta_config(path, meta, "model_config", ModelConfig)
-    layout = param_layout(cfg)
-    # compare sizes first, so a corrupt config cannot allocate more than the
-    # file holds
-    if sum(a.size for n, a in tensors.items() if not n.startswith("opt.")) != param_count(cfg):
-        raise ParseError(f"{path}: checkpoint tensors do not match its model_config")
-    names = [n for n, _ in layout]
-    has_adam = f"opt.m.{names[0]}" in tensors
-    for prefix in ("", "opt.m.", "opt.v.") if has_adam else ("",):
-        for name, shape in layout:
-            have = tensors.get(prefix + name)
-            if have is None:
-                raise ParseError(f"{path}: checkpoint missing tensor {prefix + name!r}")
-            if have.shape != shape:
-                raise ParseError(f"{path}: tensor {prefix + name!r} has shape {have.shape}, "
-                                 f"model_config needs {shape}")
+    have = [(name, arr.shape) for name, arr in tensors.items()]
+    n_params = len(param_layout(cfg))
+    has_adam = len(have) > n_params
+    want = _checkpoint_layout(cfg, has_adam)
+    if have != want:
+        i, (got, need) = next((i, pair) for i, pair in enumerate(zip_longest(have, want))
+                              if pair[0] != pair[1])
+        raise ParseError(f"{path}: checkpoint tensor {i} is {got or 'missing'}, "
+                         f"its model_config needs {need or 'no more tensors'}")
+    names = [name for name, _ in want]
     model = Model(cfg)
-    model.set_tensors(tensors.pop(n) for n in names)
+    model.set_tensors(tensors.pop(name) for name in names[:n_params])
     adam = None
     if has_adam:
         adam = AdamState.zeros_like(model.theta)
-        for prefix, flat in (("opt.m.", adam.m), ("opt.v.", adam.v)):
-            for name, view in zip(names, model.views(flat)):
-                view[...] = tensors.pop(prefix + name)
+        for view, name in zip(model.views(adam.m) + model.views(adam.v), names[n_params:]):
+            view[...] = tensors.pop(name)
     return model, meta, adam
 
 
@@ -411,6 +413,9 @@ def train_loop(model: Model, dataset: TrainingData, cfg: TrainConfig,
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     if rng_state is not None:
         rng.bit_generator.state = rng_state
+    if adam is not None and cfg.optimizer != "adam":
+        raise ConfigError(f"train_loop: Adam moments given, but the optimizer is "
+                          f"{cfg.optimizer!r}")
     if cfg.optimizer == "adam" and adam is None:
         adam = AdamState.zeros_like(model.theta)
     out_dir = Path(out_dir) if out_dir is not None else None

@@ -23,6 +23,12 @@ def write_cfg(path, **kv):
     return path
 
 
+def set_cfg(path, key, value):
+    """Set `key` in the config file `path`: its line, if any, is replaced."""
+    lines = [ln for ln in path.read_text().splitlines() if ln.partition("=")[0] != key]
+    path.write_text("\n".join(lines + [f"{key}={value}"]) + "\n")
+
+
 def zero_checkpoint(tmp_path, d_v=3, name="zero.bin"):
     model = build_model(ModelConfig(variant="tp_rnn", d_v=d_v, granularity=2,
                                     levels=2, hidden=4, head1=5, head2=4))
@@ -184,6 +190,39 @@ def test_train_resume_dim_mismatch_exits_2(tmp_path):
                "--out", tmp_path / "resumed") == 2
 
 
+def _moment_checkpoint(tmp_path, data, case):
+    """A mid-run checkpoint of an Adam run stripped of its moments
+    (`adam_stripped`), or of an SGD run given both moment sets
+    (`sgd_with_moments`)."""
+    optimizer = "adam" if case == "adam_stripped" else "sgd"
+    mc, tc = _train_cfgs(tmp_path, iterations=4, checkpoint_every=2, optimizer=optimizer)
+    assert run("train", "--model-config", mc, "--train-config", tc,
+               "--manifest", data / "manifest.txt", "--out", tmp_path / "part") == 0
+    meta, tensors = load_checkpoint(tmp_path / "part" / "checkpoint_00000002.bin")
+    params = [(n, a) for n, a in tensors.items() if not n.startswith("opt.")]
+    if case == "sgd_with_moments":
+        params += [(prefix + n, np.full(a.shape, 0.5))
+                   for prefix in ("opt.m.", "opt.v.") for n, a in params]
+    p = tmp_path / f"{case}.bin"
+    save_checkpoint(p, meta, params)
+    return p
+
+
+@pytest.mark.parametrize("case", ["adam_stripped", "sgd_with_moments"])
+def test_train_resume_with_moments_of_the_other_optimizer_exits_3(tmp_path, capsys,
+                                                                   case):
+    # an Adam run does not resume from zero moments, and an SGD run does not
+    # carry moments it never updates into its checkpoints
+    data = synth(tmp_path)
+    ck = _moment_checkpoint(tmp_path, data, case)
+    out = tmp_path / "resumed"
+    assert run("train", "--resume", ck, "--manifest", data / "manifest.txt",
+               "--out", out) == 3
+    err = capsys.readouterr().err
+    assert "input error" in err and "Adam moments" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_train_rejects_a_train_split_at_two_frame_intervals(tmp_path, capsys):
     # one phase schedule cannot run 30 ms and 40 ms steps; fresh or resumed,
     # rejected before the run directory exists
@@ -235,7 +274,7 @@ def test_train_bad_config_value_exits_2(tmp_path, capsys, cfg, key, value):
     data = synth(tmp_path)
     mc, tc = _train_cfgs(tmp_path, iterations=2, optimizer="adam")
     path = mc if cfg == "model" else tc
-    path.write_text(path.read_text() + f"{key}={value}\n")
+    set_cfg(path, key, value)
     assert run("train", "--model-config", mc, "--train-config", tc,
                "--manifest", data / "manifest.txt", "--out", tmp_path / "r") == 2
     err = capsys.readouterr().err
@@ -247,7 +286,7 @@ def test_none_for_a_field_that_takes_no_none_exits_2(tmp_path, capsys, key):
     data = synth(tmp_path)
     mc, tc = _train_cfgs(tmp_path, iterations=2)
     cfg = mc if key == "hidden" else tc
-    cfg.write_text(cfg.read_text() + f"{key}=none\n")
+    set_cfg(cfg, key, "none")
     assert run("train", "--model-config", mc, "--train-config", tc,
                "--manifest", data / "manifest.txt", "--out", tmp_path / "r") == 2
     err = capsys.readouterr().err
@@ -261,6 +300,22 @@ def test_model_config_without_variant_exits_2(tmp_path, capsys):
     assert run("train", "--model-config", mc, "--train-config", tc,
                "--manifest", data / "manifest.txt", "--out", tmp_path / "r") == 2
     assert "variant missing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg,key,value,first,second", [
+    ("model", "hidden", 16, 4, 8), ("train", "batch_size", 2, 2, 6)])
+def test_repeated_config_key_exits_2(tmp_path, capsys, cfg, key, value, first, second):
+    # the last value does not silently win: the key and both lines are named
+    data = synth(tmp_path)
+    mc, tc = _train_cfgs(tmp_path, iterations=2)
+    path = mc if cfg == "model" else tc
+    path.write_text(path.read_text() + f"{key}={value}\n")
+    out = tmp_path / "r"
+    assert run("train", "--model-config", mc, "--train-config", tc,
+               "--manifest", data / "manifest.txt", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"{path}:{second}: key {key!r} repeated" in err
+    assert f"line {first}" in err and not out.exists()
 
 
 @pytest.mark.parametrize("missing", ["--model-config", "--train-config"])
@@ -322,6 +377,36 @@ def test_eval_rejects_a_repeated_horizon(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "input error" in err and "twice" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("horizon,interval", [("1" + "0" * 400, 40.0), ("80", 1e-320)],
+                         ids=["huge_horizon", "tiny_interval"])
+def test_eval_rejects_a_horizon_past_every_float(tmp_path, capsys, horizon, interval):
+    # a frame count that overflows a float lies past every target
+    data = synth(tmp_path)
+    out = tmp_path / "r.csv"
+    assert run("eval", "--checkpoint", zero_checkpoint(tmp_path), "--manifest",
+               _manifest_at(data, interval), "--seed-len", 10, "--target-len", 5,
+               "--horizons", horizon, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert "input error" in err and "beyond every window" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_eval_pck_checks_the_dimension_before_forecasting(tmp_path, monkeypatch, capsys):
+    import posecast.evaluate as evaluate
+
+    def no_forecast(*args, **kwargs):
+        raise AssertionError("forecast before the dimension check")
+
+    monkeypatch.setattr(evaluate, "batched_forecast_poses", no_forecast)
+    data = synth(tmp_path, dim=3)  # odd: no planar joint pairs
+    out = tmp_path / "pck.csv"
+    assert run("eval", "--checkpoint", zero_checkpoint(tmp_path), "--manifest",
+               data / "manifest.txt", "--protocol", "pck", "--seed-len", 10,
+               "--target-len", 5, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert "input error" in err and "dim 3" in err and not out.exists()
 
 
 def _two_interval_manifest(data, intervals):
@@ -560,6 +645,10 @@ def _bad_checkpoint(tmp_path, case):
         meta["model_config"]["granularity"] = 10 ** 12
     elif case == "repeated_tensor":
         tensors = tensors + [("head.b3", np.full(3, 9.0))]
+    elif case == "only_second_moments":  # a checkpoint holds both moment sets or none
+        tensors = tensors + [("opt.v." + n, np.zeros(a.shape)) for n, a in tensors]
+    elif case == "stray_opt_tensor":
+        tensors = tensors + [("opt.junk", np.zeros(3))]
     p = tmp_path / f"{case}.bin"
     save_checkpoint(p, meta, tensors)
     if case == "trailing_byte":
@@ -568,7 +657,8 @@ def _bad_checkpoint(tmp_path, case):
 
 
 BAD_CHECKPOINTS = ["no_model_config", "unknown_key", "shape_mismatch", "missing_tensor",
-                   "repeated_tensor", "trailing_byte"]
+                   "repeated_tensor", "trailing_byte", "only_second_moments",
+                   "stray_opt_tensor"]
 
 
 @pytest.mark.parametrize("case", BAD_CHECKPOINTS)
@@ -968,6 +1058,12 @@ def _ablate_untrained(tmp_path, monkeypatch, *flags, manifest=None):
 def test_ablate_checks_horizons_before_training(tmp_path, monkeypatch, horizons, code):
     # past the target, repeated, or off the frame grid
     assert _ablate_untrained(tmp_path, monkeypatch, "--horizons", horizons) == (code, False)
+
+
+def test_ablate_rejects_a_horizon_past_every_float_before_training(tmp_path, monkeypatch,
+                                                                     capsys):
+    assert _ablate_untrained(tmp_path, monkeypatch, "--horizons", "1" + "0" * 400) == (3, False)
+    assert "beyond every window" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("variants", ["tp_rnn,bogus", "stacked2_vel,stacked2_vel"])

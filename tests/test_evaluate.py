@@ -6,7 +6,7 @@ import pytest
 import posecast.evaluate as evaluate
 from posecast.arch import ModelConfig, build_model
 from posecast.errors import NumericError
-from posecast.posedata import synth_multiscale
+from posecast.posedata import make_windows, synth_multiscale
 
 
 def _model():
@@ -15,8 +15,8 @@ def _model():
 
 
 def _windows(n_seq):
-    return evaluate.collect_windows(synth_multiscale(n_seq, 60, 3, seed=1), 20, 10,
-                                    stride=5)
+    return [w for s in synth_multiscale(n_seq, 60, 3, seed=1)
+            for w in make_windows(s, 20, 10, stride=5)]
 
 
 def test_chunked_predictions_match_single_windows(monkeypatch):

@@ -15,9 +15,10 @@ import pytest
 
 from posecast import checkpoint as ckpt
 from posecast.arch import ModelConfig, build_model
+from posecast.errors import ConfigError
 from posecast.posedata import synth_multiscale
-from posecast.train import (TrainConfig, TrainingData, load_model_checkpoint, lr_at,
-                            resume_state, rollout_loss_batch, save_train_checkpoint,
+from posecast.train import (AdamState, TrainConfig, TrainingData, load_model_checkpoint,
+                            lr_at, resume_state, rollout_loss_batch, save_train_checkpoint,
                             train_loop)
 
 DATA = Path(__file__).parent / "data"
@@ -133,3 +134,10 @@ def test_checkpoint_written_before_the_flat_buffer_loads_bit_exactly(tmp_path):
     rng.bit_generator.state = rng_state
     save_train_checkpoint(tmp_path / "again.bin", model, cfg, iteration, rng, adam)
     assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+
+
+def test_adam_moments_given_to_an_sgd_run_are_rejected():
+    # an SGD run would copy them unchanged into every checkpoint it writes
+    model, data, cfg = _setup("sgd", 0.0)
+    with pytest.raises(ConfigError, match="Adam moments"):
+        train_loop(model, data, cfg, adam=AdamState.zeros_like(model.theta))

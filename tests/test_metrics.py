@@ -3,12 +3,11 @@ import pytest
 
 from posecast.arch import ModelConfig, build_model
 from posecast.errors import ConfigError, InputError
-from posecast.evaluate import (batched_forecast_poses, collect_windows, evaluate_mae,
-                               evaluate_pck)
+from posecast.evaluate import batched_forecast_poses, evaluate_mae, evaluate_pck
 from posecast.metrics import (DEFAULT_HORIZONS_MS, aggregate_reports,
                               angle_mae, horizon_frame_index, horizon_indices, pck,
                               zero_velocity_forecast)
-from posecast.posedata import PoseSequence, Window, synth_multiscale
+from posecast.posedata import PoseSequence, Window, make_windows, synth_multiscale
 
 
 def seq(frames, interval=40.0, space="angle_expmap", action=""):
@@ -296,7 +295,7 @@ def test_batched_mae_equals_per_window_reference_bit_for_bit(horizons):
     seqs = synth_multiscale(3, 40, 4, seed=2)
     for s, act in zip(seqs, ("walking", "", "eating")):
         s.action = act
-    windows = collect_windows(seqs, 10, 8, stride=3)
+    windows = [w for s in seqs for w in make_windows(s, 10, 8, stride=3)]
     model = _tiny_model(4)
     model_rep, zero_rep = evaluate_mae(model, windows, horizons)
     truths = np.stack([w.target.frames for w in windows])
@@ -315,7 +314,7 @@ def test_batched_pck_equals_per_window_reference_bit_for_bit():
     seqs = [seq(rng.uniform(size=(30, 26)), space="planar_2d") for _ in range(2)]
     seqs[0].frames[18:22] = 0.5  # degenerate ground-truth boxes
     seqs[1].frames[25] = np.tile([0.1, 0.7], 13)
-    windows = collect_windows(seqs, 8, 6, stride=2)
+    windows = [w for s in seqs for w in make_windows(s, 8, 6, stride=2)]
     model = _tiny_model(26)
     threshold = 0.4
     got = evaluate_pck(model, windows, threshold)

@@ -112,6 +112,17 @@ def test_make_windows_contiguity():
         assert w.seed.frames[-1, 0] + 1 == w.target.frames[0, 0]
 
 
+def test_collected_windows_are_views_of_their_sequences():
+    # no window copies its frames: the split is held once
+    from posecast.evaluate import collect_windows
+    seqs = [seq(np.arange(80.0).reshape(40, 2)), seq(np.ones((30, 2)))]
+    windows = collect_windows(seqs, 10, 5)
+    assert len(windows) == 6 + 4
+    for w, s in zip(windows, [seqs[0]] * 6 + [seqs[1]] * 4):
+        assert np.shares_memory(w.seed.frames, s.frames)
+        assert np.shares_memory(w.target.frames, s.frames)
+
+
 def test_window_carries_no_action_label():
     # action-agnostic contract: the window type has no label field at all
     from posecast.posedata import Window
