@@ -336,8 +336,8 @@ class RolloutTape:
     Per level, each firing step's gates (i, f, o, g, as `lstm_gates` leaves
     them) and new cell state c, as rows of an (n, B, 4h) and an (n, B, h)
     slab, n = T // period; the T inputs; and the head's tape of each step
-    it ran.  tanh(c), every hidden state and every layer input are
-    recomputed from these.  A level's last firing is row 0 (`row`): the
+    it ran.  Every hidden state (`hidden`) and layer input is recomputed
+    from these where it is read.  A level's last firing is row 0 (`row`): the
     backward visits firings latest first, so a chunk of consecutive ones is
     one contiguous run of rows.
     """
@@ -357,6 +357,14 @@ class RolloutTape:
     def row(self, m: int, level: Level, t: int) -> int:
         """The slab row of level m's (0-based, `level`) firing at step t."""
         return len(self.c[m]) - (t + 1) // level.period
+
+    def hidden(self, m: int, level: Level, t: int) -> np.ndarray:
+        """Level m's hidden state o * np.tanh(c) after its firing at step t, with
+        the forward's bits while its gate row holds gates; zeros for t < 0."""
+        if t < 0:
+            return np.zeros(self.c[m].shape[1:])
+        row, h = self.row(m, level, t), self.c[m].shape[2]
+        return self.gates[m][row, :, 2 * h:3 * h] * np.tanh(self.c[m][row])
 
 
 def _stride_window(t: int, K: int) -> range:
@@ -652,26 +660,24 @@ def rollout_backward(model: Model, tape: RolloutTape, n_obs: int,
     with their gradients, so a tape serves one backward: a second raises
     ShapeError.
 
-    The reverse time loop runs only what the recurrence needs: the gate and
-    input derivatives of each step.  It recomputes each firing's tanh(c) and
-    h = o * tanh(c) once, when first read, with the forward's ufuncs, so
-    they have its bits.  Weight gradients are formed as time-batched GEMMs:
-    each level's preactivation gradients overwrite its gate rows, so
-    WGRAD_CHUNK consecutive firings are one slab view, and with their input
-    rows [x, h_prev], rebuilt in a stacking buffer, are folded into dW with
-    one `P.T @ Z` per chunk.  The head runs backward only at steps t >= S-1;
-    earlier head outputs are not predictions and get no gradient.
+    The reverse time loop runs only what the recurrence needs: the gate
+    derivatives of each step, and input derivatives at forecast steps only
+    (seed inputs are data).  Each read of a hidden state recomputes it from
+    the tape (`RolloutTape.hidden`), before the firing's own step overwrites
+    its gate rows with their gradient dpre.  So WGRAD_CHUNK consecutive
+    firings' dpre are one slab view, folded into dW with their input rows
+    [x, h_prev], rebuilt in a stacking buffer, by one `P.T @ Z` per chunk.
+    The head runs backward only at steps t >= S-1; earlier head outputs are
+    not predictions and get no gradient.
     """
     cfg = model.config
-    S = n_obs
-    n_pred, B, _ = d_preds.shape
+    S, (n_pred, B, _) = n_obs, d_preds.shape
     T = S + n_pred - 1
     if tape.xs.shape[0] != T or len(tape.heads) != n_pred:
         raise ShapeError(f"rollout_backward: a tape of {tape.xs.shape[0]} steps and "
                          f"{len(tape.heads)} head steps, expected {T} and {n_pred} "
                          "(a tape serves one backward)")
-    is_pose = model.levels[0].source == "pose"
-    L, h, d_v = len(model.levels), cfg.hidden, cfg.d_v
+    L, h, d_v, K = len(model.levels), cfg.hidden, cfg.d_v, cfg.granularity
 
     if grads is None:
         grads = np.zeros(model.theta.shape)
@@ -688,47 +694,36 @@ def rollout_backward(model: Model, tape: RolloutTape, n_obs: int,
     # pending gradient w.r.t. the latest produced state of each (level, phase)
     gs = [[[np.zeros((B, h)), np.zeros((B, h))] for _ in range(level.phases)]
           for level in model.levels]
-    # gradient w.r.t. the input stream value at each step (velocity, or pose
-    # for the pose-input variant)
-    d_x = [np.zeros((B, d_v)) for _ in range(T)]
-    zero = np.zeros((B, h))
-    acts = {}  # (m, t) -> (tanh(c), h) of level m's firing at step t, until it is visited
-
-    def act(m: int, t: int):
-        if t < 0:  # the zero initial state
-            return zero, zero
-        if (m, t) not in acts:
-            row = tape.row(m, model.levels[m], t)
-            tanh_c = np.tanh(tape.c[m][row])
-            acts[m, t] = tanh_c, tape.gates[m][row, :, 2 * h:3 * h] * tanh_c
-        return acts[m, t]
+    # row t - S: the gradient w.r.t. forecast step t's input (seed inputs are data)
+    d_x = np.zeros((n_pred, B, d_v))
 
     for t in reversed(range(T)):
-        if is_pose and t + 1 < T:
+        f = t - S
+        if model.levels[0].source == "pose" and S <= t < T - 1:
             # pose chain: x_t feeds x_{t+1} = x_t + v_in[t+1]
-            d_x[t] += d_x[t + 1]
+            d_x[f] += d_x[f + 1]
         if t >= S - 1:
-            d_out = d_preds[t - (S - 1)]
+            d_out = d_preds[f + 1]
             if t + 1 < T:
                 # this step's output was fed back as step t+1's input velocity
-                d_out = d_out + d_x[t + 1]
-            ht = tape.heads[t - (S - 1)]
+                d_out = d_out + d_x[f + 1]
+            ht = tape.heads[f + 1]
             da1, da2, dz = head_layer_backward(model.head, ht, d_out)
             k = (T - 1 - t) % WGRAD_CHUNK
             z = head_sums[0].z(k)
             z[:, :d_v] = tape.xs[t]
             for m, level in enumerate(model.levels):
-                z[:, d_v + m * h:d_v + (m + 1) * h] = act(m, level.last_firing(t))[1]
+                lo = d_v + m * h
+                z[:, lo:lo + h] = tape.hidden(m, level, level.last_firing(t))
+                gs[m][level.phase(t)][0] += dz[:, lo:lo + h]
             head_sums[1].z(k)[...] = ht.r1
             head_sums[2].z(k)[...] = ht.r2
             for acc, P, p in zip(head_sums, head_ps, (da1, da2, d_out)):
                 P[k * B:(k + 1) * B] = p
                 if k == WGRAD_CHUNK - 1 or t == S - 1:
                     acc.flush(P[:(k + 1) * B])
-            d_x[t] += dz[:, :d_v]
-            for m, level in enumerate(model.levels):
-                lo = d_v + m * h
-                gs[m][level.phase(t)][0] += dz[:, lo:lo + h]
+            if t >= S:
+                d_x[f] += dz[:, :d_v]
         for m in reversed(range(L)):
             level, cell = model.levels[m], model.cells[m]
             if not level.fires(t):
@@ -738,18 +733,16 @@ def rollout_backward(model: Model, tape: RolloutTape, n_obs: int,
             prev = level.last_firing(t - level.phases)
             z = cell_sums[m].z(k)
             if level.source == "below":
-                z[:, :cell.d_in] = act(m - 1, t)[1]
+                z[:, :cell.d_in] = tape.hidden(m - 1, model.levels[m - 1], t)
             elif level.source == "stride":
-                z[:, :cell.d_in] = _window_sum(
-                    [tape.xs[i] for i in _stride_window(t, cfg.granularity)])
+                z[:, :cell.d_in] = _window_sum([tape.xs[i] for i in _stride_window(t, K)])
             else:
                 z[:, :cell.d_in] = tape.xs[t]
-            z[:, cell.d_in:] = act(m, prev)[1]
-            c_prev = tape.c[m][tape.row(m, level, prev)] if prev >= 0 else zero
-            tanh_c = act(m, t)[0]
-            del acts[m, t]
+            z[:, cell.d_in:] = tape.hidden(m, level, prev)
+            c_prev = tape.c[m][tape.row(m, level, prev)] if prev >= 0 else np.zeros((B, h))
             dh, dc = gs[m][q]
-            dz, dc_prev = lstm_gate_backward(cell, tape.gates[m][row], tanh_c, c_prev, dh, dc)
+            dz, dc_prev = lstm_gate_backward(cell, tape.gates[m][row], tape.c[m][row],
+                                             c_prev, dh, dc)
             if k == WGRAD_CHUNK - 1 or row == len(tape.c[m]) - 1:
                 cell_sums[m].flush(tape.gates[m][row - k:row + 1].reshape(-1, 4 * h))
             gs[m][q] = [dz[:, cell.d_in:], dc_prev]
@@ -757,11 +750,11 @@ def rollout_backward(model: Model, tape: RolloutTape, n_obs: int,
             if level.source == "below":
                 gs[m - 1][model.levels[m - 1].phase(t)][0] += d_inp
             elif level.source == "stride":
-                for ti in _stride_window(t, cfg.granularity):
-                    d_x[ti] += d_inp
-            else:
-                d_x[t] += d_inp
-    # the gate rows hold gradients now; without head steps the tape fails the
-    # check above
+                for ti in _stride_window(t, K):
+                    if ti >= S:
+                        d_x[ti - S] += d_inp
+            elif t >= S:
+                d_x[f] += d_inp
+    # the gate rows hold gradients now: without head steps the check above fails
     tape.heads.clear()
     return grads

@@ -24,8 +24,8 @@ from .arch import VARIANTS, ModelConfig, build_model
 from .errors import ConfigError, InputError, NumericError, ParseError
 from .metrics import DEFAULT_HORIZONS_MS, horizon_frame_index, horizon_indices
 from .numcore import atomic_write_text
-from .posedata import (PoseSequence, load_manifest, load_sequence, load_split,
-                       save_sequence, synth_multiscale)
+from .posedata import (MAX_SYNTH_VALUES, PoseSequence, load_manifest, load_sequence,
+                       load_split, save_sequence, synth_multiscale)
 from .train import (TrainConfig, TrainingData, load_model_checkpoint,
                     resume_state, train_loop, write_trace)
 
@@ -128,6 +128,11 @@ def cmd_train(args) -> int:
     adam = None
     start_iteration = 0
     rng_state = None
+    for flag in ("model_config", "train_config"):
+        # a resumed run keeps its checkpoint's configs
+        if (getattr(args, flag) is None) == (not args.resume):
+            raise ConfigError(f"--{flag.replace('_', '-')} is " + (
+                "not allowed with --resume" if args.resume else "required without --resume"))
     if args.resume:
         model, meta, adam = load_model_checkpoint(args.resume)
         tcfg, start_iteration, rng_state = resume_state(args.resume, meta)
@@ -137,9 +142,6 @@ def cmd_train(args) -> int:
                              f"its optimizer is {tcfg.optimizer!r}")
         manifest = load_manifest(args.manifest)
     else:
-        for flag in ("model_config", "train_config"):
-            if getattr(args, flag) is None:
-                raise ConfigError(f"--{flag.replace('_', '-')} is required without --resume")
         manifest = load_manifest(args.manifest)
         tcfg = train_config_from_file(args.train_config)
         model = build_model(model_config_from_file(args.model_config,
@@ -236,6 +238,9 @@ def cmd_eval(args) -> int:
 
 def cmd_forecast(args) -> int:
     model, _, _ = load_model_checkpoint(args.checkpoint)
+    if args.n_steps * model.config.d_v > MAX_SYNTH_VALUES:
+        raise InputError(f"--n-steps: n_steps * d must be at most {MAX_SYNTH_VALUES}, "
+                         f"got {args.n_steps * model.config.d_v}")
     seed = load_sequence(args.seed_csv, frame_interval_ms=args.interval_ms)
     if seed.dim != model.config.d_v:
         raise ConfigError(f"seed dim {seed.dim} != model d_v {model.config.d_v}")

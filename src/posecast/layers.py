@@ -148,22 +148,23 @@ def lstm_gates(pre: np.ndarray, c: np.ndarray, h: np.ndarray):
     np.multiply(pre[:, 2 * n:3 * n], h, out=h)
 
 
-def lstm_gate_backward(p: LstmParams, gates: np.ndarray, tanh_c: np.ndarray,
+def lstm_gate_backward(p: LstmParams, gates: np.ndarray, c: np.ndarray,
                        c_prev: np.ndarray, dh: np.ndarray, dc_in: np.ndarray):
     """Gradient through one batched LSTM step, without the weight gradient.
 
-    gates (B, 4h) is the step's tape entry, tanh_c (B, h) np.tanh of its new
-    cell state and c_prev (B, h) its previous one; dh / dc_in: (B, h)
-    gradients w.r.t. the step's output state.  Overwrites `gates` with dpre,
-    the gradient w.r.t. the gate preactivations in (i, f, o, g) order, and
-    returns (dz, dc_prev): dz (B, d_in + h) w.r.t. z = [x, h_prev] and
+    gates (B, 4h) is the step's tape entry, c (B, h) its new cell state
+    (tanh(c) is taken here) and c_prev (B, h) its previous one; dh / dc_in:
+    (B, h) gradients w.r.t. the step's output state.  Overwrites `gates` with
+    dpre, the gradient w.r.t. the gate preactivations in (i, f, o, g) order,
+    and returns (dz, dc_prev): dz (B, d_in + h) w.r.t. z = [x, h_prev] and
     dc_prev (B, h).  The step's weight gradient is dpre.T @ z and its bias
     gradient dpre summed over rows.
     """
-    if dh.shape != tanh_c.shape or dc_in.shape != tanh_c.shape:
+    if dh.shape != c.shape or dc_in.shape != c.shape:
         raise ShapeError(
             f"lstm_gate_backward: grad shapes {dh.shape}/{dc_in.shape} "
-            f"do not match tape {tanh_c.shape}")
+            f"do not match tape {c.shape}")
+    tanh_c = np.tanh(c)
     h = tanh_c.shape[1]
     i, f, o, g = (gates[:, k * h:(k + 1) * h] for k in range(4))
     do = dh * tanh_c
@@ -193,7 +194,7 @@ def lstm_step_backward(p: LstmParams, tape: LstmTape, grad_h, grad_c):
     """
     dh, dc_in = (_batch("lstm_step_backward", g) for g in (grad_h, grad_c))
     dpre = tape.gates.copy()
-    dz, dc_prev = lstm_gate_backward(p, dpre, np.tanh(tape.c), tape.c_prev, dh, dc_in)
+    dz, dc_prev = lstm_gate_backward(p, dpre, tape.c, tape.c_prev, dh, dc_in)
     dW = dpre.T @ np.concatenate([tape.x, tape.h_prev], axis=1)
     return (dW, dpre.sum(axis=0)), dz[:, :p.d_in], (dz[:, p.d_in:], dc_prev)
 

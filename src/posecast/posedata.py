@@ -259,9 +259,9 @@ def load_split(m: DatasetManifest, split: str,
 
 FAST_PERIOD_BAND = (4.0, 8.0)
 SLOW_PERIOD_BAND = (32.0, 64.0)
-# Values per generated dataset (n_seq * length * d): 1 GB of float64, far
-# above any dataset the tests or the benchmark generate.  A typo such as a
-# length of 10**12 becomes an input error instead of a MemoryError.
+# Values per generated dataset (n_seq * length * d) or CLI forecast (n_steps
+# * d): 1 GB of float64, far above any the tests or the benchmark make.  A
+# typo such as a length of 10**12 is an input error, not a MemoryError.
 MAX_SYNTH_VALUES = 2 ** 27
 
 

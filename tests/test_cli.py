@@ -4,6 +4,7 @@ import pytest
 from posecast.arch import ModelConfig, build_model
 from posecast.checkpoint import load_checkpoint, save_checkpoint
 from posecast.cli import main
+from posecast.posedata import MAX_SYNTH_VALUES
 from posecast.train import save_model_checkpoint
 
 
@@ -331,6 +332,22 @@ def test_train_without_a_config_flag_exits_2(tmp_path, capsys, missing):
                "--manifest", data / "manifest.txt", "--out", out) == 2
     err = capsys.readouterr().err
     assert missing in err and "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--model-config", "--train-config"])
+def test_train_resume_with_a_config_flag_exits_2(tmp_path, capsys, flag):
+    # a resumed run keeps its checkpoint's configs, so a config file given
+    # with --resume is named as an error, not silently ignored
+    data = synth(tmp_path)
+    mc, tc = _train_cfgs(tmp_path, iterations=4, checkpoint_every=2)
+    assert run("train", "--model-config", mc, "--train-config", tc,
+               "--manifest", data / "manifest.txt", "--out", tmp_path / "part") == 0
+    out = tmp_path / "resumed"
+    assert run("train", "--resume", tmp_path / "part" / "checkpoint_00000002.bin",
+               flag, {"--model-config": mc, "--train-config": tc}[flag],
+               "--manifest", data / "manifest.txt", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and flag in err and not out.exists()
 
 
 def test_train_missing_manifest(tmp_path):
@@ -783,6 +800,21 @@ def test_forecast_single_frame_requires_zero_init(tmp_path):
                "--out", tmp_path / "p.csv") == 0
     rows = (tmp_path / "p.csv").read_text().splitlines()
     assert rows == ["1.0,2.0,3.0"] * 3
+
+
+def test_forecast_n_steps_beyond_the_value_bound_exits_3(tmp_path, capsys):
+    # n_steps * d above MAX_SYNTH_VALUES, from the first count past the
+    # bound to a typo-sized one, is an input error before the rollout
+    # starts, not an endless run
+    ck = zero_checkpoint(tmp_path, d_v=3)
+    sd = seed_csv(tmp_path, [[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
+    out = tmp_path / "p.csv"
+    for n_steps in (10 ** 12, MAX_SYNTH_VALUES // 3 + 1):
+        assert run("forecast", "--checkpoint", ck, "--seed-csv", sd,
+                   "--n-steps", n_steps, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert f"--n-steps: n_steps * d must be at most {MAX_SYNTH_VALUES}, " \
+            f"got {3 * n_steps}" in err and not out.exists()
 
 
 def test_forecast_dim_mismatch(tmp_path):

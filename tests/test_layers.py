@@ -197,7 +197,7 @@ def test_lstm_gate_backward_is_the_textbook_expressions_bit_for_bit(B, h):
     want = np.concatenate([di * i * (1.0 - i), df * f * (1.0 - f), do * o * (1.0 - o),
                            dg * (1.0 - g * g)], axis=1)
     gates = tape.gates
-    dz, dc_prev = lstm_gate_backward(p, gates, tanh_c, c_prev, dh, dc_in)
+    dz, dc_prev = lstm_gate_backward(p, gates, tape.c, c_prev, dh, dc_in)
     assert np.array_equal(gates, want)
     assert np.array_equal(dz, want @ p.W)
     assert np.array_equal(dc_prev, dc * f)
@@ -493,7 +493,7 @@ def test_backward_cores_name_themselves_in_shape_errors():
     p = init_lstm(3, 4, seed=0)
     _, _, tape = taped_step(p, np.ones((2, 3)), *_zeros(2, 4))
     with pytest.raises(ShapeError, match=r"^lstm_gate_backward: grad shapes"):
-        lstm_gate_backward(p, tape.gates, np.tanh(tape.c), tape.c_prev, np.zeros((2, 5)),
+        lstm_gate_backward(p, tape.gates, tape.c, tape.c_prev, np.zeros((2, 5)),
                            np.zeros((2, 4)))
     hp = init_head(3, 1, 4, 5, 4, seed=0)
     _, htape = head_forward(hp, np.ones((2, 3)), [np.ones((2, 4))])

@@ -8,10 +8,10 @@ rank-B weight gradient) and adds the result into the accumulators.  Both
 take the schedule (which phase a level reads at step t, whether it fires,
 what it consumes) from the variants' closed-form rules, not from the level
 table, and nothing from the engine's tape.  The engine's recorded forward
-must give the reference's predictions, and its tape the reference's gates
-and cell states, bit for bit; `rollout_backward` forms the same weight
-gradients from the slimmer tape as time-batched GEMMs, so the two differ
-only in summation order.  Both run the head backward only at steps
+must give the reference's predictions, its tape the reference's gates and
+cell states, and `RolloutTape.hidden` the hidden states, bit for bit;
+`rollout_backward` forms the same weight gradients from the slimmer tape as
+time-batched GEMMs, so the two differ only in summation order.  Both run the head backward only at steps
 t >= S-1: the recorded rollout runs the head forward only there.
 """
 
@@ -43,8 +43,9 @@ def _stride_fed(cfg):
 
 def reference_forward(model, seed_vels, origin, n_pred, mode="eval", rng=None):
     """(preds (n_pred, B, d), steps): steps[t] is (per level its LstmTape at
-    step t or None, and the head's (input, hiddens, HeadTape) or None before
-    t = S-1)."""
+    step t or None, the head's (input, hiddens, HeadTape) or None before
+    t = S-1, and per level the hidden state its firing at t produced or
+    None)."""
     cfg = model.config
     B, S, _ = seed_vels.shape
     K, h = cfg.granularity, cfg.hidden
@@ -59,10 +60,11 @@ def reference_forward(model, seed_vels, origin, n_pred, mode="eval", rng=None):
         v = seed_vels[:, t] if t < S else preds[-1]
         pose = pose + v
         xs.append(pose if is_pose else v)
-        tapes, below = [], xs[t]
+        tapes, outs, below = [], [], xs[t]
         for m in range(1, cfg.levels + 1):
             if not _fires(cfg, m, t):
                 tapes.append(None)
+                outs.append(None)
                 continue
             inp = below
             if m > 1 and _stride_fed(cfg):
@@ -75,6 +77,7 @@ def reference_forward(model, seed_vels, origin, n_pred, mode="eval", rng=None):
             *states[m, q], tape = taped_step(model.cells[m - 1], inp, *state(m, q))
             tapes.append(tape)
             below = states[m, q][0]
+            outs.append(below)
         hiddens = [state(m, _phase(cfg, m, t))[0] for m in range(1, cfg.levels + 1)]
         # the head runs at every step, so its dropout masks come from the
         # same draws; only its outputs from t = S-1 on are predictions
@@ -85,7 +88,7 @@ def reference_forward(model, seed_vels, origin, n_pred, mode="eval", rng=None):
         if t >= S - 1:
             preds.append(out)
             head = (xs[t], hiddens, htape)
-        steps.append((tapes, head))
+        steps.append((tapes, head, outs))
     return np.stack(preds), steps
 
 
@@ -107,7 +110,7 @@ def reference_backward(model, steps, n_obs, d_preds):
 
     d_x = np.zeros((T, B, cfg.d_v))
     for t in reversed(range(T)):
-        tapes, head_call = steps[t]
+        tapes, head_call, _ = steps[t]
         if is_pose and t + 1 < T:
             d_x[t] += d_x[t + 1]
         if t >= S - 1:
@@ -156,17 +159,20 @@ def _compare(cfg, B, S, n_pred, mode="eval", seed=0):
                                          mode=mode, rng=rng_ref)
     assert np.array_equal(preds, ref_preds)
     # the tape holds each firing's gates and cell state, latest firing first,
-    # the inputs and the head's tapes, bit for bit
+    # the inputs and the head's tapes, bit for bit, and the hidden state it
+    # recomputes from them is the one the firing produced
     T = S + n_pred - 1
-    assert np.array_equal(tape.xs, np.stack([tapes[0].x for tapes, _ in steps]))
+    assert np.array_equal(tape.xs, np.stack([tapes[0].x for tapes, *_ in steps]))
     for m in range(cfg.levels):
         fired = [t for t in range(T) if steps[t][0][m] is not None]
         assert len(tape.gates[m]) == len(tape.c[m]) == len(fired)
         for row, t in enumerate(reversed(fired)):
             assert np.array_equal(tape.gates[m][row], steps[t][0][m].gates)
             assert np.array_equal(tape.c[m][row], steps[t][0][m].c)
+            assert np.array_equal(tape.hidden(m, model.levels[m], t), steps[t][2][m])
+        assert np.array_equal(tape.hidden(m, model.levels[m], -1), np.zeros((B, cfg.hidden)))
     assert len(tape.heads) == n_pred
-    for ht, (_, head) in zip(tape.heads, steps[S - 1:]):
+    for ht, (_, head, _) in zip(tape.heads, steps[S - 1:]):
         for name in ("d1", "d2", "r1", "r2", "mask1", "mask2"):
             a, b = getattr(ht, name), getattr(head[2], name)
             assert (a is None) == (b is None) and (a is None or np.array_equal(a, b)), name
