@@ -412,7 +412,7 @@ def forecast(model: Model, bank: PhaseStateBank, v_first, n_steps: int,
         raise InputError(f"forecast: n_steps must be >= 1, got {n_steps}")
     if bank.last_pose is None:
         raise ConfigError("forecast: bank has no last pose; run observe first")
-    preds = np.concatenate(_feed_back(model, bank, as_f64(v_first)[None], n_steps, mode, rng))
+    preds = _feed_back(model, bank, as_f64(v_first)[None], n_steps, mode, rng)[:, 0]
     bad = np.flatnonzero(~np.isfinite(preds).all(axis=1))
     if bad.size:
         raise NumericError(f"forecast: non-finite prediction at step {bad[0]}")
@@ -429,9 +429,9 @@ def rollout_forward(model: Model, seed_vels: np.ndarray, origin: np.ndarray,
     """Batched observe + autoregressive forecast.
 
     seed_vels: (B, S, d) ground-truth seed velocities; origin: (B, d) first
-    seed pose.  Returns (preds (n_steps, B, d), tape).  Step t for t < S
-    consumes seed_vels[:, t]; later steps consume the model's own previous
-    prediction.
+    seed pose (ShapeError otherwise).  Returns (preds (n_steps, B, d), tape).
+    Step t for t < S consumes seed_vels[:, t]; later steps consume the
+    model's own previous prediction.
 
     The seed is one call of the level sweep (`_advance`), each forecast step
     one more.  With record=True the returned RolloutTape of the T = S +
@@ -440,14 +440,16 @@ def rollout_forward(model: Model, seed_vels: np.ndarray, origin: np.ndarray,
     only) keeps no tape, returns None for it and stacks each run of a level's
     phases into one LSTM call.
     """
-    seed_vels = as_f64(seed_vels)
-    origin = as_f64(origin)
+    seed_vels, origin, d = as_f64(seed_vels), as_f64(origin), model.config.d_v
+    if seed_vels.ndim != 3 or seed_vels.shape[2] != d or origin.shape != (len(seed_vels), d):
+        raise ShapeError(f"rollout_forward: expected (B, S, {d}) seed velocities and a "
+                         f"(B, {d}) origin, got shapes {seed_vels.shape} and {origin.shape}")
     B, S, _ = seed_vels.shape
     if S < 1 or n_steps < 1:
         raise InputError("rollout_forward: need S >= 1 and n_steps >= 1")
     tape = RolloutTape.empty(model, B, S + n_steps - 1) if record else None
     bank, vhat = _observe(model, seed_vels, origin, mode, rng, tape)
-    return np.stack(_feed_back(model, bank, vhat, n_steps, mode, rng, tape)), tape
+    return _feed_back(model, bank, vhat, n_steps, mode, rng, tape), tape
 
 
 def _observe(model: Model, seed_vels: np.ndarray, origin: np.ndarray, mode: str,
@@ -471,17 +473,19 @@ def _observe(model: Model, seed_vels: np.ndarray, origin: np.ndarray, mode: str,
 
 
 def _feed_back(model: Model, bank: PhaseStateBank, v, n_steps: int, mode: str, rng,
-               tape: RolloutTape | None = None) -> list:
-    """Forecast stage: from the first prediction v, feed each prediction back
-    as the next input for n_steps - 1 steps.  Returns the n_steps predictions;
-    the steps are recorded into `tape` when given."""
+               tape: RolloutTape | None = None) -> np.ndarray:
+    """Forecast stage: from the first prediction v (B, d), feed each prediction
+    back as the next input for n_steps - 1 steps.  Returns the n_steps predictions
+    in one (n_steps, B, d) array allocated up front; the steps are recorded
+    into `tape` when given."""
     is_pose = model.levels[0].source == "pose"
     pose = bank.last_pose
-    preds = [v]
-    for _ in range(1, n_steps):
+    preds = np.empty((n_steps, *v.shape))
+    preds[0] = v
+    for i in range(1, n_steps):
         pose = pose + v
         v = _advance(model, bank, (pose if is_pose else v)[:, None], mode, rng, tape)
-        preds.append(v)
+        preds[i] = v
     bank.last_pose = pose + v
     return preds
 

@@ -20,7 +20,9 @@ __all__ = [
     "evaluate_pck",
 ]
 
-# Windows per batched rollout in `batched_forecast_poses`.
+# Windows per chunk of `evaluate_mae` and `evaluate_pck`: a chunk's forecast,
+# truth and zero-velocity frames are scored and freed before the next chunk's
+# rollout, so only per-window scores grow with the number of windows.
 EVAL_CHUNK = 256
 
 
@@ -63,24 +65,12 @@ def forecast_window(model: Model, window: Window) -> PoseSequence:
                         space=window.seed.space, action=window.target.action)
 
 
-def batched_forecast_poses(model: Model, windows: list[Window]) -> np.ndarray:
-    """Predicted pose frames (W, n, d) for many same-shape windows.
-
-    Windows run EVAL_CHUNK at a time, so the working memory does not grow with
-    the number of windows.  With more than one chunk, the frames go into one
-    output allocated after the first chunk's rollout, outside its peak.
-    """
-    out = None
-    for i in range(0, len(windows), EVAL_CHUNK):
-        chunk = windows[i:i + EVAL_CHUNK]
-        frames = forecast_frames(model, np.stack([w.seed.frames for w in chunk]),
-                                 windows[0].target.n_frames, first=i)
-        if len(chunk) == len(windows):
-            return frames
-        if out is None:
-            out = np.empty((len(windows), *frames.shape[1:]))
-        out[i:i + len(chunk)] = frames
-    return out
+def batched_forecast_poses(model: Model, windows: list[Window], first: int = 0) -> np.ndarray:
+    """Predicted pose frames (W, n, d) for same-shape windows, from one
+    tape-free rollout over all of them; a non-finite prediction names its
+    window counted from `first`."""
+    return forecast_frames(model, np.stack([w.seed.frames for w in windows]),
+                           windows[0].target.n_frames, first)
 
 
 def frame_interval(windows: list[Window]) -> float:
@@ -91,41 +81,46 @@ def frame_interval(windows: list[Window]) -> float:
     return intervals[0]
 
 
-def _truth_and_zero(windows: list[Window]) -> tuple[np.ndarray, np.ndarray]:
-    """Ground-truth frames (W, n, d) and the zero-velocity forecast of them.
-    Built after the model's rollout, they stay out of its memory peak."""
-    truth = np.stack([w.target.frames for w in windows])
-    last = np.stack([w.seed.frames[-1:] for w in windows])
-    return truth, zero_velocity_forecast(last, truth.shape[1])
+def _chunk_scores(model: Model | None, chunk: list[Window], first: int, score):
+    """(model rows or None, zero-velocity rows) of score(frames, truth) over one
+    chunk; truth and zero frames come after the rollout's peak and die on return."""
+    preds = None if model is None else batched_forecast_poses(model, chunk, first)
+    truth = np.stack([w.target.frames for w in chunk])
+    zero = zero_velocity_forecast(np.stack([w.seed.frames[-1:] for w in chunk]),
+                                  truth.shape[1])
+    return None if preds is None else score(preds, truth), score(zero, truth)
+
+
+def _scores(model: Model | None, windows: list[Window], score):
+    """Per-window score rows of the model (None without one) and of the
+    zero-velocity forecast, EVAL_CHUNK windows at a time."""
+    model_rows, zero_rows = zip(*(_chunk_scores(model, windows[i:i + EVAL_CHUNK], i, score)
+                                  for i in range(0, len(windows), EVAL_CHUNK)))
+    return None if model is None else np.concatenate(model_rows), np.concatenate(zero_rows)
 
 
 def evaluate_mae(model: Model | None, windows: list[Window],
                  horizons_ms) -> tuple[HorizonReport | None, HorizonReport]:
-    """(model report or None, zero-velocity report) over the same windows."""
+    """(model report or None, zero-velocity report) over the same windows,
+    scored EVAL_CHUNK windows at a time into (W, H) errors."""
     ks = horizon_indices(horizons_ms, frame_interval(windows), windows[0].target.n_frames)
-    preds = None if model is None else batched_forecast_poses(model, windows)
-    truth, zero = _truth_and_zero(windows)
+    errs, zero_errs = _scores(model, windows, lambda f, truth: angle_mae(f, truth, ks))
     actions = [w.target.action for w in windows]
-    zero_rep = aggregate_reports(angle_mae(zero, truth, ks), horizons_ms, actions)
-    if preds is None:
-        return None, zero_rep
-    return aggregate_reports(angle_mae(preds, truth, ks), horizons_ms, actions), zero_rep
+    rep = None if errs is None else aggregate_reports(errs, horizons_ms, actions)
+    return rep, aggregate_reports(zero_errs, horizons_ms, actions)
 
 
 def evaluate_pck(model: Model, windows: list[Window], threshold: float = 0.05):
     """Mean PCK per future frame over windows, for the model and the
     zero-velocity baseline: (model scores, zero scores, skipped), where skipped
     counts the window frames left out because their ground-truth bounding box
-    has zero size."""
+    has zero size.  Windows are scored EVAL_CHUNK at a time into (W, n) rows."""
     if {w.target.space for w in windows} != {"planar_2d"}:
         raise InputError("pck: sequences must be planar_2d")
     frame_interval(windows)  # frame k must be one horizon in every window
     if windows[0].target.dim % 2 != 0:
         raise InputError(f"pck: dim {windows[0].target.dim} is not 2 * n_joints")
-    preds = batched_forecast_poses(model, windows)
-    truth, zero = _truth_and_zero(windows)
-    scores_m = pck(preds, truth, threshold)
-    scores_z = pck(zero, truth, threshold)
+    scores_m, scores_z = _scores(model, windows, lambda f, truth: pck(f, truth, threshold))
     skipped = np.isnan(scores_z)  # a zero-size truth box: the same frames for both
     cnt = np.maximum(np.sum(~skipped, axis=0), 1)
     means = [(window_sum(np.nan_to_num(s)) / cnt).tolist() for s in (scores_m, scores_z)]

@@ -549,6 +549,41 @@ def test_eval_pck_protocol(tmp_path):
     assert len(rows) == 1 + 5
 
 
+def test_eval_reports_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch):
+    # the scorer forecasts the windows a chunk at a time; chunks of 4 over
+    # more test windows than that give the one-chunk run's report bytes
+    import posecast.evaluate as evaluate
+
+    data = synth(tmp_path, dim=4)
+    ck = tmp_path / "model.bin"
+    save_model_checkpoint(ck, build_model(ModelConfig(variant="tp_rnn", d_v=4, granularity=2,
+                                                      levels=2, hidden=4, head1=5, head2=4,
+                                                      seed=1)))
+    forecast, rollouts = evaluate.batched_forecast_poses, []
+
+    def recorded(model, windows, first=0):
+        rollouts.append((first, len(windows)))
+        return forecast(model, windows, first)
+
+    monkeypatch.setattr(evaluate, "batched_forecast_poses", recorded)
+    reports = {}
+    for chunk in (evaluate.EVAL_CHUNK, 4):
+        monkeypatch.setattr(evaluate, "EVAL_CHUNK", chunk)
+        for protocol in ("mae", "pck"):
+            rollouts.clear()
+            out = tmp_path / f"{protocol}_{chunk}.csv"
+            assert run("eval", "--checkpoint", ck, "--manifest", data / "manifest.txt",
+                       "--protocol", protocol, "--seed-len", 10, "--target-len", 5,
+                       "--out", out) == 0
+            reports[protocol, chunk] = out.read_bytes()
+            n_windows = int(reports["mae", chunk].splitlines()[1].split(b",")[-1])
+            assert rollouts == [(i, min(chunk, n_windows - i))
+                                for i in range(0, n_windows, chunk)]
+    assert n_windows > 4
+    for protocol in ("mae", "pck"):
+        assert reports[protocol, 4] == reports[protocol, 256]
+
+
 def test_eval_checkpoint_dim_mismatch(tmp_path):
     data = synth(tmp_path, dim=3)
     ck = zero_checkpoint(tmp_path, d_v=4)

@@ -27,7 +27,7 @@ import pytest
 
 from posecast import arch
 from posecast.arch import ModelConfig, build_model, new_bank, rollout_forward
-from posecast.errors import ConfigError
+from posecast.errors import ConfigError, ShapeError
 
 from rollout_oracle import model_step, nan_tape, stacked_rollout
 
@@ -295,6 +295,21 @@ def test_empty_batch_rolls_out_to_an_empty_result():
     seed_vels, origin = _inputs(0, 10)
     preds, tape = rollout_forward(model, seed_vels, origin, 4, mode="eval", record=False)
     assert preds.shape == (4, 0, 3) and tape is None
+
+
+@pytest.mark.parametrize("seed_shape,origin_shape", [
+    ((4, 3), (3,)),           # one unbatched seed
+    ((2, 4, 3), (3,)),        # one origin for every window: broadcast, wrong poses
+    ((2, 4, 3), (1, 3)),
+    ((2, 4, 3), (2, 2)),
+    ((2, 4, 2), (2, 2)),      # not the model's d_v
+    ((1, 2, 4, 3), (1, 3)),
+])
+def test_rollout_forward_rejects_a_bad_shape(seed_shape, origin_shape):
+    # a (B, S, d_v) seed and a (B, d_v) origin, else a shape error before any work
+    with pytest.raises(ShapeError, match="rollout_forward: expected"):
+        rollout_forward(_model("single_layer_pose", 1), np.zeros(seed_shape),
+                        np.zeros(origin_shape), 2, mode="eval", record=False)
 
 
 @pytest.mark.parametrize("variant,levels", VARIANT_LEVELS)
