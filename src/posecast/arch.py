@@ -35,7 +35,7 @@ every schedule fact; nothing records one.  A recorded rollout's tape
 two slabs, plus the inputs and the head's tapes; every hidden state and
 layer input is recomputed from those.  The state bank (`PhaseStateBank`)
 holds each level's hidden and cell states as two (phases, B, hidden) slabs
-and the last K inputs; the LSTM update writes into the slab rows in place.
+and a stride-fed level's last K - 1 inputs; the LSTM writes the rows in place.
 
 Every forward step runs through one level sweep, `_advance`: the whole seed
 in one call, each forecast step in a call of one input.  The sweep cuts a
@@ -319,7 +319,7 @@ class PhaseStateBank:
     h: list[np.ndarray]
     c: list[np.ndarray]
     t: int = 0
-    recent: list = field(default_factory=list)  # last K inputs, read by stride-fed levels
+    recent: list = field(default_factory=list)  # last K-1 inputs if a level is stride-fed
     last_pose: np.ndarray | None = None
 
 
@@ -603,9 +603,9 @@ def _advance(model: Model, bank: PhaseStateBank, xs: np.ndarray, mode: str, rng,
                                    dropout_rate=cfg.effective_dropout, rng=rng, train=train)
     if tape is not None:
         tape.heads.append(head_tape)
-    # the steps _stride_window(t, K) reads next, copied so the bank does not
-    # hold xs
-    bank.recent = [inp(i).copy() for i in range(max(first, t0 + n - K), t0 + n)]
+    # copies of the K - 1 inputs before bank.t that a stride window reads next
+    keep = K - 1 if any(level.source == "stride" for level in model.levels) else 0
+    bank.recent = [inp(i).copy() for i in range(max(first, t0 + n - keep), t0 + n)]
     bank.t = t0 + n
     return vhat
 

@@ -25,7 +25,7 @@ from .errors import ConfigError, InputError, NumericError, ParseError
 from .metrics import DEFAULT_HORIZONS_MS, horizon_frame_index, horizon_indices
 from .numcore import atomic_write_text
 from .posedata import (MAX_SYNTH_VALUES, PoseSequence, load_manifest, load_sequence,
-                       load_split, save_sequence, synth_multiscale)
+                       load_split, save_sequence, synth_multiscale, text_lines)
 from .train import (TrainConfig, TrainingData, load_model_checkpoint,
                     resume_state, train_loop, write_trace)
 
@@ -41,17 +41,8 @@ EXIT_IO = 5
 
 def read_kv_config(path) -> dict[str, str]:
     path = Path(path)
-    if not path.exists():
-        raise ParseError(f"{path}: no such file")
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as e:
-        raise ParseError(f"{path}: not UTF-8 text ({e.reason})") from None
     out, linenos = {}, {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in text_lines(path):
         if "=" not in line:
             raise ParseError(f"{path}:{lineno}: expected key=value")
         key, _, value = line.partition("=")

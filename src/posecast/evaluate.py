@@ -42,15 +42,18 @@ def collect_windows(sequences: list[PoseSequence], seed_len: int,
 
 def forecast_frames(model: Model, seeds: np.ndarray, n_steps: int,
                     first: int = 0) -> np.ndarray:
-    """Pose frames (W, n_steps, d) continuing W seeds of pose frames (W, S+1, d),
-    from one tape-free rollout over all of them.
+    """Pose frames (W, n_steps, d), a transposed view, continuing W seeds of
+    pose frames (W, S+1, d), from one tape-free rollout over all of them.
 
     Raises NumericError at the first non-finite prediction, naming its window
     (counted from `first`) and step.
     """
     preds, _ = rollout_forward(model, np.diff(seeds, axis=1), seeds[:, 0], n_steps,
                                mode="eval", record=False)
-    frames = seeds[:, -1][:, None, :] + np.cumsum(preds.transpose(1, 0, 2), axis=1)
+    # integrated in the predictions' own buffer, so a forecast is held once
+    np.cumsum(preds, axis=0, out=preds)
+    preds += seeds[:, -1]
+    frames = preds.transpose(1, 0, 2)
     bad = np.argwhere(~np.isfinite(frames).all(axis=2))
     if bad.size:
         raise NumericError(f"forecast: non-finite prediction in window "

@@ -24,6 +24,7 @@ __all__ = [
     "ManifestEntry",
     "DatasetManifest",
     "make_windows",
+    "text_lines",
     "load_sequence",
     "save_sequence",
     "load_manifest",
@@ -100,40 +101,43 @@ def make_windows(p: PoseSequence, seed_len: int, target_len: int,
 # plus an optional `mask=i,j,...` footer naming the kept dimensions.
 
 
-def _numbered_lines(fh, path):
-    """(line number, line) of the text file `fh` opened as UTF-8, one line
-    at a time; ParseError naming `path` at the first byte that is not UTF-8."""
-    try:
-        yield from enumerate(fh, start=1)
-    except UnicodeDecodeError as e:
-        raise ParseError(f"{path}: not UTF-8 text ({e.reason})") from None
+def text_lines(path, comments: bool = True):
+    """(line number, stripped line) of each non-blank line of the UTF-8 text file
+    `path`, read line by line, skipping `#` lines if `comments` (manifests and
+    configs have them, sequence CSVs do not).  ParseError naming `path` if the
+    file is missing or at its first byte that is not UTF-8."""
+    path = Path(path)
+    if not path.exists():
+        raise ParseError(f"{path}: no such file")
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if line and not (comments and line.startswith("#")):
+                    yield lineno, line
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{path}: not UTF-8 text ({e.reason})") from None
 
 
 def load_sequence(path, expected_dim: int | None = None,
                   frame_interval_ms: float = 1.0, space: str = "angle_expmap",
                   action: str = "") -> PoseSequence:
     path = Path(path)
-    if not path.exists():
-        raise ParseError(f"{path}: no such file")
     rows = []
     dim = expected_dim
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in _numbered_lines(fh, path):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if dim is None:
-                dim = len(parts)
-            if len(parts) != dim:
-                raise ParseError(f"{path}:{lineno}: expected {dim} columns, got {len(parts)}")
-            try:
-                row = [float(s) for s in parts]
-            except ValueError as e:
-                raise ParseError(f"{path}:{lineno}: {e}") from None
-            if not all(math.isfinite(x) for x in row):
-                raise ParseError(f"{path}:{lineno}: non-finite value")
-            rows.append(row)
+    for lineno, line in text_lines(path, comments=False):
+        parts = line.split(",")
+        if dim is None:
+            dim = len(parts)
+        if len(parts) != dim:
+            raise ParseError(f"{path}:{lineno}: expected {dim} columns, got {len(parts)}")
+        try:
+            row = [float(s) for s in parts]
+        except ValueError as e:
+            raise ParseError(f"{path}:{lineno}: {e}") from None
+        if not all(math.isfinite(x) for x in row):
+            raise ParseError(f"{path}:{lineno}: non-finite value")
+        rows.append(row)
     if not rows:
         raise ParseError(f"{path}: empty sequence file")
     return PoseSequence(frames=np.array(rows), frame_interval_ms=frame_interval_ms,
@@ -175,47 +179,41 @@ class DatasetManifest:
 
 def load_manifest(path) -> DatasetManifest:
     path = Path(path)
-    if not path.exists():
-        raise ParseError(f"{path}: no such file")
     entries, linenos = [], []
     mask, mask_lineno = None, None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in _numbered_lines(fh, path):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("mask="):
-                try:
-                    line_mask = [int(s) for s in line[len("mask="):].split(",")]
-                except ValueError:
-                    raise ParseError(f"{path}:{lineno}: bad mask line") from None
-                seen = set()
-                for i in line_mask:
-                    if i in seen:
-                        raise ParseError(f"{path}:{lineno}: mask index {i} appears twice")
-                    seen.add(i)
-                if mask is not None:
-                    raise ParseError(f"{path}:{lineno}: second mask line (the first is "
-                                     f"line {mask_lineno})")
-                mask, mask_lineno = line_mask, lineno
-                continue
-            parts = line.split(",")
-            if len(parts) != 5:
-                raise ParseError(f"{path}:{lineno}: expected 5 fields, got {len(parts)}")
-            p, split, action, dim_s, interval_s = [s.strip() for s in parts]
-            if split not in ("train", "test"):
-                raise ParseError(f"{path}:{lineno}: split must be train|test, got {split!r}")
+    for lineno, line in text_lines(path):
+        if line.startswith("mask="):
             try:
-                dim = int(dim_s)
-                interval = float(interval_s)
-            except ValueError as e:
-                raise ParseError(f"{path}:{lineno}: {e}") from None
-            if not 0 < interval < math.inf:
-                raise ParseError(f"{path}:{lineno}: interval_ms must be finite and > 0, "
-                                 f"got {interval_s!r}")
-            entries.append(ManifestEntry(path=p, split=split, action=action,
-                                         dim=dim, interval_ms=interval))
-            linenos.append(lineno)
+                line_mask = [int(s) for s in line[len("mask="):].split(",")]
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: bad mask line") from None
+            seen = set()
+            for i in line_mask:
+                if i in seen:
+                    raise ParseError(f"{path}:{lineno}: mask index {i} appears twice")
+                seen.add(i)
+            if mask is not None:
+                raise ParseError(f"{path}:{lineno}: second mask line (the first is "
+                                 f"line {mask_lineno})")
+            mask, mask_lineno = line_mask, lineno
+            continue
+        parts = line.split(",")
+        if len(parts) != 5:
+            raise ParseError(f"{path}:{lineno}: expected 5 fields, got {len(parts)}")
+        p, split, action, dim_s, interval_s = [s.strip() for s in parts]
+        if split not in ("train", "test"):
+            raise ParseError(f"{path}:{lineno}: split must be train|test, got {split!r}")
+        try:
+            dim = int(dim_s)
+            interval = float(interval_s)
+        except ValueError as e:
+            raise ParseError(f"{path}:{lineno}: {e}") from None
+        if not 0 < interval < math.inf:
+            raise ParseError(f"{path}:{lineno}: interval_ms must be finite and > 0, "
+                             f"got {interval_s!r}")
+        entries.append(ManifestEntry(path=p, split=split, action=action,
+                                     dim=dim, interval_ms=interval))
+        linenos.append(lineno)
     if not entries:
         raise ParseError(f"{path}: manifest lists no sequences")
     # a mask cuts every entry down to len(mask) dims; without one they must agree

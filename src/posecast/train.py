@@ -406,8 +406,8 @@ def train_loop(model: Model, dataset: TrainingData, cfg: TrainConfig,
     Deterministic given cfg.seed: two runs with the same seed produce
     identical traces and checkpoints, and resuming from a saved checkpoint
     (start_iteration / rng_state / adam) continues bit-exactly.  On a
-    non-finite loss or gradient norm the last finite state is checkpointed
-    and NumericError is raised.
+    non-finite loss or gradient norm the state at that iteration's start is
+    checkpointed, so a resume replays it, and NumericError is raised.
     """
     cfg.validate()
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
@@ -436,13 +436,15 @@ def train_loop(model: Model, dataset: TrainingData, cfg: TrainConfig,
     # place on it and on model.theta
     grads = np.zeros(model.theta.shape)
     for it in range(start_iteration, cfg.iterations):
+        start_state = rng.bit_generator.state  # before the iteration's first draw
         seeds, targets = dataset.sample_batch(rng, cfg.batch_size)
         loss, grads = rollout_loss_batch(model, seeds, targets, cfg,
                                          mode="train", rng=rng, grads=grads)
         # per tensor in layout order: the norm's summation order is part of a run's bits
         _, norm = clip_global_norm(model.views(grads), cfg.clip_norm)
         if not (np.isfinite(loss) and np.isfinite(norm)):
-            # the parameters are still those of the last finite update
+            # the last finite update's parameters; the generator as the iteration began
+            rng.bit_generator.state = start_state
             _save("abort", it)
             raise NumericError(f"training diverged at iteration {it}: "
                                f"loss={loss}, gradient norm={norm}")

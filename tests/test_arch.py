@@ -530,10 +530,10 @@ def test_double_scale_strided_input_is_pose_difference_over_k(monkeypatch):
     for t in range(8):
         upper_inputs.clear()
         got = _step_updates(model, bank, vels[t:t + 1], tape)
-        # the bank keeps the last K inputs: the window a firing step sums
-        assert len(bank.recent) == min(t + 1, 2)
-        for x, v in zip(bank.recent, vels[max(0, t - 1):t + 1]):
-            assert np.array_equal(x[0], v)
+        # the bank keeps the last K-1 inputs: what the next firing step's
+        # window sums besides its own input
+        assert len(bank.recent) == 1
+        assert np.array_equal(bank.recent[0][0], vels[t])
         if t % 2 == 1:  # fires every K=2 steps
             assert got == [(1, 0), (2, 0)]
             assert np.allclose(upper_inputs[0][0], vels[t - 1] + vels[t], atol=1e-15)

@@ -319,6 +319,18 @@ def test_repeated_config_key_exits_2(tmp_path, capsys, cfg, key, value, first, s
     assert f"line {first}" in err and not out.exists()
 
 
+def test_config_blank_and_comment_lines_are_skipped_but_counted(tmp_path, capsys):
+    # a `#` line would be "expected key=value" (exit 3) if it were read; the
+    # repeated key's lines are numbered as in the file, skipped lines included
+    data = synth(tmp_path)
+    mc, tc = _train_cfgs(tmp_path, iterations=2)
+    tc.write_text("# a train config\n\n" + tc.read_text() + "   \n  # again\nbatch_size=2\n")
+    assert run("train", "--model-config", mc, "--train-config", tc,
+               "--manifest", data / "manifest.txt", "--out", tmp_path / "r") == 2
+    err = capsys.readouterr().err
+    assert f"{tc}:10: key 'batch_size' repeated (first set on line 4)" in err
+
+
 @pytest.mark.parametrize("missing", ["--model-config", "--train-config"])
 def test_train_without_a_config_flag_exits_2(tmp_path, capsys, missing):
     # without --resume both config files are required: the missing flag is
@@ -776,31 +788,49 @@ def test_eval_missing_checkpoint(tmp_path):
                "--out", tmp_path / "r.csv") == 3
 
 
-@pytest.mark.parametrize("kind", ["seed_csv", "config", "manifest", "split_csv"])
-def test_non_utf8_input_file_exits_3_naming_it(tmp_path, capsys, kind):
-    # a 0xff byte is not UTF-8: every text file the CLI reads ends in an
-    # input error that names the file, not a UnicodeDecodeError traceback
+INPUT_FILES = ["seed_csv", "config", "manifest", "split_csv"]
+
+
+def _input_file_run(tmp_path, kind):
+    """(the input file of the given kind, argv of a command that reads it);
+    the file exists except for a seed CSV."""
     data = synth(tmp_path)
     manifest = data / "manifest.txt"
     mc, tc = _train_cfgs(tmp_path, iterations=2)
     train = ("train", "--model-config", mc, "--train-config", tc, "--manifest", manifest,
              "--out", tmp_path / "r")
     if kind == "seed_csv":
-        bad = tmp_path / "seed.csv"
-        argv = ("forecast", "--checkpoint", zero_checkpoint(tmp_path), "--seed-csv", bad,
-                "--n-steps", 3, "--out", tmp_path / "p.csv")
-    elif kind == "config":
-        bad, argv = tc, train
-    elif kind == "manifest":
-        bad = manifest
-        argv = ("eval", "--checkpoint", zero_checkpoint(tmp_path), "--manifest", manifest,
-                "--seed-len", 10, "--target-len", 5, "--out", tmp_path / "r.csv")
-    else:  # a train sequence, read through load_split
-        bad, argv = data / manifest.read_text().split(",")[0], train
+        return tmp_path / "seed.csv", ("forecast", "--checkpoint", zero_checkpoint(tmp_path),
+                                       "--seed-csv", tmp_path / "seed.csv",
+                                       "--n-steps", 3, "--out", tmp_path / "p.csv")
+    if kind == "config":
+        return tc, train
+    if kind == "manifest":
+        return manifest, ("eval", "--checkpoint", zero_checkpoint(tmp_path),
+                          "--manifest", manifest, "--seed-len", 10, "--target-len", 5,
+                          "--out", tmp_path / "r.csv")
+    # a train sequence, read through load_split
+    return data / manifest.read_text().split(",")[0], train
+
+
+@pytest.mark.parametrize("kind", INPUT_FILES)
+def test_non_utf8_input_file_exits_3_naming_it(tmp_path, capsys, kind):
+    # a 0xff byte is not UTF-8: every text file the CLI reads ends in an
+    # input error that names the file, not a UnicodeDecodeError traceback
+    bad, argv = _input_file_run(tmp_path, kind)
     bad.write_bytes((bad.read_bytes() if bad.exists() else b"0,0,0\n") + b"0.5,\xff,1\n")
     assert run(*argv) == 3
     err = capsys.readouterr().err
     assert "input error" in err and f"{bad}: not UTF-8" in err
+
+
+@pytest.mark.parametrize("kind", INPUT_FILES)
+def test_missing_input_file_exits_3_naming_it(tmp_path, capsys, kind):
+    missing, argv = _input_file_run(tmp_path, kind)
+    missing.unlink(missing_ok=True)
+    assert run(*argv) == 3
+    err = capsys.readouterr().err
+    assert "input error" in err and f"{missing}: no such file" in err
 
 
 # ---------------------------------------------------------------------------

@@ -248,6 +248,24 @@ def test_manifest_errors(tmp_path):
         load_manifest(f)
 
 
+def test_comment_lines_are_skipped_in_manifests_not_in_sequences(tmp_path):
+    # blank lines are skipped everywhere and `#` lines in manifests; every
+    # line keeps its number.  In a sequence CSV a `#` line is a parse error
+    # naming its line
+    f = tmp_path / "m.txt"
+    f.write_text("# header\n\n   \na.csv,train,walking,3,40.0\n\n  # more\n"
+                 "b.csv,train,walking,4,40.0\n")
+    with pytest.raises(ParseError, match=r"m\.txt:7: dim 4 differs"):
+        load_manifest(f)
+    s = tmp_path / "s.csv"
+    s.write_text("1.0,2.0\n\n   \n3.0,4.0\n")
+    assert np.array_equal(load_sequence(s).frames, [[1, 2], [3, 4]])
+    for text, lineno in (("1.0,2.0\n\n# x,y\n3.0,4.0\n", 3), ("# frames\n1.0,2.0\n", 1)):
+        s.write_text(text)
+        with pytest.raises(ParseError, match=rf"s\.csv:{lineno}: "):
+            load_sequence(s)
+
+
 # ---------------------------------------------------------------------------
 # synthetic generator
 

@@ -103,8 +103,10 @@ def _check(model, B, S, n_pred=6):
     bank, v = arch._observe(model, seed_vels, origin, "eval", None, None)
     assert bank.t == bank_ref.t == S
     assert np.array_equal(bank.last_pose, bank_ref.last_pose)
-    # the bank keeps the inputs of the last K steps, the stride window at S-1
-    window = range(max(0, S - model.config.granularity), S)
+    # a stride-fed level's bank keeps the inputs of the last K-1 steps, the
+    # part of the stride window at S that comes before S; other banks none
+    stride_fed = any(level.source == "stride" for level in model.levels)
+    window = range(max(0, S - model.config.granularity + 1) if stride_fed else S, S)
     assert len(bank.recent) == len(bank_ref.recent) == len(window)
     xs = np.cumsum(seed_vels, axis=1) + origin[:, None] if model.levels[0].source == "pose" \
         else seed_vels
@@ -128,6 +130,22 @@ def test_tape_free_matches_recording_all_variants(variant, levels, B):
     model = _model(variant, levels)
     assert _hoisted(model, B, 10) == (B <= 3)
     _check(model, B, S=10)
+
+
+@pytest.mark.parametrize("variant,levels,K,kept", [
+    ("tp_rnn", 3, 2, 0), ("tp_rnn", 3, 3, 0), ("stacked2_vel", 2, 10 ** 6, 0),
+    ("double_scale_vel", 2, 2, 1), ("double_scale_phase_vel", 2, 2, 1)])
+def test_bank_keeps_stride_history_only_for_stride_fed_levels(variant, levels, K, kept):
+    # only a stride window reads inputs from before bank.t, K-1 of them; a
+    # bank of another variant keeps none, whatever its granularity
+    model = _model(variant, levels, K=K)
+    seed_vels, origin = _inputs(2, 10)
+    bank, v = arch._observe(model, seed_vels, origin, "eval", None, None)
+    assert len(bank.recent) == kept
+    for ti, x in zip(range(10 - kept, 10), bank.recent):
+        assert np.array_equal(x, seed_vels[:, ti])
+    arch._feed_back(model, bank, v, 3, "eval", None)
+    assert len(bank.recent) == kept
 
 
 @pytest.mark.parametrize("B", [1, 3, arch.HOIST_ROWS + 1])

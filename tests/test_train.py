@@ -348,6 +348,36 @@ def test_nonfinite_gradient_aborts_with_last_finite_params(tmp_path, monkeypatch
     assert np.array_equal(theta, before["theta"])
 
 
+@pytest.mark.parametrize("optimizer,dropout_rate", [("sgd", None), ("adam", 0.3)])
+def test_abort_checkpoint_is_the_diverged_iterations_starting_state(
+        tmp_path, monkeypatch, optimizer, dropout_rate):
+    # the abort checkpoint of a run poisoned at iteration 2 is the one an
+    # unpoisoned run writes before iteration 2, its RNG state included, so a
+    # resume from it draws the diverged iteration's batch and dropout masks
+    import posecast.train as train_mod
+
+    def run(out_dir):
+        _, data, cfg = _toy_setup(iterations=4, optimizer=optimizer)
+        cfg.checkpoint_every = 2
+        return train_loop(tiny_model(dropout_rate=dropout_rate), data, cfg, out_dir=out_dir)
+
+    run(tmp_path / "clean")
+    real, calls = train_mod.rollout_loss_batch, []
+
+    def poisoned(model_, *args, **kwargs):
+        loss, grads = real(model_, *args, **kwargs)
+        calls.append(loss)
+        if len(calls) == 3:
+            model_.views(grads)[0][0, 0] = np.nan
+        return loss, grads
+
+    monkeypatch.setattr(train_mod, "rollout_loss_batch", poisoned)
+    with pytest.raises(NumericError, match="diverged at iteration 2"):
+        run(tmp_path / "poisoned")
+    assert ((tmp_path / "poisoned" / "checkpoint_abort.bin").read_bytes()
+            == (tmp_path / "clean" / "checkpoint_00000002.bin").read_bytes())
+
+
 def test_write_trace_format(tmp_path):
     write_trace(tmp_path / "t.csv", [(0, 1.5, 0.01), (1, 1.25, 0.01)])
     lines = (tmp_path / "t.csv").read_text().splitlines()
