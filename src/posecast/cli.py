@@ -75,16 +75,17 @@ def _coerce(cls, raw: dict, *, path="config"):
     return kwargs
 
 
-def model_config_from_file(path, default_d_v: int | None = None) -> ModelConfig:
+def model_config_from_file(path, d_v: int) -> ModelConfig:
+    """The validated model config in `path` for a dataset of dimension `d_v`,
+    which its `d_v` key defaults to and must equal."""
     raw = read_kv_config(path)
     kwargs = _coerce(ModelConfig, raw, path=path)
     if "variant" not in kwargs:
         raise ConfigError(f"{path}: variant missing")
-    if "d_v" not in kwargs:
-        if default_d_v is None:
-            raise ConfigError(f"{path}: d_v missing and not derivable")
-        kwargs["d_v"] = default_d_v
-    return ModelConfig(**kwargs).validate()
+    cfg = ModelConfig(**{"d_v": d_v, **kwargs}).validate()
+    if cfg.d_v != d_v:
+        raise ConfigError(f"model d_v {cfg.d_v} != dataset dim {d_v}")
+    return cfg
 
 
 def train_config_from_file(path) -> TrainConfig:
@@ -132,13 +133,12 @@ def cmd_train(args) -> int:
             raise InputError(f"{args.resume}: the checkpoint {held} Adam moments, but "
                              f"its optimizer is {tcfg.optimizer!r}")
         manifest = load_manifest(args.manifest)
+        if model.config.d_v != manifest.dim:
+            raise ConfigError(f"model d_v {model.config.d_v} != dataset dim {manifest.dim}")
     else:
         manifest = load_manifest(args.manifest)
         tcfg = train_config_from_file(args.train_config)
-        model = build_model(model_config_from_file(args.model_config,
-                                                   default_d_v=manifest.dim))
-    if model.config.d_v != manifest.dim:
-        raise ConfigError(f"model d_v {model.config.d_v} != dataset dim {manifest.dim}")
+        model = build_model(model_config_from_file(args.model_config, manifest.dim))
     train_seqs = load_split(manifest, "train")
     data = TrainingData(sequences=train_seqs, seed_len=tcfg.seed_len,
                         target_len=tcfg.target_len)
@@ -208,8 +208,7 @@ def cmd_eval(args) -> int:
     if model.config.d_v != manifest.dim:
         raise ConfigError(f"checkpoint d_v {model.config.d_v} != dataset dim "
                           f"{manifest.dim}")
-    space = "planar_2d" if args.protocol == "pck" else "angle_expmap"
-    test_seqs = load_split(manifest, "test", space=space)
+    test_seqs = load_split(manifest, "test")
     windows = evaluate.collect_windows(test_seqs, args.seed_len, args.target_len)
     if args.protocol == "mae":
         horizons = _horizons(args, windows, args.target_len)
@@ -256,9 +255,7 @@ def cmd_ablate(args) -> int:
                           f"variant of {', '.join(VARIANTS)}")
     manifest = load_manifest(args.manifest)
     tcfg = train_config_from_file(args.train_config)
-    base = model_config_from_file(args.model_config, default_d_v=manifest.dim)
-    if base.d_v != manifest.dim:
-        raise ConfigError(f"model d_v {base.d_v} != dataset dim {manifest.dim}")
+    base = model_config_from_file(args.model_config, manifest.dim)
     train_seqs = load_split(manifest, "train")
     test_seqs = load_split(manifest, "test")
     data = TrainingData(sequences=train_seqs, seed_len=tcfg.seed_len,

@@ -65,7 +65,7 @@ def forecast_window(model: Model, window: Window) -> PoseSequence:
     """Predicted future poses for one window (frames align with window.target)."""
     frames = forecast_frames(model, window.seed.frames[None], window.target.n_frames)[0]
     return PoseSequence(frames=frames, frame_interval_ms=window.seed.frame_interval_ms,
-                        space=window.seed.space, action=window.target.action)
+                        action=window.target.action)
 
 
 def batched_forecast_poses(model: Model, windows: list[Window], first: int = 0) -> np.ndarray:
@@ -118,8 +118,6 @@ def evaluate_pck(model: Model, windows: list[Window], threshold: float = 0.05):
     zero-velocity baseline: (model scores, zero scores, skipped), where skipped
     counts the window frames left out because their ground-truth bounding box
     has zero size.  Windows are scored EVAL_CHUNK at a time into (W, n) rows."""
-    if {w.target.space for w in windows} != {"planar_2d"}:
-        raise InputError("pck: sequences must be planar_2d")
     frame_interval(windows)  # frame k must be one horizon in every window
     if windows[0].target.dim % 2 != 0:
         raise InputError(f"pck: dim {windows[0].target.dim} is not 2 * n_joints")

@@ -34,14 +34,13 @@ __all__ = [
     "SLOW_PERIOD_BAND",
 ]
 
-SPACES = ("angle_expmap", "planar_2d")
-
 
 @dataclass
 class PoseSequence:
+    """Frames, their interval and an action label, nothing else: whether the
+    frames are angles or planar joints is the caller's choice of scorer."""
     frames: np.ndarray  # (T, D)
     frame_interval_ms: float
-    space: str = "angle_expmap"
     action: str = ""  # reporting only; never a model input
 
     def __post_init__(self):
@@ -51,8 +50,6 @@ class PoseSequence:
         if not 0 < self.frame_interval_ms < math.inf:
             raise InputError("PoseSequence: frame_interval_ms must be finite and > 0, "
                              f"got {self.frame_interval_ms}")
-        if self.space not in SPACES:
-            raise InputError(f"PoseSequence: unknown space {self.space!r}")
 
     @property
     def n_frames(self) -> int:
@@ -84,11 +81,9 @@ def make_windows(p: PoseSequence, seed_len: int, target_len: int,
     out = []
     for start in range(0, p.n_frames - total + 1, stride):
         seed = PoseSequence(frames=p.frames[start:start + seed_len],
-                            frame_interval_ms=p.frame_interval_ms, space=p.space,
-                            action=p.action)
+                            frame_interval_ms=p.frame_interval_ms, action=p.action)
         target = PoseSequence(frames=p.frames[start + seed_len:start + total],
-                              frame_interval_ms=p.frame_interval_ms, space=p.space,
-                              action=p.action)
+                              frame_interval_ms=p.frame_interval_ms, action=p.action)
         out.append(Window(seed=seed, target=target))
     return out
 
@@ -120,8 +115,7 @@ def text_lines(path, comments: bool = True):
 
 
 def load_sequence(path, expected_dim: int | None = None,
-                  frame_interval_ms: float = 1.0, space: str = "angle_expmap",
-                  action: str = "") -> PoseSequence:
+                  frame_interval_ms: float = 1.0, action: str = "") -> PoseSequence:
     path = Path(path)
     rows = []
     dim = expected_dim
@@ -141,7 +135,7 @@ def load_sequence(path, expected_dim: int | None = None,
     if not rows:
         raise ParseError(f"{path}: empty sequence file")
     return PoseSequence(frames=np.array(rows), frame_interval_ms=frame_interval_ms,
-                        space=space, action=action)
+                        action=action)
 
 
 def save_sequence(path, p: PoseSequence):
@@ -169,12 +163,6 @@ class DatasetManifest:
     def dim(self) -> int:
         d = self.entries[0].dim
         return len(self.mask) if self.mask is not None else d
-
-    def train_entries(self):
-        return [e for e in self.entries if e.split == "train"]
-
-    def test_entries(self):
-        return [e for e in self.entries if e.split == "test"]
 
 
 def load_manifest(path) -> DatasetManifest:
@@ -208,6 +196,8 @@ def load_manifest(path) -> DatasetManifest:
             interval = float(interval_s)
         except ValueError as e:
             raise ParseError(f"{path}:{lineno}: {e}") from None
+        if dim < 1:
+            raise ParseError(f"{path}:{lineno}: dim must be >= 1, got {dim}")
         if not 0 < interval < math.inf:
             raise ParseError(f"{path}:{lineno}: interval_ms must be finite and > 0, "
                              f"got {interval_s!r}")
@@ -229,27 +219,25 @@ def load_manifest(path) -> DatasetManifest:
     return DatasetManifest(entries=entries, mask=mask, base_dir=path.parent)
 
 
-def _load_entry(m: DatasetManifest, e: ManifestEntry, space: str) -> PoseSequence:
+def _load_entry(m: DatasetManifest, e: ManifestEntry) -> PoseSequence:
     p = Path(e.path)
     if not p.is_absolute():
         p = m.base_dir / p
     seq = load_sequence(p, expected_dim=e.dim, frame_interval_ms=e.interval_ms,
-                        space=space, action=e.action)
+                        action=e.action)
     if m.mask is not None:
         # np.take, unlike `frames[:, mask]`, returns a fresh C-ordered array
         seq = PoseSequence(frames=np.take(seq.frames, m.mask, axis=1),
-                           frame_interval_ms=seq.frame_interval_ms,
-                           space=seq.space, action=seq.action)
+                           frame_interval_ms=seq.frame_interval_ms, action=seq.action)
     return seq
 
 
-def load_split(m: DatasetManifest, split: str,
-               space: str = "angle_expmap") -> list[PoseSequence]:
-    """Load and mask every sequence in the given split."""
+def load_split(m: DatasetManifest, split: str) -> list[PoseSequence]:
+    """Load and mask every sequence of the split, in manifest order, with its
+    row's frame interval and action; any scorer may read them."""
     if split not in ("train", "test"):
         raise InputError(f"load_split: split must be train|test, got {split!r}")
-    entries = m.train_entries() if split == "train" else m.test_entries()
-    return [_load_entry(m, e, space) for e in entries]
+    return [_load_entry(m, e) for e in m.entries if e.split == split]
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +287,5 @@ def synth_multiscale(n_seq: int, length: int, d: int, seed: int,
         amps, periods, phases, drifts = _draw_dim_params(rng, d, drift_scale)
         frames = (amplitude_scale * amps * np.sin(2.0 * math.pi * t / periods + phases)
                   + drifts * t)
-        out.append(PoseSequence(frames=frames, frame_interval_ms=frame_interval_ms,
-                                space="angle_expmap"))
+        out.append(PoseSequence(frames=frames, frame_interval_ms=frame_interval_ms))
     return out

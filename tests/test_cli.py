@@ -4,8 +4,9 @@ import pytest
 from posecast.arch import ModelConfig, build_model
 from posecast.checkpoint import load_checkpoint, save_checkpoint
 from posecast.cli import main
-from posecast.posedata import MAX_SYNTH_VALUES
-from posecast.train import save_model_checkpoint
+from posecast.evaluate import collect_windows, evaluate_pck
+from posecast.posedata import MAX_SYNTH_VALUES, load_manifest, load_split
+from posecast.train import load_model_checkpoint, save_model_checkpoint
 
 
 def run(*argv):
@@ -114,6 +115,30 @@ def test_train_dim_mismatch(tmp_path):
     assert run("train", "--model-config", mc, "--train-config", tc,
                "--manifest", data / "manifest.txt",
                "--out", tmp_path / "r") == 2
+
+
+@pytest.mark.parametrize("command", ["train", "train_resume", "ablate"])
+def test_model_d_v_off_the_dataset_dim_exits_2_before_any_model(tmp_path, capsys,
+                                                                monkeypatch, command):
+    # one rule: a config's d_v defaults to the dataset dim and must equal it,
+    # checked before build_model draws any weights; a resumed run checks its
+    # checkpoint's d_v
+    import posecast.cli as cli_mod
+
+    mc, tc = _train_cfgs(tmp_path, iterations=2, checkpoint_every=1)
+    argv = ["--model-config", mc, "--train-config", tc]
+    if command == "train_resume":  # a checkpoint of a run on 5-dim data
+        assert run("train", *argv, "--manifest", synth(tmp_path, "d5", dim=5) / "manifest.txt",
+                   "--out", tmp_path / "run") == 0
+        argv = ["--resume", tmp_path / "run" / "checkpoint_00000001.bin"]
+    set_cfg(mc, "d_v", 5)
+    data = synth(tmp_path, dim=3)
+    monkeypatch.setattr(cli_mod, "build_model", lambda cfg: pytest.fail("model built"))
+    out = tmp_path / "r"
+    assert run(command.partition("_")[0], *argv, "--manifest", data / "manifest.txt",
+               "--out", out) == 2
+    assert "config error: model d_v 5 != dataset dim 3" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_train_resume_matches_uninterrupted(tmp_path):
@@ -561,6 +586,24 @@ def test_eval_pck_protocol(tmp_path):
     assert len(rows) == 1 + 5
 
 
+def test_eval_pck_protocol_is_evaluate_pck_on_the_test_split(tmp_path):
+    # --protocol picks the scorer; the loaded sequences carry no label that
+    # evaluate_pck would have to be told about
+    data = synth(tmp_path, dim=4)
+    ck = tmp_path / "model.bin"
+    save_model_checkpoint(ck, build_model(ModelConfig(variant="tp_rnn", d_v=4, granularity=2,
+                                                      levels=2, hidden=4, head1=5, head2=4,
+                                                      seed=1)))
+    out = tmp_path / "pck.csv"
+    assert run("eval", "--checkpoint", ck, "--manifest", data / "manifest.txt",
+               "--protocol", "pck", "--threshold", 0.3, "--seed-len", 10,
+               "--target-len", 5, "--out", out) == 0
+    windows = collect_windows(load_split(load_manifest(data / "manifest.txt"), "test"), 10, 5)
+    scores_m, scores_z, _ = evaluate_pck(load_model_checkpoint(ck)[0], windows, 0.3)
+    rows = [f"{k},{a!r},{b!r}" for k, (a, b) in enumerate(zip(scores_m, scores_z), start=1)]
+    assert out.read_text().splitlines()[1:] == rows
+
+
 def test_eval_reports_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch):
     # the scorer forecasts the windows a chunk at a time; chunks of 4 over
     # more test windows than that give the one-chunk run's report bytes
@@ -657,6 +700,22 @@ def test_eval_rejects_a_second_mask_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "input error" in err
     assert f"manifest.txt:{len(lines)}: second mask line" in err
+
+
+@pytest.mark.parametrize("mask", [False, True])
+def test_train_manifest_dim_0_exits_3_naming_its_line(tmp_path, capsys, mask):
+    # a bad data file (exit 3) with or without a mask= line, not a model
+    # config error (exit 2) about a d_v the config may not even set
+    data = synth(tmp_path)
+    manifest = data / "manifest.txt"
+    manifest.write_text(manifest.read_text().replace(",3,40.0\n", ",0,40.0\n")
+                        + ("mask=0\n" if mask else ""))
+    mc, tc = _train_cfgs(tmp_path, iterations=2)
+    assert run("train", "--model-config", mc, "--train-config", tc, "--manifest",
+               manifest, "--out", tmp_path / "r") == 3
+    err = capsys.readouterr().err
+    assert f"input error: {manifest}:1: dim must be >= 1, got 0" in err
+    assert not (tmp_path / "r").exists()
 
 
 def test_eval_infinite_manifest_interval_exits_3(tmp_path, capsys):

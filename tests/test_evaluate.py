@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -18,9 +17,9 @@ def _model(d=4, hidden=16):
 
 
 def _windows(n_seq, length=60, d=4, stride=5):
-    """Planar windows of 20+10 frames: 14 from two 60-frame sequences."""
+    """Windows of 20+10 frames: 14 from two 60-frame sequences."""
     return [w for s in synth_multiscale(n_seq, length, d, seed=1)
-            for w in make_windows(dataclasses.replace(s, space="planar_2d"), 20, 10, stride)]
+            for w in make_windows(s, 20, 10, stride)]
 
 
 def _reports(model, windows):
@@ -69,7 +68,7 @@ def test_scoring_memory_is_flat_in_the_number_of_windows(score):
     # read 5.1x (mae) and 7.3x (pck)
     model = _model(d=54)
     seq = synth_multiscale(1, 2048 + 29, 54, seed=2)[0]
-    windows = make_windows(dataclasses.replace(seq, space="planar_2d"), 20, 10, stride=1)
+    windows = make_windows(seq, 20, 10, stride=1)
     assert len(windows) == 2048 == 8 * evaluate.EVAL_CHUNK
     peaks = [_traced_peak(lambda: score(model, windows[:n])) for n in (256, 2048)]
     assert peaks[1] <= 1.15 * peaks[0], peaks

@@ -10,17 +10,17 @@ from posecast.metrics import (DEFAULT_HORIZONS_MS, aggregate_reports,
 from posecast.posedata import PoseSequence, Window, make_windows, synth_multiscale
 
 
-def seq(frames, interval=40.0, space="angle_expmap", action=""):
+def seq(frames, interval=40.0, action=""):
     return PoseSequence(frames=np.array(frames, dtype=float),
-                        frame_interval_ms=interval, space=space, action=action)
+                        frame_interval_ms=interval, action=action)
 
 
-def windows_of(frames, interval=40.0, space="angle_expmap", actions=None, seed_len=3):
+def windows_of(frames, interval=40.0, actions=None, seed_len=3):
     """Windows whose targets are frames (W, n, d), after seed_len seed frames."""
     frames = np.asarray(frames, dtype=float)
     actions = actions or [""] * len(frames)
-    return [Window(seed=seq(np.zeros((seed_len, f.shape[1])), interval, space, a),
-                   target=seq(f, interval, space, a))
+    return [Window(seed=seq(np.zeros((seed_len, f.shape[1])), interval, a),
+                   target=seq(f, interval, a))
             for f, a in zip(frames, actions)]
 
 
@@ -207,8 +207,6 @@ def test_pck_monotone_in_threshold():
 
 
 def test_pck_input_validation():
-    with pytest.raises(InputError):  # wrong space
-        evaluate_pck(_tiny_model(26), windows_of([[_spread_pose()]]))
     with pytest.raises(InputError):  # odd dim
         pck(np.zeros((1, 1, 27)), np.zeros((1, 1, 27)))
     with pytest.raises(InputError):
@@ -311,7 +309,7 @@ def test_batched_mae_equals_per_window_reference_bit_for_bit(horizons):
 
 def test_batched_pck_equals_per_window_reference_bit_for_bit():
     rng = np.random.default_rng(8)
-    seqs = [seq(rng.uniform(size=(30, 26)), space="planar_2d") for _ in range(2)]
+    seqs = [seq(rng.uniform(size=(30, 26))) for _ in range(2)]
     seqs[0].frames[18:22] = 0.5  # degenerate ground-truth boxes
     seqs[1].frames[25] = np.tile([0.1, 0.7], 13)
     windows = [w for s in seqs for w in make_windows(s, 8, 6, stride=2)]

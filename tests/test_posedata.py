@@ -231,6 +231,10 @@ def test_manifest_errors(tmp_path):
         f.write_text(f"# header\na.csv,train,walking,3,{interval}\n")
         with pytest.raises(ParseError, match=r"m\.txt:2: interval_ms must be finite"):
             load_manifest(f)
+    for dim in ("0", "-1"):
+        f.write_text(f"# header\na.csv,train,walking,{dim},40.0\n")
+        with pytest.raises(ParseError, match=rf"m\.txt:2: dim must be >= 1, got {dim}$"):
+            load_manifest(f)
     f.write_text("a.csv,train,walking,3,40.0\nb.csv,test,walking,3,40.0\n"
                  "c.csv,test,eating,4,40.0\n")
     with pytest.raises(ParseError, match=r"m\.txt:3: dim 4 differs"):
