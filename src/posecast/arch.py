@@ -378,10 +378,10 @@ def _window_sum(xs: list[np.ndarray]) -> np.ndarray:
     return sum(xs[1:], xs[0])
 
 
-def observe(model: Model, seed_vels, origin, mode: str = "eval",
+def observe(model: Model, seed_frames, *, mode: str = "eval",
             rng: np.random.Generator | None = None, record: bool = True):
-    """Run the model over the (S, d) seed velocities of one sequence whose
-    first pose is the (d,) origin, from a zero-initialized bank.
+    """Run the model over the (S+1, d) seed pose frames of one sequence
+    (S >= 1) from a zero-initialized bank.
 
     Returns (bank at forecast start, the seed's RolloutTape or None,
     prediction (d,) for the first future step).  A single-sequence wrapper
@@ -390,14 +390,12 @@ def observe(model: Model, seed_vels, origin, mode: str = "eval",
     Nothing in the package calls it: it stays because the benchmark's tracer
     (perfbench/tracer.py) binds it by name.
     """
-    seed_vels, origin = as_f64(seed_vels), as_f64(origin)
-    if seed_vels.ndim != 2 or origin.shape != seed_vels.shape[1:]:
-        raise InputError(f"observe: expected (S, d) seed velocities and a (d,) origin, "
-                         f"got shapes {seed_vels.shape} and {origin.shape}")
-    if len(seed_vels) < 1:
-        raise InputError("observe: empty seed")
-    tape = RolloutTape.empty(model, 1, len(seed_vels)) if record else None
-    bank, vhat = _observe(model, seed_vels[None], origin[None], mode, rng, tape)
+    seed_frames = as_f64(seed_frames)
+    if seed_frames.ndim != 2 or len(seed_frames) < 2:
+        raise InputError(f"observe: expected (S+1, d) seed frames with S >= 1, "
+                         f"got shape {seed_frames.shape}")
+    tape = RolloutTape.empty(model, 1, len(seed_frames) - 1) if record else None
+    bank, vhat = _observe(model, seed_frames[None], mode, rng, tape)
     return bank, tape, vhat[0]
 
 
@@ -423,15 +421,14 @@ def forecast(model: Model, bank: PhaseStateBank, v_first, n_steps: int,
 # Rollout engine: recorded (training) or tape-free (inference)
 
 
-def rollout_forward(model: Model, seed_vels: np.ndarray, origin: np.ndarray,
-                    n_steps: int, mode: str = "train",
+def rollout_forward(model: Model, seeds: np.ndarray, n_steps: int, *, mode: str = "train",
                     rng: np.random.Generator | None = None, record: bool = True):
     """Batched observe + autoregressive forecast.
 
-    seed_vels: (B, S, d) ground-truth seed velocities; origin: (B, d) first
-    seed pose (ShapeError otherwise).  Returns (preds (n_steps, B, d), tape).
-    Step t for t < S consumes seed_vels[:, t]; later steps consume the
-    model's own previous prediction.
+    seeds: (B, S+1, d) seed pose frames, S >= 1 (ShapeError otherwise).
+    Returns (preds (n_steps, B, d), tape).  Step t for t < S consumes the
+    seed's input at t (see `_observe`); later steps consume the model's own
+    previous prediction.
 
     The seed is one call of the level sweep (`_advance`), each forecast step
     one more.  With record=True the returned RolloutTape of the T = S +
@@ -440,35 +437,30 @@ def rollout_forward(model: Model, seed_vels: np.ndarray, origin: np.ndarray,
     only) keeps no tape, returns None for it and stacks each run of a level's
     phases into one LSTM call.
     """
-    seed_vels, origin, d = as_f64(seed_vels), as_f64(origin), model.config.d_v
-    if seed_vels.ndim != 3 or seed_vels.shape[2] != d or origin.shape != (len(seed_vels), d):
-        raise ShapeError(f"rollout_forward: expected (B, S, {d}) seed velocities and a "
-                         f"(B, {d}) origin, got shapes {seed_vels.shape} and {origin.shape}")
-    B, S, _ = seed_vels.shape
+    seeds, d = as_f64(seeds), model.config.d_v
+    if seeds.ndim != 3 or seeds.shape[2] != d:
+        raise ShapeError(f"rollout_forward: expected (B, S+1, {d}) seed frames, "
+                         f"got shape {seeds.shape}")
+    B, S = len(seeds), seeds.shape[1] - 1
     if S < 1 or n_steps < 1:
         raise InputError("rollout_forward: need S >= 1 and n_steps >= 1")
     tape = RolloutTape.empty(model, B, S + n_steps - 1) if record else None
-    bank, vhat = _observe(model, seed_vels, origin, mode, rng, tape)
+    bank, vhat = _observe(model, seeds, mode, rng, tape)
     return _feed_back(model, bank, vhat, n_steps, mode, rng, tape), tape
 
 
-def _observe(model: Model, seed_vels: np.ndarray, origin: np.ndarray, mode: str,
-             rng, tape: RolloutTape | None):
+def _observe(model: Model, seeds: np.ndarray, mode: str, rng, tape: RolloutTape | None):
     """Seed stage of the engine: (bank at t=S, prediction at t=S-1), from one
-    level sweep over the S seed inputs, recorded into `tape` when given."""
+    level sweep over the S inputs of the (B, S+1, d) seed frames, recorded
+    into `tape` when given.  Step t's input is the velocity seeds[:, t+1] -
+    seeds[:, t], or for the pose-input variant the frame seeds[:, t+1]; the
+    forecast integrates from the last frame."""
     if tape is None and mode != "eval":
         raise ConfigError("record=False runs in eval mode only")
-    is_pose = model.levels[0].source == "pose"
-    xs = np.empty_like(seed_vels) if is_pose else seed_vels
-    pose = origin
-    for t in range(seed_vels.shape[1]):
-        # in time order, as the forecast integrates its predictions
-        pose = pose + seed_vels[:, t]
-        if is_pose:
-            xs[:, t] = pose
-    bank = new_bank(model, seed_vels.shape[0])
+    xs = seeds[:, 1:] if model.levels[0].source == "pose" else np.diff(seeds, axis=1)
+    bank = new_bank(model, len(seeds))
     vhat = _advance(model, bank, xs, mode, rng, tape)
-    bank.last_pose = pose
+    bank.last_pose = seeds[:, -1]
     return bank, vhat
 
 
@@ -650,13 +642,14 @@ class _WeightGradSum:
         self.db += P.sum(axis=0)
 
 
-def rollout_backward(model: Model, tape: RolloutTape, n_obs: int,
-                     d_preds: np.ndarray, grads: np.ndarray | None = None) -> np.ndarray:
+def rollout_backward(model: Model, tape: RolloutTape, d_preds: np.ndarray, *,
+                     grads: np.ndarray | None = None) -> np.ndarray:
     """Exact BPTT through a recorded rollout.
 
     d_preds: (n_pred, B, d) gradients of the loss w.r.t. each predicted
-    velocity.  Gradient flows through the autoregressive feedback (and, for
-    the pose-input variant, through the integrated pose chain).  Returns the
+    velocity; the seed had S = T - n_pred + 1 steps, T the tape's.  Gradient
+    flows through the autoregressive feedback (and, for the pose-input
+    variant, through the forecast's integrated pose chain).  Returns the
     parameter gradient as a flat float64 array laid out like `model.theta`;
     `model.views` gives its per-tensor views.  It is written into `grads`
     (zeroed first) when given, so a training loop can reuse one buffer;
@@ -675,12 +668,11 @@ def rollout_backward(model: Model, tape: RolloutTape, n_obs: int,
     not predictions and get no gradient.
     """
     cfg = model.config
-    S, (n_pred, B, _) = n_obs, d_preds.shape
-    T = S + n_pred - 1
-    if tape.xs.shape[0] != T or len(tape.heads) != n_pred:
-        raise ShapeError(f"rollout_backward: a tape of {tape.xs.shape[0]} steps and "
-                         f"{len(tape.heads)} head steps, expected {T} and {n_pred} "
-                         "(a tape serves one backward)")
+    T, (n_pred, B, _) = len(tape.xs), d_preds.shape
+    if len(tape.heads) != n_pred:
+        raise ShapeError(f"rollout_backward: a tape of {len(tape.heads)} head steps, "
+                         f"expected {n_pred} (a tape serves one backward)")
+    S = T - n_pred + 1
     L, h, d_v, K = len(model.levels), cfg.hidden, cfg.d_v, cfg.granularity
 
     if grads is None:

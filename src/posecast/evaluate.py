@@ -48,8 +48,7 @@ def forecast_frames(model: Model, seeds: np.ndarray, n_steps: int,
     Raises NumericError at the first non-finite prediction, naming its window
     (counted from `first`) and step.
     """
-    preds, _ = rollout_forward(model, np.diff(seeds, axis=1), seeds[:, 0], n_steps,
-                               mode="eval", record=False)
+    preds, _ = rollout_forward(model, seeds, n_steps, mode="eval", record=False)
     # integrated in the predictions' own buffer, so a forecast is held once
     np.cumsum(preds, axis=0, out=preds)
     preds += seeds[:, -1]

@@ -137,7 +137,10 @@ def lstm_gates(pre: np.ndarray, c: np.ndarray, h: np.ndarray):
     n = c.shape[1]
     sig = pre[:, :3 * n]
     np.negative(sig, out=sig)
-    np.exp(sig, out=sig)
+    # a preactivation far below zero overflows exp to inf, and the gate to
+    # its right value, 0
+    with np.errstate(over="ignore"):
+        np.exp(sig, out=sig)
     sig += 1.0
     np.divide(1.0, sig, out=sig)
     g = pre[:, 3 * n:]

@@ -2,9 +2,10 @@
 
 Poses are (T, D) float64 arrays wrapped in PoseSequence.  Its action label
 rides along on windows for per-action reports, but the model is
-action-agnostic by construction: the rollout engine takes bare frame arrays
+action-agnostic by construction: the rollout engine takes bare seed frames
 only, which `TrainingData.sample_batch` and `evaluate.forecast_frames` cut
-from the frames, never from a label.
+from the sequences, never from a label, and its seed stage alone turns them
+into the model's inputs.
 """
 
 from __future__ import annotations
@@ -234,10 +235,14 @@ def _load_entry(m: DatasetManifest, e: ManifestEntry) -> PoseSequence:
 
 def load_split(m: DatasetManifest, split: str) -> list[PoseSequence]:
     """Load and mask every sequence of the split, in manifest order, with its
-    row's frame interval and action; any scorer may read them."""
+    row's frame interval and action; any scorer may read them.  A split the
+    manifest lists no row of raises InputError."""
     if split not in ("train", "test"):
         raise InputError(f"load_split: split must be train|test, got {split!r}")
-    return [_load_entry(m, e) for e in m.entries if e.split == split]
+    seqs = [_load_entry(m, e) for e in m.entries if e.split == split]
+    if not seqs:
+        raise InputError(f"manifest lists no {split} sequences")
+    return seqs
 
 
 # ---------------------------------------------------------------------------

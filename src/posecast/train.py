@@ -1,6 +1,6 @@
 """Loss, optimizers, LR schedule, and the deterministic training loop.
 
-The training loss runs the full rollout (observe the seed velocities, then
+The training loss runs the full rollout (observe the seed frames, then
 autoregressively forecast the target window), integrates the predicted
 velocities back to poses, and takes the mean over target frames of the
 per-frame Euclidean distance to the ground truth.  Gradients come from
@@ -212,7 +212,7 @@ def rollout_loss_batch(model: Model, seed_poses: np.ndarray,
                        grads: np.ndarray | None = None):
     """(loss, gradient) for a batch of windows.
 
-    seed_poses: (B, S, d); target_poses: (B, n, d).  The gradient is the
+    seed_poses: (B, S+1, d); target_poses: (B, n, d).  The gradient is the
     mean over the batch of per-window gradients (fixed reduction order), a
     flat array laid out like `model.theta`.  It is written into `grads`
     when given (see `rollout_backward`).
@@ -223,13 +223,11 @@ def rollout_loss_batch(model: Model, seed_poses: np.ndarray,
         raise ShapeError("rollout_loss_batch: expected (B, T, d) arrays")
     if target_poses.shape[1] < 1:
         raise InputError("rollout_loss_batch: empty target window")
-    seed_vels = np.diff(seed_poses, axis=1)
-    origin = seed_poses[:, 0]
-    n = target_poses.shape[1]
-    preds, tape = rollout_forward(model, seed_vels, origin, n, mode=mode, rng=rng)
+    preds, tape = rollout_forward(model, seed_poses, target_poses.shape[1], mode=mode,
+                                  rng=rng)
     loss_fn = pose_loss_and_grad if cfg.loss_space == "pose" else velocity_loss_and_grad
     loss, d_preds = loss_fn(preds, seed_poses[:, -1], target_poses)
-    grads = rollout_backward(model, tape, seed_vels.shape[1], d_preds, grads)
+    grads = rollout_backward(model, tape, d_preds, grads=grads)
     return loss, grads
 
 

@@ -128,23 +128,18 @@ def _stacked_sweep(model, states, recent, t0, xs):
     return vhat
 
 
-def stacked_rollout(model, seed_vels, origin, n_steps):
-    """The tape-free eval rollout on per-phase states: (preds (n_steps, B,
-    d), per level the list of its phases' final (h, c))."""
-    B, S, _ = seed_vels.shape
-    hid = model.config.hidden
+def stacked_rollout(model, seeds, n_steps):
+    """The tape-free eval rollout of the (B, S+1, d) seed frames on per-phase
+    states: (preds (n_steps, B, d), per level the list of its phases' final
+    (h, c))."""
+    B, S, hid = len(seeds), seeds.shape[1] - 1, model.config.hidden
     states = [[(np.zeros((B, hid)), np.zeros((B, hid)))] * level.phases
               for level in model.levels]
     recent = []
     is_pose = model.levels[0].source == "pose"
-    xs = np.empty_like(seed_vels) if is_pose else seed_vels
-    pose = origin
-    for t in range(S):
-        pose = pose + seed_vels[:, t]
-        if is_pose:
-            xs[:, t] = pose
-    v = _stacked_sweep(model, states, recent, 0, xs)
-    preds = [v]
+    v = _stacked_sweep(model, states, recent, 0,
+                       seeds[:, 1:] if is_pose else np.diff(seeds, axis=1))
+    preds, pose = [v], seeds[:, -1]
     for t in range(S, S + n_steps - 1):
         pose = pose + v
         v = _stacked_sweep(model, states, recent, t, (pose if is_pose else v)[:, None])

@@ -26,11 +26,6 @@ def zero_model(cfg) -> Model:
     return m
 
 
-def velocities(frames):
-    """observe's (seed velocities, origin) for the pose frames (S+1, d)."""
-    return np.diff(frames, axis=0), frames[0].copy()
-
-
 # ---------------------------------------------------------------------------
 # phase schedule: the engine reads level m's active phase, t mod K^(m-1) in
 # tp_rnn, from its level table
@@ -345,23 +340,21 @@ def test_theta_is_one_buffer_behind_the_named_tensors():
 def test_gradient_buffer_views_follow_the_parameter_layout():
     model = build_model(tiny_cfg(levels=3))
     frames = np.stack([s.frames for s in synth_multiscale(2, 12, 3, seed=1)])
-    _, records = rollout_forward(model, np.diff(frames[:, :9], axis=1), frames[:, 0], 3,
-                                 mode="eval")
+    _, records = rollout_forward(model, frames[:, :9], 3, mode="eval")
     d_preds = np.ones((3, 2, 3))
-    grads = rollout_backward(model, records, 8, d_preds)
+    grads = rollout_backward(model, records, d_preds)
     # a backward overwrites its tape's gates with their gradients: a tape
     # serves one backward
     with pytest.raises(ShapeError, match="one backward"):
-        rollout_backward(model, records, 8, d_preds)
-    _, records = rollout_forward(model, np.diff(frames[:, :9], axis=1), frames[:, 0], 3,
-                                 mode="eval")
+        rollout_backward(model, records, d_preds)
+    _, records = rollout_forward(model, frames[:, :9], 3, mode="eval")
     assert grads.dtype == np.float64 and grads.shape == model.theta.shape
     views = model.views(grads)
     assert [g.shape for g in views] == [arr.shape for _, arr in model.tensors()]
     assert all(np.shares_memory(g, grads) for g in views)
     # a given buffer is zeroed, filled and returned
     buf = np.full_like(model.theta, np.nan)
-    assert rollout_backward(model, records, 8, d_preds, buf) is buf
+    assert rollout_backward(model, records, d_preds, grads=buf) is buf
     assert np.array_equal(buf, grads)
 
 
@@ -408,14 +401,14 @@ def test_model_step_rejects_unbatched_input():
             model_step(model, new_bank(model, 1), x)
 
 
-def _seed_velocities(n_steps, d=3, seed=0):
-    rng = np.random.default_rng(seed)
-    return velocities(np.cumsum(rng.normal(size=(n_steps + 1, d)), axis=0))
+def _seed_frames(n_steps, d=3, seed=0):
+    """(n_steps + 1, d) random-walk seed frames: a seed of n_steps steps."""
+    return np.cumsum(np.random.default_rng(seed).normal(size=(n_steps + 1, d)), axis=0)
 
 
 def test_observe_schedule_counts():
     model = build_model(tiny_cfg())
-    bank, tape, vhat = observe(model, *_seed_velocities(50))
+    bank, tape, vhat = observe(model, _seed_frames(50))
     assert bank.t == 50
     assert vhat.shape == (3,)
     # one tape row per level firing: 50 for each level, level 2's taking
@@ -432,40 +425,36 @@ def test_observe_schedule_counts():
                                   bank.h[m][q])
 
 
-def test_observe_empty_seed_rejected():
-    model = build_model(tiny_cfg())
-    with pytest.raises(InputError, match="empty seed"):
-        observe(model, np.zeros((0, 3)), np.zeros(3))
-
-
-@pytest.mark.parametrize("seed_vels,origin", [
-    (np.zeros(3), np.zeros(3)), (np.zeros((1, 2, 3)), np.zeros(3)),
-    (np.zeros((4, 3)), np.zeros((1, 3))), (np.zeros((4, 3)), np.zeros(2)),
+@pytest.mark.parametrize("frames", [
+    np.zeros((0, 3)), np.zeros((1, 3)),   # a seed of no steps
+    np.zeros(3), np.zeros((1, 2, 3)),
 ])
-def test_observe_rejects_a_bad_shape(seed_vels, origin):
-    # (S, d) velocities and a (d,) origin, else an input error before any work
+def test_observe_rejects_a_bad_shape(frames):
+    # (S+1, d) seed frames with S >= 1, else an input error before any work
     with pytest.raises(InputError, match="observe: expected"):
-        observe(build_model(tiny_cfg()), seed_vels, origin)
+        observe(build_model(tiny_cfg()), frames)
 
 
-def test_single_frame_seed_with_zero_velocity():
-    # one observed pose, zero initial velocity: valid bank at t == 1
+def test_repeated_frame_seed_is_one_zero_velocity_step():
+    # one observed pose twice, as `posecast forecast --init-vel zero` passes
+    # it: a valid bank at t == 1 whose forecast starts from that pose
     model = build_model(tiny_cfg())
-    bank, _, vhat = observe(model, np.zeros((1, 3)), np.array([1.0, 2.0, 3.0]))
+    bank, _, vhat = observe(model, np.array([[1.0, 2.0, 3.0]] * 2))
     assert bank.t == 1
     assert vhat.shape == (3,)
+    assert np.array_equal(bank.last_pose, [[1.0, 2.0, 3.0]])
 
 
 def test_forecast_shape_contract():
     model = build_model(tiny_cfg())
-    bank, _, v_first = observe(model, *_seed_velocities(10))
+    bank, _, v_first = observe(model, _seed_frames(10))
     pred = forecast(model, bank, v_first, 25)
     assert pred.shape == (25, 3)
 
 
 def test_forecast_nonfinite_raises_with_step_index():
     model = build_model(tiny_cfg())
-    bank, _, _ = observe(model, *_seed_velocities(4))
+    bank, _, _ = observe(model, _seed_frames(4))
     bad = np.array([np.nan, 0.0, 0.0])
     with pytest.raises(NumericError, match="step 0"):
         forecast(model, bank, bad, 3)
@@ -488,7 +477,7 @@ def test_zero_model_forecast_is_zero_velocity_baseline(variant, levels):
     seed = PoseSequence(frames=frames[:12], frame_interval_ms=40.0)
     target = PoseSequence(frames=frames[12:], frame_interval_ms=40.0)
 
-    bank, _, v_first = observe(model, *velocities(seed.frames))
+    bank, _, v_first = observe(model, seed.frames)
     pred = forecast(model, bank, v_first, 5)
     assert np.array_equal(pred, np.zeros((5, 3)))
 
@@ -558,9 +547,8 @@ def test_rollout_forward_matches_observe_forecast():
                                      dropout_rate=0.0))
         seqs = synth_multiscale(2, 14, 3, seed=21)
         seeds = np.stack([s.frames[:10] for s in seqs])
-        preds, _ = rollout_forward(model, np.diff(seeds, axis=1),
-                                   seeds[:, 0], 4, mode="eval")
+        preds, _ = rollout_forward(model, seeds, 4, mode="eval")
         for b, s in enumerate(seqs):
-            bank, _, v_first = observe(model, *velocities(s.frames[:10]))
+            bank, _, v_first = observe(model, s.frames[:10])
             single = forecast(model, bank, v_first, 4)
             assert np.allclose(preds[:, b, :], single, atol=1e-12)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -392,6 +394,26 @@ def test_train_missing_manifest(tmp_path):
     assert run("train", "--model-config", mc, "--train-config", tc,
                "--manifest", tmp_path / "absent.txt",
                "--out", tmp_path / "r") == 3
+
+
+@pytest.mark.parametrize("command,split", [("train", "train"), ("eval", "test")])
+def test_an_empty_split_is_named_and_exits_3(tmp_path, capsys, command, split):
+    # a manifest without a row of the split the command reads is reported as
+    # such, not as sequences too short for a window; nothing is written
+    data = synth(tmp_path)
+    manifest = data / "manifest.txt"
+    other = "test" if split == "train" else "train"
+    manifest.write_text(manifest.read_text().replace(f",{split},", f",{other},"))
+    out = tmp_path / "out"
+    if command == "train":
+        mc, tc = _train_cfgs(tmp_path, iterations=2)
+        argv = ["--model-config", mc, "--train-config", tc]
+    else:
+        argv = ["--checkpoint", zero_checkpoint(tmp_path), "--seed-len", 10,
+                "--target-len", 5]
+    assert run(command, *argv, "--manifest", manifest, "--out", out) == 3
+    assert f"input error: manifest lists no {split} sequences" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -939,6 +961,28 @@ def test_forecast_n_steps_beyond_the_value_bound_exits_3(tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"--n-steps: n_steps * d must be at most {MAX_SYNTH_VALUES}, " \
             f"got {3 * n_steps}" in err and not out.exists()
+
+
+def test_long_pose_input_forecast_writes_no_overflow_warning(tmp_path, capsys):
+    # a pose-input model fed its own predictions for 300 steps grows them to
+    # about 1e12 after 6 training iterations, saturating its gates: the
+    # sigmoid's exp overflows on the way to the right value, and the CLI
+    # says nothing of it
+    data = synth(tmp_path, dim=4)
+    _, tc = _train_cfgs(tmp_path, iterations=6)
+    mc = write_cfg(tmp_path / "pose.cfg", variant="single_layer_pose", levels=1,
+                   hidden=6, head1=5, head2=4, seed=0)
+    assert run("train", "--model-config", mc, "--train-config", tc,
+               "--manifest", data / "manifest.txt", "--out", tmp_path / "run") == 0
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("forecast", "--checkpoint", tmp_path / "run" / "checkpoint_final.bin",
+                   "--seed-csv", data / "seq_000.csv", "--n-steps", 300,
+                   "--out", tmp_path / "p.csv") == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in capsys.readouterr().err
+    assert np.abs(np.loadtxt(tmp_path / "p.csv", delimiter=",")).max() > 1e9
 
 
 def test_forecast_dim_mismatch(tmp_path):

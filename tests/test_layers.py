@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from posecast.errors import ConfigError, ShapeError
 from posecast.layers import (HeadParams, LstmParams, draw_head, draw_lstm,
                              head_backward, head_forward, head_layer_backward,
-                             head_skip, lstm_gate_backward, lstm_step,
+                             head_skip, lstm_gate_backward, lstm_gates, lstm_step,
                              lstm_step_backward)
 
 from rollout_oracle import taped_step
@@ -109,6 +110,19 @@ def test_lstm_step_gate_saturation_preserves_cell():
     hh, c, _ = taped_step(p, np.zeros((1, 2)), np.zeros((1, h)), np.ones((1, h)))
     assert np.allclose(c, np.ones((1, h)), atol=1e-12)
     assert np.allclose(hh, np.zeros((1, h)), atol=1e-12)
+
+
+def test_lstm_gates_saturate_far_below_zero_without_a_warning():
+    # exp(1000) overflows to inf on the way to a sigmoid of exactly 0; that
+    # is the right value, so no RuntimeWarning may reach the caller (CI
+    # reruns this file under -W error::RuntimeWarning)
+    pre = np.array([[-1000.0, 1000.0, -1000.0, 0.5]])  # i, f, o, g at h = 1
+    c, h = np.array([[2.0]]), np.empty((1, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        lstm_gates(pre, c, h)
+    assert np.array_equal(pre, [[0.0, 1.0, 0.0, np.tanh(0.5)]])
+    assert np.array_equal(c, [[2.0]]) and np.array_equal(h, [[0.0]])
 
 
 def test_lstm_step_matches_scalar_oracle():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from posecast import evaluate
-from posecast.arch import ModelConfig, build_model
+from posecast.arch import ModelConfig, build_model, rollout_forward
 from posecast.errors import InputError, ParseError
 from posecast.posedata import (FAST_PERIOD_BAND, SLOW_PERIOD_BAND, PoseSequence,
                                load_manifest, load_sequence, load_split, make_windows,
@@ -19,24 +19,24 @@ def seq(frames, interval=40.0, **kw):
 
 # ---------------------------------------------------------------------------
 # velocity round trips, as a forecast runs them (`evaluate.forecast_frames`): the
-# seed's poses become the engine's velocities, its predicted velocities
-# become poses again, summed from the last seed pose
+# engine's seed stage turns the seed's poses into velocities, and its
+# predicted velocities become poses again, summed from the last seed pose
 
 
 def _round_trip(mp, seed_frames, preds):
     """forecast_frames over one seed with the engine replaced by one that
-    predicts preds (n, d): (the velocities and origin the engine got, the
-    frames forecast_frames returns)."""
+    predicts preds (n, d): (the seed frames the engine got, the frames
+    forecast_frames returns)."""
     got = {}
 
-    def engine(model, seed_vels, origin, n_steps, **kw):
-        got.update(vels=seed_vels[0], origin=origin[0])
+    def engine(model, seeds, n_steps, **kw):
+        got.update(seeds=seeds[0])
         return np.asarray(preds, dtype=float)[:, None, :], None
 
     mp.setattr(evaluate, "rollout_forward", engine)
     frames = evaluate.forecast_frames(None, np.asarray(seed_frames, dtype=float)[None],
                                       len(preds))
-    return got["vels"], got["origin"], frames[0]
+    return got["seeds"], frames[0]
 
 
 def _zero_model(d):
@@ -46,14 +46,23 @@ def _zero_model(d):
     return model
 
 
+def _seed_inputs(seed_frames):
+    """The (S, d) inputs a velocity-input model's recorded one-step rollout
+    reads from the (S+1, d) seed frames."""
+    frames = np.asarray(seed_frames, dtype=float)
+    _, tape = rollout_forward(_zero_model(frames.shape[1]), frames[None], 1, mode="eval")
+    return tape.xs[:, 0]
+
+
 def test_to_velocity_example(monkeypatch):
-    vels, origin, _ = _round_trip(monkeypatch, [[1, 2], [3, 5], [6, 9]], [[0, 0]])
-    assert np.array_equal(vels, [[2, 3], [3, 4]])
-    assert np.array_equal(origin, [1, 2])
+    seed = [[1, 2], [3, 5], [6, 9]]
+    got, _ = _round_trip(monkeypatch, seed, [[0, 0]])
+    assert np.array_equal(got, seed)
+    assert np.array_equal(_seed_inputs(seed), [[2, 3], [3, 4]])
 
 
-def test_to_velocity_constant_sequence(monkeypatch):
-    vels, _, _ = _round_trip(monkeypatch, [[5, 5]] * 4, [[0, 0]])
+def test_to_velocity_constant_sequence():
+    vels = _seed_inputs([[5, 5]] * 4)
     assert vels.shape == (3, 2) and not np.any(vels)
 
 
@@ -63,7 +72,7 @@ def test_to_velocity_needs_two_frames():
 
 
 def test_integrate_example(monkeypatch):
-    _, _, frames = _round_trip(monkeypatch, [[5, 5], [0, 0]], [[1.0, 1.0], [1.0, 1.0]])
+    _, frames = _round_trip(monkeypatch, [[5, 5], [0, 0]], [[1.0, 1.0], [1.0, 1.0]])
     assert np.array_equal(frames, [[1, 1], [2, 2]])
 
 
@@ -75,7 +84,7 @@ def test_roundtrip_near_exact(frames):
     # each true step gives the frames back; float64 cannot promise
     # a + (b - a) == b, so to one rounding error per step, not bit-level
     with pytest.MonkeyPatch.context() as mp:
-        _, _, back = _round_trip(mp, frames[[0, 0]], np.diff(frames, axis=0))
+        _, back = _round_trip(mp, frames[[0, 0]], np.diff(frames, axis=0))
     tol = 4 * np.finfo(np.float64).eps * max(1.0, np.abs(frames).max())
     assert np.allclose(back, frames[1:], rtol=0, atol=tol * frames.shape[0])
 

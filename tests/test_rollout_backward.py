@@ -41,13 +41,17 @@ def _stride_fed(cfg):
     return cfg.variant in ("double_scale_vel", "double_scale_phase_vel")
 
 
-def reference_forward(model, seed_vels, origin, n_pred, mode="eval", rng=None):
-    """(preds (n_pred, B, d), steps): steps[t] is (per level its LstmTape at
+def reference_forward(model, frames, n_pred, mode="eval", rng=None):
+    """The rollout of the (B, S+1, d) seed frames: seed step t's input is the
+    velocity frames[:, t+1] - frames[:, t], or for the pose-input variant the
+    frame frames[:, t+1], and the forecast integrates from the last frame.
+
+    Returns (preds (n_pred, B, d), steps): steps[t] is (per level its LstmTape at
     step t or None, the head's (input, hiddens, HeadTape) or None before
     t = S-1, and per level the hidden state its firing at t produced or
     None)."""
     cfg = model.config
-    B, S, _ = seed_vels.shape
+    B, S = len(frames), frames.shape[1] - 1
     K, h = cfg.granularity, cfg.hidden
     is_pose = cfg.variant == "single_layer_pose"
     states = {}  # (level, phase) -> its latest (h, c)
@@ -55,11 +59,13 @@ def reference_forward(model, seed_vels, origin, n_pred, mode="eval", rng=None):
     def state(m, q):
         return states.get((m, q), (np.zeros((B, h)), np.zeros((B, h))))
 
-    xs, steps, preds, pose = [], [], [], origin
+    xs, steps, preds, pose = [], [], [], frames[:, -1]
     for t in range(S + n_pred - 1):
-        v = seed_vels[:, t] if t < S else preds[-1]
-        pose = pose + v
-        xs.append(pose if is_pose else v)
+        if t < S:
+            xs.append(frames[:, t + 1] if is_pose else frames[:, t + 1] - frames[:, t])
+        else:
+            pose = pose + preds[-1]
+            xs.append(pose if is_pose else preds[-1])
         tapes, outs, below = [], [], xs[t]
         for m in range(1, cfg.levels + 1):
             if not _fires(cfg, m, t):
@@ -150,13 +156,10 @@ def _compare(cfg, B, S, n_pred, mode="eval", seed=0):
     model = build_model(cfg)
     frames = np.stack([s.frames for s in
                        synth_multiscale(B, S + 1, cfg.d_v, seed=seed + 40)])
-    seed_vels = np.diff(frames, axis=1)
     rng = np.random.default_rng(seed) if mode == "train" else None
     rng_ref = np.random.default_rng(seed) if mode == "train" else None
-    preds, tape = rollout_forward(model, seed_vels, frames[:, 0], n_pred,
-                                  mode=mode, rng=rng)
-    ref_preds, steps = reference_forward(model, seed_vels, frames[:, 0], n_pred,
-                                         mode=mode, rng=rng_ref)
+    preds, tape = rollout_forward(model, frames, n_pred, mode=mode, rng=rng)
+    ref_preds, steps = reference_forward(model, frames, n_pred, mode=mode, rng=rng_ref)
     assert np.array_equal(preds, ref_preds)
     # the tape holds each firing's gates and cell state, latest firing first,
     # the inputs and the head's tapes, bit for bit, and the hidden state it
@@ -178,7 +181,7 @@ def _compare(cfg, B, S, n_pred, mode="eval", seed=0):
             assert (a is None) == (b is None) and (a is None or np.array_equal(a, b)), name
     heads = list(tape.heads)
     d_preds = np.random.default_rng(seed + 1).normal(size=(n_pred, B, cfg.d_v))
-    got = model.views(rollout_backward(model, tape, S, d_preds))
+    got = model.views(rollout_backward(model, tape, d_preds))
     want = reference_backward(model, steps, S, d_preds)
     assert len(got) == len(want)
     worst = 0.0

@@ -43,27 +43,33 @@ def _model(variant, levels, K=2, dropout_rate=None):
                                    dropout_rate=dropout_rate))
 
 
-def _inputs(B, S, seed=0):
-    rng = np.random.default_rng(seed)
-    return rng.normal(size=(B, S, 3)), rng.normal(size=(B, 3))
+def _frames(B, S, seed=0):
+    """(B, S+1, 3) random seed frames: a seed of S steps."""
+    return np.random.default_rng(seed).normal(size=(B, S + 1, 3))
 
 
-def _stepwise_seed(model, seed_vels, origin, mode="eval", rng=None, tape=None):
+def _seed_input(model, frames, t):
+    """Seed step t's input: the velocity frames[:, t+1] - frames[:, t], or the
+    frame frames[:, t+1] for the pose-input variant."""
+    if model.levels[0].source == "pose":
+        return frames[:, t + 1]
+    return frames[:, t + 1] - frames[:, t]
+
+
+def _stepwise_seed(model, frames, mode="eval", rng=None, tape=None):
     """The seed one `model_step` per step, recorded into `tape` when given:
     (bank at t=S, prediction at t=S-1)."""
-    is_pose = model.levels[0].source == "pose"
-    bank, pose = new_bank(model, seed_vels.shape[0]), origin
-    for t in range(seed_vels.shape[1]):
-        pose = pose + seed_vels[:, t]
-        v = model_step(model, bank, pose if is_pose else seed_vels[:, t], mode, rng, tape)
-    bank.last_pose = pose
+    bank = new_bank(model, len(frames))
+    for t in range(frames.shape[1] - 1):
+        v = model_step(model, bank, _seed_input(model, frames, t), mode, rng, tape)
+    bank.last_pose = frames[:, -1]
     return bank, v
 
 
-def _stepwise(model, seed_vels, origin, n_pred, mode="eval", rng=None, tape=None):
+def _stepwise(model, frames, n_pred, mode="eval", rng=None, tape=None):
     """The whole rollout one `model_step` per step, recorded into `tape` when
     given: preds (n_pred, B, d)."""
-    bank, v = _stepwise_seed(model, seed_vels, origin, mode, rng, tape)
+    bank, v = _stepwise_seed(model, frames, mode, rng, tape)
     is_pose = model.levels[0].source == "pose"
     pose, preds = bank.last_pose, [v]
     for _ in range(1, n_pred):
@@ -91,16 +97,15 @@ def _hoisted(model, B, S):
 
 
 def _check(model, B, S, n_pred=6):
-    seed_vels, origin = _inputs(B, S, seed=S)
-    ref = _stepwise(model, seed_vels, origin, n_pred)
-    got, tape = rollout_forward(model, seed_vels, origin, n_pred, mode="eval",
-                                record=False)
+    frames = _frames(B, S, seed=S)
+    ref = _stepwise(model, frames, n_pred)
+    got, tape = rollout_forward(model, frames, n_pred, mode="eval", record=False)
     assert tape is None
     assert got.shape == ref.shape == (n_pred, B, 3)
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    bank_ref, v_ref = _stepwise_seed(model, seed_vels, origin)
-    bank, v = arch._observe(model, seed_vels, origin, "eval", None, None)
+    bank_ref, v_ref = _stepwise_seed(model, frames)
+    bank, v = arch._observe(model, frames, "eval", None, None)
     assert bank.t == bank_ref.t == S
     assert np.array_equal(bank.last_pose, bank_ref.last_pose)
     # a stride-fed level's bank keeps the inputs of the last K-1 steps, the
@@ -108,10 +113,8 @@ def _check(model, B, S, n_pred=6):
     stride_fed = any(level.source == "stride" for level in model.levels)
     window = range(max(0, S - model.config.granularity + 1) if stride_fed else S, S)
     assert len(bank.recent) == len(bank_ref.recent) == len(window)
-    xs = np.cumsum(seed_vels, axis=1) + origin[:, None] if model.levels[0].source == "pose" \
-        else seed_vels
     for ti, x, y in zip(window, bank.recent, bank_ref.recent):
-        assert np.array_equal(x, y) and np.allclose(x, xs[:, ti], rtol=0, atol=1e-12)
+        assert np.array_equal(x, y) and np.array_equal(x, _seed_input(model, frames, ti))
     exact = B > 1 and not _hoisted(model, B, S)
     for a, b, level in zip([*bank.h, *bank.c], [*bank_ref.h, *bank_ref.c], model.levels * 2):
         assert a.shape == b.shape == (level.phases, B, 5)
@@ -139,11 +142,11 @@ def test_bank_keeps_stride_history_only_for_stride_fed_levels(variant, levels, K
     # only a stride window reads inputs from before bank.t, K-1 of them; a
     # bank of another variant keeps none, whatever its granularity
     model = _model(variant, levels, K=K)
-    seed_vels, origin = _inputs(2, 10)
-    bank, v = arch._observe(model, seed_vels, origin, "eval", None, None)
+    frames = _frames(2, 10)
+    bank, v = arch._observe(model, frames, "eval", None, None)
     assert len(bank.recent) == kept
     for ti, x in zip(range(10 - kept, 10), bank.recent):
-        assert np.array_equal(x, seed_vels[:, ti])
+        assert np.array_equal(x, _seed_input(model, frames, ti))
     arch._feed_back(model, bank, v, 3, "eval", None)
     assert len(bank.recent) == kept
 
@@ -167,15 +170,27 @@ def test_tape_free_matches_the_stacked_reference_bit_for_bit(variant, levels, K,
     # in the same order as the per-phase states did, so predictions and the
     # final bank are the reference's bits
     model = _model(variant, levels, K=K)
-    seed_vels, origin = _inputs(B, S, seed=S)
-    ref, states = stacked_rollout(model, seed_vels, origin, 6)
-    got, _ = rollout_forward(model, seed_vels, origin, 6, mode="eval", record=False)
+    frames = _frames(B, S, seed=S)
+    ref, states = stacked_rollout(model, frames, 6)
+    got, _ = rollout_forward(model, frames, 6, mode="eval", record=False)
     assert np.array_equal(got, ref)
-    bank, v = arch._observe(model, seed_vels, origin, "eval", None, None)
+    bank, v = arch._observe(model, frames, "eval", None, None)
     arch._feed_back(model, bank, v, 6, "eval", None)
     for m, phases in enumerate(states):
         assert np.array_equal(bank.h[m], np.stack([h for h, _ in phases]))
         assert np.array_equal(bank.c[m], np.stack([c for _, c in phases]))
+
+
+def _sweep_peak(model, frames):
+    """The traced peak of a velocity-input model's tape-free 2-step rollout
+    of `frames`, less the (B, S, d) velocities the engine takes from them:
+    that input array grows with the seed, whatever the sweep holds."""
+    tracemalloc.start()
+    try:
+        rollout_forward(model, frames, 2, mode="eval", record=False)
+        return tracemalloc.get_traced_memory()[1] - frames[:, 1:].nbytes
+    finally:
+        tracemalloc.stop()
 
 
 def test_tape_free_seed_memory_does_not_grow_with_its_length():
@@ -185,13 +200,7 @@ def test_tape_free_seed_memory_does_not_grow_with_its_length():
     model = _model("tp_rnn", 3)
     peaks = []
     for S in (16, 128):
-        seed_vels, origin = _inputs(arch.HOIST_ROWS + 1, S)
-        tracemalloc.start()
-        try:
-            rollout_forward(model, seed_vels, origin, 2, mode="eval", record=False)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(_sweep_peak(model, _frames(arch.HOIST_ROWS + 1, S)))
     assert peaks[1] < 1.25 * peaks[0], peaks
 
 
@@ -203,13 +212,7 @@ def test_tape_free_sweep_holds_one_block_at_a_time():
     model = _model("single_layer_vel", 1)
     peaks = []
     for S in (arch.HOIST_ROWS, 4 * arch.HOIST_ROWS):
-        seed_vels, origin = _inputs(1, S)
-        tracemalloc.start()
-        try:
-            rollout_forward(model, seed_vels, origin, 2, mode="eval", record=False)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(_sweep_peak(model, _frames(1, S)))
     assert peaks[1] < 1.15 * peaks[0], peaks
 
 
@@ -226,8 +229,7 @@ def test_long_single_seed_hoists_block_by_block(monkeypatch):
         ("step", x.shape[0])) or real_step(p, x, h, c))
     monkeypatch.setattr(arch, "lstm_gates", lambda pre, c, h: calls.append(
         ("gates", pre.shape[0])) or real_gates(pre, c, h))
-    seed_vels, origin = _inputs(1, S)
-    arch._observe(model, seed_vels, origin, "eval", None, None)
+    arch._observe(model, _frames(1, S), "eval", None, None)
     want = [1] * 256 + [2] * 128 + [4] * 64 + [1] * 44 + [2] * 22 + [4] * 11
     assert calls == [("gates", r) for r in want]
     monkeypatch.undo()
@@ -242,36 +244,30 @@ def test_long_single_seed_memory_does_not_grow_with_its_length():
                                     head1=6, head2=4, seed=3))
     peaks = []
     for S in (300, 2400):
-        seed_vels, origin = _inputs(1, S)
-        tracemalloc.start()
-        try:
-            rollout_forward(model, seed_vels, origin, 2, mode="eval", record=False)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(_sweep_peak(model, _frames(1, S)))
     assert peaks[1] < 1.25 * peaks[0], peaks
 
 
 @pytest.mark.parametrize("variant,levels", [("tp_rnn", 3), ("double_scale_vel", 2),
                                             ("single_layer_pose", 1)])
 def test_tape_free_seed_holds_nothing_per_step_beyond_its_inputs(variant, levels):
-    # the seed reads the caller's (B, S, d) input array in place (the pose
-    # variant integrates it into one array of poses) and keeps no per-step
-    # objects: a list of per-step input views costs about 150 bytes a step,
-    # more than 8 * B * d for a small pose.  At B=2 a seed of 300 steps
+    # the seed reads the caller's (B, S+1, d) frames in place (a velocity-
+    # input variant takes their differences into one array) and keeps no
+    # per-step objects: a list of per-step input views costs about 150 bytes
+    # a step, more than 8 * B * d for a small pose.  At B=2 a seed of 300 steps
     # already runs two full blocks of HOIST_ROWS rows, the most the sweep
     # keeps alive at once
     model = _model(variant, levels)
     peaks = {}
     for S in (300, 2400):
-        seed_vels, origin = _inputs(2, S)
+        frames = _frames(2, S)
         tracemalloc.start()
         try:
-            rollout_forward(model, seed_vels, origin, 2, mode="eval", record=False)
+            rollout_forward(model, frames, 2, mode="eval", record=False)
             peaks[S] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peaks[2400] - peaks[300] <= seed_vels.nbytes, peaks
+    assert peaks[2400] - peaks[300] <= frames.nbytes, peaks
 
 
 def _array_bytes(obj) -> int:
@@ -300,8 +296,7 @@ def test_recorded_tape_keeps_gates_and_cell_state_per_firing(variant):
     h, B, S, n_pred = 16, 3, 10, 6
     model = build_model(ModelConfig(variant=variant, d_v=3, levels=2, hidden=h, head1=6,
                                     head2=4, seed=3))
-    seed_vels, origin = _inputs(B, S)
-    _, tape = rollout_forward(model, seed_vels, origin, n_pred, mode="eval")
+    _, tape = rollout_forward(model, _frames(B, S), n_pred, mode="eval")
     T = S + n_pred - 1
     firings = sum(T // level.period for level in model.levels)
     floats = firings * (4 * h + h) + T * 3 + n_pred * 2 * (6 + 4)
@@ -310,24 +305,34 @@ def test_recorded_tape_keeps_gates_and_cell_state_per_firing(variant):
 
 def test_empty_batch_rolls_out_to_an_empty_result():
     model = _model("tp_rnn", 3)
-    seed_vels, origin = _inputs(0, 10)
-    preds, tape = rollout_forward(model, seed_vels, origin, 4, mode="eval", record=False)
+    preds, tape = rollout_forward(model, _frames(0, 10), 4, mode="eval", record=False)
     assert preds.shape == (4, 0, 3) and tape is None
 
 
-@pytest.mark.parametrize("seed_shape,origin_shape", [
-    ((4, 3), (3,)),           # one unbatched seed
-    ((2, 4, 3), (3,)),        # one origin for every window: broadcast, wrong poses
-    ((2, 4, 3), (1, 3)),
-    ((2, 4, 3), (2, 2)),
-    ((2, 4, 2), (2, 2)),      # not the model's d_v
-    ((1, 2, 4, 3), (1, 3)),
+@pytest.mark.parametrize("seed_shape", [
+    (4, 3),           # one unbatched seed
+    (2, 4, 2),        # not the model's d_v
+    (1, 2, 4, 3),
 ])
-def test_rollout_forward_rejects_a_bad_shape(seed_shape, origin_shape):
-    # a (B, S, d_v) seed and a (B, d_v) origin, else a shape error before any work
+def test_rollout_forward_rejects_a_bad_shape(seed_shape):
+    # (B, S+1, d_v) seed frames, else a shape error before any work
     with pytest.raises(ShapeError, match="rollout_forward: expected"):
-        rollout_forward(_model("single_layer_pose", 1), np.zeros(seed_shape),
-                        np.zeros(origin_shape), 2, mode="eval", record=False)
+        rollout_forward(_model("single_layer_pose", 1), np.zeros(seed_shape), 2,
+                        mode="eval", record=False)
+
+
+@pytest.mark.parametrize("variant,levels", VARIANT_LEVELS)
+def test_seed_inputs_are_the_frame_differences_or_the_frames(variant, levels):
+    # a velocity-input variant reads the seed frames' differences and the
+    # pose-input variant the frames themselves, bit for bit, not poses summed
+    # back up from the differences; the forecast starts from the last frame
+    model, S = _model(variant, levels), 10
+    frames = _frames(3, S, seed=6)
+    _, tape = rollout_forward(model, frames, 4, mode="eval")
+    want = frames[:, 1:] if variant == "single_layer_pose" else np.diff(frames, axis=1)
+    assert np.array_equal(tape.xs[:S], want.swapaxes(0, 1))
+    bank, _ = arch._observe(model, frames, "eval", None, None)
+    assert np.array_equal(bank.last_pose, frames[:, -1])
 
 
 @pytest.mark.parametrize("variant,levels", VARIANT_LEVELS)
@@ -342,13 +347,13 @@ def test_recorded_rollout_matches_step_at_a_time(variant, levels):
     # reference step by step, and the head's masks come from the same draws
     model = _model(variant, levels, dropout_rate=0.3)
     S, n_pred = 10, 6
-    seed_vels, origin = _inputs(3, S)
+    frames = _frames(3, S)
     rng, rng_ref = np.random.default_rng(8), np.random.default_rng(8)
-    got, tape = rollout_forward(model, seed_vels, origin, n_pred, mode="train", rng=rng)
+    got, tape = rollout_forward(model, frames, n_pred, mode="train", rng=rng)
     # every row of the reference's tape is written, or it stays NaN and
     # compares unequal
     tape_ref = nan_tape(model, 3, S + n_pred - 1)
-    ref = _stepwise(model, seed_vels, origin, n_pred, mode="train", rng=rng_ref, tape=tape_ref)
+    ref = _stepwise(model, frames, n_pred, mode="train", rng=rng_ref, tape=tape_ref)
     assert np.array_equal(got, ref)
     assert rng.bit_generator.state == rng_ref.bit_generator.state
     assert len(tape.gates) == len(tape.c) == levels
@@ -391,7 +396,7 @@ def test_level_major_schedule_stacks_phases(monkeypatch):
     monkeypatch.setattr(arch, "lstm_step", count_step)
     monkeypatch.setattr(arch, "lstm_gates", count_gates)
     monkeypatch.setattr(arch, "head_forward", count_head)
-    seed_vels, origin = _inputs(3, 10)
+    frames = _frames(3, 10)
     rounds = [3] * 10 + [6] * 5 + [12, 12, 6]
     block = [(1, 3)] * 4 + [(2, 6)] * 2 + [(3, 12)]
     expected = [(False, 0, block + block + [(1, 3)] * 2 + [(2, 6)] + [(3, 6)]),
@@ -402,7 +407,7 @@ def test_level_major_schedule_stacks_phases(monkeypatch):
         rows.clear()
         heads.clear()
         tape = nan_tape(model, 3, 10) if record else None
-        arch._observe(model, seed_vels, origin, "eval", None, tape)
+        arch._observe(model, frames, "eval", None, tape)
         assert rows == want and len(heads) == 1
         # recorded, every level's firing at every step wrote its rows
         assert not record or all(np.isfinite(a).all() for a in (tape.xs, *tape.gates, *tape.c))
@@ -411,12 +416,11 @@ def test_level_major_schedule_stacks_phases(monkeypatch):
 def test_tape_free_requires_eval_mode():
     from posecast.arch import observe
     model = _model("tp_rnn", 2)
-    seed_vels, origin = _inputs(2, 4)
+    frames = _frames(2, 4)
     with pytest.raises(ConfigError):
-        rollout_forward(model, seed_vels, origin, 3, mode="train", record=False)
+        rollout_forward(model, frames, 3, mode="train", record=False)
     with pytest.raises(ConfigError):
-        observe(model, seed_vels[0], origin[0], mode="train", rng=np.random.default_rng(0),
-                record=False)
+        observe(model, frames[0], mode="train", rng=np.random.default_rng(0), record=False)
 
 
 @pytest.mark.parametrize("variant,levels", [("tp_rnn", 3), ("double_scale_vel", 2)])
@@ -427,7 +431,7 @@ def test_observe_wrapper_tape_free_matches_recording(variant, levels):
     frames = np.random.default_rng(4).normal(size=(11, 3))
     out = []
     for record in (True, False):
-        bank, tape, v_first = observe(model, np.diff(frames, axis=0), frames[0], record=record)
+        bank, tape, v_first = observe(model, frames, record=record)
         assert (tape is None) == (not record)
         assert v_first.shape == (3,) and bank.last_pose.shape == (1, 3)
         assert [a.shape for a in bank.h] == [a.shape for a in bank.c] \

@@ -463,7 +463,7 @@ def test_trained_model_reproduces_fast_period():
 
     held_out = synth_multiscale(8, 120, 2, seed=99, drift_scale=0.0)[7]
     seed_p = PoseSequence(frames=held_out.frames[:40], frame_interval_ms=40.0)
-    bank, _, v0 = observe(model, np.diff(seed_p.frames, axis=0), seed_p.frames[0])
+    bank, _, v0 = observe(model, seed_p.frames)
     pred = forecast(model, bank, v0, 25)
     frames = seed_p.frames[-1] + np.cumsum(pred, axis=0)
     truth = held_out.frames[40:65]
