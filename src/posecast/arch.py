@@ -37,6 +37,22 @@ layer input is recomputed from those.  The state bank (`PhaseStateBank`)
 holds each level's hidden and cell states as two (phases, B, hidden) slabs
 and a stride-fed level's last K - 1 inputs; the LSTM writes the rows in place.
 
+The engine's public functions take batches (one sequence is B = 1).  Each
+checks the inputs it receives once, on entry; the engine below them checks
+none again, and the layer functions keep their own checks:
+
+    observe(model, seeds, mode, rng, tape) -> (bank, (B, d) first prediction)
+        the seed stage over (B, S+1, d) seed pose frames; checks their shape
+        (ShapeError), S >= 1 (InputError) and the mode, eval if tape-free
+        (ConfigError)
+    forecast(model, bank, v_first, n_steps, mode, rng) -> (n_steps, B, d)
+        feeds predictions back from observe's bank; checks n_steps >= 1
+        (InputError), the mode, the bank's layout and last pose
+        (ConfigError) and v_first's shape (ShapeError)
+    rollout_forward(model, seeds, n_steps, mode, rng, record)
+        -> ((n_steps, B, d), tape or None): observe, then forecast's steps,
+        recorded for rollout_backward; checks n_steps >= 1 (InputError)
+
 Every forward step runs through one level sweep, `_advance`: the whole seed
 in one call, each forecast step in a call of one input.  The sweep cuts a
 level's firing steps into runs of consecutive phases, up to the phase wrap.
@@ -45,9 +61,8 @@ sweep goes over blocks of whole top-level phase cycles of about HOIST_ROWS
 rows, hoisting a level's input projections within a block into one GEMM, so
 its memory does not grow with the seed.  Recorded, each firing step is its
 own call, computes its gates in its tape row and copies its new cell state
-there.  Every state, input and prediction is a (B, d) batch, a single
-sequence one of B = 1; the recorded rollout plus `rollout_backward` give
-exact gradients through the autoregressive loop.
+there.  The recorded rollout plus `rollout_backward` give exact gradients
+through the autoregressive loop.
 """
 
 from __future__ import annotations
@@ -378,90 +393,81 @@ def _window_sum(xs: list[np.ndarray]) -> np.ndarray:
     return sum(xs[1:], xs[0])
 
 
-def observe(model: Model, seed_frames, *, mode: str = "eval",
-            rng: np.random.Generator | None = None, record: bool = True):
-    """Run the model over the (S+1, d) seed pose frames of one sequence
-    (S >= 1) from a zero-initialized bank.
-
-    Returns (bank at forecast start, the seed's RolloutTape or None,
-    prediction (d,) for the first future step).  A single-sequence wrapper
-    over the engine's seed stage, `_observe`, on a batch of one, so the
-    bank's states are (1, hidden).  record=False runs in eval mode only.
-    Nothing in the package calls it: it stays because the benchmark's tracer
-    (perfbench/tracer.py) binds it by name.
-    """
-    seed_frames = as_f64(seed_frames)
-    if seed_frames.ndim != 2 or len(seed_frames) < 2:
-        raise InputError(f"observe: expected (S+1, d) seed frames with S >= 1, "
-                         f"got shape {seed_frames.shape}")
-    tape = RolloutTape.empty(model, 1, len(seed_frames) - 1) if record else None
-    bank, vhat = _observe(model, seed_frames[None], mode, rng, tape)
-    return bank, tape, vhat[0]
-
-
-def forecast(model: Model, bank: PhaseStateBank, v_first, n_steps: int,
-             mode: str = "eval", rng: np.random.Generator | None = None) -> np.ndarray:
-    """Autoregressive rollout from a bank of one sequence and its first
-    prediction v_first (d,): every prediction is fed back as the next input.
-    Returns the (n_steps, d) predicted velocities.  Like `observe`, it stays
-    only because the benchmark's tracer binds it by name.
-    """
-    if n_steps < 1:
-        raise InputError(f"forecast: n_steps must be >= 1, got {n_steps}")
-    if bank.last_pose is None:
-        raise ConfigError("forecast: bank has no last pose; run observe first")
-    preds = _feed_back(model, bank, as_f64(v_first)[None], n_steps, mode, rng)[:, 0]
-    bad = np.flatnonzero(~np.isfinite(preds).all(axis=1))
-    if bad.size:
-        raise NumericError(f"forecast: non-finite prediction at step {bad[0]}")
-    return preds
-
-
 # ---------------------------------------------------------------------------
 # Rollout engine: recorded (training) or tape-free (inference)
 
 
-def rollout_forward(model: Model, seeds: np.ndarray, n_steps: int, *, mode: str = "train",
-                    rng: np.random.Generator | None = None, record: bool = True):
-    """Batched observe + autoregressive forecast.
-
-    seeds: (B, S+1, d) seed pose frames, S >= 1 (ShapeError otherwise).
-    Returns (preds (n_steps, B, d), tape).  Step t for t < S consumes the
-    seed's input at t (see `_observe`); later steps consume the model's own
-    previous prediction.
-
-    The seed is one call of the level sweep (`_advance`), each forecast step
-    one more.  With record=True the returned RolloutTape of the T = S +
-    n_steps - 1 steps holds what `rollout_backward` needs; phases and stride
-    windows follow from the level table and t.  record=False (eval mode
-    only) keeps no tape, returns None for it and stacks each run of a level's
-    phases into one LSTM call.
-    """
+def observe(model: Model, seeds, *, mode: str = "eval",
+            rng: np.random.Generator | None = None, tape: RolloutTape | None = None):
+    """The engine's seed stage: one level sweep over the (B, S+1, d) seed
+    pose frames from a zero bank.  Returns (bank at t = S, the (B, d)
+    prediction at t = S-1, the first future step's).  Step t's input is the
+    velocity seeds[:, t+1] - seeds[:, t], or for the pose-input variant the
+    frame seeds[:, t+1]; the forecast integrates from the last frame,
+    `bank.last_pose`.  The sweep is recorded into `tape`, sized for at least
+    the S seed steps, when one is given."""
     seeds, d = as_f64(seeds), model.config.d_v
     if seeds.ndim != 3 or seeds.shape[2] != d:
-        raise ShapeError(f"rollout_forward: expected (B, S+1, {d}) seed frames, "
+        raise ShapeError(f"observe: expected (B, S+1, {d}) seed frames, "
                          f"got shape {seeds.shape}")
-    B, S = len(seeds), seeds.shape[1] - 1
-    if S < 1 or n_steps < 1:
-        raise InputError("rollout_forward: need S >= 1 and n_steps >= 1")
-    tape = RolloutTape.empty(model, B, S + n_steps - 1) if record else None
-    bank, vhat = _observe(model, seeds, mode, rng, tape)
-    return _feed_back(model, bank, vhat, n_steps, mode, rng, tape), tape
-
-
-def _observe(model: Model, seeds: np.ndarray, mode: str, rng, tape: RolloutTape | None):
-    """Seed stage of the engine: (bank at t=S, prediction at t=S-1), from one
-    level sweep over the S inputs of the (B, S+1, d) seed frames, recorded
-    into `tape` when given.  Step t's input is the velocity seeds[:, t+1] -
-    seeds[:, t], or for the pose-input variant the frame seeds[:, t+1]; the
-    forecast integrates from the last frame."""
+    if seeds.shape[1] < 2:
+        raise InputError(f"observe: need a seed of S >= 1 steps, got {seeds.shape[1]} frames")
+    if mode not in ("train", "eval"):
+        raise ConfigError(f"mode: must be train|eval, got {mode!r}")
     if tape is None and mode != "eval":
-        raise ConfigError("record=False runs in eval mode only")
+        raise ConfigError("a tape-free rollout (record=False) runs in eval mode only")
     xs = seeds[:, 1:] if model.levels[0].source == "pose" else np.diff(seeds, axis=1)
     bank = new_bank(model, len(seeds))
     vhat = _advance(model, bank, xs, mode, rng, tape)
     bank.last_pose = seeds[:, -1]
     return bank, vhat
+
+
+def forecast(model: Model, bank: PhaseStateBank, v_first, n_steps: int,
+             mode: str = "eval", rng: np.random.Generator | None = None) -> np.ndarray:
+    """Autoregressive rollout from `observe`'s bank of B sequences and their
+    first predictions v_first (B, d): every prediction is fed back as the
+    next input.  Returns the (n_steps, B, d) predicted velocities.  Nothing
+    in the package calls it: `rollout_forward` runs the same steps.
+    """
+    if n_steps < 1:
+        raise InputError(f"forecast: n_steps must be >= 1, got {n_steps}")
+    if mode not in ("train", "eval"):
+        raise ConfigError(f"mode: must be train|eval, got {mode!r}")
+    phases = [level.phases for level in model.levels]
+    if [len(a) for a in bank.h] != phases or [len(a) for a in bank.c] != phases:
+        raise ConfigError("bank layout does not match model config")
+    if bank.last_pose is None:
+        raise ConfigError("forecast: bank has no last pose; run observe first")
+    v_first = as_f64(v_first)
+    if v_first.shape != bank.last_pose.shape:
+        raise ShapeError(f"forecast: expected {bank.last_pose.shape} first predictions, "
+                         f"one per banked sequence, got shape {v_first.shape}")
+    preds = _feed_back(model, bank, v_first, n_steps, mode, rng)
+    bad = np.argwhere(~np.isfinite(preds).all(axis=2))
+    if bad.size:
+        raise NumericError(f"forecast: non-finite prediction at step {bad[0, 0]} "
+                           f"of sequence {bad[0, 1]}")
+    return preds
+
+
+def rollout_forward(model: Model, seeds, n_steps: int, *, mode: str = "train",
+                    rng: np.random.Generator | None = None, record: bool = True):
+    """`observe` over the (B, S+1, d) seed frames, then the autoregressive
+    forecast: each prediction is fed back as the next input, one level sweep
+    (`_advance`) per step.  Returns (preds (n_steps, B, d), tape).  With
+    record=True the RolloutTape of the T = S + n_steps - 1 steps holds what
+    `rollout_backward` needs; record=False (eval mode only) keeps none and
+    returns None for it.
+    """
+    if n_steps < 1:
+        raise InputError(f"rollout_forward: n_steps must be >= 1, got {n_steps}")
+    # sized from the seeds' shape, which `observe` checks before any step runs
+    shape = np.shape(seeds)
+    tape = (RolloutTape.empty(model, shape[0], max(shape[1] + n_steps - 2, 0))
+            if record and len(shape) == 3 else None)
+    bank, vhat = observe(model, seeds, mode=mode, rng=rng, tape=tape)
+    return _feed_back(model, bank, vhat, n_steps, mode, rng, tape), tape
 
 
 def _feed_back(model: Model, bank: PhaseStateBank, v, n_steps: int, mode: str, rng,
@@ -522,17 +528,9 @@ def _advance(model: Model, bank: PhaseStateBank, xs: np.ndarray, mode: str, rng,
     HOIST_ROWS rows, their input projections x @ W[:, :d_in].T + b are one
     GEMM and each run adds only its h @ W[:, d_in:].T; that splits each row's
     dot product in two, so its predictions move by rounding (about 1e-16)
-    only.
+    only.  It checks nothing: its callers do (see the module docstring).
     """
     cfg = model.config
-    if mode not in ("train", "eval"):
-        raise ConfigError(f"mode: must be train|eval, got {mode!r}")
-    phases = [level.phases for level in model.levels]
-    if [len(a) for a in bank.h] != phases or [len(a) for a in bank.c] != phases:
-        raise ConfigError("bank layout does not match model config")
-    xs = as_f64(xs)
-    if xs.ndim != 3 or xs.shape[2] != cfg.d_v:
-        raise ShapeError(f"expected a (B, n, {cfg.d_v}) input, got shape {xs.shape}")
     K, hid, t0, (B, n, _) = cfg.granularity, cfg.hidden, bank.t, xs.shape
     first = t0 - len(bank.recent)  # bank.recent[i] is step first + i
 
@@ -543,7 +541,7 @@ def _advance(model: Model, bank: PhaseStateBank, xs: np.ndarray, mode: str, rng,
         tape.xs[t0:t0 + n] = xs.swapaxes(0, 1)
     # every level's phase count divides the largest, so a block of whole
     # cycles splits no run
-    cycle = max(phases)
+    cycle = max(level.phases for level in model.levels)
     block = n if tape is not None else cycle * max(1, HOIST_ROWS // (cycle * max(B, 1)))
     for b0 in range(t0, t0 + n, block):
         steps = range(b0, min(b0 + block, t0 + n))

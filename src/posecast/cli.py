@@ -171,7 +171,7 @@ def _horizons(args, windows, target_len) -> list[int]:
     """--horizons (default: those on the frame grid within the target),
     resolved before any work."""
     interval_ms = evaluate.frame_interval(windows)
-    if args.horizons:
+    if args.horizons is not None:
         try:
             out = [int(s) for s in args.horizons.split(",")]
         except ValueError as e:
@@ -228,6 +228,8 @@ def cmd_eval(args) -> int:
 
 def cmd_forecast(args) -> int:
     model, _, _ = load_model_checkpoint(args.checkpoint)
+    if args.n_steps < 1:
+        raise InputError(f"--n-steps: must be >= 1, got {args.n_steps}")
     if args.n_steps * model.config.d_v > MAX_SYNTH_VALUES:
         raise InputError(f"--n-steps: n_steps * d must be at most {MAX_SYNTH_VALUES}, "
                          f"got {args.n_steps * model.config.d_v}")
@@ -249,7 +251,7 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    variants = args.variants.split(",") if args.variants else list(VARIANTS)
+    variants = args.variants.split(",") if args.variants is not None else list(VARIANTS)
     if not set(variants) <= set(VARIANTS) or len(set(variants)) < len(variants):
         raise ConfigError(f"--variants {args.variants!r}: each must be a distinct "
                           f"variant of {', '.join(VARIANTS)}")

@@ -381,36 +381,59 @@ def test_model_step_determinism():
         assert np.array_equal(a, b)
 
 
-def test_model_step_errors():
+def _seed_frames(n_steps, d=3, seed=0, B=1):
+    """(B, n_steps + 1, d) random-walk seed frames: seeds of n_steps steps."""
+    steps = np.random.default_rng(seed).normal(size=(B, n_steps + 1, d))
+    return np.cumsum(steps, axis=1)
+
+
+def test_a_bad_mode_is_a_config_error():
     model = build_model(tiny_cfg())
-    bank = new_bank(model, 1)
-    with pytest.raises(ShapeError):
-        model_step(model, bank, np.zeros((1, 4)))
-    with pytest.raises(ConfigError):
-        model_step(model, bank, np.zeros((1, 3)), mode="predict")
-    other = new_bank(build_model(tiny_cfg(granularity=3)), 1)
-    with pytest.raises(ConfigError):
-        model_step(model, other, np.zeros((1, 3)))
+    bank, v = observe(model, _seed_frames(4))
+    for call in (lambda: observe(model, _seed_frames(4), mode="predict"),
+                 lambda: forecast(model, bank, v, 3, mode="predict"),
+                 lambda: rollout_forward(model, _seed_frames(4), 3, mode="predict")):
+        with pytest.raises(ConfigError, match=r"mode: must be train\|eval"):
+            call()
 
 
-def test_model_step_rejects_unbatched_input():
-    # the engine takes (B, d_v) inputs only; a single vector is a ShapeError
+def test_forecast_rejects_a_bank_of_another_model():
     model = build_model(tiny_cfg())
-    for x in (np.zeros(3), np.zeros((1, 1, 3))):
-        with pytest.raises(ShapeError):
-            model_step(model, new_bank(model, 1), x)
+    other = build_model(tiny_cfg(granularity=3))
+    bank, v = observe(other, _seed_frames(4))
+    with pytest.raises(ConfigError, match="bank layout"):
+        forecast(model, bank, v, 3)
+    with pytest.raises(ConfigError, match="no last pose"):
+        forecast(model, new_bank(model, 1), v, 3)
 
 
-def _seed_frames(n_steps, d=3, seed=0):
-    """(n_steps + 1, d) random-walk seed frames: a seed of n_steps steps."""
-    return np.cumsum(np.random.default_rng(seed).normal(size=(n_steps + 1, d)), axis=0)
+@pytest.mark.parametrize("v_first", [
+    np.zeros(3), np.zeros((1, 1, 3)),   # unbatched, or one rank too many
+    np.zeros((1, 4)),                   # not the model's d_v
+    np.zeros((2, 3)),                   # not one per banked sequence
+])
+def test_forecast_rejects_a_bad_first_prediction(v_first):
+    model = build_model(tiny_cfg())
+    bank, _ = observe(model, _seed_frames(4))
+    with pytest.raises(ShapeError, match="forecast: expected"):
+        forecast(model, bank, v_first, 3)
+
+
+def test_n_steps_below_one_is_an_input_error():
+    model = build_model(tiny_cfg())
+    bank, v = observe(model, _seed_frames(4))
+    with pytest.raises(InputError, match="forecast: n_steps must be >= 1, got 0"):
+        forecast(model, bank, v, 0)
+    with pytest.raises(InputError, match="rollout_forward: n_steps must be >= 1, got -1"):
+        rollout_forward(model, _seed_frames(4), -1)
 
 
 def test_observe_schedule_counts():
     model = build_model(tiny_cfg())
-    bank, tape, vhat = observe(model, _seed_frames(50))
+    tape = arch.RolloutTape.empty(model, 1, 50)
+    bank, vhat = observe(model, _seed_frames(50), tape=tape)
     assert bank.t == 50
-    assert vhat.shape == (3,)
+    assert vhat.shape == (1, 3)
     # one tape row per level firing: 50 for each level, level 2's taking
     # turns between its two phases
     assert [len(c) for c in tape.c] == [len(g) for g in tape.gates] == [50, 50]
@@ -425,13 +448,16 @@ def test_observe_schedule_counts():
                                   bank.h[m][q])
 
 
-@pytest.mark.parametrize("frames", [
-    np.zeros((0, 3)), np.zeros((1, 3)),   # a seed of no steps
-    np.zeros(3), np.zeros((1, 2, 3)),
+@pytest.mark.parametrize("frames,error,match", [
+    (np.zeros((1, 0, 3)), InputError, "need a seed"),   # a seed of no steps
+    (np.zeros((2, 1, 3)), InputError, "need a seed"),
+    (np.zeros((2, 3)), ShapeError, "expected"),         # unbatched
+    (np.zeros((1, 1, 2, 3)), ShapeError, "expected"),
+    (np.zeros((1, 2, 4)), ShapeError, "expected"),      # not the model's d_v
 ])
-def test_observe_rejects_a_bad_shape(frames):
-    # (S+1, d) seed frames with S >= 1, else an input error before any work
-    with pytest.raises(InputError, match="observe: expected"):
+def test_observe_rejects_a_bad_shape(frames, error, match):
+    # (B, S+1, d_v) seed frames with S >= 1, else an error before any work
+    with pytest.raises(error, match=f"observe: {match}"):
         observe(build_model(tiny_cfg()), frames)
 
 
@@ -439,24 +465,25 @@ def test_repeated_frame_seed_is_one_zero_velocity_step():
     # one observed pose twice, as `posecast forecast --init-vel zero` passes
     # it: a valid bank at t == 1 whose forecast starts from that pose
     model = build_model(tiny_cfg())
-    bank, _, vhat = observe(model, np.array([[1.0, 2.0, 3.0]] * 2))
+    bank, vhat = observe(model, np.array([[[1.0, 2.0, 3.0]] * 2]))
     assert bank.t == 1
-    assert vhat.shape == (3,)
+    assert vhat.shape == (1, 3)
     assert np.array_equal(bank.last_pose, [[1.0, 2.0, 3.0]])
 
 
 def test_forecast_shape_contract():
     model = build_model(tiny_cfg())
-    bank, _, v_first = observe(model, _seed_frames(10))
+    bank, v_first = observe(model, _seed_frames(10, B=2))
+    assert v_first.shape == (2, 3)
     pred = forecast(model, bank, v_first, 25)
-    assert pred.shape == (25, 3)
+    assert pred.shape == (25, 2, 3)
 
 
 def test_forecast_nonfinite_raises_with_step_index():
     model = build_model(tiny_cfg())
-    bank, _, _ = observe(model, _seed_frames(4))
-    bad = np.array([np.nan, 0.0, 0.0])
-    with pytest.raises(NumericError, match="step 0"):
+    bank, _ = observe(model, _seed_frames(4, B=2))
+    bad = np.array([[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]])
+    with pytest.raises(NumericError, match="step 0 of sequence 1"):
         forecast(model, bank, bad, 3)
 
 
@@ -477,9 +504,9 @@ def test_zero_model_forecast_is_zero_velocity_baseline(variant, levels):
     seed = PoseSequence(frames=frames[:12], frame_interval_ms=40.0)
     target = PoseSequence(frames=frames[12:], frame_interval_ms=40.0)
 
-    bank, _, v_first = observe(model, seed.frames)
+    bank, v_first = observe(model, seed.frames[None])
     pred = forecast(model, bank, v_first, 5)
-    assert np.array_equal(pred, np.zeros((5, 3)))
+    assert np.array_equal(pred, np.zeros((5, 1, 3)))
 
     poses = forecast_window(model, Window(seed=seed, target=target))
     baseline = zero_velocity_forecast(seed.frames[None], 5)[0]
@@ -536,19 +563,3 @@ def test_double_scale_phase_updates_every_step():
     for t in range(6):
         got = _step_updates(model, bank, np.ones((1, 3)), tape)
         assert got == [(1, 0), (2, t % 2)]
-
-
-def test_rollout_forward_matches_observe_forecast():
-    # the batched training-path rollout and the streaming inference path
-    # compute the same predictions
-    for variant, levels in [("tp_rnn", 3), ("double_scale_vel", 2),
-                            ("single_layer_pose", 1)]:
-        model = build_model(tiny_cfg(variant=variant, levels=levels, seed=7,
-                                     dropout_rate=0.0))
-        seqs = synth_multiscale(2, 14, 3, seed=21)
-        seeds = np.stack([s.frames[:10] for s in seqs])
-        preds, _ = rollout_forward(model, seeds, 4, mode="eval")
-        for b, s in enumerate(seqs):
-            bank, _, v_first = observe(model, s.frames[:10])
-            single = forecast(model, bank, v_first, 4)
-            assert np.allclose(preds[:, b, :], single, atol=1e-12)

@@ -549,6 +549,17 @@ def test_eval_rejects_non_integer_horizon(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_eval_rejects_an_empty_horizons_list(tmp_path, capsys):
+    # an explicit empty list is one empty entry, as in "80,", not the defaults
+    data = synth(tmp_path)
+    out = tmp_path / "r.csv"
+    assert run("eval", "--checkpoint", zero_checkpoint(tmp_path), "--manifest",
+               data / "manifest.txt", "--seed-len", 10, "--target-len", 5,
+               "--horizons", "", "--out", out) == 3
+    err = capsys.readouterr().err
+    assert "input error: --horizons must be integers" in err and not out.exists()
+
+
 def test_eval_without_a_default_horizon_exits_3(tmp_path, capsys):
     # a 1-frame target at 40 ms ends before the first default horizon (80 ms)
     data = synth(tmp_path)
@@ -963,6 +974,18 @@ def test_forecast_n_steps_beyond_the_value_bound_exits_3(tmp_path, capsys):
             f"got {3 * n_steps}" in err and not out.exists()
 
 
+@pytest.mark.parametrize("n_steps", [0, -2])
+def test_forecast_n_steps_below_one_exits_3(tmp_path, capsys, n_steps):
+    # named by its flag, before the rollout starts
+    sd = seed_csv(tmp_path, [[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
+    out = tmp_path / "p.csv"
+    assert run("forecast", "--checkpoint", zero_checkpoint(tmp_path, d_v=3), "--seed-csv",
+               sd, "--n-steps", n_steps, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert f"input error: --n-steps: must be >= 1, got {n_steps}" in err
+    assert not out.exists()
+
+
 def test_long_pose_input_forecast_writes_no_overflow_warning(tmp_path, capsys):
     # a pose-input model fed its own predictions for 300 steps grows them to
     # about 1e12 after 6 training iterations, saturating its gates: the
@@ -1271,6 +1294,13 @@ def test_ablate_checks_every_variant_before_training(tmp_path, monkeypatch, caps
                                                      variants):
     assert _ablate_untrained(tmp_path, monkeypatch, "--variants", variants) == (2, False)
     assert "config error" in capsys.readouterr().err
+
+
+def test_ablate_rejects_an_empty_variants_list_before_training(tmp_path, monkeypatch,
+                                                              capsys):
+    # an explicit empty list is one empty entry, as in "tp_rnn,", not every variant
+    assert _ablate_untrained(tmp_path, monkeypatch, "--variants", "") == (2, False)
+    assert "config error: --variants ''" in capsys.readouterr().err
 
 
 def test_ablate_rejects_test_windows_at_two_frame_intervals(tmp_path, monkeypatch, capsys):

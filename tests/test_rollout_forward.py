@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from posecast import arch
-from posecast.arch import ModelConfig, build_model, new_bank, rollout_forward
+from posecast.arch import ModelConfig, build_model, forecast, new_bank, observe, rollout_forward
 from posecast.errors import ConfigError, ShapeError
 
 from rollout_oracle import model_step, nan_tape, stacked_rollout
@@ -105,7 +105,7 @@ def _check(model, B, S, n_pred=6):
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     bank_ref, v_ref = _stepwise_seed(model, frames)
-    bank, v = arch._observe(model, frames, "eval", None, None)
+    bank, v = observe(model, frames)
     assert bank.t == bank_ref.t == S
     assert np.array_equal(bank.last_pose, bank_ref.last_pose)
     # a stride-fed level's bank keeps the inputs of the last K-1 steps, the
@@ -143,11 +143,11 @@ def test_bank_keeps_stride_history_only_for_stride_fed_levels(variant, levels, K
     # bank of another variant keeps none, whatever its granularity
     model = _model(variant, levels, K=K)
     frames = _frames(2, 10)
-    bank, v = arch._observe(model, frames, "eval", None, None)
+    bank, v = observe(model, frames)
     assert len(bank.recent) == kept
     for ti, x in zip(range(10 - kept, 10), bank.recent):
         assert np.array_equal(x, _seed_input(model, frames, ti))
-    arch._feed_back(model, bank, v, 3, "eval", None)
+    forecast(model, bank, v, 3)
     assert len(bank.recent) == kept
 
 
@@ -174,8 +174,8 @@ def test_tape_free_matches_the_stacked_reference_bit_for_bit(variant, levels, K,
     ref, states = stacked_rollout(model, frames, 6)
     got, _ = rollout_forward(model, frames, 6, mode="eval", record=False)
     assert np.array_equal(got, ref)
-    bank, v = arch._observe(model, frames, "eval", None, None)
-    arch._feed_back(model, bank, v, 6, "eval", None)
+    bank, v = observe(model, frames)
+    forecast(model, bank, v, 6)
     for m, phases in enumerate(states):
         assert np.array_equal(bank.h[m], np.stack([h for h, _ in phases]))
         assert np.array_equal(bank.c[m], np.stack([c for _, c in phases]))
@@ -229,7 +229,7 @@ def test_long_single_seed_hoists_block_by_block(monkeypatch):
         ("step", x.shape[0])) or real_step(p, x, h, c))
     monkeypatch.setattr(arch, "lstm_gates", lambda pre, c, h: calls.append(
         ("gates", pre.shape[0])) or real_gates(pre, c, h))
-    arch._observe(model, _frames(1, S), "eval", None, None)
+    observe(model, _frames(1, S))
     want = [1] * 256 + [2] * 128 + [4] * 64 + [1] * 44 + [2] * 22 + [4] * 11
     assert calls == [("gates", r) for r in want]
     monkeypatch.undo()
@@ -315,8 +315,9 @@ def test_empty_batch_rolls_out_to_an_empty_result():
     (1, 2, 4, 3),
 ])
 def test_rollout_forward_rejects_a_bad_shape(seed_shape):
-    # (B, S+1, d_v) seed frames, else a shape error before any work
-    with pytest.raises(ShapeError, match="rollout_forward: expected"):
+    # (B, S+1, d_v) seed frames, else a shape error from `observe` before any
+    # work, recorded or tape-free
+    with pytest.raises(ShapeError, match="observe: expected"):
         rollout_forward(_model("single_layer_pose", 1), np.zeros(seed_shape), 2,
                         mode="eval", record=False)
 
@@ -331,7 +332,7 @@ def test_seed_inputs_are_the_frame_differences_or_the_frames(variant, levels):
     _, tape = rollout_forward(model, frames, 4, mode="eval")
     want = frames[:, 1:] if variant == "single_layer_pose" else np.diff(frames, axis=1)
     assert np.array_equal(tape.xs[:S], want.swapaxes(0, 1))
-    bank, _ = arch._observe(model, frames, "eval", None, None)
+    bank, _ = observe(model, frames)
     assert np.array_equal(bank.last_pose, frames[:, -1])
 
 
@@ -407,34 +408,58 @@ def test_level_major_schedule_stacks_phases(monkeypatch):
         rows.clear()
         heads.clear()
         tape = nan_tape(model, 3, 10) if record else None
-        arch._observe(model, frames, "eval", None, tape)
+        observe(model, frames, tape=tape)
         assert rows == want and len(heads) == 1
         # recorded, every level's firing at every step wrote its rows
         assert not record or all(np.isfinite(a).all() for a in (tape.xs, *tape.gates, *tape.c))
 
 
 def test_tape_free_requires_eval_mode():
-    from posecast.arch import observe
     model = _model("tp_rnn", 2)
     frames = _frames(2, 4)
     with pytest.raises(ConfigError):
         rollout_forward(model, frames, 3, mode="train", record=False)
     with pytest.raises(ConfigError):
-        observe(model, frames[0], mode="train", rng=np.random.default_rng(0), record=False)
+        observe(model, frames, mode="train", rng=np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("variant,levels", [("tp_rnn", 3), ("double_scale_vel", 2)])
-def test_observe_wrapper_tape_free_matches_recording(variant, levels):
-    # the single-sequence wrappers return the engine's B=1 bank on both paths
-    from posecast.arch import forecast, observe
-    model = _model(variant, levels)
-    frames = np.random.default_rng(4).normal(size=(11, 3))
-    out = []
-    for record in (True, False):
-        bank, tape, v_first = observe(model, frames, record=record)
-        assert (tape is None) == (not record)
-        assert v_first.shape == (3,) and bank.last_pose.shape == (1, 3)
-        assert [a.shape for a in bank.h] == [a.shape for a in bank.c] \
-            == [(level.phases, 1, 5) for level in model.levels]
-        out.append(forecast(model, bank, v_first, 6))
-    assert np.abs(out[1] - out[0]).max() <= 1e-12 * np.abs(out[0]).max()
+@pytest.mark.parametrize("variant,levels", VARIANT_LEVELS)
+def test_rollout_forward_is_observe_then_forecast(variant, levels):
+    # rollout_forward is observe plus forecast's feed-back steps, bit for bit:
+    # tape-free, and with the seed recorded, in eval mode and in train mode
+    # with dropout (rollout_forward records its forecast steps too, forecast
+    # does not)
+    model = _model(variant, levels, dropout_rate=0.3)
+    S, n_pred = 10, 6
+    frames = _frames(3, S, seed=5)
+    for mode, record in (("eval", False), ("eval", True), ("train", True)):
+        rng, rng_ref = np.random.default_rng(2), np.random.default_rng(2)
+        got, tape = rollout_forward(model, frames, n_pred, mode=mode, rng=rng, record=record)
+        seed_tape = arch.RolloutTape.empty(model, 3, S) if record else None
+        bank, v = observe(model, frames, mode=mode, rng=rng_ref, tape=seed_tape)
+        ref = forecast(model, bank, v, n_pred, mode=mode, rng=rng_ref)
+        assert np.array_equal(got, ref), (mode, record)
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+        if record:
+            # the seed's rows are the last of each slab (a slab's row 0 is its
+            # level's last firing), and its head step is the first
+            assert np.array_equal(tape.xs[:S], seed_tape.xs)
+            for a, b in zip([*tape.gates, *tape.c], [*seed_tape.gates, *seed_tape.c]):
+                assert np.array_equal(a[len(a) - len(b):], b)
+            _assert_same_tape(tape.heads[0], seed_tape.heads[0])
+
+
+def test_rollout_forward_runs_its_seed_through_observe(monkeypatch):
+    # the seed stage is `arch.observe`, looked up by name, so a wrapper bound
+    # there (the benchmark's tracer binds one) sees every rollout's seed
+    seen, real = [], arch.observe
+
+    def counting_observe(*args, **kwargs):
+        seen.append(kwargs.get("tape") is not None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(arch, "observe", counting_observe)
+    model = _model("tp_rnn", 3)
+    rollout_forward(model, _frames(2, 10), 4, mode="eval", record=False)
+    rollout_forward(model, _frames(2, 10), 4, mode="eval")
+    assert seen == [False, True]

@@ -450,7 +450,7 @@ def test_loss_halves_in_2000_iterations():
 def test_trained_model_reproduces_fast_period():
     # a two-level hierarchy trained on drift-free two-band sines recovers
     # the fast dimension's period within 10% over a 25-step forecast
-    from posecast.arch import forecast, observe
+    from posecast.arch import RolloutTape, forecast, observe
 
     seqs = synth_multiscale(6, 120, 2, seed=17, drift_scale=0.0)
     data = TrainingData(sequences=seqs, seed_len=16, target_len=8)
@@ -463,8 +463,10 @@ def test_trained_model_reproduces_fast_period():
 
     held_out = synth_multiscale(8, 120, 2, seed=99, drift_scale=0.0)[7]
     seed_p = PoseSequence(frames=held_out.frames[:40], frame_interval_ms=40.0)
-    bank, _, v0 = observe(model, seed_p.frames)
-    pred = forecast(model, bank, v0, 25)
+    # the seed recorded, one LSTM call per firing, the forecast tape-free
+    tape = RolloutTape.empty(model, 1, seed_p.n_frames - 1)
+    bank, v0 = observe(model, seed_p.frames[None], tape=tape)
+    pred = forecast(model, bank, v0, 25)[:, 0]
     frames = seed_p.frames[-1] + np.cumsum(pred, axis=0)
     truth = held_out.frames[40:65]
 
