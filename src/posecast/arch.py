@@ -68,7 +68,7 @@ through the autoregressive loop.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -85,6 +85,7 @@ __all__ = [
     "level_table",
     "param_layout",
     "ModelConfig",
+    "field_kinds",
     "Model",
     "PhaseStateBank",
     "new_bank",
@@ -129,8 +130,20 @@ MAX_PHASES = 4096
 MAX_PARAMS = 2 ** 27
 
 
-@dataclass
+_FIELD_KINDS = {"str": (str, False), "int": (int, False), "float": (float, False),
+                "float | None": (float, True)}
+
+
+def field_kinds(cls) -> dict[str, tuple[type, bool]]:
+    """Each field of the config dataclass `cls` as name -> (str, int or float,
+    may be None): how key=value files and checkpoint meta read it.  KeyError
+    for an annotation no reader could type."""
+    return {f.name: _FIELD_KINDS[f.type] for f in fields(cls)}
+
+
+@dataclass(frozen=True)
 class ModelConfig:
+    """Checked when built, frozen after: variants come from `dataclasses.replace`."""
     variant: str
     d_v: int
     granularity: int = 2   # stride between consecutive updates of a level
@@ -142,6 +155,9 @@ class ModelConfig:
     dropout_rate: float | None = None
     seed: int = 0
     forget_bias: float = 1.0
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> "ModelConfig":
         spec = VARIANTS.get(self.variant) if isinstance(self.variant, str) else None
@@ -185,13 +201,6 @@ class ModelConfig:
         if self.dropout_rate is not None:
             return self.dropout_rate
         return 0.2 if self.levels >= 3 else 0.0
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d).validate()
 
 
 @dataclass(frozen=True)
@@ -269,7 +278,7 @@ class Model:
     head: HeadParams = field(init=False, repr=False)
 
     def __post_init__(self):
-        cfg = self.config.validate()
+        cfg = self.config
         self.levels = level_table(cfg)
         self.layout = param_layout(cfg)
         self.theta = np.zeros(sum(math.prod(shape) for _, shape in self.layout))

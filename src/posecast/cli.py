@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import evaluate
-from .arch import VARIANTS, ModelConfig, build_model
+from .arch import VARIANTS, ModelConfig, build_model, field_kinds
 from .errors import ConfigError, InputError, NumericError, ParseError
 from .metrics import DEFAULT_HORIZONS_MS, horizon_frame_index, horizon_indices
 from .numcore import atomic_write_text
@@ -54,43 +54,35 @@ def read_kv_config(path) -> dict[str, str]:
     return out
 
 
-def _coerce(cls, raw: dict, *, path="config"):
-    fields = {f.name: f for f in dataclasses.fields(cls) if f.init}
+def _coerce(cls, path) -> dict:
+    """The key=value file `path` as `cls` keyword arguments, typed by `field_kinds`."""
+    kinds = field_kinds(cls)
     kwargs = {}
-    for key, value in raw.items():
-        if key not in fields:
+    for key, value in read_kv_config(path).items():
+        if key not in kinds:
             raise ConfigError(f"{path}: unknown key {key!r}")
-        ftype = fields[key].type
+        kind, nullable = kinds[key]
         try:
-            if value == "none" and "None" in str(ftype):
-                kwargs[key] = None
-            elif "int" in str(ftype):
-                kwargs[key] = int(value)
-            elif "float" in str(ftype):
-                kwargs[key] = float(value)
-            else:
-                kwargs[key] = value
+            kwargs[key] = None if nullable and value == "none" else kind(value)
         except ValueError:
             raise ConfigError(f"{path}: bad value for {key!r}: {value!r}") from None
     return kwargs
 
 
 def model_config_from_file(path, d_v: int) -> ModelConfig:
-    """The validated model config in `path` for a dataset of dimension `d_v`,
+    """The model config in `path` for a dataset of dimension `d_v`,
     which its `d_v` key defaults to and must equal."""
-    raw = read_kv_config(path)
-    kwargs = _coerce(ModelConfig, raw, path=path)
+    kwargs = _coerce(ModelConfig, path)
     if "variant" not in kwargs:
         raise ConfigError(f"{path}: variant missing")
-    cfg = ModelConfig(**{"d_v": d_v, **kwargs}).validate()
+    cfg = ModelConfig(**{"d_v": d_v, **kwargs})
     if cfg.d_v != d_v:
         raise ConfigError(f"model d_v {cfg.d_v} != dataset dim {d_v}")
     return cfg
 
 
 def train_config_from_file(path) -> TrainConfig:
-    raw = read_kv_config(path)
-    return TrainConfig(**_coerce(TrainConfig, raw, path=path)).validate()
+    return TrainConfig(**_coerce(TrainConfig, path))
 
 
 # ---------------------------------------------------------------------------

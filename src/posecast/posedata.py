@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError, ParseError
-from .numcore import as_f64, atomic_write_text, seeded_rng
+from .numcore import as_f64, atomic_file, seeded_rng
 
 __all__ = [
     "PoseSequence",
@@ -100,12 +100,13 @@ def make_windows(p: PoseSequence, seed_len: int, target_len: int,
 def text_lines(path, comments: bool = True):
     """(line number, stripped line) of each non-blank line of the UTF-8 text file
     `path`, read line by line, skipping `#` lines if `comments` (manifests and
-    configs have them, sequence CSVs do not).  ParseError naming `path` if the
-    file is missing or at its first byte that is not UTF-8."""
+    configs have them, sequence CSVs do not).  A byte order mark opening the
+    file is dropped; one anywhere else stays in its line.  ParseError naming
+    `path` if the file is missing or at its first byte that is not UTF-8."""
     path = Path(path)
     if not path.exists():
         raise ParseError(f"{path}: no such file")
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
@@ -140,9 +141,10 @@ def load_sequence(path, expected_dim: int | None = None,
 
 
 def save_sequence(path, p: PoseSequence):
-    path = Path(path)
-    lines = [",".join(repr(float(x)) for x in row) for row in p.frames]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """Write each frame's values' `repr` as a CSV row, one row at a time."""
+    with atomic_file(path) as fh:
+        for row in p.frames:
+            fh.write((",".join(map(repr, row.tolist())) + "\n").encode("utf-8"))
 
 
 @dataclass

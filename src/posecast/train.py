@@ -14,16 +14,16 @@ the RNG state so a resumed run continues exactly.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
 from . import checkpoint as ckpt
-from .arch import Model, ModelConfig, param_layout, rollout_backward, rollout_forward
+from .arch import (Model, ModelConfig, field_kinds, param_layout, rollout_backward,
+                   rollout_forward)
 from .errors import ConfigError, InputError, NumericError, ParseError, ShapeError
 from .numcore import as_f64, atomic_write_text, clip_global_norm
 from .posedata import PoseSequence
@@ -52,8 +52,9 @@ __all__ = [
 MAX_BATCH_SIZE = 4096
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """Checked when built, frozen after: variants come from `dataclasses.replace`."""
     batch_size: int = 16
     clip_norm: float = 5.0
     lr0: float = 0.01
@@ -69,6 +70,9 @@ class TrainConfig:
     seed_len: int = 50
     target_len: int = 25
     checkpoint_every: int = 0  # 0: final checkpoint only
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> "TrainConfig":
         if not 1 <= self.batch_size <= MAX_BATCH_SIZE:
@@ -98,13 +102,6 @@ class TrainConfig:
         if self.seed < 0:
             raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         return self
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d).validate()
 
 
 def lr_at(cfg: TrainConfig, iteration: int) -> float:
@@ -293,8 +290,8 @@ def save_train_checkpoint(path, model: Model, cfg: TrainConfig, iteration: int,
                           rng: np.random.Generator, adam: AdamState | None):
     meta = {
         "kind": "train",
-        "model_config": model.config.to_dict(),
-        "train_config": cfg.to_dict(),
+        "model_config": asdict(model.config),
+        "train_config": asdict(cfg),
         "iteration": iteration,
         "rng_state": rng.bit_generator.state,
     }
@@ -302,32 +299,32 @@ def save_train_checkpoint(path, model: Model, cfg: TrainConfig, iteration: int,
 
 
 def save_model_checkpoint(path, model: Model, iteration: int = 0):
-    meta = {"kind": "model", "model_config": model.config.to_dict(),
+    meta = {"kind": "model", "model_config": asdict(model.config),
             "iteration": iteration}
     ckpt.save_checkpoint(path, meta, _checkpoint_tensors(model, None))
 
 
 def _meta_config(path, meta, key: str, cls):
     """The config object `meta[key]` as a `cls`: every field present, no
-    unknown keys and each value of the field's type, else ParseError; its
-    values are then validated (ConfigError)."""
+    unknown keys and each value of its `field_kinds` kind, else ParseError;
+    building it then checks the values (ConfigError)."""
     raw = meta.get(key) if isinstance(meta, dict) else None
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: checkpoint meta has no {key} object")
-    types = {f.name: f.type for f in dataclasses.fields(cls)}
-    for name in types:
+    kinds = field_kinds(cls)
+    for name in kinds:
         if name not in raw:
             raise ParseError(f"{path}: {key}: missing key {name!r}")
     for name, value in raw.items():
-        if name not in types:
+        if name not in kinds:
             raise ParseError(f"{path}: {key}: unknown key {name!r}")
-        ftype = types[name]
-        if value is None and "None" in ftype:
+        kind, nullable = kinds[name]
+        if value is None and nullable:
             continue
-        want = str if ftype == "str" else (int, float) if "float" in ftype else int
+        want = (int, float) if kind is float else kind
         if not isinstance(value, want) or isinstance(value, bool):
             raise ParseError(f"{path}: {key}: bad value for {name!r}: {value!r}")
-    return cls.from_dict(raw)
+    return cls(**raw)
 
 
 def resume_state(path, meta):
@@ -407,7 +404,6 @@ def train_loop(model: Model, dataset: TrainingData, cfg: TrainConfig,
     non-finite loss or gradient norm the state at that iteration's start is
     checkpointed, so a resume replays it, and NumericError is raised.
     """
-    cfg.validate()
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     if rng_state is not None:
         rng.bit_generator.state = rng_state

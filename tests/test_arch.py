@@ -1,8 +1,10 @@
+from dataclasses import FrozenInstanceError, asdict, fields, make_dataclass, replace
+
 import numpy as np
 import pytest
 
 from posecast import arch
-from posecast.arch import (MAX_PHASES, VARIANTS, Model, ModelConfig, build_model,
+from posecast.arch import (MAX_PHASES, VARIANTS, Model, ModelConfig, build_model, field_kinds,
                            forecast, level_table, new_bank, observe, param_count,
                            param_layout, rollout_backward, rollout_forward)
 from posecast.errors import ConfigError, InputError, NumericError, ShapeError
@@ -143,14 +145,14 @@ def _ref_source(cfg, m):
     return "stride"
 
 
-def _ref_valid(cfg):
-    if cfg.variant in ("single_layer_pose", "single_layer_vel"):
-        return cfg.levels == 1
-    if cfg.variant == "stacked2_vel":
-        return cfg.levels == 2
-    if cfg.variant.startswith("double_scale"):
-        return cfg.levels == 2 and cfg.granularity == 2
-    return cfg.granularity ** (cfg.levels - 1) <= MAX_PHASES
+def _ref_valid(variant, levels, granularity):
+    if variant in ("single_layer_pose", "single_layer_vel"):
+        return levels == 1
+    if variant == "stacked2_vel":
+        return levels == 2
+    if variant.startswith("double_scale"):
+        return levels == 2 and granularity == 2
+    return granularity ** (levels - 1) <= MAX_PHASES
 
 
 @pytest.mark.parametrize("variant", list(VARIANTS))
@@ -158,13 +160,12 @@ def test_level_table_matches_the_closed_form_schedule(variant):
     valid = 0
     for M in range(1, 5):
         for K in (2, 3):
-            cfg = tiny_cfg(variant=variant, levels=M, granularity=K)
             try:
-                cfg.validate()
+                cfg = tiny_cfg(variant=variant, levels=M, granularity=K)
             except ConfigError:
-                assert not _ref_valid(cfg)
+                assert not _ref_valid(variant, M, K)
                 continue
-            assert _ref_valid(cfg)
+            assert _ref_valid(variant, M, K)
             valid += 1
             table = level_table(cfg)
             assert len(table) == M
@@ -247,11 +248,62 @@ def test_config_bounds_phase_bank_and_seed():
 
 def test_config_roundtrip_and_dropout_default():
     cfg = tiny_cfg(levels=3)
-    assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+    assert ModelConfig(**asdict(cfg)) == cfg
     assert cfg.effective_dropout == 0.2
     assert tiny_cfg(levels=2).effective_dropout == 0.0
     assert tiny_cfg(levels=4, dropout_rate=0.1).effective_dropout == 0.1
     assert tiny_cfg(levels=4, dropout_rate=0.0).effective_dropout == 0.0
+
+
+@pytest.mark.parametrize("kw,message", [
+    (dict(variant="gru"), "variant: unknown value 'gru'"),
+    (dict(d_v=0), "d_v: must be >= 1, got 0"),
+    (dict(granularity=1), "granularity: must be >= 2, got 1"),
+    (dict(levels=0), "levels: must be >= 1, got 0"),
+    (dict(variant="single_layer_vel"), "levels: single_layer_vel requires levels == 1"),
+    (dict(variant="double_scale_vel", granularity=3),
+     "granularity: double_scale_vel requires granularity == 2"),
+    (dict(levels=14), "granularity/levels: tp_rnn's top level would hold more than "
+                      "4096 phase sequences"),
+    (dict(head2=0), "hidden/head1/head2: must be >= 1"),
+    (dict(hidden=10 ** 5), "hidden/head1/head2: the model would hold more than "
+                           "134217728 parameters"),
+    (dict(leaky_slope=float("nan")), "leaky_slope: must be finite and > 0, got nan"),
+    (dict(forget_bias=float("inf")), "forget_bias: must be finite, got inf"),
+    (dict(dropout_rate=1.0), "dropout_rate: must be in [0, 1), got 1.0"),
+    (dict(seed=-1), "seed: must be >= 0, got -1"),
+])
+def test_model_config_is_checked_when_built(kw, message):
+    # no invalid config exists: building one, directly or by replacing a
+    # field of a valid one, raises the check's message
+    with pytest.raises(ConfigError) as e:
+        tiny_cfg(**kw)
+    assert str(e.value) == message
+    with pytest.raises(ConfigError) as e:
+        replace(tiny_cfg(), **kw)
+    assert str(e.value) == message
+
+
+def test_model_config_is_frozen():
+    cfg = tiny_cfg()
+    for f in fields(cfg):
+        with pytest.raises(FrozenInstanceError):
+            setattr(cfg, f.name, getattr(cfg, f.name))
+    assert cfg == tiny_cfg()
+
+
+def test_every_config_field_has_a_kind():
+    # both config readers (key=value files, checkpoint meta) type a value by
+    # field_kinds; a field of another annotation, such as bool, must not be
+    # read as an int or a float, so the rule rejects it
+    from posecast.train import TrainConfig
+    for cls in (ModelConfig, TrainConfig):
+        kinds = field_kinds(cls)
+        assert list(kinds) == [f.name for f in fields(cls)]
+        assert set(kinds.values()) <= {(str, False), (int, False), (float, False),
+                                       (float, True)}
+    with pytest.raises(KeyError, match="bool"):
+        field_kinds(make_dataclass("Probe", [("flag", "bool")]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -787,7 +788,7 @@ def test_eval_rejects_mixed_manifest_dims(tmp_path, capsys, case):
 def _bad_checkpoint(tmp_path, case):
     model = build_model(ModelConfig(variant="tp_rnn", d_v=3, granularity=2,
                                     levels=2, hidden=4, head1=5, head2=4))
-    meta = {"kind": "model", "model_config": model.config.to_dict(), "iteration": 0}
+    meta = {"kind": "model", "model_config": asdict(model.config), "iteration": 0}
     tensors = list(model.tensors())
     if case == "no_model_config":
         del meta["model_config"]
@@ -914,6 +915,42 @@ def test_non_utf8_input_file_exits_3_naming_it(tmp_path, capsys, kind):
     assert run(*argv) == 3
     err = capsys.readouterr().err
     assert "input error" in err and f"{bad}: not UTF-8" in err
+
+
+def _outputs(path):
+    """{relative name: bytes} of every file under the output path `path`."""
+    files = sorted(path.rglob("*")) if path.is_dir() else [path]
+    return {str(f.relative_to(path.parent)): f.read_bytes() for f in files if f.is_file()}
+
+
+@pytest.mark.parametrize("kind", INPUT_FILES)
+def test_leading_byte_order_mark_is_dropped(tmp_path, kind):
+    # a UTF-8 byte order mark opening any text input is dropped: the command
+    # writes what it writes from the same file without one
+    path, argv = _input_file_run(tmp_path, kind)
+    if not path.exists():
+        path.write_text("0.0,0.5,1.0\n0.25,0.5,0.75\n")
+    if kind == "manifest":
+        # eval reads the test rows only: the mark goes before one of them
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[-1:] + lines[:-1]))
+    assert run(*argv) == 0
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    (tmp_path / "bom").mkdir()
+    out = tmp_path / "bom" / argv[-1].name
+    assert run(*argv[:-1], out) == 0
+    assert _outputs(out) == _outputs(argv[-1]) != {}
+
+
+def test_byte_order_mark_past_the_first_byte_is_an_error(tmp_path, capsys):
+    # only a leading byte order mark is dropped; one opening a later line
+    # stays part of its key or value
+    mc, tc = _train_cfgs(tmp_path, iterations=2)
+    tc.write_text(tc.read_text().replace("batch_size", "\ufeffbatch_size"), encoding="utf-8")
+    assert run("train", "--model-config", mc, "--train-config", tc, "--manifest",
+               synth(tmp_path) / "manifest.txt", "--out", tmp_path / "r") == 2
+    assert f"config error: {tc}: unknown key '\\ufeffbatch_size'" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("kind", INPUT_FILES)

@@ -9,6 +9,7 @@ in a traceback.
 
 import json
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ def base(tmp_path_factory):
     (d / "manifest.txt").write_text("\n".join(rows) + "\n")
     model = build_model(ModelConfig(variant="tp_rnn", d_v=3, granularity=2, levels=3,
                                     hidden=4, head1=5, head2=4, seed=1))
-    meta = {"kind": "model", "model_config": model.config.to_dict(), "iteration": 0}
+    meta = {"kind": "model", "model_config": asdict(model.config), "iteration": 0}
     save_checkpoint(d / "model.bin", meta, list(model.tensors()))
     save_sequence(d / "seed.csv", synth_multiscale(1, 9, 3, seed=6)[0])
     return _Files(dir=d, meta=meta, rows=rows, bytes=(d / "model.bin").read_bytes())

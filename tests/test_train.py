@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError, asdict, fields, replace
+
 import numpy as np
 import pytest
 
@@ -255,7 +257,38 @@ def test_train_config_validation():
     # validate rejects are exercised through the CLI in tests/test_cli.py
     assert TrainConfig(adam_beta1=0.0, adam_beta2=0.0, clip_norm=float("inf")).validate()
     cfg = TrainConfig()
-    assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+    assert TrainConfig(**asdict(cfg)) == cfg
+
+
+@pytest.mark.parametrize("kw,message", [
+    (dict(batch_size=0), f"batch_size: must be in [1, {MAX_BATCH_SIZE}], got 0"),
+    (dict(lr0=float("inf")), "lr0: must be finite and > 0, got inf"),
+    (dict(clip_norm=float("nan")), "clip_norm: must be > 0, got nan"),
+    (dict(adam_beta2=1.0), "adam_beta2: must be in [0, 1), got 1.0"),
+    (dict(adam_eps=0.0), "adam_eps: must be > 0, got 0.0"),
+    (dict(decay_every=0), "decay_every must be >= 1 and decay_factor in (0, 1]"),
+    (dict(optimizer="rmsprop"), "optimizer: must be sgd|adam, got 'rmsprop'"),
+    (dict(loss_space="joint"), "loss_space: must be pose|velocity, got 'joint'"),
+    (dict(target_len=0), "seed_len must be >= 2 and target_len >= 1"),
+    (dict(checkpoint_every=-1), "checkpoint_every: must be >= 0, got -1"),
+    (dict(iterations=0), "iterations: must be >= 1, got 0"),
+    (dict(seed=-1), "seed: must be >= 0, got -1"),
+])
+def test_train_config_is_checked_when_built(kw, message):
+    with pytest.raises(ConfigError) as e:
+        TrainConfig(**kw)
+    assert str(e.value) == message
+    with pytest.raises(ConfigError) as e:
+        replace(TrainConfig(), **kw)
+    assert str(e.value) == message
+
+
+def test_train_config_is_frozen():
+    cfg = TrainConfig()
+    for f in fields(cfg):
+        with pytest.raises(FrozenInstanceError):
+            setattr(cfg, f.name, getattr(cfg, f.name))
+    assert cfg == TrainConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -287,12 +320,12 @@ def test_train_loop_deterministic(tmp_path):
 @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
 def test_resume_reproduces_uninterrupted_run(tmp_path, optimizer):
     model, data, cfg = _toy_setup(iterations=30, optimizer=optimizer)
-    cfg.checkpoint_every = 10
+    cfg = replace(cfg, checkpoint_every=10)
     model, trace_full, _ = train_loop(model, data, cfg,
                                       out_dir=tmp_path / "full")
 
     model2, data2, cfg2 = _toy_setup(iterations=30, optimizer=optimizer)
-    cfg2.checkpoint_every = 10
+    cfg2 = replace(cfg2, checkpoint_every=10)
     train_loop(model2, data2, cfg2, out_dir=tmp_path / "part")
     mid = tmp_path / "part" / "checkpoint_00000010.bin"
     model3, meta, adam = load_model_checkpoint(mid)
@@ -300,7 +333,7 @@ def test_resume_reproduces_uninterrupted_run(tmp_path, optimizer):
     if optimizer == "adam":
         assert adam is not None
     model3, trace_tail, _ = train_loop(
-        model3, data2, TrainConfig.from_dict(meta["train_config"]),
+        model3, data2, TrainConfig(**meta["train_config"]),
         out_dir=tmp_path / "resumed", start_iteration=10,
         rng_state=meta["rng_state"], adam=adam)
     assert trace_tail == trace_full[10:]
@@ -358,7 +391,7 @@ def test_abort_checkpoint_is_the_diverged_iterations_starting_state(
 
     def run(out_dir):
         _, data, cfg = _toy_setup(iterations=4, optimizer=optimizer)
-        cfg.checkpoint_every = 2
+        cfg = replace(cfg, checkpoint_every=2)
         return train_loop(tiny_model(dropout_rate=dropout_rate), data, cfg, out_dir=out_dir)
 
     run(tmp_path / "clean")
