@@ -85,6 +85,7 @@ __all__ = [
     "level_table",
     "param_layout",
     "ModelConfig",
+    "CheckedConfig",
     "field_kinds",
     "Model",
     "PhaseStateBank",
@@ -141,8 +142,23 @@ def field_kinds(cls) -> dict[str, tuple[type, bool]]:
     return {f.name: _FIELD_KINDS[f.type] for f in fields(cls)}
 
 
+class CheckedConfig:
+    """Base of the config dataclasses, checked once when built: each value of
+    its field's `field_kinds` kind (an int passes for a float, a bool or a
+    NumPy integer for none), else TypeError, then by `validate` (ConfigError)."""
+
+    def __post_init__(self):
+        for name, (kind, nullable) in field_kinds(type(self)).items():
+            value = getattr(self, name)
+            want = (int, float) if kind is float else kind
+            if not (value is None and nullable) and (
+                    isinstance(value, bool) or not isinstance(value, want)):
+                raise TypeError(f"bad value for {name!r}: {value!r}")
+        self.validate()
+
+
 @dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(CheckedConfig):
     """Checked when built, frozen after: variants come from `dataclasses.replace`."""
     variant: str
     d_v: int
@@ -156,11 +172,8 @@ class ModelConfig:
     seed: int = 0
     forget_bias: float = 1.0
 
-    def __post_init__(self):
-        self.validate()
-
     def validate(self) -> "ModelConfig":
-        spec = VARIANTS.get(self.variant) if isinstance(self.variant, str) else None
+        spec = VARIANTS.get(self.variant)
         if spec is None:
             raise ConfigError(f"variant: unknown value {self.variant!r}")
         if self.d_v < 1:

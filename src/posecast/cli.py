@@ -27,7 +27,7 @@ from .numcore import atomic_write_text
 from .posedata import (MAX_SYNTH_VALUES, PoseSequence, load_manifest, load_sequence,
                        load_split, save_sequence, synth_multiscale, text_lines)
 from .train import (TrainConfig, TrainingData, load_model_checkpoint,
-                    resume_state, train_loop, write_trace)
+                    load_train_checkpoint, train_loop, write_trace)
 
 EXIT_CONFIG = 2
 EXIT_INPUT = 3
@@ -109,21 +109,13 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    adam = None
-    start_iteration = 0
-    rng_state = None
     for flag in ("model_config", "train_config"):
         # a resumed run keeps its checkpoint's configs
         if (getattr(args, flag) is None) == (not args.resume):
             raise ConfigError(f"--{flag.replace('_', '-')} is " + (
                 "not allowed with --resume" if args.resume else "required without --resume"))
     if args.resume:
-        model, meta, adam = load_model_checkpoint(args.resume)
-        tcfg, start_iteration, rng_state = resume_state(args.resume, meta)
-        if (adam is not None) != (tcfg.optimizer == "adam"):
-            held = "holds" if adam is not None else "lacks"
-            raise InputError(f"{args.resume}: the checkpoint {held} Adam moments, but "
-                             f"its optimizer is {tcfg.optimizer!r}")
+        model, tcfg, *resume = load_train_checkpoint(args.resume)
         manifest = load_manifest(args.manifest)
         if model.config.d_v != manifest.dim:
             raise ConfigError(f"model d_v {model.config.d_v} != dataset dim {manifest.dim}")
@@ -131,6 +123,7 @@ def cmd_train(args) -> int:
         manifest = load_manifest(args.manifest)
         tcfg = train_config_from_file(args.train_config)
         model = build_model(model_config_from_file(args.model_config, manifest.dim))
+        resume = (0, None, None)  # start iteration, rng state, Adam moments
     train_seqs = load_split(manifest, "train")
     data = TrainingData(sequences=train_seqs, seed_len=tcfg.seed_len,
                         target_len=tcfg.target_len)
@@ -142,10 +135,7 @@ def cmd_train(args) -> int:
         if (it + 1) % log_every == 0:
             print(f"iter {it + 1}/{tcfg.iterations} loss {loss:.6f} lr {lr:.6f}")
 
-    model, trace, _ = train_loop(model, data, tcfg, out_dir=out,
-                                 start_iteration=start_iteration,
-                                 rng_state=rng_state, adam=adam,
-                                 log_fn=log_fn)
+    model, trace, _ = train_loop(model, data, tcfg, out, *resume, log_fn=log_fn)
     write_trace(out / "loss_trace.csv", trace)
     print(f"final checkpoint: {out / 'checkpoint_final.bin'}")
     return 0
@@ -195,7 +185,7 @@ def _write_report(path, model_rep, zero_rep, per_action: bool):
 def cmd_eval(args) -> int:
     if not 0 < args.threshold < math.inf:
         raise InputError(f"--threshold: must be finite and > 0, got {args.threshold}")
-    model, meta, _ = load_model_checkpoint(args.checkpoint)
+    model = load_model_checkpoint(args.checkpoint)[0]  # an Adam run's moments dropped
     manifest = load_manifest(args.manifest)
     if model.config.d_v != manifest.dim:
         raise ConfigError(f"checkpoint d_v {model.config.d_v} != dataset dim "
@@ -219,7 +209,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_forecast(args) -> int:
-    model, _, _ = load_model_checkpoint(args.checkpoint)
+    model = load_model_checkpoint(args.checkpoint)[0]  # an Adam run's moments dropped
     if args.n_steps < 1:
         raise InputError(f"--n-steps: must be >= 1, got {args.n_steps}")
     if args.n_steps * model.config.d_v > MAX_SYNTH_VALUES:

@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint as ckpt
-from .arch import (Model, ModelConfig, field_kinds, param_layout, rollout_backward,
-                   rollout_forward)
+from .arch import (CheckedConfig, Model, ModelConfig, field_kinds, param_layout,
+                   rollout_backward, rollout_forward)
 from .errors import ConfigError, InputError, NumericError, ParseError, ShapeError
 from .numcore import as_f64, atomic_write_text, clip_global_norm
 from .posedata import PoseSequence
@@ -39,10 +39,10 @@ __all__ = [
     "velocity_loss_and_grad",
     "rollout_loss_batch",
     "train_loop",
-    "resume_state",
     "write_trace",
     "save_model_checkpoint",
     "load_model_checkpoint",
+    "load_train_checkpoint",
 ]
 
 
@@ -53,7 +53,7 @@ MAX_BATCH_SIZE = 4096
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(CheckedConfig):
     """Checked when built, frozen after: variants come from `dataclasses.replace`."""
     batch_size: int = 16
     clip_norm: float = 5.0
@@ -70,9 +70,6 @@ class TrainConfig:
     seed_len: int = 50
     target_len: int = 25
     checkpoint_every: int = 0  # 0: final checkpoint only
-
-    def __post_init__(self):
-        self.validate()
 
     def validate(self) -> "TrainConfig":
         if not 1 <= self.batch_size <= MAX_BATCH_SIZE:
@@ -306,7 +303,7 @@ def save_model_checkpoint(path, model: Model, iteration: int = 0):
 
 def _meta_config(path, meta, key: str, cls):
     """The config object `meta[key]` as a `cls`: every field present, no
-    unknown keys and each value of its `field_kinds` kind, else ParseError;
+    unknown keys and each value of its field's kind, else ParseError;
     building it then checks the values (ConfigError)."""
     raw = meta.get(key) if isinstance(meta, dict) else None
     if not isinstance(raw, dict):
@@ -315,43 +312,13 @@ def _meta_config(path, meta, key: str, cls):
     for name in kinds:
         if name not in raw:
             raise ParseError(f"{path}: {key}: missing key {name!r}")
-    for name, value in raw.items():
+    for name in raw:
         if name not in kinds:
             raise ParseError(f"{path}: {key}: unknown key {name!r}")
-        kind, nullable = kinds[name]
-        if value is None and nullable:
-            continue
-        want = (int, float) if kind is float else kind
-        if not isinstance(value, want) or isinstance(value, bool):
-            raise ParseError(f"{path}: {key}: bad value for {name!r}: {value!r}")
-    return cls(**raw)
-
-
-def resume_state(path, meta):
-    """(TrainConfig, iteration, rng state) of a training checkpoint's meta.
-
-    Raises ConfigError for a checkpoint that is not a training checkpoint and
-    ParseError for a missing or malformed train_config, iteration or
-    rng_state.
-    """
-    if not isinstance(meta, dict) or meta.get("kind") != "train":
-        raise ConfigError(f"{path}: not a training checkpoint")
-    cfg = _meta_config(path, meta, "train_config", TrainConfig)
-    iteration = meta.get("iteration")
-    if not isinstance(iteration, int) or isinstance(iteration, bool) \
-            or not 0 <= iteration <= cfg.iterations:
-        raise ParseError(f"{path}: iteration must be an integer in "
-                         f"[0, {cfg.iterations}], got {iteration!r}")
-    state = meta.get("rng_state")
-    bit_gen = np.random.PCG64()
     try:
-        bit_gen.state = state
-        ok = bit_gen.state == state
-    except (TypeError, ValueError, KeyError, OverflowError):
-        ok = False
-    if not ok:
-        raise ParseError(f"{path}: rng_state is not a PCG64 state")
-    return cfg, iteration, state
+        return cls(**raw)
+    except TypeError as e:
+        raise ParseError(f"{path}: {key}: {e}") from None
 
 
 def load_model_checkpoint(path):
@@ -385,6 +352,37 @@ def load_model_checkpoint(path):
         for view, name in zip(model.views(adam.m) + model.views(adam.v), names[n_params:]):
             view[...] = tensors.pop(name)
     return model, meta, adam
+
+
+def load_train_checkpoint(path):
+    """(model, TrainConfig, iteration, rng state, Adam moments or None) of the
+    training checkpoint `path`, loaded as by `load_model_checkpoint`.  Raises
+    ConfigError for another kind of checkpoint, ParseError for a malformed
+    train_config, iteration or rng_state, and InputError for Adam moments
+    held by a run of another optimizer or lacked by an Adam run."""
+    model, meta, adam = load_model_checkpoint(path)
+    if meta.get("kind") != "train":
+        raise ConfigError(f"{path}: not a training checkpoint")
+    cfg = _meta_config(path, meta, "train_config", TrainConfig)
+    iteration = meta.get("iteration")
+    if not isinstance(iteration, int) or isinstance(iteration, bool) \
+            or not 0 <= iteration <= cfg.iterations:
+        raise ParseError(f"{path}: iteration must be an integer in "
+                         f"[0, {cfg.iterations}], got {iteration!r}")
+    state = meta.get("rng_state")
+    bit_gen = np.random.PCG64()
+    try:
+        bit_gen.state = state
+        ok = bit_gen.state == state
+    except (TypeError, ValueError, KeyError, OverflowError):
+        ok = False
+    if not ok:
+        raise ParseError(f"{path}: rng_state is not a PCG64 state")
+    if (adam is not None) != (cfg.optimizer == "adam"):
+        held = "holds" if adam is not None else "lacks"
+        raise InputError(f"{path}: the checkpoint {held} Adam moments, but "
+                         f"its optimizer is {cfg.optimizer!r}")
+    return model, cfg, iteration, state, adam
 
 
 def write_trace(path, trace):

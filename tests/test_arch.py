@@ -1,3 +1,4 @@
+import re
 from dataclasses import FrozenInstanceError, asdict, fields, make_dataclass, replace
 
 import numpy as np
@@ -304,6 +305,26 @@ def test_every_config_field_has_a_kind():
                                        (float, True)}
     with pytest.raises(KeyError, match="bool"):
         field_kinds(make_dataclass("Probe", [("flag", "bool")]))
+
+
+@pytest.mark.parametrize("name, value", [
+    ("hidden", 4.5), ("hidden", True), ("hidden", "4"), ("d_v", True),
+    ("seed", np.int64(0)), ("levels", np.int32(2)), ("variant", 1), ("variant", None),
+    ("leaky_slope", "0.01"), ("leaky_slope", False), ("dropout_rate", np.True_)])
+def test_model_config_of_a_wrong_kind_raises_type_error(name, value):
+    # each value is checked against its field_kinds kind before validate runs:
+    # hidden=4.5 would fail later inside the model, d_v=True would build a
+    # 1-dim one, and checkpoint meta (JSON) cannot hold a NumPy integer
+    with pytest.raises(TypeError, match=re.escape(f"bad value for {name!r}: {value!r}")):
+        tiny_cfg(**{name: value})
+    with pytest.raises(TypeError, match=re.escape(f"bad value for {name!r}")):
+        replace(tiny_cfg(), **{name: value})
+
+
+def test_model_config_takes_an_int_for_a_float_and_none_for_a_dropout_rate():
+    cfg = tiny_cfg(leaky_slope=1, forget_bias=0, dropout_rate=None)
+    assert (cfg.leaky_slope, cfg.forget_bias, cfg.dropout_rate) == (1, 0, None)
+    assert tiny_cfg(dropout_rate=0).effective_dropout == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import asdict
 
@@ -9,7 +10,8 @@ from posecast.checkpoint import load_checkpoint, save_checkpoint
 from posecast.cli import main
 from posecast.evaluate import collect_windows, evaluate_pck
 from posecast.posedata import MAX_SYNTH_VALUES, load_manifest, load_split
-from posecast.train import load_model_checkpoint, save_model_checkpoint
+from posecast.train import (AdamState, TrainConfig, load_model_checkpoint,
+                            save_model_checkpoint, save_train_checkpoint)
 
 
 def run(*argv):
@@ -210,6 +212,26 @@ def test_train_resume_bad_meta_exits_3(tmp_path, capsys, case):
                "--out", tmp_path / "resumed") == 3
     err = capsys.readouterr().err
     assert "input error" in err and "Traceback" not in err
+
+
+def test_train_resume_bad_kind_names_the_value(tmp_path, capsys):
+    data = synth(tmp_path)
+    ck = _resume_checkpoint(tmp_path, data, "train_config_bad_type")
+    assert run("train", "--resume", ck, "--manifest", data / "manifest.txt",
+               "--out", tmp_path / "resumed") == 3
+    assert capsys.readouterr().err == \
+        f"input error: {ck}: train_config: bad value for 'batch_size': '4'\n"
+
+
+def test_train_resume_from_a_model_checkpoint_exits_2(tmp_path, capsys):
+    # a model checkpoint holds no train_config, iteration or RNG state to resume
+    data = synth(tmp_path)
+    ck = zero_checkpoint(tmp_path)
+    out = tmp_path / "resumed"
+    assert run("train", "--resume", ck, "--manifest", data / "manifest.txt",
+               "--out", out) == 2
+    assert capsys.readouterr().err == f"config error: {ck}: not a training checkpoint\n"
+    assert not out.exists()
 
 
 def test_train_resume_dim_mismatch_exits_2(tmp_path):
@@ -796,6 +818,8 @@ def _bad_checkpoint(tmp_path, case):
         meta["model_config"]["colour"] = "blue"
     elif case == "shape_mismatch":
         meta["model_config"]["hidden"] = 6
+    elif case == "wrong_kind":
+        meta["model_config"]["hidden"] = "4"
     elif case == "missing_tensor":
         tensors = tensors[:-1]
     elif case == "huge_granularity":
@@ -813,9 +837,9 @@ def _bad_checkpoint(tmp_path, case):
     return p
 
 
-BAD_CHECKPOINTS = ["no_model_config", "unknown_key", "shape_mismatch", "missing_tensor",
-                   "repeated_tensor", "trailing_byte", "only_second_moments",
-                   "stray_opt_tensor"]
+BAD_CHECKPOINTS = ["no_model_config", "unknown_key", "shape_mismatch", "wrong_kind",
+                   "missing_tensor", "repeated_tensor", "trailing_byte",
+                   "only_second_moments", "stray_opt_tensor"]
 
 
 @pytest.mark.parametrize("case", BAD_CHECKPOINTS)
@@ -833,6 +857,51 @@ def test_eval_bad_checkpoint_exits_3(tmp_path, capsys, case):
                "--manifest", data / "manifest.txt", "--seed-len", 10,
                "--target-len", 5, "--out", tmp_path / "r.csv") == 3
     assert "input error" in capsys.readouterr().err
+
+
+def test_forecast_bad_kind_names_the_value(tmp_path, capsys):
+    sd = seed_csv(tmp_path, [[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
+    ck = _bad_checkpoint(tmp_path, "wrong_kind")
+    assert run("forecast", "--checkpoint", ck, "--seed-csv", sd, "--n-steps", 3,
+               "--out", tmp_path / "p.csv") == 3
+    assert capsys.readouterr().err == \
+        f"input error: {ck}: model_config: bad value for 'hidden': '4'\n"
+
+
+@pytest.mark.parametrize("command", ["eval", "forecast"])
+def test_eval_and_forecast_hold_no_adam_moments(tmp_path, monkeypatch, command):
+    # the memory a command holds when its forecasts start does not depend on
+    # the optimizer that wrote its checkpoint: Adam's moments are dropped on load
+    from posecast import evaluate
+    model = build_model(ModelConfig(variant="tp_rnn", d_v=3, granularity=2, levels=2,
+                                    hidden=64, head1=16, head2=8))
+    data = synth(tmp_path)
+    sd = seed_csv(tmp_path, [[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
+    target = "evaluate_mae" if command == "eval" else "forecast_frames"
+    real, held = getattr(evaluate, target), {}
+
+    def probe(*args, **kwargs):
+        held[optimizer] = tracemalloc.get_traced_memory()[0]
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate, target, probe)
+    for optimizer in ("sgd", "adam"):
+        ck = tmp_path / f"{optimizer}.bin"
+        adam = None
+        if optimizer == "adam":
+            adam = AdamState(m=np.full(model.theta.shape, 0.5),
+                             v=np.full(model.theta.shape, 0.25))
+        save_train_checkpoint(ck, model, TrainConfig(optimizer=optimizer), 0,
+                              np.random.Generator(np.random.PCG64(0)), adam)
+        argv = (["eval", "--manifest", data / "manifest.txt", "--seed-len", 10,
+                 "--target-len", 5] if command == "eval" else
+                ["forecast", "--seed-csv", sd, "--n-steps", 3])
+        tracemalloc.start()
+        try:
+            assert run(*argv, "--checkpoint", ck, "--out", tmp_path / "out.csv") == 0
+        finally:
+            tracemalloc.stop()
+    assert held["adam"] - held["sgd"] < model.theta.nbytes // 2
 
 
 def test_forecast_checkpoint_with_huge_phase_bank_exits_2(tmp_path):

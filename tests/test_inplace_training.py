@@ -18,8 +18,8 @@ from posecast.arch import ModelConfig, build_model
 from posecast.errors import ConfigError
 from posecast.posedata import synth_multiscale
 from posecast.train import (AdamState, TrainConfig, TrainingData, load_model_checkpoint,
-                            lr_at, resume_state, rollout_loss_batch, save_train_checkpoint,
-                            train_loop)
+                            load_train_checkpoint, lr_at, rollout_loss_batch,
+                            save_train_checkpoint, train_loop)
 
 DATA = Path(__file__).parent / "data"
 
@@ -129,7 +129,7 @@ def test_checkpoint_written_before_the_flat_buffer_loads_bit_exactly(tmp_path):
     for (_, arr), n in zip(model.tensors(), names):
         assert np.array_equal(arr, tensors[n])
     # saving it again reproduces the file byte for byte
-    cfg, iteration, rng_state = resume_state(path, meta)
+    _, cfg, iteration, rng_state, _ = load_train_checkpoint(path)
     rng = np.random.Generator(np.random.PCG64())
     rng.bit_generator.state = rng_state
     save_train_checkpoint(tmp_path / "again.bin", model, cfg, iteration, rng, adam)

@@ -1,3 +1,4 @@
+import re
 from dataclasses import FrozenInstanceError, asdict, fields, replace
 
 import numpy as np
@@ -258,6 +259,20 @@ def test_train_config_validation():
     assert TrainConfig(adam_beta1=0.0, adam_beta2=0.0, clip_norm=float("inf")).validate()
     cfg = TrainConfig()
     assert TrainConfig(**asdict(cfg)) == cfg
+
+
+@pytest.mark.parametrize("name, value", [
+    ("batch_size", 16.0), ("batch_size", True), ("iterations", "100"),
+    ("seed", np.int64(0)), ("decay_every", np.int32(2000)), ("optimizer", None),
+    ("lr0", "0.01"), ("clip_norm", None), ("adam_eps", False)])
+def test_train_config_of_a_wrong_kind_raises_type_error(name, value):
+    with pytest.raises(TypeError, match=re.escape(f"bad value for {name!r}: {value!r}")):
+        TrainConfig(**{name: value})
+
+
+def test_train_config_takes_an_int_for_a_float():
+    cfg = TrainConfig(lr0=1, clip_norm=5, decay_factor=1)
+    assert (cfg.lr0, cfg.clip_norm, cfg.decay_factor) == (1, 5, 1)
 
 
 @pytest.mark.parametrize("kw,message", [
