@@ -29,7 +29,7 @@ their upper levels (K = granularity; `VARIANTS` holds one entry each):
 
 The level table drives the state bank's layout, the engine's level sweep,
 the backward pass and the parameter layout of the flat buffer `Model.theta`.
-`Level.phase`, `Level.fires`, `Level.last_firing` and `_stride_window` give
+`Level.phase`, `Level.fires`, `RolloutTape.row` and `_stride_window` give
 every schedule fact; nothing records one.  A recorded rollout's tape
 (`RolloutTape`) keeps, per level, the gates and cell state of each firing in
 two slabs, plus the inputs and the head's tapes; every hidden state and
@@ -68,6 +68,7 @@ through the autoregressive loop.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -144,15 +145,16 @@ def field_kinds(cls) -> dict[str, tuple[type, bool]]:
 
 class CheckedConfig:
     """Base of the config dataclasses, checked once when built: each value of
-    its field's `field_kinds` kind (an int passes for a float, a bool or a
-    NumPy integer for none), else TypeError, then by `validate` (ConfigError)."""
+    its field's `field_kinds` kind (an int within float range passes for a float, a
+    bool or a NumPy integer for none), else TypeError, then by `validate` (ConfigError)."""
 
     def __post_init__(self):
         for name, (kind, nullable) in field_kinds(type(self)).items():
             value = getattr(self, name)
             want = (int, float) if kind is float else kind
+            huge = kind is float and isinstance(value, int) and abs(value) > sys.float_info.max
             if not (value is None and nullable) and (
-                    isinstance(value, bool) or not isinstance(value, want)):
+                    isinstance(value, bool) or not isinstance(value, want) or huge):
                 raise TypeError(f"bad value for {name!r}: {value!r}")
         self.validate()
 
@@ -231,13 +233,6 @@ class Level:
     def fires(self, t: int) -> bool:
         # a period-K level first fires once it has seen K inputs
         return t % self.period == self.period - 1
-
-    def last_firing(self, t: int) -> int:
-        """The last step at or before t that updated phase t's sequence;
-        negative while none has (the sequence still holds the zero state)."""
-        while t >= 0 and not self.fires(t):
-            t -= self.phases
-        return t
 
 
 def level_table(cfg: ModelConfig) -> list[Level]:
@@ -373,10 +368,11 @@ class RolloutTape:
     Per level, each firing step's gates (i, f, o, g, as `lstm_gates` leaves
     them) and new cell state c, as rows of an (n, B, 4h) and an (n, B, h)
     slab, n = T // period; the T inputs; and the head's tape of each step
-    it ran.  Every hidden state (`hidden`) and layer input is recomputed
+    it ran.  Every hidden state (`state`) and layer input is recomputed
     from these where it is read.  A level's last firing is row 0 (`row`): the
     backward visits firings latest first, so a chunk of consecutive ones is
-    one contiguous run of rows.
+    one contiguous run of rows; and as a level of more than one phase fires
+    every step, row r's phase sequence fired before at row r + phases.
     """
     xs: np.ndarray               # (T, B, d_v): step t's input
     gates: list[np.ndarray]      # per level, (n, B, 4h)
@@ -392,16 +388,18 @@ class RolloutTape:
                    c=[np.empty((k, batch, h)) for k in n])
 
     def row(self, m: int, level: Level, t: int) -> int:
-        """The slab row of level m's (0-based, `level`) firing at step t."""
+        """The slab row of level m's (0-based, `level`) latest firing at or
+        before step t; past the slab's end while it has not fired."""
         return len(self.c[m]) - (t + 1) // level.period
 
-    def hidden(self, m: int, level: Level, t: int) -> np.ndarray:
-        """Level m's hidden state o * np.tanh(c) after its firing at step t, with
-        the forward's bits while its gate row holds gates; zeros for t < 0."""
-        if t < 0:
-            return np.zeros(self.c[m].shape[1:])
-        row, h = self.row(m, level, t), self.c[m].shape[2]
-        return self.gates[m][row, :, 2 * h:3 * h] * np.tanh(self.c[m][row])
+    def state(self, m: int, row: int) -> tuple[np.ndarray, np.ndarray]:
+        """Level m's (h, c) after the firing of slab row `row`, h = o * tanh(c)
+        with the forward's bits while the gate row holds gates; the zero
+        state for a row past the slab's end."""
+        if row >= len(self.c[m]):
+            return (np.zeros(self.c[m].shape[1:]),) * 2
+        c, h = self.c[m][row], self.c[m].shape[2]
+        return self.gates[m][row, :, 2 * h:3 * h] * np.tanh(c), c
 
 
 def _stride_window(t: int, K: int) -> range:
@@ -679,11 +677,12 @@ def rollout_backward(model: Model, tape: RolloutTape, d_preds: np.ndarray, *,
 
     The reverse time loop runs only what the recurrence needs: the gate
     derivatives of each step, and input derivatives at forecast steps only
-    (seed inputs are data).  Each read of a hidden state recomputes it from
-    the tape (`RolloutTape.hidden`), before the firing's own step overwrites
-    its gate rows with their gradient dpre.  So WGRAD_CHUNK consecutive
-    firings' dpre are one slab view, folded into dW with their input rows
-    [x, h_prev], rebuilt in a stacking buffer, by one `P.T @ Z` per chunk.
+    (seed inputs are data).  Each read of a state recomputes it from the
+    tape row `RolloutTape.row` names (`RolloutTape.state`), before the
+    firing's own step overwrites its gate rows with their gradient dpre.  So
+    WGRAD_CHUNK consecutive firings' dpre are one slab view, folded into dW
+    with their input rows [x, h_prev], rebuilt in a stacking buffer, by one
+    `P.T @ Z` per chunk.
     The head runs backward only at steps t >= S-1; earlier head outputs are
     not predictions and get no gradient.
     """
@@ -730,7 +729,7 @@ def rollout_backward(model: Model, tape: RolloutTape, d_preds: np.ndarray, *,
             z[:, :d_v] = tape.xs[t]
             for m, level in enumerate(model.levels):
                 lo = d_v + m * h
-                z[:, lo:lo + h] = tape.hidden(m, level, level.last_firing(t))
+                z[:, lo:lo + h] = tape.state(m, tape.row(m, level, t))[0]
                 gs[m][level.phase(t)][0] += dz[:, lo:lo + h]
             head_sums[1].z(k)[...] = ht.r1
             head_sums[2].z(k)[...] = ht.r2
@@ -746,16 +745,15 @@ def rollout_backward(model: Model, tape: RolloutTape, d_preds: np.ndarray, *,
                 continue
             row, q = tape.row(m, level, t), level.phase(t)
             k = row % WGRAD_CHUNK
-            prev = level.last_firing(t - level.phases)
             z = cell_sums[m].z(k)
             if level.source == "below":
-                z[:, :cell.d_in] = tape.hidden(m - 1, model.levels[m - 1], t)
+                z[:, :cell.d_in] = tape.state(m - 1, tape.row(m - 1, model.levels[m - 1], t))[0]
             elif level.source == "stride":
                 z[:, :cell.d_in] = _window_sum([tape.xs[i] for i in _stride_window(t, K)])
             else:
                 z[:, :cell.d_in] = tape.xs[t]
-            z[:, cell.d_in:] = tape.hidden(m, level, prev)
-            c_prev = tape.c[m][tape.row(m, level, prev)] if prev >= 0 else np.zeros((B, h))
+            # the same phase sequence's previous firing (see `RolloutTape`)
+            z[:, cell.d_in:], c_prev = tape.state(m, row + level.phases)
             dh, dc = gs[m][q]
             dz, dc_prev = lstm_gate_backward(cell, tape.gates[m][row], tape.c[m][row],
                                              c_prev, dh, dc)

@@ -125,7 +125,7 @@ def load_checkpoint(path):
         meta_len = r.unpack("<Q")
         try:
             meta = json.loads(r.take(meta_len).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        except ValueError as e:  # not UTF-8, not JSON, or an integer of too many digits
             raise ParseError(f"{path}: bad meta block: {e}") from None
         n = r.unpack("<I")
         tensors: dict[str, np.ndarray] = {}

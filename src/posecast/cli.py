@@ -27,7 +27,7 @@ from .numcore import atomic_write_text
 from .posedata import (MAX_SYNTH_VALUES, PoseSequence, load_manifest, load_sequence,
                        load_split, save_sequence, synth_multiscale, text_lines)
 from .train import (TrainConfig, TrainingData, load_model_checkpoint,
-                    load_train_checkpoint, train_loop, write_trace)
+                    load_train_checkpoint, train_loop)
 
 EXIT_CONFIG = 2
 EXIT_INPUT = 3
@@ -135,8 +135,7 @@ def cmd_train(args) -> int:
         if (it + 1) % log_every == 0:
             print(f"iter {it + 1}/{tcfg.iterations} loss {loss:.6f} lr {lr:.6f}")
 
-    model, trace, _ = train_loop(model, data, tcfg, out, *resume, log_fn=log_fn)
-    write_trace(out / "loss_trace.csv", trace)
+    train_loop(model, data, tcfg, out, *resume, log_fn=log_fn)
     print(f"final checkpoint: {out / 'checkpoint_final.bin'}")
     return 0
 
@@ -258,8 +257,7 @@ def cmd_ablate(args) -> int:
             print(f"{variant}: trained at granularity 2, not the configured {base.granularity}")
         model = build_model(dataclasses.replace(base, variant=variant, levels=levels,
                                                 granularity=K))
-        model, trace, _ = train_loop(model, data, tcfg, out_dir=out / variant)
-        write_trace(out / variant / "loss_trace.csv", trace)
+        model = train_loop(model, data, tcfg, out_dir=out / variant)[0]
         rep, zero_rep = evaluate.evaluate_mae(model, windows, horizons)
         _write_report(out / variant / "report.csv", rep, zero_rep, per_action=False)
         summary.append(variant + "," + ",".join(repr(rep.errors[h]) for h in horizons))

@@ -400,7 +400,8 @@ def train_loop(model: Model, dataset: TrainingData, cfg: TrainConfig,
     identical traces and checkpoints, and resuming from a saved checkpoint
     (start_iteration / rng_state / adam) continues bit-exactly.  On a
     non-finite loss or gradient norm the state at that iteration's start is
-    checkpointed, so a resume replays it, and NumericError is raised.
+    checkpointed, so a resume replays it, and NumericError is raised.  A run
+    that ends or aborts writes this call's iterations to `out_dir`/loss_trace.csv.
     """
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     if rng_state is not None:
@@ -418,11 +419,12 @@ def train_loop(model: Model, dataset: TrainingData, cfg: TrainConfig,
 
     def _save(tag, iteration):
         if out_dir is None:
-            return None
+            return
+        if tag in ("final", "abort"):
+            write_trace(out_dir / "loss_trace.csv", trace)
         p = out_dir / f"checkpoint_{tag}.bin"
         save_train_checkpoint(p, model, cfg, iteration, rng, adam)
         paths.append(p)
-        return p
 
     # one gradient buffer for the whole run; clipping and the update work in
     # place on it and on model.theta

@@ -186,6 +186,23 @@ def test_level_table_matches_the_closed_form_schedule(variant):
     assert valid
 
 
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_no_level_both_holds_phases_and_skips_steps(variant):
+    """The backward's previous firing on a phase sequence, tape row
+    `row + phases`, and `_advance`'s runs of consecutive phases both need
+    every level to hold one phase or fire every step."""
+    tables = 0
+    for M in range(1, 5):
+        for K in (2, 3):
+            try:
+                cfg = tiny_cfg(variant=variant, levels=M, granularity=K)
+            except ConfigError:
+                continue
+            tables += 1
+            assert all(level.phases == 1 or level.period == 1 for level in level_table(cfg))
+    assert tables
+
+
 def test_param_layout_is_the_built_models_layout():
     for variant, levels in [("single_layer_pose", 1), ("double_scale_vel", 2),
                             ("double_scale_hier_vel", 2), ("tp_rnn", 3)]:
@@ -310,11 +327,13 @@ def test_every_config_field_has_a_kind():
 @pytest.mark.parametrize("name, value", [
     ("hidden", 4.5), ("hidden", True), ("hidden", "4"), ("d_v", True),
     ("seed", np.int64(0)), ("levels", np.int32(2)), ("variant", 1), ("variant", None),
-    ("leaky_slope", "0.01"), ("leaky_slope", False), ("dropout_rate", np.True_)])
+    ("leaky_slope", "0.01"), ("leaky_slope", False), ("dropout_rate", np.True_),
+    pytest.param("leaky_slope", 10 ** 400, id="leaky_slope-10**400")])
 def test_model_config_of_a_wrong_kind_raises_type_error(name, value):
     # each value is checked against its field_kinds kind before validate runs:
     # hidden=4.5 would fail later inside the model, d_v=True would build a
-    # 1-dim one, and checkpoint meta (JSON) cannot hold a NumPy integer
+    # 1-dim one, checkpoint meta (JSON) cannot hold a NumPy integer, and no
+    # float holds 10**400
     with pytest.raises(TypeError, match=re.escape(f"bad value for {name!r}: {value!r}")):
         tiny_cfg(**{name: value})
     with pytest.raises(TypeError, match=re.escape(f"bad value for {name!r}")):

@@ -1,3 +1,5 @@
+import re
+import struct
 import tracemalloc
 import warnings
 from dataclasses import asdict
@@ -196,22 +198,44 @@ def _resume_checkpoint(tmp_path, data, case):
         meta["rng_state"]["bit_generator"] = "MT19937"
     elif case == "rng_state_bad_value":
         meta["rng_state"]["state"]["inc"] = -1
+    elif case.startswith("huge_"):
+        key = "train_config" if case == "huge_lr0" else "model_config"
+        meta[key][case[5:]] = 10 ** 400
     p = tmp_path / f"{case}.bin"
     save_checkpoint(p, meta, list(tensors.items()))
+    if case == "long_seed":
+        _give_a_long_seed(p)
     return p
+
+
+# meta values that no float holds, or that JSON reads past Python's limit of
+# 4300 digits for an int, and the text the exit-3 error names
+HUGE_VALUES = {"huge_forget_bias": "model_config: bad value for 'forget_bias'",
+               "huge_leaky_slope": "model_config: bad value for 'leaky_slope'",
+               "huge_lr0": "train_config: bad value for 'lr0'",
+               "long_seed": "bad meta block: Exceeds the limit"}
+
+
+def _give_a_long_seed(p):
+    # json.dumps cannot write a 5001-digit int either, so the meta block's
+    # first seed (model_config's, keys sorted) is rewritten in the file
+    raw = p.read_bytes()
+    (n,) = struct.unpack_from("<Q", raw, 12)
+    meta = re.sub(rb'"seed": \d+', b'"seed": ' + b"9" * 5001, raw[20:20 + n], count=1)
+    p.write_bytes(raw[:12] + struct.pack("<Q", len(meta)) + meta + raw[20 + n:])
 
 
 @pytest.mark.parametrize("case", [
     "no_train_config", "no_iteration", "no_rng_state", "train_config_unknown_key",
     "train_config_missing_key", "train_config_bad_type", "iteration_not_int",
-    "iteration_past_end", "rng_state_not_pcg64", "rng_state_bad_value"])
+    "iteration_past_end", "rng_state_not_pcg64", "rng_state_bad_value", *HUGE_VALUES])
 def test_train_resume_bad_meta_exits_3(tmp_path, capsys, case):
     data = synth(tmp_path)
     ck = _resume_checkpoint(tmp_path, data, case)
     assert run("train", "--resume", ck, "--manifest", data / "manifest.txt",
                "--out", tmp_path / "resumed") == 3
     err = capsys.readouterr().err
-    assert "input error" in err and "Traceback" not in err
+    assert f"input error: {ck}: {HUGE_VALUES.get(case, '')}" in err and "Traceback" not in err
 
 
 def test_train_resume_bad_kind_names_the_value(tmp_path, capsys):
@@ -830,33 +854,40 @@ def _bad_checkpoint(tmp_path, case):
         tensors = tensors + [("opt.v." + n, np.zeros(a.shape)) for n, a in tensors]
     elif case == "stray_opt_tensor":
         tensors = tensors + [("opt.junk", np.zeros(3))]
+    elif case.startswith("huge_"):
+        meta["model_config"][case[5:]] = 10 ** 400
     p = tmp_path / f"{case}.bin"
     save_checkpoint(p, meta, tensors)
     if case == "trailing_byte":
         p.write_bytes(p.read_bytes() + b"\x00")
+    elif case == "long_seed":
+        _give_a_long_seed(p)
     return p
 
 
 BAD_CHECKPOINTS = ["no_model_config", "unknown_key", "shape_mismatch", "wrong_kind",
                    "missing_tensor", "repeated_tensor", "trailing_byte",
-                   "only_second_moments", "stray_opt_tensor"]
+                   "only_second_moments", "stray_opt_tensor", "huge_forget_bias",
+                   "huge_leaky_slope", "long_seed"]
 
 
 @pytest.mark.parametrize("case", BAD_CHECKPOINTS)
 def test_forecast_bad_checkpoint_exits_3(tmp_path, capsys, case):
     sd = seed_csv(tmp_path, [[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
-    assert run("forecast", "--checkpoint", _bad_checkpoint(tmp_path, case),
+    ck = _bad_checkpoint(tmp_path, case)
+    assert run("forecast", "--checkpoint", ck,
                "--seed-csv", sd, "--n-steps", 3, "--out", tmp_path / "p.csv") == 3
-    assert "input error" in capsys.readouterr().err
+    assert f"input error: {ck}: {HUGE_VALUES.get(case, '')}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("case", BAD_CHECKPOINTS)
 def test_eval_bad_checkpoint_exits_3(tmp_path, capsys, case):
     data = synth(tmp_path)
-    assert run("eval", "--checkpoint", _bad_checkpoint(tmp_path, case),
+    ck = _bad_checkpoint(tmp_path, case)
+    assert run("eval", "--checkpoint", ck,
                "--manifest", data / "manifest.txt", "--seed-len", 10,
                "--target-len", 5, "--out", tmp_path / "r.csv") == 3
-    assert "input error" in capsys.readouterr().err
+    assert f"input error: {ck}: {HUGE_VALUES.get(case, '')}" in capsys.readouterr().err
 
 
 def test_forecast_bad_kind_names_the_value(tmp_path, capsys):

@@ -9,7 +9,7 @@ take the schedule (which phase a level reads at step t, whether it fires,
 what it consumes) from the variants' closed-form rules, not from the level
 table, and nothing from the engine's tape.  The engine's recorded forward
 must give the reference's predictions, its tape the reference's gates and
-cell states, and `RolloutTape.hidden` the hidden states, bit for bit;
+cell states, and `RolloutTape.state` the hidden states, bit for bit;
 `rollout_backward` forms the same weight gradients from the slimmer tape as
 time-batched GEMMs, so the two differ only in summation order.  Both run the head backward only at steps
 t >= S-1: the recorded rollout runs the head forward only there.
@@ -172,8 +172,10 @@ def _compare(cfg, B, S, n_pred, mode="eval", seed=0):
         for row, t in enumerate(reversed(fired)):
             assert np.array_equal(tape.gates[m][row], steps[t][0][m].gates)
             assert np.array_equal(tape.c[m][row], steps[t][0][m].c)
-            assert np.array_equal(tape.hidden(m, model.levels[m], t), steps[t][2][m])
-        assert np.array_equal(tape.hidden(m, model.levels[m], -1), np.zeros((B, cfg.hidden)))
+            assert np.array_equal(tape.state(m, row)[0], steps[t][2][m])
+        # past the slab's end: the zero state
+        assert all(np.array_equal(a, np.zeros((B, cfg.hidden)))
+                   for a in tape.state(m, len(fired)))
     assert len(tape.heads) == n_pred
     for ht, (_, head, _) in zip(tape.heads, steps[S - 1:]):
         for name in ("d1", "d2", "r1", "r2", "mask1", "mask2"):

@@ -394,6 +394,9 @@ def test_nonfinite_gradient_aborts_with_last_finite_params(tmp_path, monkeypatch
     theta = saved.theta
     assert np.all(np.isfinite(theta))
     assert np.array_equal(theta, before["theta"])
+    # the trace of the finished iterations, 0 and 1, is written before the raise
+    rows = (tmp_path / "loss_trace.csv").read_text().splitlines()
+    assert [row.split(",")[:2] for row in rows] == [[str(i), repr(calls[i])] for i in (0, 1)]
 
 
 @pytest.mark.parametrize("optimizer,dropout_rate", [("sgd", None), ("adam", 0.3)])
