@@ -143,6 +143,15 @@ def field_kinds(cls) -> dict[str, tuple[type, bool]]:
     return {f.name: _FIELD_KINDS[f.type] for f in fields(cls)}
 
 
+def _show(value) -> str:
+    """`repr(value)` for an error message; an int past Python's int-to-str
+    digit limit is named by its size instead."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+
+
 class CheckedConfig:
     """Base of the config dataclasses, checked once when built: each value of
     its field's `field_kinds` kind (an int within float range passes for a float, a
@@ -155,8 +164,12 @@ class CheckedConfig:
             huge = kind is float and isinstance(value, int) and abs(value) > sys.float_info.max
             if not (value is None and nullable) and (
                     isinstance(value, bool) or not isinstance(value, want) or huge):
-                raise TypeError(f"bad value for {name!r}: {value!r}")
+                raise TypeError(f"bad value for {name!r}: {_show(value)}")
         self.validate()
+
+    def _bad(self, name: str, rule: str) -> ConfigError:
+        """The error for field `name`, whose value breaks `rule`."""
+        return ConfigError(f"{name}: {rule}, got {_show(getattr(self, name))}")
 
 
 @dataclass(frozen=True)
@@ -179,11 +192,11 @@ class ModelConfig(CheckedConfig):
         if spec is None:
             raise ConfigError(f"variant: unknown value {self.variant!r}")
         if self.d_v < 1:
-            raise ConfigError(f"d_v: must be >= 1, got {self.d_v}")
+            raise self._bad("d_v", "must be >= 1")
         if self.granularity < 2:
-            raise ConfigError(f"granularity: must be >= 2, got {self.granularity}")
+            raise self._bad("granularity", "must be >= 2")
         if self.levels < 1:
-            raise ConfigError(f"levels: must be >= 1, got {self.levels}")
+            raise self._bad("levels", "must be >= 1")
         if spec.levels is not None and self.levels != spec.levels:
             raise ConfigError(f"levels: {self.variant} requires levels == {spec.levels}")
         if spec.needs_k2 and self.granularity != 2:
@@ -202,13 +215,13 @@ class ModelConfig(CheckedConfig):
             raise ConfigError(f"hidden/head1/head2: the model would hold more than "
                               f"{MAX_PARAMS} parameters")
         if not 0 < self.leaky_slope < math.inf:
-            raise ConfigError(f"leaky_slope: must be finite and > 0, got {self.leaky_slope}")
+            raise self._bad("leaky_slope", "must be finite and > 0")
         if not math.isfinite(self.forget_bias):
-            raise ConfigError(f"forget_bias: must be finite, got {self.forget_bias}")
+            raise self._bad("forget_bias", "must be finite")
         if self.dropout_rate is not None and not (0.0 <= self.dropout_rate < 1.0):
-            raise ConfigError(f"dropout_rate: must be in [0, 1), got {self.dropout_rate}")
+            raise self._bad("dropout_rate", "must be in [0, 1)")
         if self.seed < 0:
-            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
+            raise self._bad("seed", "must be >= 0")
         return self
 
     @property

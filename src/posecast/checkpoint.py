@@ -28,11 +28,12 @@ import json
 import math
 import os
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, ShapeError
 from .numcore import atomic_file, atomic_write_text
 
 MAGIC = b"PCASTCK\n"
@@ -91,26 +92,33 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))[0]
 
-    def array(self, shape: tuple[int, ...]) -> np.ndarray:
-        """A fresh float64 array of `shape`, read straight from the file."""
-        self._claim(8 * math.prod(shape))
-        try:
-            out = np.empty(shape, dtype="<f8")
-        except ValueError:  # a dimension past numpy's limit, the data empty
-            raise ParseError(f"{self.path}: bad tensor shape {shape}") from None
-        if self.fh.readinto(out.reshape(-1).view(np.uint8)) != out.nbytes:
-            raise ParseError(f"{self.path}: truncated checkpoint")
-        return out.astype(np.float64, copy=False)
+    def skip_array(self, shape: tuple[int, ...]) -> int:
+        """Claims the data of a float64 array of `shape` and seeks past it;
+        returns where it starts."""
+        size = math.prod(shape)
+        self._claim(8 * size)
+        if size == 0:  # the data fits any file, but numpy caps each dimension
+            try:
+                np.empty(shape)
+            except ValueError:
+                raise ParseError(f"{self.path}: bad tensor shape {shape}") from None
+        return self.fh.seek(8 * size, os.SEEK_CUR) - 8 * size
 
 
-def load_checkpoint(path):
+def load_checkpoint(path, into=None):
     """Returns (meta dict, ordered dict name -> float64 array).
 
-    The file is read field by field, each tensor's data straight into its own
-    array, so a load holds one copy of the tensors.  A size the rest of the
-    file cannot hold raises ParseError("truncated") before it is allocated; a
-    tensor name that appears twice, or any byte after the last tensor, raises
-    ParseError too.
+    The file is read in two passes.  The first reads the meta block and each
+    tensor's header, and claims its data against the rest of the file, so a
+    size the file cannot hold raises ParseError("truncated"); a tensor name
+    that appears twice, a bad shape or any byte after the last tensor raises
+    ParseError too.  Only then are the tensors allocated, and the second pass
+    reads each one's data straight into its array: a load holds one copy.
+
+    `into(meta, [(name, shape), ...])`, given the tensors in file order,
+    returns the arrays to read them into (one C-contiguous, writeable float64
+    array of each shape, else ShapeError), or raises to reject the file.
+    Without it each tensor gets a fresh array.
     """
     path = Path(path)
     if not path.exists():
@@ -128,17 +136,33 @@ def load_checkpoint(path):
         except ValueError as e:  # not UTF-8, not JSON, or an integer of too many digits
             raise ParseError(f"{path}: bad meta block: {e}") from None
         n = r.unpack("<I")
-        tensors: dict[str, np.ndarray] = {}
+        headers, starts = [], {}
         for _ in range(n):
             name_len = r.unpack("<H")
             try:
                 name = r.take(name_len).decode("utf-8")
             except UnicodeDecodeError:
                 raise ParseError(f"{path}: bad tensor name") from None
-            if name in tensors:
+            if name in starts:
                 raise ParseError(f"{path}: tensor {name!r} appears twice")
             ndim = r.unpack("<B")
-            tensors[name] = r.array(tuple(r.unpack("<Q") for _ in range(ndim)))
+            shape = tuple(r.unpack("<Q") for _ in range(ndim))
+            headers.append((name, shape))
+            starts[name] = r.skip_array(shape)
         if r.left:
             raise ParseError(f"{path}: {r.left} trailing bytes after the last tensor")
-    return meta, tensors
+        arrays = ([np.empty(shape) for _, shape in headers] if into is None
+                  else list(into(meta, headers)))
+        if len(arrays) != n or not all(
+                isinstance(out, np.ndarray) and out.dtype == np.float64
+                and out.shape == shape and out.flags.carray
+                for (_, shape), out in zip(headers, arrays)):
+            raise ShapeError("load_checkpoint: into must give one C-contiguous, writeable "
+                             "float64 array of each tensor's shape")
+        for start, out in zip(starts.values(), arrays):
+            fh.seek(start)
+            if fh.readinto(out.reshape(-1).view(np.uint8)) != out.nbytes:  # the file shrank
+                raise ParseError(f"{path}: truncated checkpoint")
+            if sys.byteorder == "big":  # the data is little-endian on disk
+                out.byteswap(inplace=True)
+    return meta, dict(zip(starts, arrays))

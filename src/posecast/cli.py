@@ -19,6 +19,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import evaluate
 from .arch import VARIANTS, ModelConfig, build_model, field_kinds
 from .errors import ConfigError, InputError, NumericError, ParseError
@@ -326,7 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # an overflow on the way to a non-finite value prints nothing: the
+        # explicit finite checks report a numeric failure as one error line
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -73,31 +73,30 @@ class TrainConfig(CheckedConfig):
 
     def validate(self) -> "TrainConfig":
         if not 1 <= self.batch_size <= MAX_BATCH_SIZE:
-            raise ConfigError(f"batch_size: must be in [1, {MAX_BATCH_SIZE}], "
-                              f"got {self.batch_size}")
+            raise self._bad("batch_size", f"must be in [1, {MAX_BATCH_SIZE}]")
         if not 0 < self.lr0 < math.inf:
-            raise ConfigError(f"lr0: must be finite and > 0, got {self.lr0}")
+            raise self._bad("lr0", "must be finite and > 0")
         if not self.clip_norm > 0:
-            raise ConfigError(f"clip_norm: must be > 0, got {self.clip_norm}")
+            raise self._bad("clip_norm", "must be > 0")
         for name in ("adam_beta1", "adam_beta2"):
             if not 0 <= getattr(self, name) < 1:
-                raise ConfigError(f"{name}: must be in [0, 1), got {getattr(self, name)}")
+                raise self._bad(name, "must be in [0, 1)")
         if not self.adam_eps > 0:
-            raise ConfigError(f"adam_eps: must be > 0, got {self.adam_eps}")
+            raise self._bad("adam_eps", "must be > 0")
         if self.decay_every < 1 or not (0 < self.decay_factor <= 1):
             raise ConfigError("decay_every must be >= 1 and decay_factor in (0, 1]")
         if self.optimizer not in ("sgd", "adam"):
-            raise ConfigError(f"optimizer: must be sgd|adam, got {self.optimizer!r}")
+            raise self._bad("optimizer", "must be sgd|adam")
         if self.loss_space not in ("pose", "velocity"):
-            raise ConfigError(f"loss_space: must be pose|velocity, got {self.loss_space!r}")
+            raise self._bad("loss_space", "must be pose|velocity")
         if self.seed_len < 2 or self.target_len < 1:
             raise ConfigError("seed_len must be >= 2 and target_len >= 1")
         if self.checkpoint_every < 0:
-            raise ConfigError(f"checkpoint_every: must be >= 0, got {self.checkpoint_every}")
+            raise self._bad("checkpoint_every", "must be >= 0")
         if self.iterations < 1:
-            raise ConfigError(f"iterations: must be >= 1, got {self.iterations}")
+            raise self._bad("iterations", "must be >= 1")
         if self.seed < 0:
-            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
+            raise self._bad("seed", "must be >= 0")
         return self
 
 
@@ -328,29 +327,28 @@ def load_model_checkpoint(path):
     file's (name, shape) list, are checked before anything is allocated: the
     list must be `_checkpoint_layout` of the model config, with both Adam
     moment sets or with none; any other file raises ParseError.  The model
-    is allocated once and filled from the file: no initial values are drawn.
-    Each loaded tensor is dropped once copied into `theta` (or the Adam
-    moments), so a load holds the file's tensors once, plus one.
+    (and the Adam moments) are then allocated once, and each tensor is read
+    straight into its view of `theta` (or of the moments): a load holds the
+    file's tensors once, and no initial values are drawn.
     """
-    meta, tensors = ckpt.load_checkpoint(path)
-    cfg = _meta_config(path, meta, "model_config", ModelConfig)
-    have = [(name, arr.shape) for name, arr in tensors.items()]
-    n_params = len(param_layout(cfg))
-    has_adam = len(have) > n_params
-    want = _checkpoint_layout(cfg, has_adam)
-    if have != want:
-        i, (got, need) = next((i, pair) for i, pair in enumerate(zip_longest(have, want))
-                              if pair[0] != pair[1])
-        raise ParseError(f"{path}: checkpoint tensor {i} is {got or 'missing'}, "
-                         f"its model_config needs {need or 'no more tensors'}")
-    names = [name for name, _ in want]
-    model = Model(cfg)
-    model.set_tensors(tensors.pop(name) for name in names[:n_params])
-    adam = None
-    if has_adam:
-        adam = AdamState.zeros_like(model.theta)
-        for view, name in zip(model.views(adam.m) + model.views(adam.v), names[n_params:]):
-            view[...] = tensors.pop(name)
+    loaded = []
+
+    def into(meta, have):
+        cfg = _meta_config(path, meta, "model_config", ModelConfig)
+        has_adam = len(have) > len(param_layout(cfg))
+        want = _checkpoint_layout(cfg, has_adam)
+        if have != want:
+            i, (got, need) = next((i, pair) for i, pair in enumerate(zip_longest(have, want))
+                                  if pair[0] != pair[1])
+            raise ParseError(f"{path}: checkpoint tensor {i} is {got or 'missing'}, "
+                             f"its model_config needs {need or 'no more tensors'}")
+        model = Model(cfg)
+        adam = AdamState.zeros_like(model.theta) if has_adam else None
+        loaded.extend((model, adam))
+        return [view for _, view in _checkpoint_tensors(model, adam)]
+
+    meta, _ = ckpt.load_checkpoint(path, into)
+    model, adam = loaded
     return model, meta, adam
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from posecast.arch import ModelConfig, build_model
 from posecast.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
-from posecast.errors import ParseError
+from posecast.errors import ParseError, ShapeError
 
 
 def test_roundtrip_bit_exact(tmp_path):
@@ -183,3 +183,49 @@ def test_load_holds_one_copy_of_the_tensors(tmp_path):
     assert all(np.array_equal(loaded[name], arr) for name, arr in tensors)
     assert all(arr.flags.writeable and arr.dtype == np.float64 for arr in loaded.values())
     assert peak < 1.25 * size, (peak, size)
+
+
+def test_into_gets_the_headers_once_the_whole_file_is_checked(tmp_path):
+    # the tensors are read into the arrays `into` gives, which the load returns;
+    # a file the first pass rejects never reaches `into`
+    p = tmp_path / "ck.bin"
+    tensors = [("w", np.arange(6.0).reshape(2, 3)), ("b", np.arange(3.0))]
+    save_checkpoint(p, {"k": 1}, tensors)
+    calls, given = [], []
+
+    def into(meta, headers):
+        calls.append((meta, headers))
+        given[:] = [np.full(shape, -1.0) for _, shape in headers]
+        return given
+
+    meta, loaded = load_checkpoint(p, into)
+    assert calls == [({"k": 1}, [("w", (2, 3)), ("b", (3,))])]
+    assert [loaded[name] for name, _ in tensors] == given
+    assert all(np.array_equal(loaded[name], arr) for name, arr in tensors)
+    good = p.read_bytes()
+    for raw in (good + b"\x00", good[:-1]):
+        p.write_bytes(raw)
+        with pytest.raises(ParseError):
+            load_checkpoint(p, into)
+    assert len(calls) == 1
+
+
+def _read_only(shape):
+    out = np.zeros(shape)
+    out.flags.writeable = False
+    return out
+
+
+@pytest.mark.parametrize("give", [
+    lambda shapes: [np.zeros(shape[::-1]) for shape in shapes],
+    lambda shapes: [np.zeros(shape, dtype=np.float32) for shape in shapes],
+    lambda shapes: [np.zeros((shape[0], 2 * shape[1]))[:, ::2] for shape in shapes],
+    lambda shapes: [_read_only(shape) for shape in shapes],
+    lambda shapes: [np.zeros(shape) for shape in shapes[1:]],
+], ids=["shape", "dtype", "strided", "read_only", "count"])
+def test_into_arrays_of_another_layout_raise_shape_error(tmp_path, give):
+    # a strided or float32 array would take the bytes without an error
+    p = tmp_path / "ck.bin"
+    save_checkpoint(p, {}, [("w", np.ones((2, 3))), ("b", np.ones((3, 1)))])
+    with pytest.raises(ShapeError, match="C-contiguous, writeable float64"):
+        load_checkpoint(p, lambda meta, headers: give([shape for _, shape in headers]))

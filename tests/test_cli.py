@@ -1145,6 +1145,29 @@ def test_long_pose_input_forecast_writes_no_overflow_warning(tmp_path, capsys):
     assert np.abs(np.loadtxt(tmp_path / "p.csv", delimiter=",")).max() > 1e9
 
 
+@pytest.mark.parametrize("command", ["train", "forecast"])
+def test_a_numeric_failure_prints_only_its_error_line(tmp_path, capsys, command):
+    # a diverging train overflows the head's GEMMs, and a seed of rows
+    # alternating +-1.7e308 overflows its velocities: the finite checks end
+    # each with exit 4 and one error line, and no RuntimeWarning comes first
+    data = synth(tmp_path, dim=4)
+    if command == "train":
+        mc, tc = _train_cfgs(tmp_path, iterations=4, lr0=1e200)
+        argv = ["train", "--model-config", mc, "--train-config", tc,
+                "--manifest", data / "manifest.txt", "--out", tmp_path / "run"]
+    else:
+        sd = seed_csv(tmp_path, [[s * 1.7e308] * 4 for s in (1, -1, 1, -1)])
+        argv = ["forecast", "--checkpoint", zero_checkpoint(tmp_path, d_v=4),
+                "--seed-csv", sd, "--n-steps", 3, "--out", tmp_path / "p.csv"]
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(*argv) == 4
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: ") and len(err.splitlines()) == 1
+
+
 def test_forecast_dim_mismatch(tmp_path):
     ck = zero_checkpoint(tmp_path, d_v=3)
     sd = seed_csv(tmp_path, [[1.0, 2.0], [3.0, 4.0]])

@@ -4,14 +4,15 @@ Corrupt checkpoint meta, checkpoint bytes, config files and manifest rows,
 run `posecast forecast`, `posecast eval`, `posecast train --resume` and
 `posecast ablate` in-process, and require a documented exit code (0 success, 2 config,
 3 input, 4 numeric, 5 I/O) with nothing raised: a bad input file never ends
-in a traceback.
+in a traceback.  A failing exit writes exactly one line to stderr, its error,
+and no run emits a warning.
 """
 
 import json
 import struct
+import warnings
 from dataclasses import asdict
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -69,17 +70,30 @@ def _with_meta(raw: bytes, meta) -> bytes:
     return (MAGIC + struct.pack("<IQ", 1, len(block)) + block + raw[_meta_end(raw):])
 
 
-def _forecast(base, checkpoint):
-    d = base["dir"]
-    return main(["forecast", "--checkpoint", str(checkpoint), "--seed-csv",
-                 str(d / "seed.csv"), "--n-steps", "4", "--out", str(d / "pred.csv")])
+def _run(capsys, *argv):
+    """`main(argv)`'s exit code, held to the contract: a documented code, no
+    warning, and on failure exactly one stderr line."""
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([str(a) for a in argv])
+    err = capsys.readouterr().err
+    assert rc in EXIT_CODES
+    assert [str(w.message) for w in caught] == []
+    assert len(err.splitlines()) == (rc != 0), err
+    return rc
 
 
-def _eval(base, checkpoint, manifest, protocol="mae"):
+def _forecast(base, capsys, checkpoint):
     d = base["dir"]
-    return main(["eval", "--checkpoint", str(checkpoint), "--manifest", str(manifest),
-                 "--protocol", protocol, "--seed-len", "10", "--target-len", "5",
-                 "--out", str(d / "report.csv")])
+    return _run(capsys, "forecast", "--checkpoint", checkpoint, "--seed-csv",
+                d / "seed.csv", "--n-steps", 4, "--out", d / "pred.csv")
+
+
+def _eval(base, capsys, checkpoint, manifest, protocol="mae"):
+    return _run(capsys, "eval", "--checkpoint", checkpoint, "--manifest", manifest,
+                "--protocol", protocol, "--seed-len", 10, "--target-len", 5,
+                "--out", base["dir"] / "report.csv")
 
 
 meta_edits = st.one_of(
@@ -97,7 +111,7 @@ meta_edits = st.one_of(
 @FUZZ
 @given(edits=st.lists(meta_edits, min_size=1, max_size=3),
        command=st.sampled_from(["forecast", "eval"]))
-def test_corrupt_checkpoint_meta(base, edits, command):
+def test_corrupt_checkpoint_meta(base, capsys, edits, command):
     meta = json.loads(json.dumps(base["meta"]))
     for op, key, value in edits:
         cfg = meta.get("model_config") if isinstance(meta, dict) else None
@@ -113,15 +127,14 @@ def test_corrupt_checkpoint_meta(base, edits, command):
     path = base["dir"] / "meta_fuzz.bin"
     path.write_bytes(_with_meta(base["bytes"], meta))
     if command == "forecast":
-        rc = _forecast(base, path)
+        _forecast(base, capsys, path)
     else:
-        rc = _eval(base, path, base["dir"] / "manifest.txt")
-    assert rc in EXIT_CODES
+        _eval(base, capsys, path, base["dir"] / "manifest.txt")
 
 
 @FUZZ
 @given(data=st.data(), command=st.sampled_from(["forecast", "eval"]))
-def test_corrupt_checkpoint_bytes(base, data, command):
+def test_corrupt_checkpoint_bytes(base, capsys, data, command):
     raw = bytearray(base["bytes"])
     meta_end = _meta_end(raw)
     # flip bytes in the tensor headers and data, or cut the file short
@@ -133,12 +146,10 @@ def test_corrupt_checkpoint_bytes(base, data, command):
             raw[at] = data.draw(st.integers(0, 255), label="byte")
     path = base["dir"] / "bytes_fuzz.bin"
     path.write_bytes(bytes(raw))
-    with np.errstate(all="ignore"):
-        if command == "forecast":
-            rc = _forecast(base, path)
-        else:
-            rc = _eval(base, path, base["dir"] / "manifest.txt")
-    assert rc in EXIT_CODES
+    if command == "forecast":
+        _forecast(base, capsys, path)
+    else:
+        _eval(base, capsys, path, base["dir"] / "manifest.txt")
 
 
 row_edits = st.one_of(
@@ -168,13 +179,12 @@ def _edit_rows(rows, edits):
 @FUZZ
 @given(edits=st.lists(row_edits, min_size=1, max_size=4),
        protocol=st.sampled_from(["mae", "pck"]))
-def test_corrupt_manifest_rows(base, edits, protocol):
+def test_corrupt_manifest_rows(base, capsys, edits, protocol):
     rows = [r.split(",") for r in base["rows"]]
     _edit_rows(rows, edits)
     path = base["dir"] / "manifest_fuzz.txt"
     path.write_text("\n".join(",".join(r) for r in rows) + "\n")
-    rc = _eval(base, base["dir"] / "model.bin", path, protocol)
-    assert rc in EXIT_CODES
+    _eval(base, capsys, base["dir"] / "model.bin", path, protocol)
 
 
 @pytest.fixture(scope="module")
@@ -216,7 +226,7 @@ resume_edits = st.one_of(
 
 @FUZZ
 @given(edits=st.lists(resume_edits, min_size=1, max_size=3))
-def test_corrupt_train_resume_meta(train_base, edits):
+def test_corrupt_train_resume_meta(train_base, capsys, edits):
     meta = json.loads(json.dumps(train_base["meta"]))
     for op, key, value in edits:
         if op == "drop":
@@ -231,10 +241,8 @@ def test_corrupt_train_resume_meta(train_base, edits):
     d = train_base["dir"]
     path = d / "resume_fuzz.bin"
     path.write_bytes(_with_meta(train_base["bytes"], meta))
-    with np.errstate(all="ignore"):
-        rc = main(["train", "--resume", str(path), "--manifest", str(d / "manifest.txt"),
-                   "--out", str(d / "resumed"), "--log-every", "1000"])
-    assert rc in EXIT_CODES
+    _run(capsys, "train", "--resume", path, "--manifest", d / "manifest.txt",
+         "--out", d / "resumed", "--log-every", 1000)
 
 
 # `ablate` trains every variant it is given, so each example must stay cheap:
@@ -280,7 +288,7 @@ ablate_edits = st.one_of(
 @given(edits=st.lists(ablate_edits, min_size=1, max_size=3),
        variants=st.lists(st.sampled_from([*VARIANTS, "gru"]), min_size=1, max_size=3,
                          unique=True))
-def test_corrupt_ablate_inputs(base, edits, variants):
+def test_corrupt_ablate_inputs(base, capsys, edits, variants):
     model, train = dict(ABLATE_MODEL), dict(ABLATE_TRAIN)
     rows = [r.split(",") for r in base["rows"]]
     for op, key, value in edits:
@@ -296,9 +304,6 @@ def test_corrupt_ablate_inputs(base, edits, variants):
     for name, cfg in (("ablate_model.cfg", model), ("ablate_train.cfg", train)):
         (d / name).write_text("".join(f"{k}={v}\n" for k, v in cfg.items()))
     (d / "ablate_manifest.txt").write_text("\n".join(",".join(r) for r in rows) + "\n")
-    with np.errstate(all="ignore"):
-        rc = main(["ablate", "--model-config", str(d / "ablate_model.cfg"),
-                   "--train-config", str(d / "ablate_train.cfg"),
-                   "--manifest", str(d / "ablate_manifest.txt"),
-                   "--variants", ",".join(variants), "--out", str(d / "ablation")])
-    assert rc in EXIT_CODES
+    _run(capsys, "ablate", "--model-config", d / "ablate_model.cfg",
+         "--train-config", d / "ablate_train.cfg", "--manifest", d / "ablate_manifest.txt",
+         "--variants", ",".join(variants), "--out", d / "ablation")

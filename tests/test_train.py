@@ -1,11 +1,15 @@
+import json
 import re
+import struct
+import tracemalloc
 from dataclasses import FrozenInstanceError, asdict, fields, replace
 
 import numpy as np
 import pytest
 
 from posecast.arch import ModelConfig, build_model
-from posecast.errors import ConfigError, InputError, NumericError, ShapeError
+from posecast.checkpoint import MAGIC, VERSION
+from posecast.errors import ConfigError, InputError, NumericError, ParseError, ShapeError
 from posecast.posedata import PoseSequence, synth_multiscale
 from posecast.train import (MAX_BATCH_SIZE, AdamState, TrainConfig, TrainingData,
                             adam_step, load_model_checkpoint, lr_at,
@@ -298,6 +302,29 @@ def test_train_config_is_checked_when_built(kw, message):
     assert str(e.value) == message
 
 
+HUGE = 10 ** 5000  # past Python's limit (4300 digits) for printing an int
+
+
+@pytest.mark.parametrize("cls, kw", [
+    (ModelConfig, dict(d_v=3, leaky_slope=HUGE)),
+    (ModelConfig, dict(d_v=-HUGE)),
+    (ModelConfig, dict(d_v=3, seed=-HUGE)),
+    (TrainConfig, dict(lr0=HUGE)),
+    (TrainConfig, dict(batch_size=HUGE)),
+    (TrainConfig, dict(iterations=-HUGE)),
+    (TrainConfig, dict(checkpoint_every=-HUGE)),
+], ids=lambda v: v.__name__ if isinstance(v, type) else list(v)[-1])
+def test_a_value_too_long_to_print_raises_the_documented_error(cls, kw):
+    # the message names the field and the value's size in bits
+    if cls is ModelConfig:
+        kw = dict(variant="tp_rnn", **kw)
+    name = list(kw)[-1]
+    with pytest.raises((TypeError, ConfigError)) as e:
+        cls(**kw)
+    assert name in str(e.value)
+    assert f"integer of {HUGE.bit_length()} bits" in str(e.value)
+
+
 def test_train_config_is_frozen():
     cfg = TrainConfig()
     for f in fields(cfg):
@@ -480,6 +507,53 @@ def test_loading_a_checkpoint_draws_no_initial_values(tmp_path, monkeypatch):
     loaded, _, adam = load_model_checkpoint(tmp_path / "checkpoint_final.bin")
     assert loaded.theta.tobytes() == model.theta.tobytes()
     assert adam is not None
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+def test_a_load_holds_the_tensors_it_returns_once(tmp_path, optimizer):
+    # each tensor is read straight into its view of theta (or of the Adam
+    # moments): no array of the file's tensors is held beside them
+    model = build_model(ModelConfig(variant="tp_rnn", d_v=8, granularity=2, levels=2,
+                                    hidden=128, head1=32, head2=16))
+    adam = None
+    if optimizer == "adam":
+        rng = np.random.default_rng(3)
+        adam = AdamState(m=rng.normal(size=model.n_params), v=rng.random(model.n_params))
+    p = tmp_path / "t.bin"
+    save_train_checkpoint(p, model, TrainConfig(optimizer=optimizer), 0,
+                          np.random.default_rng(0), adam)
+    tracemalloc.start()
+    try:
+        loaded, _, got = load_model_checkpoint(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = loaded.theta.nbytes + (0 if got is None else got.m.nbytes + got.v.nbytes)
+    assert loaded.theta.tobytes() == model.theta.tobytes()
+    if adam is not None:
+        assert got.m.tobytes() == adam.m.tobytes() and got.v.tobytes() == adam.v.tobytes()
+    assert peak <= 1.05 * held, (peak, held)
+
+
+def test_a_short_file_is_rejected_before_its_model_is_allocated(tmp_path):
+    # the meta describes a model of about 550 MB; the file holds the first
+    # tensor's header and 64 bytes of its data: truncated, with the model
+    # never allocated
+    cfg = ModelConfig(variant="tp_rnn", d_v=54, levels=1, hidden=4096)
+    meta = json.dumps({"kind": "model", "model_config": asdict(cfg),
+                       "iteration": 0}).encode("utf-8")
+    shape = (4 * 4096, 54 + 4096)
+    p = tmp_path / "short.bin"
+    p.write_bytes(MAGIC + struct.pack("<IQ", VERSION, len(meta)) + meta
+                  + struct.pack("<IH7sB2Q", 8, 7, b"cell0.W", 2, *shape) + b"\x00" * 64)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="truncated"):
+            load_model_checkpoint(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 # ---------------------------------------------------------------------------
