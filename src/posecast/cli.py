@@ -210,9 +210,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_forecast(args) -> int:
-    model = load_model_checkpoint(args.checkpoint)[0]  # an Adam run's moments dropped
     if args.n_steps < 1:
         raise InputError(f"--n-steps: must be >= 1, got {args.n_steps}")
+    model = load_model_checkpoint(args.checkpoint)[0]  # an Adam run's moments dropped
     if args.n_steps * model.config.d_v > MAX_SYNTH_VALUES:
         raise InputError(f"--n-steps: n_steps * d must be at most {MAX_SYNTH_VALUES}, "
                          f"got {args.n_steps * model.config.d_v}")

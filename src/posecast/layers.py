@@ -10,10 +10,12 @@ so a state bank's slab rows are the state.  An LSTM backward reads the
 step's gates (i, f, o, g) as `lstm_gates` leaves them and its new c, and
 recomputes tanh(c) and h from those with the ufuncs `lstm_gates` uses, so
 they have the forward's bits; `LstmTape` names those plus the step's input
-and previous state.  The head returns a tape of its activation derivatives
-and outputs, not its inputs, so `head_backward` takes those again.  Every
-input, state and gradient is a (B, d) batch, and every output one too;
-parameter gradients are summed over the batch.
+and previous state.  The kernels set no floating-point error policy: a
+saturating gate's exp overflow is the caller's to state, and the engine's
+forward stages in `arch` do.  The head returns a tape of its activation
+derivatives and outputs, not its inputs, so `head_backward` takes those
+again.  Every input, state and gradient is a (B, d) batch, and every output
+one too; parameter gradients are summed over the batch.
 
 Each backward is split in two.  `lstm_gate_backward` and
 `head_layer_backward` carry the gradient through one step: the derivatives
@@ -71,19 +73,22 @@ class LstmParams:
     h: int
 
 
-# Elements per `rng.uniform` call in `_draw_uniform`: its temporaries are
-# block-sized, never tensor-sized.
+# Elements per pass of `_draw_uniform`: each block is drawn and scaled while
+# it is in cache.
 _DRAW_BLOCK = 1 << 16
 
 
 def _draw_uniform(rng: np.random.Generator, bound: float, out: np.ndarray):
     """Fill the C-contiguous `out` with the values, in the same order, that
     `rng.uniform(-bound, bound, size=out.shape)` returns, _DRAW_BLOCK at a
-    time: each element consumes one draw, so blocking changes no value."""
+    time and in place: each element consumes one draw U in [0, 1), and
+    uniform's low + (high - low) * U is, rounded the same, U * 2b - b."""
     flat = out.reshape(-1)
     for i in range(0, flat.size, _DRAW_BLOCK):
         block = flat[i:i + _DRAW_BLOCK]
-        block[...] = rng.uniform(-bound, bound, size=block.size)
+        rng.random(out=block)
+        block *= 2.0 * bound
+        block -= bound
 
 
 def draw_lstm(p: LstmParams, seed: int, *, stream: tuple = (), forget_bias: float = 1.0):
@@ -132,21 +137,20 @@ def lstm_gates(pre: np.ndarray, c: np.ndarray, h: np.ndarray):
     g = tanh.  The elementwise operations are those of 1 / (1 + exp(-x)),
     tanh, f * c_prev + i * g and o * tanh(c_new) in the same order, so the
     bits are those of the out-of-place expressions, and a backward that
-    recomputes o * np.tanh(c_new) gets h's bits.
+    recomputes o * np.tanh(c_new) gets h's bits.  h holds nothing until
+    its final product, so it takes i * g: the call makes no temporary.
     """
     n = c.shape[1]
     sig = pre[:, :3 * n]
     np.negative(sig, out=sig)
-    # a preactivation far below zero overflows exp to inf, and the gate to
-    # its right value, 0
-    with np.errstate(over="ignore"):
-        np.exp(sig, out=sig)
+    np.exp(sig, out=sig)
     sig += 1.0
     np.divide(1.0, sig, out=sig)
     g = pre[:, 3 * n:]
     np.tanh(g, out=g)
     np.multiply(pre[:, n:2 * n], c, out=c)
-    c += pre[:, :n] * g
+    np.multiply(pre[:, :n], g, out=h)
+    c += h
     np.tanh(c, out=h)
     np.multiply(pre[:, 2 * n:3 * n], h, out=h)
 

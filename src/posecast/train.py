@@ -320,16 +320,17 @@ def _meta_config(path, meta, key: str, cls):
         raise ParseError(f"{path}: {key}: {e}") from None
 
 
-def load_model_checkpoint(path):
+def load_model_checkpoint(path, check=None):
     """Rebuild a Model (and optional training state) from a checkpoint.
 
     Returns (model, meta, adam_state_or_None).  The meta block, then the
     file's (name, shape) list, are checked before anything is allocated: the
     list must be `_checkpoint_layout` of the model config, with both Adam
-    moment sets or with none; any other file raises ParseError.  The model
-    (and the Adam moments) are then allocated once, and each tensor is read
-    straight into its view of `theta` (or of the moments): a load holds the
-    file's tensors once, and no initial values are drawn.
+    moment sets or with none; any other file raises ParseError.  Then
+    `check(meta, has_adam)`, when given, may reject the file by raising.  The
+    model (and the Adam moments) are then allocated once, and each tensor is
+    read straight into its view of `theta` (or of the moments): a load holds
+    the file's tensors once, and no initial values are drawn.
     """
     loaded = []
 
@@ -342,6 +343,8 @@ def load_model_checkpoint(path):
                                   if pair[0] != pair[1])
             raise ParseError(f"{path}: checkpoint tensor {i} is {got or 'missing'}, "
                              f"its model_config needs {need or 'no more tensors'}")
+        if check is not None:
+            check(meta, has_adam)
         model = Model(cfg)
         adam = AdamState.zeros_like(model.theta) if has_adam else None
         loaded.extend((model, adam))
@@ -357,29 +360,36 @@ def load_train_checkpoint(path):
     training checkpoint `path`, loaded as by `load_model_checkpoint`.  Raises
     ConfigError for another kind of checkpoint, ParseError for a malformed
     train_config, iteration or rng_state, and InputError for Adam moments
-    held by a run of another optimizer or lacked by an Adam run."""
-    model, meta, adam = load_model_checkpoint(path)
-    if meta.get("kind") != "train":
-        raise ConfigError(f"{path}: not a training checkpoint")
-    cfg = _meta_config(path, meta, "train_config", TrainConfig)
-    iteration = meta.get("iteration")
-    if not isinstance(iteration, int) or isinstance(iteration, bool) \
-            or not 0 <= iteration <= cfg.iterations:
-        raise ParseError(f"{path}: iteration must be an integer in "
-                         f"[0, {cfg.iterations}], got {iteration!r}")
-    state = meta.get("rng_state")
-    bit_gen = np.random.PCG64()
-    try:
-        bit_gen.state = state
-        ok = bit_gen.state == state
-    except (TypeError, ValueError, KeyError, OverflowError):
-        ok = False
-    if not ok:
-        raise ParseError(f"{path}: rng_state is not a PCG64 state")
-    if (adam is not None) != (cfg.optimizer == "adam"):
-        held = "holds" if adam is not None else "lacks"
-        raise InputError(f"{path}: the checkpoint {held} Adam moments, but "
-                         f"its optimizer is {cfg.optimizer!r}")
+    held by a run of another optimizer or lacked by an Adam run; each is
+    found from the meta, before a tensor is allocated or read."""
+    found = []
+
+    def check(meta, has_adam):
+        if meta.get("kind") != "train":
+            raise ConfigError(f"{path}: not a training checkpoint")
+        cfg = _meta_config(path, meta, "train_config", TrainConfig)
+        iteration = meta.get("iteration")
+        if not isinstance(iteration, int) or isinstance(iteration, bool) \
+                or not 0 <= iteration <= cfg.iterations:
+            raise ParseError(f"{path}: iteration must be an integer in "
+                             f"[0, {cfg.iterations}], got {iteration!r}")
+        state = meta.get("rng_state")
+        bit_gen = np.random.PCG64()
+        try:
+            bit_gen.state = state
+            ok = bit_gen.state == state
+        except (TypeError, ValueError, KeyError, OverflowError):
+            ok = False
+        if not ok:
+            raise ParseError(f"{path}: rng_state is not a PCG64 state")
+        if has_adam != (cfg.optimizer == "adam"):
+            held = "holds" if has_adam else "lacks"
+            raise InputError(f"{path}: the checkpoint {held} Adam moments, but "
+                             f"its optimizer is {cfg.optimizer!r}")
+        found.extend((cfg, iteration, state))
+
+    model, _, adam = load_model_checkpoint(path, check)
+    cfg, iteration, state = found
     return model, cfg, iteration, state, adam
 
 

@@ -1123,6 +1123,14 @@ def test_forecast_n_steps_below_one_exits_3(tmp_path, capsys, n_steps):
     assert not out.exists()
 
 
+def test_forecast_n_steps_is_checked_before_the_checkpoint_is_opened(tmp_path, capsys):
+    # the flag alone is wrong, so the missing checkpoint is never named
+    sd = seed_csv(tmp_path, [[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
+    assert run("forecast", "--checkpoint", tmp_path / "missing.bin", "--seed-csv", sd,
+               "--n-steps", 0, "--out", tmp_path / "p.csv") == 3
+    assert capsys.readouterr().err == "input error: --n-steps: must be >= 1, got 0\n"
+
+
 def test_long_pose_input_forecast_writes_no_overflow_warning(tmp_path, capsys):
     # a pose-input model fed its own predictions for 300 steps grows them to
     # about 1e12 after 6 training iterations, saturating its gates: the

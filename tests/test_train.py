@@ -12,10 +12,9 @@ from posecast.checkpoint import MAGIC, VERSION
 from posecast.errors import ConfigError, InputError, NumericError, ParseError, ShapeError
 from posecast.posedata import PoseSequence, synth_multiscale
 from posecast.train import (MAX_BATCH_SIZE, AdamState, TrainConfig, TrainingData,
-                            adam_step, load_model_checkpoint, lr_at,
-                            rollout_loss_batch, save_model_checkpoint,
-                            save_train_checkpoint, sgd_step,
-                            train_loop, write_trace)
+                            adam_step, load_model_checkpoint, load_train_checkpoint,
+                            lr_at, rollout_loss_batch, save_model_checkpoint,
+                            save_train_checkpoint, sgd_step, train_loop, write_trace)
 
 
 def tiny_model(variant="tp_rnn", levels=2, d_v=3, seed=0, **kw):
@@ -556,6 +555,31 @@ def test_a_short_file_is_rejected_before_its_model_is_allocated(tmp_path):
     assert peak < 2 ** 20
 
 
+@pytest.mark.parametrize("kind", ["model", "train"])
+def test_a_resume_is_rejected_from_the_meta_before_any_tensor_is_read(tmp_path, kind):
+    # a tp_rnn d=54 h=512 M=2 checkpoint holds 28.6 MB of tensors; a model
+    # checkpoint, or an SGD run's holding Adam moments, is refused with its
+    # model never allocated
+    model = build_model(ModelConfig(variant="tp_rnn", d_v=54, levels=2, hidden=512))
+    p = tmp_path / "ck.bin"
+    if kind == "model":
+        save_model_checkpoint(p, model)
+        error, match = ConfigError, "not a training checkpoint"
+    else:
+        adam = AdamState.zeros_like(model.theta)
+        save_train_checkpoint(p, model, TrainConfig(), 0, np.random.default_rng(0), adam)
+        error, match = InputError, "holds Adam moments, but its optimizer is 'sgd'"
+    del model
+    tracemalloc.start()
+    try:
+        with pytest.raises(error, match=match):
+            load_train_checkpoint(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 # ---------------------------------------------------------------------------
 # desk-scale learning behavior (slow; fixtures frozen from tuning runs)
 
@@ -572,9 +596,10 @@ def test_loss_halves_in_2000_iterations():
     assert trace[-1][1] < 0.5 * trace[0][1]
 
 
-def test_trained_model_reproduces_fast_period():
-    # a two-level hierarchy trained on drift-free two-band sines recovers
-    # the fast dimension's period within 10% over a 25-step forecast
+def fast_period_error():
+    """The relative error of the fast dimension's period in a 25-step
+    forecast by a two-level hierarchy trained on drift-free two-band sines
+    (tests/probe_rounding.py reads it too)."""
     from posecast.arch import RolloutTape, forecast, observe
 
     seqs = synth_multiscale(6, 120, 2, seed=17, drift_scale=0.0)
@@ -601,4 +626,10 @@ def test_trained_model_reproduces_fast_period():
 
     p_truth = dominant_period(truth[:, 0])
     p_pred = dominant_period(frames[:, 0])
-    assert abs(p_pred - p_truth) / p_truth < 0.10
+    return abs(p_pred - p_truth) / p_truth
+
+
+def test_trained_model_reproduces_fast_period():
+    # a two-level hierarchy trained on drift-free two-band sines recovers
+    # the fast dimension's period within 10% over a 25-step forecast
+    assert fast_period_error() < 0.10
