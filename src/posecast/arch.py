@@ -451,8 +451,9 @@ def observe(model: Model, seeds, *, mode: str = "eval",
         raise ConfigError("a tape-free rollout (record=False) runs in eval mode only")
     xs = seeds[:, 1:] if model.levels[0].source == "pose" else np.diff(seeds, axis=1)
     bank = new_bank(model, len(seeds))
-    # the one floating-point exception a correct run expects: a gate far below
-    # zero overflows exp on its way to exactly 0 (`lstm_gates`)
+    # a gate far below zero overflows exp on its way to exactly 0 (`lstm_gates`),
+    # the one overflow a correct run expects; overflow is ignored for the whole
+    # sweep, head included, and the callers' finite checks catch a divergence
     with np.errstate(over="ignore"):
         vhat = _advance(model, bank, xs, mode, rng, tape)
     bank.last_pose = seeds[:, -1]
@@ -516,7 +517,7 @@ def _feed_back(model: Model, bank: PhaseStateBank, v, n_steps: int, mode: str, r
     pose = bank.last_pose
     preds = np.empty((n_steps, *v.shape))
     preds[0] = v
-    with np.errstate(over="ignore"):  # saturating gates, as in `observe`
+    with np.errstate(over="ignore"):  # as in `observe`, the pose sum included
         for i in range(1, n_steps):
             pose = pose + v
             v = _advance(model, bank, (pose if is_pose else v)[:, None], mode, rng, tape)

@@ -73,22 +73,19 @@ class LstmParams:
     h: int
 
 
-# Elements per pass of `_draw_uniform`: each block is drawn and scaled while
-# it is in cache.
+# Elements per `rng.uniform` call in `_draw_uniform`: its temporaries are
+# block-sized, never tensor-sized.
 _DRAW_BLOCK = 1 << 16
 
 
 def _draw_uniform(rng: np.random.Generator, bound: float, out: np.ndarray):
     """Fill the C-contiguous `out` with the values, in the same order, that
     `rng.uniform(-bound, bound, size=out.shape)` returns, _DRAW_BLOCK at a
-    time and in place: each element consumes one draw U in [0, 1), and
-    uniform's low + (high - low) * U is, rounded the same, U * 2b - b."""
+    time: each element consumes one draw, so blocking changes no value."""
     flat = out.reshape(-1)
     for i in range(0, flat.size, _DRAW_BLOCK):
         block = flat[i:i + _DRAW_BLOCK]
-        rng.random(out=block)
-        block *= 2.0 * bound
-        block -= bound
+        block[...] = rng.uniform(-bound, bound, size=block.size)
 
 
 def draw_lstm(p: LstmParams, seed: int, *, stream: tuple = (), forget_bias: float = 1.0):

@@ -6,9 +6,6 @@ action-agnostic by construction: the rollout engine takes bare seed frames
 only, which `TrainingData.sample_batch` and `evaluate.forecast_frames` cut
 from the sequences, never from a label, and its seed stage alone turns them
 into the model's inputs.
-
-A sequence CSV is read line by line and its checked values stream into one
-float64 buffer, so a load holds about the frames' bytes.
 """
 
 from __future__ import annotations
@@ -121,33 +118,25 @@ def text_lines(path, comments: bool = True):
 
 def load_sequence(path, expected_dim: int | None = None,
                   frame_interval_ms: float = 1.0, action: str = "") -> PoseSequence:
-    """The sequence CSV `path` as a PoseSequence: every line must hold the
-    same number of finite floats (`expected_dim` of them when given), else
-    ParseError naming the line.  The values stream into one float64 buffer,
-    so a load holds about the frames' bytes."""
     path = Path(path)
+    rows = []
     dim = expected_dim
-
-    def values():
-        nonlocal dim
-        for lineno, line in text_lines(path, comments=False):
-            parts = line.split(",")
-            if dim is None:
-                dim = len(parts)
-            if len(parts) != dim:
-                raise ParseError(f"{path}:{lineno}: expected {dim} columns, got {len(parts)}")
-            try:
-                row = [float(s) for s in parts]
-            except ValueError as e:
-                raise ParseError(f"{path}:{lineno}: {e}") from None
-            if not all(math.isfinite(x) for x in row):
-                raise ParseError(f"{path}:{lineno}: non-finite value")
-            yield from row
-
-    flat = np.fromiter(values(), np.float64)
-    if not flat.size:  # every line holds at least one value
+    for lineno, line in text_lines(path, comments=False):
+        parts = line.split(",")
+        if dim is None:
+            dim = len(parts)
+        if len(parts) != dim:
+            raise ParseError(f"{path}:{lineno}: expected {dim} columns, got {len(parts)}")
+        try:
+            row = [float(s) for s in parts]
+        except ValueError as e:
+            raise ParseError(f"{path}:{lineno}: {e}") from None
+        if not all(math.isfinite(x) for x in row):
+            raise ParseError(f"{path}:{lineno}: non-finite value")
+        rows.append(row)
+    if not rows:
         raise ParseError(f"{path}: empty sequence file")
-    return PoseSequence(frames=flat.reshape(-1, dim), frame_interval_ms=frame_interval_ms,
+    return PoseSequence(frames=np.array(rows), frame_interval_ms=frame_interval_ms,
                         action=action)
 
 

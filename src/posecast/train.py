@@ -362,9 +362,10 @@ def load_train_checkpoint(path):
     train_config, iteration or rng_state, and InputError for Adam moments
     held by a run of another optimizer or lacked by an Adam run; each is
     found from the meta, before a tensor is allocated or read."""
-    found = []
+    cfg = iteration = state = None
 
     def check(meta, has_adam):
+        nonlocal cfg, iteration, state
         if meta.get("kind") != "train":
             raise ConfigError(f"{path}: not a training checkpoint")
         cfg = _meta_config(path, meta, "train_config", TrainConfig)
@@ -386,10 +387,8 @@ def load_train_checkpoint(path):
             held = "holds" if has_adam else "lacks"
             raise InputError(f"{path}: the checkpoint {held} Adam moments, but "
                              f"its optimizer is {cfg.optimizer!r}")
-        found.extend((cfg, iteration, state))
 
     model, _, adam = load_model_checkpoint(path, check)
-    cfg, iteration, state = found
     return model, cfg, iteration, state, adam
 
 

@@ -4,7 +4,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from posecast import layers
 from posecast.errors import ConfigError, ShapeError
 from posecast.layers import (HeadParams, LstmParams, draw_head, draw_lstm,
                              head_backward, head_forward, head_layer_backward,
@@ -138,16 +137,6 @@ def test_lstm_gates_allocates_no_state_sized_temporary():
     finally:
         tracemalloc.stop()
     assert peak <= 0.2e6
-
-
-def test_draw_lstm_is_numpy_uniform_bit_for_bit():
-    # the draw scales each block in place; a W of several blocks must hold
-    # what one rng.uniform call returns, so a numpy build whose multiply-add
-    # fuses differs and fails here
-    p = init_lstm(7, 256, seed=4)
-    assert p.W.size > 3 * layers._DRAW_BLOCK
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=4))
-    assert np.array_equal(p.W, rng.uniform(-1 / 16, 1 / 16, size=p.W.shape))
 
 
 def test_lstm_step_matches_scalar_oracle():

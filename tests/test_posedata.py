@@ -222,21 +222,6 @@ def test_load_sequence_missing_and_empty(tmp_path):
         load_sequence(f)
 
 
-def test_load_sequence_holds_about_the_frames_bytes(tmp_path):
-    # the values stream into one float64 buffer, not per-row Python lists:
-    # a 20,000 x 54 load (8.6 MB of frames) peaks under twice their bytes
-    import tracemalloc
-    frames = np.random.default_rng(11).normal(size=(20_000, 54))
-    save_sequence(tmp_path / "s.csv", seq(frames))
-    tracemalloc.start()
-    try:
-        p = load_sequence(tmp_path / "s.csv")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(p.frames, frames) and peak <= 2 * frames.nbytes
-
-
 def _write_dataset(tmp_path, mask=None):
     a = seq([[1.0, 2.0, 3.0]] * 8)
     b = seq([[4.0, 5.0, 6.0]] * 8)
